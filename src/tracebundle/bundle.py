@@ -229,11 +229,17 @@ def section_to_records(x: Section):
 
 
 def section_from_records(bundle: BundleSpec, rows) -> Section:
-    """Rebuild a section from the flat record format of ``section_to_records``."""
+    """Rebuild a section from the flat record format of ``section_to_records``.
+
+    Every matrix entry needs exactly one record; a missing or repeated entry
+    raises ``UsageError`` naming it, so a truncated file is never read back
+    as a different section.
+    """
     blocks = {
         label: [np.zeros((n, n), dtype=np.complex128) for n in shape]
         for label, shape in zip(bundle.space.labels, bundle.fiber_shapes)
     }
+    seen = set()
     for label, k, i, j, re, im in rows:
         label = str(label)
         if label not in blocks:
@@ -244,7 +250,16 @@ def section_from_records(bundle: BundleSpec, rows) -> Section:
             raise ShapeMismatchError(
                 f"record ({label}, {k}, {i}, {j}) is outside the fiber shape {shape}"
             )
+        if (label, k, i, j) in seen:
+            raise UsageError(f"duplicate record for entry ({label}, {k}, {i}, {j})")
+        seen.add((label, k, i, j))
         blocks[label][k][i, j] = complex(float(re), float(im))
+    for label, shape in zip(bundle.space.labels, bundle.fiber_shapes):
+        for k, n in enumerate(shape):
+            for i in range(n):
+                for j in range(n):
+                    if (label, k, i, j) not in seen:
+                        raise UsageError(f"missing record for entry ({label}, {k}, {i}, {j})")
     return Section(
         bundle,
         [FiberElement(blocks[label]) for label in bundle.space.labels],

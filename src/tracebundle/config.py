@@ -46,6 +46,10 @@ _TOP_KEYS = {
 }
 _BUNDLE_KEYS = {"atoms", "mu", "fiber_shapes", "trace_weights"}
 _OUTPUT_KEYS = {"summary", "traces"}
+_CSV_UNSAFE = (",", '"', "\r", "\n")
+_CSV_UNSAFE_MESSAGE = (
+    'must not contain ",", a double quote, CR or LF (it is written to CSV artifacts)'
+)
 
 
 @dataclass
@@ -134,6 +138,10 @@ def _check_keys(obj, allowed, path, problems):
             problems.append((f"{path}.{key}" if path else key, "unknown field"))
 
 
+def _csv_unsafe(v) -> bool:
+    return any(c in str(v) for c in _CSV_UNSAFE)
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -164,6 +172,8 @@ def parse_config(text: str) -> ExperimentConfig:
         return doc[key]
 
     experiment_id = need("experiment_id", str, "a string")
+    if experiment_id is not None and _csv_unsafe(experiment_id):
+        problems.append(("experiment_id", _CSV_UNSAFE_MESSAGE))
     seed = need("seed", int, "an integer (reproducibility contract: no entropy defaults)")
     if "seed" in doc and isinstance(doc.get("seed"), bool):
         problems.append(("seed", "must be an integer, not a boolean"))
@@ -182,6 +192,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(atoms, list) or not atoms:
             problems.append(("bundle.atoms", "must be a non-empty list of labels"))
             atoms = None
+        for i, label in enumerate(atoms or []):
+            if _csv_unsafe(label):
+                problems.append((f"bundle.atoms[{i}]", _CSV_UNSAFE_MESSAGE))
         if not isinstance(mu, list):
             problems.append(("bundle.mu", "must be a list of positive weights"))
             mu = None

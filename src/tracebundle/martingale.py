@@ -4,7 +4,8 @@ A filtration is a nested tower of validated subalgebras whose inclusions and
 projection-composition law are verified numerically at construction.  Towers
 are finite; the infinite-index regime of the averaging statements is emulated
 by holding the terminal element fixed for extra steps, which drives the
-cumulative weight to infinity while every limit stays exact.
+cumulative weight to infinity while every limit stays exact.  Held steps are
+evaluated in closed form, so the whole tail costs O(1) norm evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedConfigurationError,
     UsageError,
 )
-from .towers import fiber_level_generators
+from .towers import level_generators
 from .tracelp import lp_norm
 
 INCLUSION_BUILD_TOL = 1e-8      # hard failure bound on tower inclusions
@@ -70,11 +71,6 @@ class Filtration:
         return f"Filtration(depth={self.depth}, dims={dims})"
 
 
-def _matrix_unit_fibers(bundle: BundleSpec):
-    """Per atom, a spanning list of matrix-unit fiber elements."""
-    return [fiber_level_generators(shape, "full") for shape in bundle.fiber_shapes]
-
-
 def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
     """Validate a tower from per-level, per-atom generator lists.
 
@@ -104,7 +100,7 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
             f"tower inclusion residual {inclusion:.2e} exceeds {INCLUSION_BUILD_TOL:.0e}"
         )
 
-    units = _matrix_unit_fibers(bundle)
+    units = level_generators(bundle, "full")
     composition = 0.0
     for m, level_m in enumerate(tower):
         for n, level_n in enumerate(tower):
@@ -152,19 +148,18 @@ def is_martingale(elements, filtration: Filtration, tol: float = MARTINGALE_TOL)
 
 
 class MartingaleSeq:
-    """A sequence adapted to a filtration with the martingale property."""
+    """An adapted sequence; its martingale defect is measured once, as ``defect``."""
 
-    __slots__ = ("filtration", "elements", "p")
+    __slots__ = ("filtration", "elements", "p", "defect")
 
     def __init__(self, filtration: Filtration, elements, p: float = 2.0, check: bool = True):
         self.filtration = filtration
-        self.elements = list(elements)
+        self.elements = tuple(elements)
         self.p = float(p)
         if not self.elements:
             raise UsageError("a martingale needs at least one element")
-        if len(self.elements) > filtration.depth:
-            raise UsageError("more elements than tower levels")
-        if check and not is_martingale(self.elements, filtration):
+        self.defect = martingale_defect(self.elements, filtration)
+        if check and self.defect > MARTINGALE_TOL:
             raise UsageError(
                 "sequence violates the martingale property beyond tolerance"
             )
@@ -299,35 +294,35 @@ def double_sequence_check(xs, x: Section, filtration: Filtration, p: float,
     )
 
 
-def _check_weights(w, needed: int):
+def _running_means(seq: MartingaleSeq, w, extend_by: int = 0):
+    """Running means sigma_1..sigma_K and, for the held steps n > K, W_K/W_n.
+
+    Holding ``y = x_K`` gives ``sigma_n - y = (W_K/W_n)(sigma_K - y)`` exactly.
+    """
     w = [float(v) for v in w]
+    needed = len(seq) + max(0, int(extend_by))
     if len(w) < needed:
         raise UsageError(f"need at least {needed} weights, got {len(w)}")
     if any(not np.isfinite(v) or v <= 0.0 for v in w):
         raise UsageError("averaging weights must be finite and strictly positive")
-    return w
-
-
-def _held_elements(seq: MartingaleSeq, extend_by: int):
-    return seq.elements + [seq.elements[-1]] * int(extend_by)
+    sigmas = []
+    running = None
+    total = 0.0
+    for x_k, w_k in zip(seq.elements, w):
+        running = w_k * x_k if running is None else running + w_k * x_k
+        total += w_k
+        sigmas.append((1.0 / total) * running)
+    terminal_weight = total
+    ratios = []
+    for w_n in w[len(seq):needed]:
+        total += w_n
+        ratios.append(terminal_weight / total)
+    return sigmas, ratios
 
 
 def weighted_averages(seq: MartingaleSeq, w) -> list:
     """Normalized weighted running means ``(1/W_n) sum_{k<=n} w_k x_k``."""
-    elements = seq.elements
-    w = _check_weights(w, len(elements))
-    return _sigma_sequence(elements, w)
-
-
-def _sigma_sequence(elements, w):
-    out = []
-    running = None
-    total = 0.0
-    for x_k, w_k in zip(elements, w):
-        running = w_k * x_k if running is None else running + w_k * x_k
-        total += w_k
-        out.append((1.0 / total) * running)
-    return out
+    return _running_means(seq, w)[0]
 
 
 def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
@@ -336,11 +331,13 @@ def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
     Returns ``(sup_x, sup_sigma, gap)`` as center elements with
     ``gap = sup_x - sup_sigma``.  Convexity forces ``sup_sigma <= sup_x`` up
     to roundoff on any finite range; the two sups meet only asymptotically,
-    which the ``extend_by`` holding scheme emulates.
+    which the ``extend_by`` holding scheme emulates.  The held means lie on one
+    segment, so by convexity only its far end sigma_N joins the sup.
     """
-    elements = _held_elements(seq, extend_by)
-    w = _check_weights(w, len(elements))
-    sigmas = _sigma_sequence(elements, w)
+    sigmas, ratios = _running_means(seq, w, extend_by)
+    if ratios:
+        y = seq.elements[-1]
+        sigmas.append(y + ratios[-1] * (sigmas[-1] - y))
     sup_x = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
     sup_sigma = center_sup([lp_norm(s, p) for s in sigmas])
     return sup_x, sup_sigma, sup_x - sup_sigma
@@ -357,6 +354,7 @@ class CesaroReport:
     average_trace: list          # max over atoms of ||sigma_n - y||_p
     element_trace_per_atom: list = field(default_factory=list)
     average_trace_per_atom: list = field(default_factory=list)
+    limit: MartingaleLimit = None  # the verified limit y
 
     def converged(self) -> tuple[bool, bool]:
         return (
@@ -381,23 +379,20 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     The run is extended by holding the terminal element for ``extend_by``
     additional steps, which sends the cumulative weight to infinity (the
     hypothesis behind the averaging equivalence) while keeping the limit
-    exact.  Refuses sequences that are not martingales to tolerance.
+    exact; per atom a held step has ``||sigma_n - y||_p = (W_K/W_n)||sigma_K - y||_p``.
+    Refuses sequences that are not martingales to tolerance.
     """
-    if not is_martingale(seq.elements, seq.filtration):
+    if seq.defect > MARTINGALE_TOL:
         raise UsageError("input sequence is not a martingale to tolerance")
-    y = martingale_limit(seq).limit
-    elements = _held_elements(seq, extend_by)
-    w = _check_weights(w, len(elements))
-    sigmas = _sigma_sequence(elements, w)
-
-    xa, sa, xt, st = [], [], [], []
-    for x_n, s_n in zip(elements, sigmas):
-        xv = lp_norm(x_n - y, p).values
-        sv = lp_norm(s_n - y, p).values
-        xa.append([float(v) for v in xv])
-        sa.append([float(v) for v in sv])
-        xt.append(float(xv.max()))
-        st.append(float(sv.max()))
+    limit = martingale_limit(seq)
+    y = limit.limit
+    sigmas, ratios = _running_means(seq, w, extend_by)
+    xa = [[float(v) for v in lp_norm(x_n - y, p).values] for x_n in seq.elements]
+    sa = [[float(v) for v in lp_norm(s_n - y, p).values] for s_n in sigmas]
+    xa += [[0.0] * len(xa[-1]) for _ in ratios]
+    sa += [[r * v for v in sa[-1]] for r in ratios]  # sa[-1] is still sigma_K's row
+    xt = [max(v) for v in xa]
+    st = [max(v) for v in sa]
 
     x_conv = xt[-1] <= tol
     s_conv = st[-1] <= tol
@@ -410,4 +405,5 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
         average_trace=st,
         element_trace_per_atom=xa,
         average_trace_per_atom=sa,
+        limit=limit,
     )

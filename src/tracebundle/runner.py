@@ -23,9 +23,7 @@ from .martingale import (
     Filtration,
     build_filtration,
     cesaro_equivalence,
-    martingale_defect,
     martingale_from_target,
-    martingale_limit,
     sup_norm_comparison,
 )
 from .tracelp import center_trace, derive_seed, duality_check, lp_norm
@@ -143,8 +141,14 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     for s in range(cfg.trials["martingale_seeds"]):
         x = random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
         seq = martingale_from_target(x, filtration, p=mart_p)
-        defect = max(defect, martingale_defect(seq.elements, filtration))
-        lim = martingale_limit(seq)
+        defect = max(defect, seq.defect)
+        w = cfg.weight_list(len(seq) + cfg.extension)
+        sup_x, sup_sigma, _ = sup_norm_comparison(seq, w, mart_p, extend_by=cfg.extension)
+        gap = max(gap, max(0.0, float((sup_sigma.values - sup_x.values).max())))
+        rep = cesaro_equivalence(
+            seq, w, mart_p, cfg.tolerances["cesaro"], extend_by=cfg.extension
+        )
+        lim = rep.limit
         if limit_section is None:
             limit_section = lim.limit
         recon = max(recon, lim.reconstruction_residual)
@@ -157,13 +161,6 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
                 norm_x_sq - lp_norm(x_n, 2).values ** 2 - lp_norm(x - x_n, 2).values ** 2
             )
             pythagoras = max(pythagoras, float(drift.max()))
-        steps = len(seq) + cfg.extension
-        w = cfg.weight_list(steps)
-        sup_x, sup_sigma, _ = sup_norm_comparison(seq, w, mart_p, extend_by=cfg.extension)
-        gap = max(gap, max(0.0, float((sup_sigma.values - sup_x.values).max())))
-        rep = cesaro_equivalence(
-            seq, w, mart_p, cfg.tolerances["cesaro"], extend_by=cfg.extension
-        )
         all_both = all_both and rep.verdict == "both"
         never_one = never_one and rep.verdict != "exactly-one"
         tag = f"{cfg.experiment_id}:seed={s}"
@@ -212,9 +209,14 @@ def read_section_csv(path: str, bundle):
         if header != "omega,block,row,col,re,im":
             raise UsageError(f"not a section file: unexpected header {header!r}")
         rows = []
-        for line in fh:
-            label, k, i, j, re, im = line.rstrip("\n").split(",")
-            rows.append((label, int(k), int(i), int(j), float(re), float(im)))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                label, k, i, j, re, im = line.rstrip("\n").split(",")
+                rows.append((label, int(k), int(i), int(j), float(re), float(im)))
+            except ValueError:
+                raise UsageError(
+                    f"{path}, line {lineno}: malformed section record {line.rstrip()!r}"
+                ) from None
     return section_from_records(bundle, rows)
 
 

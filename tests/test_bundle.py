@@ -230,6 +230,25 @@ def test_record_validation(hetero_bundle):
         section_from_records(hetero_bundle, [("w1", 0, 5, 0, 1.0, 0.0)])
 
 
+def test_record_truncation_rejected(hetero_bundle):
+    rows = section_to_records(random_section(hetero_bundle, 45, "general"))
+    assert rows[-2][:4] == ("w3", 1, 1, 1)
+    with pytest.raises(UsageError, match=r"missing record for entry \(w3, 1, 1, 1\)"):
+        section_from_records(hetero_bundle, rows[:-2])
+    with pytest.raises(UsageError, match="missing record"):
+        section_from_records(hetero_bundle, [])
+
+
+def test_record_duplication_rejected(hetero_bundle):
+    rows = section_to_records(random_section(hetero_bundle, 46, "general"))
+    assert rows[3][:4] == ("w1", 0, 1, 1)
+    with pytest.raises(UsageError, match=r"duplicate record for entry \(w1, 0, 1, 1\)"):
+        section_from_records(hetero_bundle, rows + [rows[3]])
+    # a duplicate that stands in for a missing entry keeps the row count right
+    with pytest.raises(UsageError, match="duplicate record"):
+        section_from_records(hetero_bundle, rows[:-1] + [rows[3]])
+
+
 def test_restrict_preserves_fiber_data(hetero_bundle):
     x = random_section(hetero_bundle, 50, "general")
     sub = x.restrict(["w3", "w1"])

@@ -11,8 +11,9 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
+from tracebundle.errors import UsageError
 from tracebundle.fixtures import fixture_config, fixture_text
-from tracebundle.runner import run_experiment
+from tracebundle.runner import read_section_csv, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,44 @@ def test_golden_section_roundtrip(config_path, tmp_path):
     assert read(out / "limit_section.csv") == read(tmp_path / "again.csv")
     assert section.bundle == bundle
     assert all(np.isfinite(b).all() for f in section.fibers for b in f.blocks)
+
+
+def test_csv_unsafe_atom_label_exit_code(tmp_path, capsys):
+    doc = json.loads(fixture_text("mat2_tower"))
+    doc["bundle"]["atoms"] = ["a,b"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run-martingale", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "config error at bundle.atoms[0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_golden_section_rows(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run-martingale", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    lines = read(out / "limit_section.csv").decode().splitlines(keepends=True)
+    bundle = fixture_config("mat2_tower").build_bundle()
+    bad = tmp_path / "bad.csv"
+    for broken in ("w1,0,0,1,0.5\n", "a,b,0,0,0,1.0,0.0\n", "w1,0,x,1,0.5,0.0\n"):
+        bad.write_text(lines[0] + lines[1] + broken + "".join(lines[3:]))
+        with pytest.raises(UsageError, match="line 3: malformed section record"):
+            read_section_csv(str(bad), bundle)
+
+
+def test_truncated_golden_section_rejected(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run-martingale", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    lines = read(out / "limit_section.csv").decode().splitlines(keepends=True)
+    bundle = fixture_config("mat2_tower").build_bundle()
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("".join(lines[:-2]))
+    with pytest.raises(UsageError, match=r"missing record for entry \(w1, 0, 1, 0\)"):
+        read_section_csv(str(truncated), bundle)
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("".join(lines) + lines[1])
+    with pytest.raises(UsageError, match=r"duplicate record for entry \(w1, 0, 0, 0\)"):
+        read_section_csv(str(doubled), bundle)
 
 
 def test_emit_fixtures_matches_direct_run(tmp_path):

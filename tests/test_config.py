@@ -60,6 +60,17 @@ def test_missing_seed_rejected():
     assert "seed" in problems_of(doc)
 
 
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_csv_unsafe_labels_rejected(label):
+    # atom labels and the experiment id are written into CSV artifacts
+    doc = dict(MINIMAL, bundle=dict(MINIMAL["bundle"], atoms=["w", label], mu=[1.0, 1.0],
+                                    fiber_shapes=[[2], [1]], trace_weights=[[0.5], [1.0]]))
+    problems = problems_of(doc)
+    assert list(problems) == ["bundle.atoms[1]"]
+    assert "CSV" in problems["bundle.atoms[1]"]
+    assert list(problems_of(dict(MINIMAL, experiment_id=f"run {label}"))) == ["experiment_id"]
+
+
 def test_non_integer_seed_rejected():
     assert "seed" in problems_of(dict(MINIMAL, seed="entropy"))
 

@@ -21,7 +21,10 @@ from tracebundle import (
     sup_norm_comparison,
     weighted_averages,
 )
+from tracebundle import martingale, runner
+from tracebundle.fixtures import fixture_config
 from tracebundle.martingale import Filtration
+from tracebundle.runner import run_experiment
 from tracebundle.towers import level_generators
 
 
@@ -37,6 +40,12 @@ def mat2_tower(mat2_bundle):
 @pytest.fixture(scope="module")
 def hetero_tower(hetero_bundle):
     return tower(hetero_bundle, "scalars", "diagonal", "block(1,1)", "full")
+
+
+@pytest.fixture(scope="module")
+def mat4_tower():
+    bundle = BundleSpec(MeasureSpace(["w"], [1.0]), [[4]], [[0.25]])
+    return tower(bundle, "scalars", "diagonal", "block(1,1,2)", "block(2,2)", "full")
 
 
 # ----------------------------------------------------------------- building
@@ -152,6 +161,27 @@ def test_perturbed_sequence_is_not_martingale(mat2_tower, mat2_bundle):
     assert not is_martingale(elements, mat2_tower, tol=1e-9)
     with pytest.raises(UsageError):
         MartingaleSeq(mat2_tower, elements)
+
+
+def test_defect_is_measured_once_and_kept(mat2_tower, mat2_bundle):
+    x = random_section(mat2_bundle, 34, "general")
+    seq = martingale_from_target(x, mat2_tower)
+    assert isinstance(seq.elements, tuple)
+    assert seq.defect == martingale_defect(seq.elements, mat2_tower)
+    assert seq.defect <= 1e-9
+    h = random_section(mat2_bundle, 35, "hermitian")
+    h = h - mat2_tower.expectation(0)(h)
+    bumped = [seq.elements[0], seq.elements[1] + 1e-3 * h, seq.elements[2]]
+    kept = MartingaleSeq(mat2_tower, bumped, check=False)
+    assert kept.defect == martingale_defect(bumped, mat2_tower) > 1e-5
+
+
+def test_more_elements_than_levels_rejected(mat2_tower, mat2_bundle):
+    one = identity_section(mat2_bundle)
+    with pytest.raises(UsageError, match="more elements than tower levels"):
+        MartingaleSeq(mat2_tower, [one] * 4, check=False)
+    with pytest.raises(UsageError, match="at least one element"):
+        MartingaleSeq(mat2_tower, [])
 
 
 # -------------------------------------------------------------------- limits
@@ -347,6 +377,69 @@ def test_cesaro_refuses_non_martingale(mat2_tower, mat2_bundle):
     )
     with pytest.raises(UsageError):
         cesaro_equivalence(broken, [1.0] * 3, p=2, tol=1e-2)
+
+
+def test_cesaro_reports_the_limit_it_verified(hetero_tower, hetero_bundle):
+    x = random_section(hetero_bundle, 84, "general")
+    seq = martingale_from_target(x, hetero_tower, p=2)
+    rep = cesaro_equivalence(seq, [1.0] * (len(seq) + 5), p=2, tol=5e-2, extend_by=5)
+    direct = martingale_limit(seq)
+    assert rep.limit.limit is seq.elements[-1]
+    assert rep.limit.to_dict() == direct.to_dict()
+    assert set(rep.to_dict()) == {"p", "tol", "verdict", "element_trace", "average_trace"}
+
+
+def _explicit_held_means(seq, w, extend_by):
+    """Reference running means over an explicitly held list of elements."""
+    held = list(seq.elements) + [seq.elements[-1]] * extend_by
+    out, running, total = [], None, 0.0
+    for x_k, w_k in zip(held, w):
+        running = w_k * x_k if running is None else running + w_k * x_k
+        total += w_k
+        out.append((1.0 / total) * running)
+    return out
+
+
+@pytest.mark.parametrize("weights", ["uniform", "linear"])
+@pytest.mark.parametrize("which", ["hetero", "mat4"])
+def test_held_tail_closed_form_matches_explicit_means(which, weights, request):
+    f = request.getfixturevalue(f"{which}_tower")
+    n_ext = 1000
+    x = random_section(f.bundle, 86, "general")
+    seq = martingale_from_target(x, f, p=2)
+    k = len(seq)
+    steps = k + n_ext
+    w = [1.0] * steps if weights == "uniform" else [float(n + 1) for n in range(steps)]
+    sigmas = _explicit_held_means(seq, w, n_ext)
+    y = seq.elements[-1]
+    offsets = [s - y for s in sigmas]
+    for p in (1.0, 2.0, 3.0):
+        rep = cesaro_equivalence(seq, w, p=p, tol=1.0, extend_by=n_ext)
+        got = np.array(rep.average_trace_per_atom)
+        want = np.array([lp_norm(d, p).values for d in offsets])
+        assert got.shape == want.shape == (steps, f.bundle.space.size)
+        assert np.array_equal(got[:k], want[:k])
+        assert np.all(np.abs(got[k:] - want[k:]) <= 1e-12 * lp_norm(x, p).values)
+        assert rep.element_trace[k - 1:] == [0.0] * (n_ext + 1)
+        assert all(row == [0.0] * f.bundle.space.size for row in rep.element_trace_per_atom[k:])
+        _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=n_ext)
+        ref_sup = np.max([lp_norm(s, p).values for s in sigmas], axis=0)
+        assert np.all(np.abs(sup_sigma.values - ref_sup) <= 1e-13 * ref_sup)
+
+
+def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
+    calls = {"martingale_defect": 0, "martingale_limit": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(martingale, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(martingale, name, counted)
+        monkeypatch.setattr(runner, name, counted, raising=False)
+    cfg = fixture_config("mat2_tower")
+    run_experiment(cfg, str(tmp_path), parts=("martingale",))
+    seeds = cfg.trials["martingale_seeds"]
+    assert calls == {"martingale_defect": seeds, "martingale_limit": seeds}
 
 
 def test_residual_traces_feed_order_convergence(mat2_tower, mat2_bundle):
