@@ -11,7 +11,7 @@ contraction bound are all verifiable consequences collected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -259,12 +259,7 @@ class AxiomReport:
         return max(self.residuals.values())
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "residuals": dict(self.residuals),
-            "per_fiber_worst": dict(self.per_fiber_worst),
-        }
+        return asdict(self)
 
 
 def _per_atom_max_abs(x: Section) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,16 +40,65 @@ DEFAULT_TRIALS = {
     "martingale_seeds": 10,
 }
 
-_TOP_KEYS = {
-    "experiment_id", "bundle", "tower", "exponents", "weights",
-    "seed", "trials", "tolerances", "extension", "outputs",
-}
-_BUNDLE_KEYS = {"atoms", "mu", "fiber_shapes", "trace_weights"}
-_OUTPUT_KEYS = {"summary", "traces"}
-_CSV_UNSAFE = (",", '"', "\r", "\n")
 _CSV_UNSAFE_MESSAGE = (
     'must not contain ",", a double quote, CR or LF (it is written to CSV artifacts)'
 )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and np.isfinite(v) and v > 0
+
+
+def _is_count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _is_shape(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(_is_count(n) for n in v)
+
+
+def _is_label(v) -> bool:
+    return isinstance(v, str)
+
+
+def _csv_safe(v) -> bool:
+    return not isinstance(v, str) or not any(c in v for c in ',"\r\n')
+
+
+# Required top-level fields: (type, what the value must be).
+_REQUIRED = {
+    "experiment_id": (str, "a string"),
+    "seed": (int, "an integer (reproducibility contract: no entropy defaults)"),
+    "bundle": (dict, "an object"),
+    "tower": (list, "a list of level specs"),
+    "exponents": (list, "a list of exponents >= 1"),
+}
+
+# The per-atom lists of the "bundle" object: (message when it is not a list,
+# message when its length is not one per atom, element check, element message).
+_BUNDLE = {
+    "atoms": ("must be a non-empty list of labels", None, None, None),
+    "mu": ("must be a list of positive weights", "needs one weight per atom",
+           _is_positive, "must be a finite number > 0"),
+    "fiber_shapes": ("must be a list of block-dim lists", "needs one shape per atom",
+                     _is_shape, "must be a non-empty list of ints >= 1"),
+    "trace_weights": ("must be a list of weight lists", "needs one weight list per atom",
+                      None, None),
+}
+
+# Optional objects that override defaults key by key: (defaults, check, message, conversion).
+_OVERRIDES = {
+    "trials": (DEFAULT_TRIALS, _is_count, "must be an integer >= 1", int),
+    "tolerances": (DEFAULT_TOLERANCES, _is_positive, "must be a finite number > 0", float),
+}
 
 
 @dataclass
@@ -66,7 +115,6 @@ class ExperimentConfig:
     trials: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     extension: int = 0
-    outputs: dict = field(default_factory=lambda: {"summary": "summary.json", "traces": "traces.csv"})
 
     def build_bundle(self) -> BundleSpec:
         space = MeasureSpace(self.atoms, self.mu)
@@ -80,14 +128,15 @@ class ExperimentConfig:
                 levels.append(
                     [fiber_level_generators(shape, spec) for shape in bundle.fiber_shapes]
                 )
-            else:
-                per_atom = []
-                for label, shape in zip(bundle.space.labels, bundle.fiber_shapes):
-                    gens = []
-                    for mat in spec["explicit"].get(label, []):
-                        gens.append(_matrix_from_json(mat))
-                    per_atom.append(gens)
-                levels.append(per_atom)
+                continue
+            explicit = spec["explicit"]
+            unknown = sorted(set(explicit) - set(bundle.space.labels))
+            if unknown:
+                raise UsageError(f"explicit generators name unknown atoms {unknown}")
+            levels.append(
+                [_generators_from_json(label, explicit.get(label, []))
+                 for label in bundle.space.labels]
+            )
         return levels
 
     def weight_list(self, length: int) -> list:
@@ -97,39 +146,37 @@ class ExperimentConfig:
             return [float(k + 1) for k in range(length)]
         w = [float(v) for v in self.weights]
         if len(w) < length:
-            raise UsageError(
-                f"explicit weights cover {len(w)} steps, run needs {length}"
-            )
+            raise UsageError(f"explicit weights cover {len(w)} steps, run needs {length}")
         return w[:length]
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "bundle": {
-                "atoms": list(self.atoms),
-                "mu": list(self.mu),
-                "fiber_shapes": [list(map(int, s)) for s in self.fiber_shapes],
-                "trace_weights": [list(map(float, c)) for c in self.trace_weights],
-            },
-            "tower": list(self.tower),
-            "exponents": list(self.exponents),
-            "weights": self.weights if isinstance(self.weights, str) else list(self.weights),
-            "seed": self.seed,
-            "trials": dict(self.trials),
-            "tolerances": dict(self.tolerances),
-            "extension": self.extension,
-            "outputs": dict(self.outputs),
-        }
+        doc = asdict(self)
+        doc["bundle"] = {key: doc.pop(key) for key in _BUNDLE}
+        return doc
 
 
-def _matrix_from_json(blocks) -> FiberElement:
-    mats = []
-    for block in blocks:
-        rows = []
-        for row in block:
-            rows.append([complex(float(c[0]), float(c[1])) for c in row])
-        mats.append(np.array(rows, dtype=np.complex128))
-    return FiberElement(mats)
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)} - set(_BUNDLE) | {"bundle"}
+
+
+def _is_square(block) -> bool:
+    return isinstance(block, list) and all(
+        isinstance(row, list) and len(row) == len(block)
+        and all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in row)
+        for row in block
+    )
+
+
+def _generators_from_json(label, mats) -> list:
+    """Explicit generators of one atom, each a list of square blocks of [re, im] pairs."""
+    if not isinstance(mats, list) or not all(
+        isinstance(blocks, list) and all(map(_is_square, blocks)) for blocks in mats
+    ):
+        raise UsageError(
+            f"explicit generators of atom {label!r} must be lists of square blocks "
+            "of [re, im] number pairs"
+        )
+    return [FiberElement([[[complex(*c) for c in row] for row in block] for block in blocks])
+            for blocks in mats]
 
 
 def _check_keys(obj, allowed, path, problems):
@@ -138,16 +185,10 @@ def _check_keys(obj, allowed, path, problems):
             problems.append((f"{path}.{key}" if path else key, "unknown field"))
 
 
-def _csv_unsafe(v) -> bool:
-    return any(c in str(v) for c in _CSV_UNSAFE)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _check_each(problems, path, items, check, message):
+    for i, v in enumerate(items):
+        if not check(v):
+            problems.append((f"{path}[{i}]", message))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -161,180 +202,104 @@ def parse_config(text: str) -> ExperimentConfig:
 
     problems: list = []
     _check_keys(doc, _TOP_KEYS, "", problems)
-
-    def need(key, typ, typename):
+    values = {}
+    for key, (typ, what) in _REQUIRED.items():
         if key not in doc:
             problems.append((key, "missing required field"))
-            return None
-        if not isinstance(doc[key], typ):
-            problems.append((key, f"must be {typename}"))
-            return None
-        return doc[key]
-
-    experiment_id = need("experiment_id", str, "a string")
-    if experiment_id is not None and _csv_unsafe(experiment_id):
+        elif not isinstance(doc[key], typ):
+            problems.append((key, f"must be {what}"))
+        elif isinstance(doc[key], bool):
+            problems.append((key, "must be an integer, not a boolean"))
+        else:
+            values[key] = doc[key]
+    if not _csv_safe(values.get("experiment_id")):
         problems.append(("experiment_id", _CSV_UNSAFE_MESSAGE))
-    seed = need("seed", int, "an integer (reproducibility contract: no entropy defaults)")
-    if "seed" in doc and isinstance(doc.get("seed"), bool):
-        problems.append(("seed", "must be an integer, not a boolean"))
-        seed = None
-    bundle = need("bundle", dict, "an object")
-    tower = need("tower", list, "a list of level specs")
-    exponents = need("exponents", list, "a list of exponents >= 1")
 
-    atoms = mu = fiber_shapes = trace_weights = None
+    bundle = values.pop("bundle", None)
     if bundle is not None:
-        _check_keys(bundle, _BUNDLE_KEYS, "bundle", problems)
-        atoms = bundle.get("atoms")
-        mu = bundle.get("mu")
-        fiber_shapes = bundle.get("fiber_shapes")
-        trace_weights = bundle.get("trace_weights")
-        if not isinstance(atoms, list) or not atoms:
-            problems.append(("bundle.atoms", "must be a non-empty list of labels"))
-            atoms = None
-        for i, label in enumerate(atoms or []):
-            if _csv_unsafe(label):
-                problems.append((f"bundle.atoms[{i}]", _CSV_UNSAFE_MESSAGE))
-        if not isinstance(mu, list):
-            problems.append(("bundle.mu", "must be a list of positive weights"))
-            mu = None
-        if not isinstance(fiber_shapes, list):
-            problems.append(("bundle.fiber_shapes", "must be a list of block-dim lists"))
-            fiber_shapes = None
-        if not isinstance(trace_weights, list):
-            problems.append(("bundle.trace_weights", "must be a list of weight lists"))
-            trace_weights = None
-        if atoms is not None and mu is not None:
-            if len(mu) != len(atoms):
-                problems.append(("bundle.mu", "needs one weight per atom"))
+        _check_keys(bundle, _BUNDLE, "bundle", problems)
+        for key, (what, *_) in _BUNDLE.items():
+            items = bundle.get(key)
+            if isinstance(items, list) and (items or key != "atoms"):
+                values[key] = items
             else:
-                for i, v in enumerate(mu):
-                    if not _is_number(v) or not np.isfinite(v) or v <= 0:
-                        problems.append((f"bundle.mu[{i}]", "must be a finite number > 0"))
-        if atoms is not None and fiber_shapes is not None:
-            if len(fiber_shapes) != len(atoms):
-                problems.append(("bundle.fiber_shapes", "needs one shape per atom"))
+                problems.append((f"bundle.{key}", what))
+    atoms = values.get("atoms")
+    if atoms is not None:
+        _check_each(problems, "bundle.atoms", atoms, _is_label, "must be a string")
+        _check_each(problems, "bundle.atoms", atoms, _csv_safe, _CSV_UNSAFE_MESSAGE)
+        for key, (_, per_atom, check, message) in _BUNDLE.items():
+            if key in values and per_atom and len(values[key]) != len(atoms):
+                problems.append((f"bundle.{key}", per_atom))
+            elif key in values and check:
+                _check_each(problems, f"bundle.{key}", values[key], check, message)
+    block_weights = values.get("trace_weights", [])
+    if atoms and len(block_weights) == len(atoms):
+        for i, (cs, shape) in enumerate(zip(block_weights, values.get("fiber_shapes", []))):
+            if not isinstance(cs, list) or (isinstance(shape, list) and len(cs) != len(shape)):
+                problems.append((f"bundle.trace_weights[{i}]", "needs one weight per block"))
             else:
-                for i, shape in enumerate(fiber_shapes):
-                    if (not isinstance(shape, list) or not shape
-                            or any(not _is_int(n) or n < 1 for n in shape)):
-                        problems.append(
-                            (f"bundle.fiber_shapes[{i}]", "must be a non-empty list of ints >= 1")
-                        )
-        if atoms is not None and trace_weights is not None and fiber_shapes is not None:
-            if len(trace_weights) != len(atoms):
-                problems.append(("bundle.trace_weights", "needs one weight list per atom"))
-            else:
-                for i, (cs, shape) in enumerate(zip(trace_weights, fiber_shapes)):
-                    if not isinstance(cs, list) or (
-                        isinstance(shape, list) and len(cs) != len(shape)
-                    ):
-                        problems.append(
-                            (f"bundle.trace_weights[{i}]", "needs one weight per block")
-                        )
-                        continue
-                    for j, c in enumerate(cs):
-                        if not _is_number(c) or not np.isfinite(c) or c <= 0:
-                            problems.append(
-                                (f"bundle.trace_weights[{i}][{j}]",
-                                 "must be a finite number > 0 (trace faithfulness)")
-                            )
+                _check_each(problems, f"bundle.trace_weights[{i}]", cs, _is_positive,
+                            "must be a finite number > 0 (trace faithfulness)")
 
+    tower = values.get("tower")
     if tower is not None:
         if not tower:
             problems.append(("tower", "needs at least one level"))
         for i, level in enumerate(tower):
-            if isinstance(level, str):
-                continue
             if isinstance(level, dict):
                 extra = set(level) - {"explicit"}
                 if extra:
                     problems.append((f"tower[{i}]", f"unknown keys {sorted(extra)}"))
                 if not isinstance(level.get("explicit"), dict):
                     problems.append((f"tower[{i}].explicit", "must map atom labels to matrices"))
-            else:
+            elif not isinstance(level, str):
                 problems.append((f"tower[{i}]", "must be a preset string or an explicit object"))
 
+    exponents = values.get("exponents")
     if exponents is not None:
         if not exponents:
             problems.append(("exponents", "needs at least one exponent"))
-        for i, p in enumerate(exponents):
-            if not _is_number(p) or not np.isfinite(p) or p < 1:
-                problems.append((f"exponents[{i}]", "must be a number >= 1"))
+        _check_each(problems, "exponents", exponents,
+                    lambda p: _is_number(p) and np.isfinite(p) and p >= 1, "must be a number >= 1")
 
-    weights = doc.get("weights", "uniform")
-    if not (weights in ("uniform", "linear") or isinstance(weights, list)):
-        problems.append(("weights", 'must be "uniform", "linear", or an explicit list'))
-    if isinstance(weights, list):
-        for i, v in enumerate(weights):
-            if not _is_number(v) or not np.isfinite(v) or v <= 0:
-                problems.append((f"weights[{i}]", "must be a finite number > 0"))
+    for key, (defaults, check, message, convert) in _OVERRIDES.items():
+        given = doc.get(key, {})
+        values[key] = dict(defaults)
+        if not isinstance(given, dict):
+            problems.append((key, "must be an object"))
+            continue
+        _check_keys(given, defaults, key, problems)
+        for name, v in given.items():
+            if name in defaults:
+                if check(v):
+                    values[key][name] = convert(v)
+                else:
+                    problems.append((f"{key}.{name}", message))
 
-    trials = dict(DEFAULT_TRIALS)
-    if "trials" in doc:
-        if not isinstance(doc["trials"], dict):
-            problems.append(("trials", "must be an object"))
-        else:
-            _check_keys(doc["trials"], set(DEFAULT_TRIALS), "trials", problems)
-            for key, v in doc["trials"].items():
-                if key in DEFAULT_TRIALS:
-                    if not _is_int(v) or v < 1:
-                        problems.append((f"trials.{key}", "must be an integer >= 1"))
-                    else:
-                        trials[key] = v
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in doc:
-        if not isinstance(doc["tolerances"], dict):
-            problems.append(("tolerances", "must be an object"))
-        else:
-            _check_keys(doc["tolerances"], set(DEFAULT_TOLERANCES), "tolerances", problems)
-            for key, v in doc["tolerances"].items():
-                if key in DEFAULT_TOLERANCES:
-                    if not _is_number(v) or not np.isfinite(v) or v <= 0:
-                        problems.append((f"tolerances.{key}", "must be a finite number > 0"))
-                    else:
-                        tolerances[key] = float(v)
-
-    extension = doc.get("extension", 0)
+    extension = values["extension"] = doc.get("extension", 0)
     if not _is_int(extension) or extension < 0:
         problems.append(("extension", "must be an integer >= 0"))
-        extension = 0
+        extension = None
 
-    outputs = {"summary": "summary.json", "traces": "traces.csv"}
-    if "outputs" in doc:
-        if not isinstance(doc["outputs"], dict):
-            problems.append(("outputs", "must be an object"))
-        else:
-            _check_keys(doc["outputs"], _OUTPUT_KEYS, "outputs", problems)
-            for key in _OUTPUT_KEYS:
-                if key in doc["outputs"]:
-                    if not isinstance(doc["outputs"][key], str) or not doc["outputs"][key]:
-                        problems.append((f"outputs.{key}", "must be a non-empty file name"))
-                    else:
-                        outputs[key] = doc["outputs"][key]
+    weights = values["weights"] = doc.get("weights", "uniform")
+    if isinstance(weights, list):
+        _check_each(problems, "weights", weights, _is_positive, "must be a finite number > 0")
+        if tower is not None and extension is not None and len(weights) < len(tower) + extension:
+            problems.append(("weights", f"explicit weights cover {len(weights)} steps, "
+                                        f"run needs {len(tower) + extension}"))
+    elif weights not in ("uniform", "linear"):
+        problems.append(("weights", 'must be "uniform", "linear", or an explicit list'))
 
     if problems:
         raise ConfigError(problems)
 
-    cfg = ExperimentConfig(
-        experiment_id=experiment_id,
-        atoms=list(atoms),
-        mu=[float(v) for v in mu],
-        fiber_shapes=[list(map(int, s)) for s in fiber_shapes],
-        trace_weights=[list(map(float, c)) for c in trace_weights],
-        tower=list(tower),
-        exponents=[float(p) for p in exponents],
-        weights=weights,
-        seed=seed,
-        trials=trials,
-        tolerances=tolerances,
-        extension=extension,
-        outputs=outputs,
-    )
+    values["mu"] = [float(v) for v in values["mu"]]
+    values["trace_weights"] = [[float(c) for c in cs] for cs in values["trace_weights"]]
+    values["exponents"] = [float(p) for p in exponents]
+    cfg = ExperimentConfig(**values)
     try:
-        bundle = cfg.build_bundle()
-        cfg.tower_generators(bundle)
+        cfg.tower_generators(cfg.build_bundle())
     except TraceBundleError as exc:
         raise ConfigError([("bundle/tower", str(exc))]) from None
     return cfg

@@ -10,7 +10,7 @@ evaluated in closed form, so the whole tail costs O(1) norm evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -232,17 +232,7 @@ class DoubleSequenceReport:
     bound_monotone_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "grid": self.grid,
-            "sequence_residuals": self.sequence_residuals,
-            "tower_residuals": self.tower_residuals,
-            "corner": self.corner,
-            "corner_bound": self.corner_bound,
-            "corner_ok": self.corner_ok,
-            "triangle_violation": self.triangle_violation,
-            "bound_monotone_ok": self.bound_monotone_ok,
-        }
+        return asdict(self)
 
 
 def double_sequence_check(xs, x: Section, filtration: Filtration, p: float,

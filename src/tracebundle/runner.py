@@ -258,7 +258,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     if "martingale" in parts:
         ma_checks, rows, limit_section = run_martingale_checks(cfg, filtration)
         checks.extend(ma_checks)
-        write_trace_csv(os.path.join(out_dir, cfg.outputs["traces"]), rows)
+        write_trace_csv(os.path.join(out_dir, "traces.csv"), rows)
         if limit_section is not None:
             write_section_csv(os.path.join(out_dir, "limit_section.csv"), limit_section)
 
@@ -268,5 +268,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         "config_hash": config_hash(cfg),
         "checks": [c.to_dict() for c in checks],
     }
-    write_json(os.path.join(out_dir, cfg.outputs["summary"]), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary, all(c.passed for c in checks)

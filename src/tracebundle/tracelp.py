@@ -12,7 +12,7 @@ dual-norm unit ball and samples that ball for violations.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -163,14 +163,7 @@ class DualityReport:
     per_fiber: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_violation": self.max_violation,
-            "attainment_residual": self.attainment_residual,
-            "per_fiber": self.per_fiber,
-        }
+        return asdict(self)
 
 
 def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:

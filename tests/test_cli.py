@@ -189,3 +189,34 @@ def test_emit_fixtures_matches_direct_run(tmp_path):
     run_experiment(cfg, str(direct))
     assert read(out / "mat2_tower" / "summary.json") == read(direct / "summary.json")
     assert read(out / "mat2_tower" / "traces.csv") == read(direct / "traces.csv")
+
+
+@pytest.mark.parametrize("edit", [
+    {"atoms": [None]},
+    {"tower": ["scalars", {"explicit": {"w1": "abc"}}, "full"]},
+    {"tower": ["scalars", {"explicit": {"w1": [[[["12"], [0, 0]], [[0, 0], [0, 0]]]]}}, "full"]},
+    {"tower": ["scalars", {"explicit": {"w1": [[[[1, 0, 99], [0, 0]], [[0, 0], [0, 0]]]]}}, "full"]},
+    {"tower": ["scalars", {"explicit": {"w9": []}}, "full"]},
+    {"weights": [1.0] * 202},  # the run needs 3 tower steps + 200 held steps
+])
+def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
+    doc = json.loads(fixture_text("mat2_tower"))
+    for key, value in edit.items():
+        (doc["bundle"] if key == "atoms" else doc)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "config error at" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_field_is_rejected(tmp_path, capsys):
+    doc = json.loads(fixture_text("mat2_tower"))
+    doc["outputs"] = {"summary": "axioms.json"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "config error at outputs: unknown field" in capsys.readouterr().err
+    assert not out.exists()

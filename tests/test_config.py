@@ -368,9 +368,9 @@ CORPUS_PROBLEMS = {
         ("seed", "missing required field"),
         ("trials.axioms", "must be an integer >= 1"),
     ],
-    "outputs-name": [],
-    "outputs-empty-name": [("outputs.summary", "must be a non-empty file name")],
-    "outputs-not-object": [("outputs", "must be an object")],
+    "outputs-name": [("outputs", "unknown field")],
+    "outputs-empty-name": [("outputs", "unknown field")],
+    "outputs-not-object": [("outputs", "unknown field")],
 }
 
 
@@ -383,3 +383,33 @@ def test_problem_corpus(name):
     except ConfigError as exc:
         problems = sorted(exc.problems)
     assert problems == CORPUS_PROBLEMS[name]
+
+
+@pytest.mark.parametrize("label", [None, 1, ["w"]])
+def test_atom_labels_must_be_strings(label):
+    doc = variant(bundle_atoms=[label])
+    assert sorted(problems_of(doc).items()) == [("bundle.atoms[0]", "must be a string")]
+
+
+SWAP = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]  # one 2x2 block, [re, im] pairs
+
+
+@pytest.mark.parametrize("explicit, message", [
+    ({"w": "abc"}, "explicit generators of atom 'w' must be lists of square blocks"),
+    ({"w": [[[["12", "0"], [0, 0]], [[0, 0], [0, 0]]]]}, "of [re, im] number pairs"),
+    ({"w": [[[["12"], [0, 0]], [[0, 0], [0, 0]]]]}, "of [re, im] number pairs"),
+    ({"w": [[[[1, 0, 99], [0, 0]], [[0, 0], [0, 0]]]]}, "of [re, im] number pairs"),
+    ({"w": [[[[1, 0], [0, 0]]]]}, "of [re, im] number pairs"),  # not square
+    ({"w": [[SWAP]], "v": [[SWAP]]}, "explicit generators name unknown atoms ['v']"),
+], ids=["not-a-list", "string-pair", "string-entry", "long-entry", "not-square", "unknown-atom"])
+def test_explicit_generators_validated(explicit, message):
+    problems = problems_of(variant(tower=["scalars", {"explicit": explicit}, "full"]))
+    assert list(problems) == ["bundle/tower"]
+    assert message in problems["bundle/tower"]
+
+
+def test_explicit_weights_cover_the_run():
+    assert parse_config(as_text(variant(weights=[1.0, 2.0, 3.0, 4.0], extension=1)))
+    problems = problems_of(variant(weights=[1.0, 2.0, 3.0], extension=1))
+    assert problems == {"weights": "explicit weights cover 3 steps, run needs 4"}
+    assert "weights" in problems_of(variant(weights=[]))
