@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractViolationError, ShapeMismatchError
 
 HERMITIAN_INPUT_TOL = 1e-10   # max-abs tolerance on ``a - a*`` for Hermitian-only kernels
-JACOBI_OFFDIAG_TOL = 1e-14    # off-diagonal Frobenius norm stopping threshold
+JACOBI_OFFDIAG_TOL = 1e-14    # off-diagonal Frobenius norm stopping threshold, relative to ||a||_F
 JACOBI_MAX_SWEEPS = 100
 PINV_CUTOFF = 1e-10           # singular values at or below this count as kernel directions
 EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
@@ -34,17 +34,22 @@ def _jacobi_hermitian(a, vectors=True):
     a deterministic function of the input bits.  The sweeps run on nested
     lists of Python complex scalars, which at these block sizes is cheaper
     than per-element numpy indexing; arrays are built only at the end.
+    The sweeps stop once the off-diagonal Frobenius norm is at most
+    JACOBI_OFFDIAG_TOL times that of ``a`` (rotations preserve the latter),
+    so the accuracy does not depend on the scale of ``a``; a block still
+    above it after JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
     """
     n = a.shape[0]
     h = a.tolist()
     u = np.eye(n, dtype=np.complex128).tolist() if vectors else []
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    tol = JACOBI_OFFDIAG_TOL * math.hypot(*[abs(v) for row in h for v in row])
     for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p, q in pairs:
             hpq = h[p][q]
             off += 2.0 * (hpq.real * hpq.real + hpq.imag * hpq.imag)
-        if math.sqrt(off) <= JACOBI_OFFDIAG_TOL:
+        if math.sqrt(off) <= tol:
             break
         for p, q in pairs:
             hp = h[p]
@@ -85,6 +90,10 @@ def _jacobi_hermitian(a, vectors=True):
                 y = hq[i]
                 hp[i] = c * x - sw * y
                 hq[i] = s * x + cw * y
+    else:
+        raise ContractViolationError(
+            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
     w = np.array([h[i][i].real for i in range(n)], dtype=np.float64)
     return w, (np.array(u, dtype=np.complex128) if vectors else None)
 

@@ -12,6 +12,7 @@ from tracebundle import (
     spectral_norm,
     spectral_projection,
 )
+from tracebundle import fiber
 from tracebundle.fiber import gram_eigenvalues
 
 from oracles import eigh_oracle
@@ -233,8 +234,8 @@ def test_projection_rejects_non_hermitian():
 
 
 def test_eig_accuracy_scales_with_input():
-    # large-norm spectra: the absolute sweep threshold is unreachable, the
-    # sweep cap still leaves a relative-precision reconstruction
+    # large-norm spectra: the sweep threshold is relative to the block norm,
+    # so the reconstruction has relative precision
     for scale in (1e4, 1e8):
         x = scale * random_hermitian_fiber(13, dims=(5,))
         eig = herm_eig(x)
@@ -243,6 +244,29 @@ def test_eig_accuracy_scales_with_input():
         assert rec < 1e-12 * scale
         w_oracle, _ = eigh_oracle(x.blocks[0])
         assert np.abs(w - w_oracle).max() < 1e-11 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-9, 1e-3, 1.0, 1e4, 1e8])
+def test_eig_relative_accuracy_at_every_scale(scale):
+    # the stopping threshold scales with the block, so tiny blocks are
+    # diagonalized as accurately as unit-norm ones
+    for seed in range(10):
+        x = scale * random_hermitian_fiber(seed, dims=(3, 5))
+        for block, w in zip(x.blocks, herm_eig(x).eigenvalues):
+            w_oracle, _ = eigh_oracle(block)
+            assert np.abs(w - w_oracle).max() <= 1e-13 * np.abs(w_oracle).max()
+        g = scale * random_fiber(seed, dims=(3,))
+        assert spectral_norm(g) == pytest.approx(np.linalg.norm(g.blocks[0], 2), rel=1e-13)
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(fiber, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
+        herm_eig(random_hermitian_fiber(3, dims=(4,)))
+    with pytest.raises(ContractViolationError, match="did not converge"):
+        spectral_norm(random_fiber(3, dims=(3,)))
+    # an already diagonal block stops before its first sweep
+    herm_eig(FiberElement([np.diag([2.0, 1.0])]))
 
 
 # ----------------------------------------------------------- norm primitives
