@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
 
 from .bundle import BundleSpec
 from .center import MeasureSpace
@@ -49,12 +48,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    # a number that converts to a finite float (JSON integers may exceed the float range)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_positive(v) -> bool:
-    return _is_number(v) and np.isfinite(v) and v > 0
+    return _is_finite(v) and v > 0
 
 
 def _is_count(v) -> bool:
@@ -161,7 +161,7 @@ _TOP_KEYS = {f.name for f in fields(ExperimentConfig)} - set(_BUNDLE) | {"bundle
 def _is_square(block) -> bool:
     return isinstance(block, list) and all(
         isinstance(row, list) and len(row) == len(block)
-        and all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in row)
+        and all(isinstance(c, list) and len(c) == 2 and all(map(_is_finite, c)) for c in row)
         for row in block
     )
 
@@ -261,7 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not exponents:
             problems.append(("exponents", "needs at least one exponent"))
         _check_each(problems, "exponents", exponents,
-                    lambda p: _is_number(p) and np.isfinite(p) and p >= 1, "must be a number >= 1")
+                    lambda p: _is_finite(p) and p >= 1, "must be a number >= 1")
 
     for key, (defaults, check, message, convert) in _OVERRIDES.items():
         given = doc.get(key, {})

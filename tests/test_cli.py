@@ -195,7 +195,8 @@ def test_emit_fixtures_matches_direct_run(tmp_path):
     {"atoms": [None]},
     {"tower": ["scalars", {"explicit": {"w1": "abc"}}, "full"]},
     {"tower": ["scalars", {"explicit": {"w1": [[[["12"], [0, 0]], [[0, 0], [0, 0]]]]}}, "full"]},
-    {"tower": ["scalars", {"explicit": {"w1": [[[[1, 0, 99], [0, 0]], [[0, 0], [0, 0]]]]}}, "full"]},
+    {"tower": ["scalars", {"explicit": {"w1": [[[[1, 0, 99], [0, 0]], [[0, 0], [0, 0]]]]}},
+               "full"]},
     {"tower": ["scalars", {"explicit": {"w9": []}}, "full"]},
     {"weights": [1.0] * 202},  # the run needs 3 tower steps + 200 held steps
 ])

@@ -413,3 +413,17 @@ def test_explicit_weights_cover_the_run():
     problems = problems_of(variant(weights=[1.0, 2.0, 3.0], extension=1))
     assert problems == {"weights": "explicit weights cover 3 steps, run needs 4"}
     assert "weights" in problems_of(variant(weights=[]))
+
+
+def test_integers_beyond_float_range_rejected():
+    # JSON integers are unbounded; every number of the config must convert to a float
+    huge = 10 ** 400
+    assert list(problems_of(variant(bundle_mu=[huge]))) == ["bundle.mu[0]"]
+    assert list(problems_of(variant(bundle_trace_weights=[[huge]]))) == [
+        "bundle.trace_weights[0][0]"
+    ]
+    assert list(problems_of(variant(exponents=[1, huge]))) == ["exponents[1]"]
+    assert list(problems_of(variant(weights=[1, 1, huge]))) == ["weights[2]"]
+    assert list(problems_of(variant(tolerances={"cesaro": huge}))) == ["tolerances.cesaro"]
+    level = {"explicit": {"w": [[[[huge, 0], [0, 0]], [[0, 0], [1, 0]]]]}}
+    assert list(problems_of(variant(tower=["scalars", level, "full"]))) == ["bundle/tower"]
