@@ -176,6 +176,18 @@ def uniform_norm(x: Section) -> float:
     return max(spectral_norm(f) for f in x.fibers)
 
 
+def gaussian_entries(bundle: BundleSpec, seed: int, kind: str = "general") -> np.ndarray:
+    """The standard complex Gaussian draw behind ``random_section(bundle, seed, kind)``.
+
+    One flat array holding every block of every fiber, row-major, in atom
+    and block order.
+    """
+    rng = np.random.default_rng([_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF])
+    total = sum(n * n for shape in bundle.fiber_shapes for n in shape)
+    draw = rng.standard_normal(2 * total)
+    return (draw[:total] + 1j * draw[total:]) / np.sqrt(2.0)
+
+
 def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Section:
     """Seed-deterministic random section.
 
@@ -187,10 +199,7 @@ def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Sect
     """
     if kind not in _KIND_CODE:
         raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
-    rng = np.random.default_rng([_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF])
-    total = sum(n * n for shape in bundle.fiber_shapes for n in shape)
-    draw = rng.standard_normal(2 * total)
-    entries = (draw[:total] + 1j * draw[total:]) / np.sqrt(2.0)
+    entries = gaussian_entries(bundle, seed, kind)
     offset = 0
     fibers = []
     for shape in bundle.fiber_shapes:

@@ -39,6 +39,10 @@ DEFAULT_TRIALS = {
     "martingale_seeds": 10,
 }
 
+# Held steps of the averaging experiments: each one is a weight and, per atom
+# and seed, a row of traces.csv.
+MAX_EXTENSION = 100_000
+
 _CSV_UNSAFE_MESSAGE = (
     'must not contain ",", a double quote, CR or LF (it is written to CSV artifacts)'
 )
@@ -134,8 +138,8 @@ class ExperimentConfig:
             if unknown:
                 raise UsageError(f"explicit generators name unknown atoms {unknown}")
             levels.append(
-                [_generators_from_json(label, explicit.get(label, []))
-                 for label in bundle.space.labels]
+                [_generators_from_json(label, shape, explicit.get(label, []))
+                 for label, shape in zip(bundle.space.labels, bundle.fiber_shapes)]
             )
         return levels
 
@@ -166,7 +170,7 @@ def _is_square(block) -> bool:
     )
 
 
-def _generators_from_json(label, mats) -> list:
+def _generators_from_json(label, shape, mats) -> list:
     """Explicit generators of one atom, each a list of square blocks of [re, im] pairs."""
     if not isinstance(mats, list) or not all(
         isinstance(blocks, list) and all(map(_is_square, blocks)) for blocks in mats
@@ -175,8 +179,15 @@ def _generators_from_json(label, mats) -> list:
             f"explicit generators of atom {label!r} must be lists of square blocks "
             "of [re, im] number pairs"
         )
-    return [FiberElement([[[complex(*c) for c in row] for row in block] for block in blocks])
+    gens = [FiberElement([[[complex(*c) for c in row] for row in block] for block in blocks])
             for blocks in mats]
+    for g in gens:
+        if g.dims != shape:
+            raise UsageError(
+                f"explicit generator of atom {label!r} has block dims {g.dims}, "
+                f"the fiber has {shape}"
+            )
+    return gens
 
 
 def _check_keys(obj, allowed, path, problems):
@@ -280,6 +291,9 @@ def parse_config(text: str) -> ExperimentConfig:
     extension = values["extension"] = doc.get("extension", 0)
     if not _is_int(extension) or extension < 0:
         problems.append(("extension", "must be an integer >= 0"))
+        extension = None
+    elif extension > MAX_EXTENSION:
+        problems.append(("extension", f"must be at most {MAX_EXTENSION}"))
         extension = None
 
     weights = values["weights"] = doc.get("weights", "uniform")

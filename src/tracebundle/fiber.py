@@ -5,8 +5,9 @@ stored as an ordered tuple of square complex blocks (never flattened into one
 big matrix, so the cost of a product is the sum of the per-block costs).
 Everything here is a pure function of its inputs: arithmetic, a self-contained
 Hermitian eigensolver (cyclic Jacobi with a fixed sweep order, hence
-bit-deterministic), functional calculus, polar decomposition, and spectral
-projections built on top of it.
+bit-deterministic, for one block or for a stack of same-size blocks),
+functional calculus, polar decomposition, and spectral projections built on
+top of it.
 """
 
 from __future__ import annotations
@@ -96,6 +97,94 @@ def _jacobi_hermitian(a, vectors=True):
         )
     w = np.array([h[i][i].real for i in range(n)], dtype=np.float64)
     return w, (np.array(u, dtype=np.complex128) if vectors else None)
+
+
+_SWAP_SIGN = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+
+
+def _plane_turn(x, y, c, s, wr, wi):
+    """``(c x - s w y, s x + c w y)`` for complex vectors stored as (re, im) pairs.
+
+    ``x`` and ``y`` have shape ``(2, n, lanes)``; ``c``, ``s`` and the phase
+    ``w = wr + i wi`` have one value per lane.  Each product is formed the
+    way Python forms the complex products of ``_jacobi_hermitian``.
+    """
+    y_swapped = y[::-1]
+    sw_im = _SWAP_SIGN * (s * wi)
+    cw_im = _SWAP_SIGN * (c * wi)
+    new_x = c * x - ((s * wr) * y + sw_im * y_swapped)
+    new_y = s * x + ((c * wr) * y + cw_im * y_swapped)
+    return new_x, new_y
+
+
+def _jacobi_eigenvalues_stack(h):
+    """Eigenvalues of every Hermitian block of a stack ``h`` of shape ``(B, n, n)``.
+
+    Returns a ``(B, n)`` array, unordered per block.  Each block (a lane)
+    runs the eigenvalue-only sweeps of ``_jacobi_hermitian``: the same
+    row-major (p, q) rotation order, the same plane transforms written out in
+    real float64 arithmetic, and the same stop at
+    ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (here ``||a||_F`` is accumulated
+    by ``np.hypot``).  All unconverged lanes rotate together, one numpy
+    operation per step, and a lane leaves the stack at the first sweep that
+    finds it converged.  Every operation is elementwise across lanes, so a
+    lane's eigenvalues do not depend on the other lanes or on its position in
+    the stack.  A stack with a lane still unconverged after JACOBI_MAX_SWEEPS
+    sweeps raises ContractViolationError.  For a single block the list kernel
+    is the faster one.
+    """
+    lanes, n = h.shape[0], h.shape[-1]
+    # a[0] and a[1] hold the real and imaginary parts, lanes last
+    a = np.stack([h.real, h.imag]).transpose(0, 2, 3, 1).copy()
+    norm = np.zeros(lanes)
+    for i in range(n):
+        for j in range(n):
+            norm = np.hypot(norm, np.hypot(a[0, i, j], a[1, i, j]))
+    tol = JACOBI_OFFDIAG_TOL * norm
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    rows = [p for p, _ in pairs]
+    cols = [q for _, q in pairs]
+    diag = np.arange(n)
+    out = np.empty((lanes, n))
+    lane = np.arange(lanes)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        offdiag = a[:, rows, cols]
+        squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
+        off = 0.0
+        for sq in squares:
+            off = off + sq
+        done = np.sqrt(off) <= tol
+        if done.any():
+            out[lane[done]] = a[0, diag, diag][:, done].T
+            if done.all():
+                break
+            keep = ~done
+            a, tol, lane = a[..., keep], tol[keep], lane[keep]
+        for p, q in pairs:
+            re, im = a[0, p, q], a[1, p, q]
+            r = np.hypot(re, im)
+            skip = r == 0.0
+            any_skip = skip.any()
+            if any_skip:
+                r[skip] = 1.0
+            # tau * tau overflows only for a negligible (p, q) entry; t is then
+            # 0, as in the list kernel
+            with np.errstate(over="ignore"):
+                tau = (a[0, q, q] - a[0, p, p]) / (2.0 * r)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            wr = re / r
+            wi = im / r
+            if any_skip:  # the list kernel leaves these planes alone
+                c[skip], s[skip], wr[skip] = 1.0, 0.0, 1.0
+            a[:, :, p], a[:, :, q] = _plane_turn(a[:, :, p], a[:, :, q], c, s, wr, -wi)
+            a[:, p], a[:, q] = _plane_turn(a[:, p], a[:, q], c, s, wr, wi)
+    else:
+        raise ContractViolationError(
+            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    return out
 
 
 class FiberElement:
@@ -284,6 +373,17 @@ def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
         w, _ = _jacobi_hermitian(b.conj().T @ b, vectors=False)
         out.append(np.maximum(w, 0.0))
     return out
+
+
+def gram_eigenvalues_stack(y: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``y_s* y_s`` for a stack ``y`` of shape ``(S, n, n)``.
+
+    Returns an ``(S, n)`` array, clamped nonnegative and unordered per block.
+    One stacked Jacobi solve serves the whole stack; single fibers go through
+    ``gram_eigenvalues`` and the list kernel, which is faster for one block.
+    """
+    gram = np.einsum("ski,skj->sij", y.conj(), y)
+    return np.maximum(_jacobi_eigenvalues_stack(gram), 0.0)
 
 
 def spectral_norm(x: FiberElement) -> float:

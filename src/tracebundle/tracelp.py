@@ -16,19 +16,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bundle import Section, identity_section, random_section
+from .bundle import Section, gaussian_entries, identity_section
 from .center import CenterElement
 from .errors import UsageError
 from .fiber import (
     FiberElement,
     abs_power,
     gram_eigenvalues,
+    gram_eigenvalues_stack,
     polar,
-    spectral_norm,
     zero_fiber,
 )
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
+DUALITY_CHUNK = 512     # dual-ball samples stacked at once; bounds memory for any count
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -132,25 +133,6 @@ def dual_extremal(x: Section, p: float) -> Section:
     return Section._raw(x.bundle, fibers)
 
 
-def _rescale_to_dual_ball(y: Section, p: float) -> Section:
-    """Project a section onto the boundary of the dual-norm unit ball.
-
-    Per fiber: divide by the uniform norm when p = 1, by the Lq norm
-    otherwise.  Near-zero fibers are left at zero (interior, still feasible).
-    """
-    fibers = []
-    if p == 1.0:
-        for f in y.fibers:
-            scale = spectral_norm(f)
-            fibers.append((1.0 / scale) * f if scale > ZERO_FIBER_TOL else f)
-    else:
-        q = p / (p - 1.0)
-        norms = lp_norm(y, q).values
-        for f, nq in zip(y.fibers, norms):
-            fibers.append((1.0 / float(nq)) * f if nq > ZERO_FIBER_TOL else f)
-    return Section._raw(y.bundle, fibers)
-
-
 @dataclass
 class DualityReport:
     """Outcome of a sampled duality check for one section and one exponent."""
@@ -166,25 +148,82 @@ class DualityReport:
         return asdict(self)
 
 
+def _stacked_gram_spectra(ys) -> list:
+    """Gram spectra of every sample stack, with one stacked solve per block size."""
+    spectra = [None] * len(ys)
+    for n in sorted({y.shape[1] for y in ys}):
+        members = [k for k, y in enumerate(ys) if y.shape[1] == n]
+        w = gram_eigenvalues_stack(np.concatenate([ys[k] for k in members]))
+        for k, part in zip(members, np.split(w, len(members))):
+            spectra[k] = part
+    return spectra
+
+
+def _dual_ball_norms(ys, slots, p: float, atoms: int) -> np.ndarray:
+    """Per sample and atom, the norm whose unit ball is dual to the Lp ball.
+
+    ``ys`` holds one ``(S, n, n)`` sample stack per block and ``slots`` the
+    matching (atom index, trace weight) pairs.  The norm is the uniform norm
+    when p = 1 and the Lq norm with ``1/p + 1/q = 1`` otherwise; at q = 2 it
+    is the weighted Frobenius norm, with no eigensolve.
+    """
+    out = np.zeros((ys[0].shape[0], atoms))
+    if p == 1.0:
+        for (i, _), w in zip(slots, _stacked_gram_spectra(ys)):
+            out[:, i] = np.maximum(out[:, i], w.max(axis=1))
+        return np.sqrt(out)
+    q = p / (p - 1.0)
+    if q == 2.0:
+        for (i, c), y in zip(slots, ys):
+            out[:, i] += c * np.sum(y.real**2 + y.imag**2, axis=(1, 2))
+        return np.sqrt(out)
+    for (i, c), w in zip(slots, _stacked_gram_spectra(ys)):
+        out[:, i] += c * np.sum(w ** (q / 2.0), axis=1)
+    return out ** (1.0 / q)
+
+
 def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:
     """Sample the dual unit ball and verify nothing beats the Lp norm.
 
     Every sampled ``y`` is rescaled per fiber onto the dual-ball boundary; the
     violation is ``|trace(x y)| - norm_p(x)`` pointwise (positive means the
     duality bound failed).  The extremal witness must attain the norm, which
-    the attainment residual measures.  Sample seeds are derived one by one
-    from the master seed, so serial and parallel runs draw identical samples.
+    the attainment residual measures.  Sample ``i`` is the Gaussian draw of
+    ``random_section`` under ``derive_seed(seed, "duality-sample", i)``.  The
+    samples go through in chunks of DUALITY_CHUNK, stacked per block: one
+    stacked Gram solve per block size rescales them, and ``trace(x y)`` is
+    one contraction per block.  Every step treats each sample on its own, so
+    the chunking does not show in the report.
     """
     if samples < 1:
         raise UsageError("need at least one sample")
     p = float(p)
+    bundle = x.bundle
+    atoms = bundle.space.size
     norms = lp_norm(x, p).values
-    worst = np.full(x.bundle.space.size, -np.inf)
-    for i in range(samples):
-        y = random_section(x.bundle, derive_seed(seed, "duality-sample", i), "general")
-        y = _rescale_to_dual_ball(y, p)
-        pairing = np.abs(center_trace(x * y).values)
-        worst = np.maximum(worst, pairing - norms)
+    slots = []  # (atom index, trace weight) per block, in the order of the draw
+    x_blocks = []
+    for i, (f, cs) in enumerate(zip(x.fibers, bundle.trace_weights)):
+        slots.extend((i, c) for c in cs)
+        x_blocks.extend(f.blocks)
+    worst = np.full(atoms, -np.inf)
+    for start in range(0, samples, DUALITY_CHUNK):
+        draws = np.stack([
+            gaussian_entries(bundle, derive_seed(seed, "duality-sample", i))
+            for i in range(start, min(start + DUALITY_CHUNK, samples))
+        ])
+        ys = []
+        offset = 0
+        for b in x_blocks:
+            n = b.shape[0]
+            ys.append(draws[:, offset : offset + n * n].reshape(-1, n, n))
+            offset += n * n
+        dual = _dual_ball_norms(ys, slots, p, atoms)
+        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+        pairing = np.zeros((len(draws), atoms), dtype=np.complex128)
+        for (i, c), b, y in zip(slots, x_blocks, ys):
+            pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
+        worst = np.maximum(worst, (np.abs(pairing) * scale - norms).max(axis=0))
     witness = dual_extremal(x, p)
     attained = center_trace(x * witness).values
     attain_res = np.abs(attained - norms)

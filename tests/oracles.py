@@ -5,11 +5,19 @@ The exact-rational oracle recomputes the trace-inner-product projection with
 a plain Gram-system solve over a matrix-unit basis.  It shares no code path
 with the float implementation: no Gram-Schmidt, no orthonormalization, no
 eigensolver.
+
+The duality reference is the one-sample-at-a-time loop that
+``tracelp.duality_check`` ran before its samples were stacked: one
+``random_section`` per sample, rescaled fiber by fiber through
+``spectral_norm`` or ``lp_norm``, and paired through ``center_trace``.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from tracebundle import Section, center_trace, derive_seed, lp_norm, random_section, spectral_norm
+from tracebundle.tracelp import ZERO_FIBER_TOL
 
 
 class QC:
@@ -139,3 +147,31 @@ def eigh_oracle(block):
     """numpy's LAPACK Hermitian eigensolver, descending eigenvalues."""
     w, u = np.linalg.eigh(block)
     return w[::-1], u[:, ::-1]
+
+
+def _rescale_to_dual_ball(y, p):
+    """Divide each fiber by its uniform norm (p = 1) or Lq norm; near-zero fibers stay."""
+    fibers = []
+    if p == 1.0:
+        for f in y.fibers:
+            scale = spectral_norm(f)
+            fibers.append((1.0 / scale) * f if scale > ZERO_FIBER_TOL else f)
+    else:
+        q = p / (p - 1.0)
+        norms = lp_norm(y, q).values
+        for f, nq in zip(y.fibers, norms):
+            fibers.append((1.0 / float(nq)) * f if nq > ZERO_FIBER_TOL else f)
+    return Section(y.bundle, fibers)
+
+
+def duality_worst_reference(x, p, samples, seed):
+    """Per-atom worst sampled violation ``|trace(x y)| - norm_p(x)``, one sample at a time."""
+    p = float(p)
+    norms = lp_norm(x, p).values
+    worst = np.full(x.bundle.space.size, -np.inf)
+    for i in range(samples):
+        y = random_section(x.bundle, derive_seed(seed, "duality-sample", i), "general")
+        y = _rescale_to_dual_ball(y, p)
+        pairing = np.abs(center_trace(x * y).values)
+        worst = np.maximum(worst, pairing - norms)
+    return worst

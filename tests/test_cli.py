@@ -199,6 +199,8 @@ def test_emit_fixtures_matches_direct_run(tmp_path):
                "full"]},
     {"tower": ["scalars", {"explicit": {"w9": []}}, "full"]},
     {"weights": [1.0] * 202},  # the run needs 3 tower steps + 200 held steps
+    {"extension": 10**400},
+    {"tower": ["scalars", {"explicit": {"w1": [[[[[1, 0]] * 3] * 3]]}}, "full"]},  # 3x3 on Mat2
 ])
 def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
     doc = json.loads(fixture_text("mat2_tower"))

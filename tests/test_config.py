@@ -245,6 +245,12 @@ CORPUS = {
     "extension-negative": variant(extension=-1),
     "extension-float": variant(extension=1.5),
     "extension-bool": variant(extension=True),
+    "extension-too-large": variant(extension=100_001),
+    "extension-beyond-index": variant(extension=10**400),
+    "tower-explicit-wrong-block-size": variant(
+        tower=["scalars", {"explicit": {"w": [[[[[1, 0]] * 3] * 3]]}}, "full"]),
+    "tower-explicit-extra-block": variant(
+        tower=["scalars", {"explicit": {"w": [[[[[1, 0]] * 2] * 2] * 2]}}, "full"]),
     "several-problems": variant("seed", exponents=[0.2], extra=1,
                                 bundle_mu=[0.0], trials={"axioms": -3}),
     "outputs-name": variant(outputs={"summary": "a.json"}),
@@ -361,6 +367,14 @@ CORPUS_PROBLEMS = {
     "extension-negative": [("extension", "must be an integer >= 0")],
     "extension-float": [("extension", "must be an integer >= 0")],
     "extension-bool": [("extension", "must be an integer >= 0")],
+    "extension-too-large": [("extension", "must be at most 100000")],
+    "extension-beyond-index": [("extension", "must be at most 100000")],
+    "tower-explicit-wrong-block-size": [
+        ("bundle/tower", "explicit generator of atom 'w' has block dims (3,), the fiber has (2,)"),
+    ],
+    "tower-explicit-extra-block": [
+        ("bundle/tower", "explicit generator of atom 'w' has block dims (2, 2), the fiber has (2,)"),
+    ],
     "several-problems": [
         ("bundle.mu[0]", "must be a finite number > 0"),
         ("exponents[0]", "must be a number >= 1"),

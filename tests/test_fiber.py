@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracebundle import (
     ContractViolationError,
@@ -13,7 +15,7 @@ from tracebundle import (
     spectral_projection,
 )
 from tracebundle import fiber
-from tracebundle.fiber import gram_eigenvalues
+from tracebundle.fiber import gram_eigenvalues, gram_eigenvalues_stack
 
 from oracles import eigh_oracle
 
@@ -267,6 +269,72 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
         spectral_norm(random_fiber(3, dims=(3,)))
     # an already diagonal block stops before its first sweep
     herm_eig(FiberElement([np.diag([2.0, 1.0])]))
+    # the stacked kernel raises on the same cap, and a diagonal stack stops at once
+    with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
+        fiber._jacobi_eigenvalues_stack(np.stack([random_hermitian_fiber(s, dims=(4,)).blocks[0]
+                                                  for s in range(3)]))
+    fiber._jacobi_eigenvalues_stack(np.array([np.diag([2.0, 1.0])] * 3, dtype=np.complex128))
+
+
+# ------------------------------------------------------ stacked Jacobi kernel
+
+SCALES = (1e-15, 1e-9, 1e-3, 1.0, 1e4, 1e8)
+SPECTRA = ("random", "degenerate", "graded")
+
+
+def hermitian_stack(seed, n, scales, spectra):
+    """One exactly Hermitian ``u diag(w) u*`` per (scale, spectrum) pair, stacked."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for scale, spectrum in zip(scales, spectra):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g)
+        if spectrum == "random":
+            w = rng.standard_normal(n)
+        elif spectrum == "degenerate":
+            w = rng.choice([-1.0, 0.0, 2.0], size=n)
+        else:
+            w = rng.choice([-1.0, 1.0], size=n) * 10.0 ** (-3.0 * rng.permutation(n))
+        h = scale * ((u * w) @ u.conj().T)
+        out.append(0.5 * (h + h.conj().T))
+    return np.array(out)
+
+
+lane_specs = st.lists(st.tuples(st.sampled_from(SCALES), st.sampled_from(SPECTRA)),
+                      min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), lanes=lane_specs)
+def test_stacked_eigenvalues_match_lapack(seed, n, lanes):
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    w = fiber._jacobi_eigenvalues_stack(h)
+    assert w.shape == (len(lanes), n)
+    for block, lane in zip(h, w):
+        oracle = np.linalg.eigvalsh(block)
+        assert np.abs(np.sort(lane) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), lanes=lane_specs)
+def test_stacked_lane_bits_do_not_depend_on_the_stack(seed, n, lanes):
+    # lanes of mixed scales and spectra converge after different sweep counts
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    w = fiber._jacobi_eigenvalues_stack(h)
+    order = np.random.default_rng(seed).permutation(len(lanes))
+    assert np.array_equal(fiber._jacobi_eigenvalues_stack(h[order]), w[order])
+    for block, lane in zip(h, w):
+        assert np.array_equal(fiber._jacobi_eigenvalues_stack(block[None])[0], lane)
+
+
+def test_gram_eigenvalues_stack_matches_singular_values():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 5):
+        y = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+        w = gram_eigenvalues_stack(y)
+        assert w.min() >= 0.0
+        oracle = np.linalg.svd(y, compute_uv=False) ** 2
+        assert np.abs(np.sort(w, axis=1)[:, ::-1] - oracle).max() <= 1e-13 * oracle.max()
 
 
 # ----------------------------------------------------------- norm primitives

@@ -21,6 +21,10 @@ from tracebundle import (
     spectral_norm,
     zero_section,
 )
+from tracebundle import tracelp
+from tracebundle.tracelp import DUALITY_CHUNK
+
+from oracles import duality_worst_reference
 
 
 def abs_section(x):
@@ -269,3 +273,24 @@ def test_duality_check_deterministic(hetero_bundle):
     a = duality_check(x, 2, 50, 33)
     b = duality_check(x, 2, 50, 33)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_duality_check_matches_per_sample_reference(hetero_bundle, p):
+    # more samples than one chunk, so the last chunk is partial
+    x = random_section(hetero_bundle, 23, "general")
+    samples = DUALITY_CHUNK + 37
+    rep = duality_check(x, p, samples, 24)
+    got = np.array([f["worst_sample_violation"] for f in rep.per_fiber])
+    want = duality_worst_reference(x, p, samples, 24)
+    assert np.abs(got - want).max() <= 1e-14
+    assert rep.max_violation == got.max()
+
+
+def test_duality_chunking_is_invisible(hetero_bundle, monkeypatch):
+    x = random_section(hetero_bundle, 25, "general")
+    whole = {p: duality_check(x, p, 40, 26).to_dict() for p in (1.0, 2.0, 3.0)}
+    for chunk in (1, 7):
+        monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+        for p, report in whole.items():
+            assert duality_check(x, p, 40, 26).to_dict() == report
