@@ -12,15 +12,15 @@ dual-norm unit ball and samples that ball for violations.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bundle import Section, gaussian_entries, identity_section
+from .bundle import Section, gaussian_stacks, identity_section
 from .center import CenterElement
 from .errors import UsageError
 from .fiber import (
-    FiberElement,
     abs_power,
     gram_eigenvalues,
     gram_eigenvalues_stack,
@@ -29,7 +29,7 @@ from .fiber import (
 )
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
-DUALITY_CHUNK = 512     # dual-ball samples stacked at once; bounds memory for any count
+DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -42,17 +42,10 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little")
 
 
-def _fiber_trace(f: FiberElement, weights) -> complex:
-    return sum(c * complex(np.trace(b)) for c, b in zip(weights, f.blocks))
-
-
 def center_trace(x: Section) -> CenterElement:
     """The center-valued trace: weighted block traces per atom."""
-    values = np.array(
-        [_fiber_trace(f, cs) for f, cs in zip(x.fibers, x.bundle.trace_weights)],
-        dtype=np.complex128,
-    )
-    return CenterElement(x.bundle.space, values)
+    blocks = [b[None] for f in x.fibers for b in f.blocks]
+    return CenterElement(x.bundle.space, stacked_traces(blocks, x.bundle)[0])
 
 
 def normalize_trace(x: Section) -> CenterElement:
@@ -80,16 +73,67 @@ def scalarize(nu, x: Section) -> complex:
     return complex(np.sum(nu * center_trace(x).values))
 
 
+def _exponent(p) -> float:
+    if not 1.0 <= float(p) < math.inf:  # also refuses NaN
+        raise UsageError(f"p must be a finite number >= 1, got {p}")
+    return float(p)
+
+
+def chunks(count: int) -> list[range]:
+    """Consecutive index ranges of at most DUALITY_CHUNK covering ``range(count)``."""
+    return [range(s, min(s + DUALITY_CHUNK, count)) for s in range(0, count, DUALITY_CHUNK)]
+
+
+def solve_by_block_size(stacks, solve) -> list:
+    """``solve`` equal-length ``(S, n, n)`` stacks with one call per block size ``n``."""
+    out = [None] * len(stacks)
+    for n in sorted({s.shape[1] for s in stacks}):
+        members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
+        rows = solve(np.concatenate([stacks[k] for k in members]))
+        for k, part in zip(members, np.split(rows, len(members))):
+            out[k] = part
+    return out
+
+
+def stacked_traces(ys, bundle) -> np.ndarray:
+    """``(S, atoms)`` center-valued traces of S sections, one ``(S, n, n)`` stack per block."""
+    out = np.zeros((len(ys[0]), bundle.space.size), dtype=np.complex128)
+    for (i, c), y in zip(bundle.block_slots(), ys):
+        out[:, i] += c * np.trace(y, axis1=1, axis2=2)
+    return out
+
+
+def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
+    """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
+
+    p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
+    exponents sum ``w**(p/2)`` over Gram spectra ``w`` solved once, one stacked solve per block size.
+    """
+    spectra, out = [], []
+    for p in exponents:
+        norm = np.zeros((len(ys[0]), bundle.space.size))
+        if p != 2.0:
+            spectra = spectra or solve_by_block_size(ys, gram_eigenvalues_stack)
+        for k, (i, c) in enumerate(bundle.block_slots()):
+            if p == 2.0:
+                norm[:, i] += c * np.sum(ys[k].real**2 + ys[k].imag**2, axis=(1, 2))
+            elif p == math.inf:
+                norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
+            else:
+                norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
+        out.append(np.sqrt(norm) if p in (2.0, math.inf) else norm ** (1.0 / p))
+    return out
+
+
 def lp_norm(x: Section, p: float) -> CenterElement:
     """Center-valued Lp norm: ``(trace(|x|**p))**(1/p)`` per atom.
 
     For p = 2 the trace of ``x* x`` is the sum of its eigenvalues, i.e. the
     weighted Frobenius sum ``sum_j c_j ||x_j||_F**2``, so no eigensolve is
     needed.  Other exponents sum ``w**(p/2)`` over the Gram spectrum ``w``.
+    p must be finite and at least 1, else UsageError.
     """
-    p = float(p)
-    if p < 1.0:
-        raise UsageError(f"p must be >= 1, got {p}")
+    p = _exponent(p)
     half_p = p / 2.0
     values = np.empty(x.bundle.space.size, dtype=np.float64)
     for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
@@ -114,9 +158,7 @@ def dual_extremal(x: Section, p: float) -> Section:
     equality.  Fibers whose Lp norm is below ZERO_FIBER_TOL get a zero
     witness, keeping the feasibility contract without dividing by zero.
     """
-    p = float(p)
-    if p < 1.0:
-        raise UsageError(f"p must be >= 1, got {p}")
+    p = _exponent(p)
     norms = lp_norm(x, p).values
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
@@ -148,40 +190,6 @@ class DualityReport:
         return asdict(self)
 
 
-def _stacked_gram_spectra(ys) -> list:
-    """Gram spectra of every sample stack, with one stacked solve per block size."""
-    spectra = [None] * len(ys)
-    for n in sorted({y.shape[1] for y in ys}):
-        members = [k for k, y in enumerate(ys) if y.shape[1] == n]
-        w = gram_eigenvalues_stack(np.concatenate([ys[k] for k in members]))
-        for k, part in zip(members, np.split(w, len(members))):
-            spectra[k] = part
-    return spectra
-
-
-def _dual_ball_norms(ys, slots, p: float, atoms: int) -> np.ndarray:
-    """Per sample and atom, the norm whose unit ball is dual to the Lp ball.
-
-    ``ys`` holds one ``(S, n, n)`` sample stack per block and ``slots`` the
-    matching (atom index, trace weight) pairs.  The norm is the uniform norm
-    when p = 1 and the Lq norm with ``1/p + 1/q = 1`` otherwise; at q = 2 it
-    is the weighted Frobenius norm, with no eigensolve.
-    """
-    out = np.zeros((ys[0].shape[0], atoms))
-    if p == 1.0:
-        for (i, _), w in zip(slots, _stacked_gram_spectra(ys)):
-            out[:, i] = np.maximum(out[:, i], w.max(axis=1))
-        return np.sqrt(out)
-    q = p / (p - 1.0)
-    if q == 2.0:
-        for (i, c), y in zip(slots, ys):
-            out[:, i] += c * np.sum(y.real**2 + y.imag**2, axis=(1, 2))
-        return np.sqrt(out)
-    for (i, c), w in zip(slots, _stacked_gram_spectra(ys)):
-        out[:, i] += c * np.sum(w ** (q / 2.0), axis=1)
-    return out ** (1.0 / q)
-
-
 def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:
     """Sample the dual unit ball and verify nothing beats the Lp norm.
 
@@ -190,38 +198,26 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     duality bound failed).  The extremal witness must attain the norm, which
     the attainment residual measures.  Sample ``i`` is the Gaussian draw of
     ``random_section`` under ``derive_seed(seed, "duality-sample", i)``.  The
-    samples go through in chunks of DUALITY_CHUNK, stacked per block: one
-    stacked Gram solve per block size rescales them, and ``trace(x y)`` is
-    one contraction per block.  Every step treats each sample on its own, so
-    the chunking does not show in the report.
+    samples go through in chunks of DUALITY_CHUNK, stacked per block: the dual
+    norm is ``stacked_lp_norms`` at q = p / (p - 1) (q = inf when p = 1) and
+    ``trace(x y)`` one contraction per block.  Every step treats each sample
+    on its own, so the chunking does not show in the report.
     """
     if samples < 1:
         raise UsageError("need at least one sample")
-    p = float(p)
+    p = _exponent(p)
+    q = math.inf if p == 1.0 else p / (p - 1.0)
     bundle = x.bundle
     atoms = bundle.space.size
     norms = lp_norm(x, p).values
-    slots = []  # (atom index, trace weight) per block, in the order of the draw
-    x_blocks = []
-    for i, (f, cs) in enumerate(zip(x.fibers, bundle.trace_weights)):
-        slots.extend((i, c) for c in cs)
-        x_blocks.extend(f.blocks)
+    x_blocks = [b for f in x.fibers for b in f.blocks]
     worst = np.full(atoms, -np.inf)
-    for start in range(0, samples, DUALITY_CHUNK):
-        draws = np.stack([
-            gaussian_entries(bundle, derive_seed(seed, "duality-sample", i))
-            for i in range(start, min(start + DUALITY_CHUNK, samples))
-        ])
-        ys = []
-        offset = 0
-        for b in x_blocks:
-            n = b.shape[0]
-            ys.append(draws[:, offset : offset + n * n].reshape(-1, n, n))
-            offset += n * n
-        dual = _dual_ball_norms(ys, slots, p, atoms)
+    for ids in chunks(samples):
+        ys = gaussian_stacks(bundle, [derive_seed(seed, "duality-sample", i) for i in ids])
+        (dual,) = stacked_lp_norms(ys, bundle, [q])
         scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
-        pairing = np.zeros((len(draws), atoms), dtype=np.complex128)
-        for (i, c), b, y in zip(slots, x_blocks, ys):
+        pairing = np.zeros((len(ids), atoms), dtype=np.complex128)
+        for (i, c), b, y in zip(bundle.block_slots(), x_blocks, ys):
             pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
         worst = np.maximum(worst, (np.abs(pairing) * scale - norms).max(axis=0))
     witness = dual_extremal(x, p)

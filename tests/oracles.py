@@ -10,13 +10,32 @@ The duality reference is the one-sample-at-a-time loop that
 ``tracelp.duality_check`` ran before its samples were stacked: one
 ``random_section`` per sample, rescaled fiber by fiber through
 ``spectral_norm`` or ``lp_norm``, and paired through ``center_trace``.
+
+The axiom reference is the one-trial-at-a-time loop that
+``condexp.check_cond_exp_axioms`` ran before its trials were stacked: each
+trial draws its sections with ``random_section`` and ``random_element``,
+applies ``ConditionalExpectation.__call__``, and measures through
+``herm_eig``, ``center_trace``, ``lp_norm`` and ``scalarize``.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from tracebundle import Section, center_trace, derive_seed, lp_norm, random_section, spectral_norm
+from tracebundle import (
+    AxiomReport,
+    ConditionalExpectation,
+    Section,
+    center_trace,
+    derive_seed,
+    herm_eig,
+    identity_section,
+    lp_norm,
+    random_section,
+    scalarize,
+    spectral_norm,
+)
+from tracebundle.condexp import CONTRACTION_EXPONENTS
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
 
@@ -175,3 +194,82 @@ def duality_worst_reference(x, p, samples, seed):
         pairing = np.abs(center_trace(x * y).values)
         worst = np.maximum(worst, pairing - norms)
     return worst
+
+
+def _per_atom_max_abs(x):
+    return np.array([f.max_abs() for f in x.fibers])
+
+
+def axiom_report_reference(E, trials, seed):
+    """``check_cond_exp_axioms`` computed one trial at a time."""
+    bundle = E.bundle
+    labels = bundle.space.labels
+    one = identity_section(bundle)
+    res = {name: 0.0 for name in (
+        "idempotence", "unitality", "positivity", "module_property",
+        "trace_preservation", "bimodule_pairing", "scalarized_trace",
+        "fiberwise_agreement",
+    )}
+    res.update({f"lp_contraction_p{int(p)}": 0.0 for p in CONTRACTION_EXPONENTS})
+    per_fiber = {label: 0.0 for label in labels}
+
+    def bump(name, value, per_atom=None):
+        res[name] = max(res[name], float(value))
+        if per_atom is not None:
+            for label, v in zip(labels, per_atom):
+                per_fiber[label] = max(per_fiber[label], float(v))
+
+    bump("unitality", _per_atom_max_abs(E(one) - one).max())
+
+    sub_restrictions = [
+        (label, ConditionalExpectation(E.target.restrict([label])))
+        for label in labels
+    ]
+
+    for t in range(trials):
+        x = random_section(bundle, derive_seed(seed, "axiom-x", t), "general")
+        ex = E(x)
+
+        d = _per_atom_max_abs(E(ex) - ex)
+        bump("idempotence", d.max(), d)
+
+        pos = random_section(bundle, derive_seed(seed, "axiom-pos", t), "positive")
+        epos = E(pos)
+        epos_h = 0.5 * (epos + epos.adjoint())
+        dips = []
+        for f in epos_h.fibers:
+            eig = herm_eig(f)
+            dips.append(max(0.0, -min(float(w[-1]) for w in eig.eigenvalues)))
+        bump("positivity", max(dips), dips)
+
+        a = E.target.random_element(derive_seed(seed, "axiom-a", t))
+        b = E.target.random_element(derive_seed(seed, "axiom-b", t))
+        d = _per_atom_max_abs(E(a * x * b) - a * ex * b)
+        bump("module_property", d.max(), d)
+
+        d = np.abs(center_trace(ex).values - center_trace(x).values)
+        bump("trace_preservation", d.max(), d)
+
+        y = E.target.random_element(derive_seed(seed, "axiom-y", t))
+        d = np.abs(center_trace(ex * y).values - center_trace(x * y).values)
+        bump("bimodule_pairing", d.max(), d)
+
+        for p in CONTRACTION_EXPONENTS:
+            gap = lp_norm(ex, p).values - lp_norm(x, p).values
+            gap = np.maximum(gap, 0.0)
+            bump(f"lp_contraction_p{int(p)}", gap.max(), gap)
+
+        nu_rng = np.random.default_rng([11, derive_seed(seed, "axiom-nu", t)])
+        nu = nu_rng.uniform(0.1, 2.0, size=bundle.space.size)
+        bump("scalarized_trace", abs(scalarize(nu, ex) - scalarize(nu, x)))
+
+        for label, E_atom in sub_restrictions:
+            got = E_atom(x.restrict([label])).fibers[0]
+            want = ex.fiber(label)
+            d = max(
+                float(np.abs(g - w).max()) for g, w in zip(got.blocks, want.blocks)
+            )
+            bump("fiberwise_agreement", d, None)
+            per_fiber[label] = max(per_fiber[label], d)
+
+    return AxiomReport(trials=trials, seed=seed, residuals=res, per_fiber_worst=per_fiber)

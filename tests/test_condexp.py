@@ -9,6 +9,7 @@ from tracebundle import (
     InconsistencyError,
     Section,
     ShapeMismatchError,
+    UsageError,
     build_cond_exp,
     center_trace,
     check_cond_exp_axioms,
@@ -19,9 +20,13 @@ from tracebundle import (
     random_section,
     validate_subalgebra,
 )
+from tracebundle import tracelp
 from tracebundle.towers import fiber_level_generators, level_generators
+from tracebundle.tracelp import DUALITY_CHUNK
 
-from oracles import ExactFiberProjection, matrix_unit_blocks, pinching_basis
+from oracles import ExactFiberProjection, axiom_report_reference, matrix_unit_blocks, pinching_basis
+
+PRESET_LEVELS = ("scalars", "diagonal", "block(2,1)", "full")
 
 
 def full_units(shape):
@@ -234,6 +239,72 @@ def test_axiom_report_deterministic(hetero_diag_exp):
     a = check_cond_exp_axioms(hetero_diag_exp, 15, 3)
     b = check_cond_exp_axioms(hetero_diag_exp, 15, 3)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_axiom_report_needs_a_trial(hetero_diag_exp, trials):
+    with pytest.raises(UsageError):
+        check_cond_exp_axioms(hetero_diag_exp, trials, 0)
+
+
+def preset_expectation(bundle, level):
+    return ConditionalExpectation(validate_subalgebra(bundle, level_generators(bundle, level)))
+
+
+def perturbed_expectation(bundle):
+    """A map that is no conditional expectation: block(2,1) projector bases pushed off their span.
+
+    Its residuals are O(1) and depend on every trial, so a trial the checker
+    skips or mismeasures shows against the reference; those of a true
+    expectation are rounding noise.
+    """
+    basis = validate_subalgebra(bundle, level_generators(bundle, "block(2,1)"))
+    rng = np.random.default_rng(5)
+    for p in basis.projectors:
+        shape = p.ortho.shape
+        p.ortho = p.ortho + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ConditionalExpectation(basis)
+
+
+@pytest.fixture(scope="module")
+def axiom_cases(hetero_bundle, large_blocks_bundle):
+    """Per (bundle, level): E, its 20-trial reference and unchunked stacked reports."""
+    cases = {}
+    for name, bundle in (("hetero", hetero_bundle), ("large", large_blocks_bundle)):
+        maps = {level: preset_expectation(bundle, level) for level in PRESET_LEVELS}
+        maps["perturbed"] = perturbed_expectation(bundle)
+        for level, E in maps.items():
+            whole = check_cond_exp_axioms(E, 20, 31).to_dict()
+            cases[name, level] = (E, axiom_report_reference(E, 20, 31), whole)
+    return cases
+
+
+def assert_matches_reference(rep, want):
+    # 1e-14 absolute for residuals below 1 (every true expectation), else relative
+    assert (rep.trials, rep.seed) == (want.trials, want.seed)
+    for got, ref in ((rep.residuals, want.residuals), (rep.per_fiber_worst, want.per_fiber_worst)):
+        assert list(got) == list(ref)
+        assert all(abs(got[k] - ref[k]) <= 1e-14 * max(1.0, abs(ref[k])) for k in ref), (got, ref)
+    assert (rep.residuals["fiberwise_agreement"] == 0.0) == (want.residuals["fiberwise_agreement"] == 0.0)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_axiom_report_matches_per_trial_reference(axiom_cases, monkeypatch, chunk):
+    # chunks of 1 and 7 split the 20 trials; the report must not change by a bit
+    if chunk is not None:
+        monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+    for E, want, whole in axiom_cases.values():
+        rep = check_cond_exp_axioms(E, 20, 31)
+        assert_matches_reference(rep, want)
+        assert rep.to_dict() == whole
+
+
+def test_axiom_report_reference_above_chunk_size(hetero_bundle):
+    # more trials than one chunk, so the last chunk is partial
+    E = preset_expectation(hetero_bundle, "block(2,1)")
+    trials = DUALITY_CHUNK + 13
+    assert_matches_reference(check_cond_exp_axioms(E, trials, 32),
+                             axiom_report_reference(E, trials, 32))
 
 
 def test_expectation_commutes_with_adjoint(hetero_diag_exp, hetero_bundle):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from tracebundle import (
     zero_section,
 )
 from tracebundle import tracelp
-from tracebundle.tracelp import DUALITY_CHUNK
+from tracebundle.tracelp import DUALITY_CHUNK, stacked_lp_norms
 
 from oracles import duality_worst_reference
 
@@ -163,6 +165,30 @@ def test_lp_norm_matches_svd_oracle(hetero_bundle):
 def test_lp_norm_rejects_small_p(hetero_bundle):
     with pytest.raises(UsageError):
         lp_norm(identity_section(hetero_bundle), 0.5)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_exponent_must_be_finite_and_at_least_one(hetero_bundle, p):
+    # inf used to give 1.0 on every atom and NaN a ContractViolationError
+    x = random_section(hetero_bundle, 1, "general")
+    for call in (lambda: lp_norm(x, p), lambda: dual_extremal(x, p),
+                 lambda: duality_check(x, p, 10, 0)):
+        with pytest.raises(UsageError, match="finite number >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, p):
+    for bundle in (hetero_bundle, large_blocks_bundle):
+        xs = [random_section(bundle, 40 + s, "general") for s in range(12)]
+        stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
+        (got,) = stacked_lp_norms(stacks, bundle, [p])
+        if p == math.inf:  # the uniform norm, largest singular value per atom
+            want = np.array([[spectral_norm(f) for f in x.fibers] for x in xs])
+        else:
+            want = np.array([lp_norm(x, p).values for x in xs])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def test_lp_norm_zero_iff_zero(hetero_bundle):
