@@ -263,7 +263,7 @@ def section_from_records(bundle: BundleSpec, rows) -> Section:
             raise UsageError(f"record references unknown atom {label!r}")
         shape = bundle.shape_at(label)
         k, i, j = int(k), int(i), int(j)
-        if k >= len(shape) or i >= shape[k] or j >= shape[k]:
+        if not (0 <= k < len(shape) and 0 <= i < shape[k] and 0 <= j < shape[k]):
             raise ShapeMismatchError(
                 f"record ({label}, {k}, {i}, {j}) is outside the fiber shape {shape}"
             )

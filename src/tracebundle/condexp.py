@@ -26,12 +26,17 @@ SPAN_RESIDUAL_TOL = 1e-10     # identity membership and Gram orthonormality
 CONTRACTION_EXPONENTS = (1.0, 2.0, 3.0, 4.0)
 
 
+def _lane(f: FiberElement) -> list[np.ndarray]:
+    return [b[None] for b in f.blocks]  # one element as a one-lane stack
+
+
 class _FiberProjector:
     """Orthogonal projection onto one fiber's subalgebra span.
 
     Works in weighted coordinates: a fiber element maps to the concatenation
     of ``sqrt(c_j) * vec(block_j)``, where the trace inner product becomes the
-    plain Euclidean one.
+    plain Euclidean one.  Elements go through as stacks of S, one ``(S, n, n)``
+    array per block; a single element is a one-lane stack.
     """
 
     __slots__ = ("shape", "sqrt_weights", "ortho")
@@ -42,11 +47,10 @@ class _FiberProjector:
         self.sqrt_weights = np.concatenate(parts)
         self.ortho = np.zeros((self.sqrt_weights.size, 0), dtype=np.complex128)
 
-    def coords(self, f: FiberElement) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in f.blocks]) * self.sqrt_weights
-
-    def from_coords(self, v: np.ndarray) -> FiberElement:
-        return FiberElement._raw(split_blocks(v / self.sqrt_weights, self.shape))
+    def stack_coords(self, blocks) -> np.ndarray:
+        """Weighted coordinates ``(S, 1, dim)`` of S stacked elements."""
+        v = np.concatenate([b.reshape(len(b), 1, -1) for b in blocks], axis=2)
+        return v * self.sqrt_weights
 
     def residual_coords(self, v: np.ndarray) -> np.ndarray:
         # two orthogonalization passes keep the basis orthonormal to 1e-15
@@ -55,7 +59,7 @@ class _FiberProjector:
 
     def try_extend(self, f: FiberElement) -> bool:
         """Add ``f`` to the span if independent; True when the rank grew."""
-        v = self.coords(f)
+        v = self.stack_coords(_lane(f))[0, 0]
         scale = np.linalg.norm(v)
         if scale <= ORTHO_PIVOT_TOL:
             return False
@@ -66,29 +70,31 @@ class _FiberProjector:
         self.ortho = np.hstack([self.ortho, (r / rnorm)[:, None]])
         return True
 
-    def project(self, f: FiberElement) -> FiberElement:
-        v = self.coords(f)
-        return self.from_coords(self.ortho @ (self.ortho.conj().T @ v))
-
     def project_stack(self, blocks) -> list[np.ndarray]:
-        """``project`` of S elements, one ``(S, n, n)`` stack per block, each on its own."""
-        v = np.concatenate([b.reshape(len(b), 1, -1) for b in blocks], axis=2)
-        return self.stack_from_basis((v * self.sqrt_weights) @ self.ortho.conj())
+        """``project`` of S stacked elements, each on its own."""
+        return self.stack_from_basis(self.stack_coords(blocks) @ self.ortho.conj())
 
     def stack_from_basis(self, coeff: np.ndarray) -> list[np.ndarray]:
         """Block stacks of the elements with ``(S, 1, rank)`` coefficients in ``ortho``."""
         return split_blocks((coeff @ self.ortho.T)[:, 0] / self.sqrt_weights, self.shape)
 
+    def stack_residuals(self, blocks) -> np.ndarray:
+        """Distances ``(S,)`` of S stacked elements to the span."""
+        return np.linalg.norm(self.residual_coords(self.stack_coords(blocks)[:, 0].T), axis=0)
+
+    def project(self, f: FiberElement) -> FiberElement:
+        return FiberElement._raw([b[0] for b in self.project_stack(_lane(f))])
+
     def membership_residual(self, f: FiberElement) -> float:
-        v = self.coords(f)
-        return float(np.linalg.norm(self.residual_coords(v)))
+        return float(self.stack_residuals(_lane(f))[0])
 
     @property
     def rank(self) -> int:
         return self.ortho.shape[1]
 
     def basis_elements(self) -> list[FiberElement]:
-        return [self.from_coords(self.ortho[:, k]) for k in range(self.rank)]
+        stack = self.stack_from_basis(np.eye(self.rank)[:, None])
+        return [FiberElement._raw(list(f)) for f in zip(*stack)]
 
 
 class SubalgebraBasis:
@@ -145,9 +151,10 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
     """Close per-atom generator lists into a validated unital *-subalgebra.
 
     The identity is adjoined first; the span then grows by adjoints and
-    pairwise products until the dimension stabilizes.  A span that tries to
-    exceed the fiber algebra dimension means the numerics broke down and is
-    reported as an inconsistency.
+    pairwise products until the dimension stabilizes or fills the fiber algebra.
+    A span that exceeds the fiber algebra dimension means the numerics broke
+    down and is reported as an inconsistency.  Closure is re-verified on the
+    orthonormal basis by ``_closure_residual``.
     """
     generators = [tuple(gens) for gens in generators]
     if len(generators) != bundle.space.size:
@@ -165,28 +172,13 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
         proj = _FiberProjector(shape, weights)
         cap = sum(n * n for n in shape)
         accepted: list[FiberElement] = []
-        frontier: list[FiberElement] = []
-        seeds = [identity_fiber(shape)] + [g for g in gens] + [g.adjoint() for g in gens]
-        for f in seeds:
-            if proj.try_extend(f):
-                accepted.append(f)
-                frontier.append(f)
+        frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
         while frontier:
-            if proj.rank > cap:
-                raise InconsistencyError(
-                    f"closure at {label!r} exceeded the fiber algebra dimension {cap}"
-                )
-            fresh: list[FiberElement] = []
-            candidates: list[FiberElement] = [f.adjoint() for f in frontier]
-            for f in frontier:
-                for g in accepted:
-                    candidates.append(f * g)
-                    candidates.append(g * f)
-            for f in candidates:
-                if proj.try_extend(f):
-                    accepted.append(f)
-                    fresh.append(f)
-            frontier = fresh
+            fresh = [f for f in frontier if proj.rank < cap and proj.try_extend(f)]
+            accepted += fresh
+            # a span that fills the fiber algebra is closed: no candidate can extend it
+            frontier = [] if proj.rank == cap else [f.adjoint() for f in fresh] + [
+                h for f in fresh for g in accepted for h in (f * g, g * f)]
         if proj.rank > cap:
             raise InconsistencyError(
                 f"closure at {label!r} exceeded the fiber algebra dimension {cap}"
@@ -202,13 +194,7 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
             raise InconsistencyError(
                 f"identity escaped the span at {label!r} (residual {one_res:.2e})"
             )
-        basis = proj.basis_elements()
-        closure = 0.0
-        for e in basis:
-            closure = max(closure, proj.membership_residual(e.adjoint()))
-        for a in basis:
-            for b in basis:
-                closure = max(closure, proj.membership_residual(a * b))
+        closure = _closure_residual(proj)
         if closure > CLOSURE_RESIDUAL_TOL:
             raise InconsistencyError(
                 f"span at {label!r} is not closed under * and products "
@@ -217,6 +203,15 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
         worst_closure = max(worst_closure, closure)
         projectors.append(proj)
     return SubalgebraBasis(bundle, generators, projectors, worst_closure)
+
+
+def _closure_residual(proj: _FiberProjector) -> float:
+    """Worst distance to the span of the stacked basis adjoints and basis products."""
+    basis = proj.stack_from_basis(np.eye(proj.rank)[:, None])
+    closure = proj.stack_residuals([b.conj().transpose(0, 2, 1) for b in basis]).max()
+    for k in range(proj.rank):  # one row a_k * basis at a time: O(rank * dim) memory
+        closure = max(closure, proj.stack_residuals([b[k] @ b for b in basis]).max())
+    return float(closure)
 
 
 class ConditionalExpectation:

@@ -273,6 +273,12 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(("exponents", "needs at least one exponent"))
         _check_each(problems, "exponents", exponents,
                     lambda p: _is_finite(p) and p >= 1, "must be a number >= 1")
+        first = {}  # check name "p={p:g}" of the duality checks -> first index
+        for i, p in enumerate(exponents):
+            if _is_finite(p) and p >= 1:
+                j = first.setdefault(f"{float(p):g}", i)
+                if j != i:
+                    problems.append((f"exponents[{i}]", f"repeats the check name of exponents[{j}]"))
 
     for key, (defaults, check, message, convert) in _OVERRIDES.items():
         given = doc.get(key, {})

@@ -23,11 +23,10 @@ from .errors import (
     UnsupportedConfigurationError,
     UsageError,
 )
-from .towers import level_generators
 from .tracelp import lp_norm
 
 INCLUSION_BUILD_TOL = 1e-8      # hard failure bound on tower inclusions
-COMPOSITION_TOL = 1e-9          # E_m . E_n = E_min(m,n) on a spanning set
+COMPOSITION_TOL = 1e-9          # E_m . E_n = E_min(m,n) on every matrix unit
 MARTINGALE_TOL = 1e-9           # defining property of a martingale sequence
 LIMIT_RECONSTRUCTION_TOL = 1e-9
 
@@ -76,8 +75,8 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
 
     Generators of level n are folded into every later level's generating set
     before closure, so the inclusions hold by construction; they are then
-    re-verified numerically, as is the composition law of the projections on
-    a spanning set of matrix units.
+    re-verified numerically, as is the composition law of the projections, as
+    matrix identities on the projector bases (``_tower_residuals``).
     """
     levels = [list(map(tuple, gens)) for gens in level_generator_lists]
     if not levels:
@@ -90,28 +89,11 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
         accumulated = [acc + new for acc, new in zip(accumulated, gens)]
         tower.append(validate_subalgebra(bundle, accumulated))
 
-    inclusion = 0.0
-    for lower, upper in zip(tower, tower[1:]):
-        for p_low, p_up in zip(lower.projectors, upper.projectors):
-            for e in p_low.basis_elements():
-                inclusion = max(inclusion, p_up.membership_residual(e))
+    inclusion, composition = _tower_residuals(tower)
     if inclusion > INCLUSION_BUILD_TOL:
         raise InconsistencyError(
             f"tower inclusion residual {inclusion:.2e} exceeds {INCLUSION_BUILD_TOL:.0e}"
         )
-
-    units = level_generators(bundle, "full")
-    composition = 0.0
-    for m, level_m in enumerate(tower):
-        for n, level_n in enumerate(tower):
-            low = tower[min(m, n)]
-            for pm, pn, plow, atom_units in zip(
-                level_m.projectors, level_n.projectors, low.projectors, units
-            ):
-                for u in atom_units:
-                    got = pm.project(pn.project(u))
-                    want = plow.project(u)
-                    composition = max(composition, (got - want).max_abs())
     if composition > COMPOSITION_TOL:
         raise InconsistencyError(
             f"tower composition residual {composition:.2e} exceeds {COMPOSITION_TOL:.0e}"
@@ -124,6 +106,26 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
         inclusion_residual=inclusion,
         composition_residual=composition,
     )
+
+
+def _tower_residuals(tower) -> tuple[float, float]:
+    """Worst inclusion and composition residuals of a tower, from its projector bases.
+
+    Inclusion is the distance of each lower ``ortho`` column to the upper span.
+    With ``P = ortho ortho*``, entry (row, col) of ``P_m P_n - P_min(m,n)`` times
+    ``sqrt_weights[col] / sqrt_weights[row]`` is entry row of ``E_m E_n u - E_min(m,n) u``
+    for the matrix unit u of column col.
+    """
+    inclusion = composition = 0.0
+    for atom in zip(*(level.projectors for level in tower)):
+        for low, up in zip(atom, atom[1:]):
+            inclusion = max(inclusion, np.linalg.norm(up.residual_coords(low.ortho), axis=0).max())
+        scale = atom[0].sqrt_weights[None, :] / atom[0].sqrt_weights[:, None]
+        ps = [p.ortho @ p.ortho.conj().T for p in atom]
+        for m, pm in enumerate(ps):
+            for n, pn in enumerate(ps):
+                composition = max(composition, (np.abs(pm @ pn - ps[min(m, n)]) * scale).max())
+    return float(inclusion), float(composition)
 
 
 def martingale_defect(elements, filtration: Filtration) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundle import Section, gaussian_stacks, identity_section
 from .center import CenterElement
-from .errors import UsageError
+from .errors import ContractViolationError, UsageError
 from .fiber import (
     abs_power,
     gram_eigenvalues,
@@ -108,19 +108,23 @@ def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
 
     p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
     exponents sum ``w**(p/2)`` over Gram spectra ``w`` solved once, one stacked solve per block size.
+    A norm that overflows (say ``w**(p/2)`` at p near 1e7) raises ContractViolationError.
     """
     spectra, out = [], []
     for p in exponents:
         norm = np.zeros((len(ys[0]), bundle.space.size))
         if p != 2.0:
             spectra = spectra or solve_by_block_size(ys, gram_eigenvalues_stack)
-        for k, (i, c) in enumerate(bundle.block_slots()):
-            if p == 2.0:
-                norm[:, i] += c * np.sum(ys[k].real**2 + ys[k].imag**2, axis=(1, 2))
-            elif p == math.inf:
-                norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
-            else:
-                norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming p
+            for k, (i, c) in enumerate(bundle.block_slots()):
+                if p == 2.0:
+                    norm[:, i] += c * np.sum(ys[k].real**2 + ys[k].imag**2, axis=(1, 2))
+                elif p == math.inf:
+                    norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
+                else:
+                    norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
+        if not np.isfinite(norm).all():
+            raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
         out.append(np.sqrt(norm) if p in (2.0, math.inf) else norm ** (1.0 / p))
     return out
 

@@ -16,6 +16,14 @@ The axiom reference is the one-trial-at-a-time loop that
 trial draws its sections with ``random_section`` and ``random_element``,
 applies ``ConditionalExpectation.__call__``, and measures through
 ``herm_eig``, ``center_trace``, ``lp_norm`` and ``scalarize``.
+
+The tower references are the per-element loops that ``validate_subalgebra``
+and ``build_filtration`` ran before their checks became matrix identities on
+the projector bases: one membership residual per basis adjoint and per basis
+product (closure), per lower-level basis element (inclusion), and one pair of
+projections per matrix unit (composition).  They read a projector's ``ortho``
+and ``sqrt_weights`` and project one fiber element at a time with their own
+code.
 """
 
 from fractions import Fraction
@@ -25,6 +33,7 @@ import numpy as np
 from tracebundle import (
     AxiomReport,
     ConditionalExpectation,
+    FiberElement,
     Section,
     center_trace,
     derive_seed,
@@ -35,7 +44,9 @@ from tracebundle import (
     scalarize,
     spectral_norm,
 )
+from tracebundle.bundle import split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS
+from tracebundle.towers import level_generators
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
 
@@ -273,3 +284,62 @@ def axiom_report_reference(E, trials, seed):
             per_fiber[label] = max(per_fiber[label], d)
 
     return AxiomReport(trials=trials, seed=seed, residuals=res, per_fiber_worst=per_fiber)
+
+
+def _coords(proj, f):
+    return np.concatenate([b.ravel() for b in f.blocks]) * proj.sqrt_weights
+
+
+def _from_coords(proj, v):
+    return FiberElement(split_blocks(v / proj.sqrt_weights, proj.shape))
+
+
+def _project_one(proj, f):
+    return _from_coords(proj, proj.ortho @ (proj.ortho.conj().T @ _coords(proj, f)))
+
+
+def _membership_one(proj, f):
+    v = _coords(proj, f)
+    r = v - proj.ortho @ (proj.ortho.conj().T @ v)
+    r = r - proj.ortho @ (proj.ortho.conj().T @ r)
+    return float(np.linalg.norm(r))
+
+
+def _basis_one(proj):
+    return [_from_coords(proj, proj.ortho[:, k]) for k in range(proj.ortho.shape[1])]
+
+
+def closure_residual_reference(proj):
+    """Closure of one fiber's span, one basis adjoint and one basis product at a time."""
+    basis = _basis_one(proj)
+    closure = max(_membership_one(proj, e.adjoint()) for e in basis)
+    for a in basis:
+        for b in basis:
+            closure = max(closure, _membership_one(proj, a * b))
+    return closure
+
+
+def inclusion_residual_reference(tower):
+    """Every basis element of a level against the span of the next level."""
+    inclusion = 0.0
+    for lower, upper in zip(tower, tower[1:]):
+        for p_low, p_up in zip(lower.projectors, upper.projectors):
+            for e in _basis_one(p_low):
+                inclusion = max(inclusion, _membership_one(p_up, e))
+    return inclusion
+
+
+def composition_residual_reference(tower):
+    """``E_m E_n u - E_min(m,n) u`` over every level pair and matrix unit u."""
+    units = level_generators(tower[0].bundle, "full")
+    composition = 0.0
+    for m, level_m in enumerate(tower):
+        for n, level_n in enumerate(tower):
+            low = tower[min(m, n)]
+            for pm, pn, plow, atom_units in zip(
+                level_m.projectors, level_n.projectors, low.projectors, units
+            ):
+                for u in atom_units:
+                    got = _project_one(pm, _project_one(pn, u))
+                    composition = max(composition, (got - _project_one(plow, u)).max_abs())
+    return composition

@@ -226,8 +226,10 @@ def test_record_roundtrip(hetero_bundle):
 def test_record_validation(hetero_bundle):
     with pytest.raises(UsageError):
         section_from_records(hetero_bundle, [("nope", 0, 0, 0, 1.0, 0.0)])
-    with pytest.raises(ShapeMismatchError):
-        section_from_records(hetero_bundle, [("w1", 0, 5, 0, 1.0, 0.0)])
+    # a negative index too: Python would wrap it onto a real entry and overwrite it
+    for k, i, j in ((0, 5, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ShapeMismatchError, match="outside the fiber shape"):
+            section_from_records(hetero_bundle, [("w1", k, i, j, 1.0, 0.0)])
 
 
 def test_record_truncation_rejected(hetero_bundle):

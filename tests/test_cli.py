@@ -11,7 +11,7 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle.errors import UsageError
+from tracebundle.errors import ShapeMismatchError, UsageError
 from tracebundle.fixtures import fixture_config, fixture_text
 from tracebundle.runner import read_section_csv, run_experiment
 
@@ -178,6 +178,11 @@ def test_truncated_golden_section_rejected(config_path, tmp_path):
     doubled.write_text("".join(lines) + lines[1])
     with pytest.raises(UsageError, match=r"duplicate record for entry \(w1, 0, 0, 0\)"):
         read_section_csv(str(doubled), bundle)
+    # a negative block index would wrap onto block 0 and set entry (0, 0) to 5
+    negative = tmp_path / "negative.csv"
+    negative.write_text("".join(lines) + "w1,-1,0,0,5.0,0.0\n")
+    with pytest.raises(ShapeMismatchError, match=r"\(w1, -1, 0, 0\) is outside the fiber shape"):
+        read_section_csv(str(negative), bundle)
 
 
 def test_emit_fixtures_matches_direct_run(tmp_path):
@@ -201,6 +206,7 @@ def test_emit_fixtures_matches_direct_run(tmp_path):
     {"weights": [1.0] * 202},  # the run needs 3 tower steps + 200 held steps
     {"extension": 10**400},
     {"tower": ["scalars", {"explicit": {"w1": [[[[[1, 0]] * 3] * 3]]}}, "full"]},  # 3x3 on Mat2
+    {"exponents": [1, 1.0000001, 2, 2]},  # p=1 and p=2 would each name two checks
 ])
 def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
     doc = json.loads(fixture_text("mat2_tower"))

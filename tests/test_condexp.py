@@ -20,7 +20,7 @@ from tracebundle import (
     random_section,
     validate_subalgebra,
 )
-from tracebundle import tracelp
+from tracebundle import condexp, tracelp
 from tracebundle.towers import fiber_level_generators, level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
@@ -67,6 +67,22 @@ def test_closure_from_single_generator(mat2_bundle):
     shift = FiberElement([np.array([[0.0, 1.0], [0.0, 0.0]])])
     basis = validate_subalgebra(mat2_bundle, [[shift]])
     assert basis.dims == (4,)  # E12 generates all of Mat(2)
+
+
+@pytest.mark.parametrize("level", PRESET_LEVELS)
+def test_closure_stops_once_the_span_is_full(large_blocks_bundle, monkeypatch, level):
+    # a span of full rank is the whole fiber algebra: no candidate is tried against it
+    ranks = []
+    extend = condexp._FiberProjector.try_extend
+
+    def recording(proj, f):
+        ranks.append((proj.rank, sum(n * n for n in proj.shape)))
+        return extend(proj, f)
+
+    monkeypatch.setattr(condexp._FiberProjector, "try_extend", recording)
+    basis = validate_subalgebra(large_blocks_bundle, level_generators(large_blocks_bundle, level))
+    assert basis.is_full() == (level == "full")
+    assert ranks and all(rank < cap for rank, cap in ranks)
 
 
 def test_generator_shape_mismatch(mat2_bundle):

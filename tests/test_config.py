@@ -231,6 +231,8 @@ CORPUS = {
     "exponents-empty": variant(exponents=[]),
     "exponent-below-one": variant(exponents=[0.5, 2]),
     "exponent-non-numbers": variant(exponents=["2", True, INF]),
+    "exponents-repeat-check-name": variant(exponents=[1, 1.0000001, 2, 2]),
+    "exponents-repeat-after-bad": variant(exponents=[3, 0.5, 3.0, 1.5, "3", 3e0]),
     "weights-unknown-name": variant(weights="cubic"),
     "weights-number": variant(weights=3),
     "weights-elements": variant(weights=[1.0, 0, "a", -2.0]),
@@ -342,6 +344,16 @@ CORPUS_PROBLEMS = {
         ("exponents[0]", "must be a number >= 1"),
         ("exponents[1]", "must be a number >= 1"),
         ("exponents[2]", "must be a number >= 1"),
+    ],
+    "exponents-repeat-check-name": [
+        ("exponents[1]", "repeats the check name of exponents[0]"),
+        ("exponents[3]", "repeats the check name of exponents[2]"),
+    ],
+    "exponents-repeat-after-bad": [
+        ("exponents[1]", "must be a number >= 1"),
+        ("exponents[2]", "repeats the check name of exponents[0]"),
+        ("exponents[4]", "must be a number >= 1"),
+        ("exponents[5]", "repeats the check name of exponents[0]"),
     ],
     "weights-unknown-name": [("weights", 'must be "uniform", "linear", or an explicit list')],
     "weights-number": [("weights", 'must be "uniform", "linear", or an explicit list')],

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from tracebundle import (
     BundleSpec,
+    InconsistencyError,
     MartingaleSeq,
     MeasureSpace,
     UnsupportedConfigurationError,
@@ -21,11 +24,18 @@ from tracebundle import (
     sup_norm_comparison,
     weighted_averages,
 )
-from tracebundle import martingale, runner
+from tracebundle import condexp, martingale, runner
+from tracebundle.condexp import SubalgebraBasis
 from tracebundle.fixtures import fixture_config
 from tracebundle.martingale import Filtration
 from tracebundle.runner import run_experiment
 from tracebundle.towers import level_generators
+
+from oracles import (
+    closure_residual_reference,
+    composition_residual_reference,
+    inclusion_residual_reference,
+)
 
 
 def tower(bundle, *specs):
@@ -82,6 +92,67 @@ def test_hetero_tower_is_nested(hetero_tower):
 def test_empty_tower_rejected(mat2_bundle):
     with pytest.raises(UsageError):
         build_filtration(mat2_bundle, [])
+
+
+# ------------------------------------ tower checks against the per-element loops
+
+TOWER_SPECS = {
+    "mat2": ("scalars", "diagonal", "full"),
+    "hetero": ("scalars", "diagonal", "block(1,1)", "full"),
+    "large_blocks": ("scalars", "diagonal", "block(2,1)", "full"),
+}
+
+
+def push_off_span(basis, column=-1, seed=9):
+    """A copy of ``basis`` with one ``ortho`` column per atom moved O(1) off its span."""
+    rng = np.random.default_rng(seed)
+    projectors = []
+    for p in basis.projectors:
+        q = copy.copy(p)
+        q.ortho = p.ortho.copy()
+        d = len(q.ortho)
+        q.ortho[:, column] += 0.1 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        projectors.append(q)
+    return SubalgebraBasis(basis.bundle, basis.generators, projectors, basis.closure_residual)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "broken"])
+@pytest.mark.parametrize("name", list(TOWER_SPECS))
+def test_tower_checks_match_per_element_loops(name, broken, request):
+    levels = tower(request.getfixturevalue(f"{name}_bundle"), *TOWER_SPECS[name]).tower
+    # closure is per level: when broken, every level is measured with its first
+    # (the identity) or its last column pushed off its span
+    bases = [push_off_span(level, c) for level in levels for c in (0, -1)] if broken else levels
+    projectors = [p for basis in bases for p in basis.projectors]
+    if broken:
+        levels[1] = push_off_span(levels[1])
+    inclusion, composition = martingale._tower_residuals(levels)
+    closures = np.array([condexp._closure_residual(p) for p in projectors])
+    assert abs(inclusion - inclusion_residual_reference(levels)) <= 1e-14
+    assert abs(composition - composition_residual_reference(levels)) <= 1e-14
+    assert np.abs(closures - [closure_residual_reference(p) for p in projectors]).max() <= 1e-14
+    if broken:  # residuals of O(1) that the build tolerances reject
+        assert min(inclusion, composition, closures.max()) > 1e-2
+    else:
+        assert inclusion <= 1e-10 and composition <= 1e-9 and closures.max() <= 1e-9
+
+
+@pytest.mark.parametrize("specs, broken_call, message", [
+    (("scalars", "diagonal", "full"), 2, "tower inclusion residual"),
+    (("diagonal",), 1, "tower composition residual"),  # one level: E E = E fails
+])
+def test_build_filtration_rejects_broken_tower(hetero_bundle, monkeypatch, specs, broken_call,
+                                               message):
+    calls = []
+
+    def validate(bundle, generators):
+        calls.append(None)
+        basis = condexp.validate_subalgebra(bundle, generators)
+        return push_off_span(basis) if len(calls) == broken_call else basis
+
+    monkeypatch.setattr(martingale, "validate_subalgebra", validate)
+    with pytest.raises(InconsistencyError, match=message):
+        tower(hetero_bundle, *specs)
 
 
 # ----------------------------------------------------- canonical martingales

@@ -6,6 +6,7 @@ import pytest
 from tracebundle import (
     BundleSpec,
     CenterElement,
+    ContractViolationError,
     FiberElement,
     MeasureSpace,
     Section,
@@ -191,6 +192,14 @@ def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, 
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
+@pytest.mark.parametrize("p, scale", [(2.0, 1e200), (10.0, 1e32)])
+def test_stacked_lp_norms_overflow_raises(hetero_bundle, p, scale):
+    # finite entries whose squares (p = 2) or Gram eigenvalues ** 5 (p = 10) overflow
+    huge = [np.full((2, n, n), scale, dtype=np.complex128) for n in (2, 3, 2, 2, 1)]
+    with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
+        stacked_lp_norms(huge, hetero_bundle, [p])
+
+
 def test_lp_norm_zero_iff_zero(hetero_bundle):
     assert lp_norm(zero_section(hetero_bundle), 2).max_abs() == 0.0
     x = random_section(hetero_bundle, 8, "general")
@@ -311,6 +320,14 @@ def test_duality_check_matches_per_sample_reference(hetero_bundle, p):
     want = duality_worst_reference(x, p, samples, 24)
     assert np.abs(got - want).max() <= 1e-14
     assert rep.max_violation == got.max()
+
+
+def test_duality_check_near_one_fails_loudly(hetero_bundle):
+    # q = p / (p - 1) ~ 1e7 overflows w**(q/2); an infinite dual norm would scale
+    # every sample to zero and pass the violation check vacuously
+    x = random_section(hetero_bundle, 27, "general")
+    with pytest.raises(ContractViolationError, match=r"L1e\+07 norm is not finite"):
+        duality_check(x, 1.0000001, 50, 28)
 
 
 def test_duality_chunking_is_invisible(hetero_bundle, monkeypatch):
