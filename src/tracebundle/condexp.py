@@ -150,11 +150,10 @@ class SubalgebraBasis:
 def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
     """Close per-atom generator lists into a validated unital *-subalgebra.
 
-    The identity is adjoined first; the span then grows by adjoints and
-    pairwise products until the dimension stabilizes or fills the fiber algebra.
-    A span that exceeds the fiber algebra dimension means the numerics broke
-    down and is reported as an inconsistency.  Closure is re-verified on the
-    orthonormal basis by ``_closure_residual``.
+    Round 1 tries the identity (always accepted), the generators and their
+    adjoints; each later round, the new elements' adjoints and their products
+    with all accepted ones.  The loop stops once ``_closure_residual`` is within
+    CLOSURE_RESIDUAL_TOL, and fails closure when a round grows nothing.
     """
     generators = [tuple(gens) for gens in generators]
     if len(generators) != bundle.space.size:
@@ -173,11 +172,12 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
         cap = sum(n * n for n in shape)
         accepted: list[FiberElement] = []
         frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
-        while frontier:
-            fresh = [f for f in frontier if proj.rank < cap and proj.try_extend(f)]
+        while fresh := [f for f in frontier if proj.rank < cap and proj.try_extend(f)]:
             accepted += fresh
-            # a span that fills the fiber algebra is closed: no candidate can extend it
-            frontier = [] if proj.rank == cap else [f.adjoint() for f in fresh] + [
+            closure = _closure_residual(proj)
+            if closure <= CLOSURE_RESIDUAL_TOL:
+                break
+            frontier = [f.adjoint() for f in fresh] + [
                 h for f in fresh for g in accepted for h in (f * g, g * f)]
         if proj.rank > cap:
             raise InconsistencyError(
@@ -194,7 +194,6 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
             raise InconsistencyError(
                 f"identity escaped the span at {label!r} (residual {one_res:.2e})"
             )
-        closure = _closure_residual(proj)
         if closure > CLOSURE_RESIDUAL_TOL:
             raise InconsistencyError(
                 f"span at {label!r} is not closed under * and products "

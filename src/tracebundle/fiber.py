@@ -149,10 +149,11 @@ def _jacobi_eigenvalues_stack(h):
     lane = np.arange(lanes)
     for _ in range(JACOBI_MAX_SWEEPS):
         offdiag = a[:, rows, cols]
-        squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
-        off = 0.0
-        for sq in squares:
-            off = off + sq
+        with np.errstate(over="ignore"):  # huge entries square to inf, as in the list kernel
+            squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
+            off = 0.0
+            for sq in squares:
+                off = off + sq
         done = np.sqrt(off) <= tol
         if done.any():
             out[lane[done]] = a[0, diag, diag][:, done].T

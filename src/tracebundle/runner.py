@@ -224,15 +224,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     """Run the configured experiment parts and write summary/trace artifacts.
 
     Returns ``(summary_dict, all_pass)``.  The summary enumerates every check
-    the config defines for the requested parts.
+    the config defines for the requested parts.  Every part is computed before
+    ``out_dir`` is created, so a run that raises leaves no partial artifacts.
     """
     unknown = [p for p in parts if p not in ALL_PARTS]
     if unknown:
         raise UsageError(f"unknown experiment parts: {unknown}")
-    os.makedirs(out_dir, exist_ok=True)
     bundle = cfg.build_bundle()
 
     checks: list[CheckResult] = []
+    artifacts = []  # (writer, file name, payload), in writing order
     filtration = None
     if "condexp" in parts or "martingale" in parts:
         filtration = build_tower(cfg, bundle)
@@ -242,25 +243,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     if "condexp" in parts:
         cx_checks, cx_reports = run_condexp_checks(cfg, filtration)
         checks.extend(cx_checks)
-        write_json(os.path.join(out_dir, "axioms.json"), {
+        artifacts.append((write_json, "axioms.json", {
             "experiment_id": cfg.experiment_id,
             "seed": cfg.seed,
             "levels": cx_reports,
-        })
+        }))
     if "duality" in parts:
         du_checks, du_reports = run_duality_checks(cfg, bundle)
         checks.extend(du_checks)
-        write_json(os.path.join(out_dir, "duality.json"), {
+        artifacts.append((write_json, "duality.json", {
             "experiment_id": cfg.experiment_id,
             "seed": cfg.seed,
             "reports": du_reports,
-        })
+        }))
     if "martingale" in parts:
         ma_checks, rows, limit_section = run_martingale_checks(cfg, filtration)
         checks.extend(ma_checks)
-        write_trace_csv(os.path.join(out_dir, "traces.csv"), rows)
+        artifacts.append((write_trace_csv, "traces.csv", rows))
         if limit_section is not None:
-            write_section_csv(os.path.join(out_dir, "limit_section.csv"), limit_section)
+            artifacts.append((write_section_csv, "limit_section.csv", limit_section))
 
     summary = {
         "experiment_id": cfg.experiment_id,
@@ -268,5 +269,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         "config_hash": config_hash(cfg),
         "checks": [c.to_dict() for c in checks],
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    artifacts.append((write_json, "summary.json", summary))
+    os.makedirs(out_dir, exist_ok=True)
+    for write, name, payload in artifacts:
+        write(os.path.join(out_dir, name), payload)
     return summary, all(c.passed for c in checks)

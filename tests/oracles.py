@@ -24,6 +24,11 @@ product (closure), per lower-level basis element (inclusion), and one pair of
 projections per matrix unit (composition).  They read a projector's ``ortho``
 and ``sqrt_weights`` and project one fiber element at a time with their own
 code.
+
+The closure-loop reference is the loop that ``validate_subalgebra`` ran before
+the stacked closure residual became its stopping test: product rounds until a
+round accepts nothing or the span fills the fiber algebra, then one closure
+residual after the loop.
 """
 
 from fractions import Fraction
@@ -38,6 +43,7 @@ from tracebundle import (
     center_trace,
     derive_seed,
     herm_eig,
+    identity_fiber,
     identity_section,
     lp_norm,
     random_section,
@@ -45,7 +51,7 @@ from tracebundle import (
     spectral_norm,
 )
 from tracebundle.bundle import split_blocks
-from tracebundle.condexp import CONTRACTION_EXPONENTS
+from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
 from tracebundle.towers import level_generators
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
@@ -343,3 +349,21 @@ def composition_residual_reference(tower):
                     got = _project_one(pm, _project_one(pn, u))
                     composition = max(composition, (got - _project_one(plow, u)).max_abs())
     return composition
+
+
+def closure_loop_reference(bundle, generators):
+    """Every atom's ``ortho`` and the worst closure residual, by the old closure loop."""
+    orthos, worst = [], 0.0
+    for shape, weights, gens in zip(bundle.fiber_shapes, bundle.trace_weights, generators):
+        proj = _FiberProjector(shape, weights)
+        cap = sum(n * n for n in shape)
+        accepted = []
+        frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
+        while frontier:
+            fresh = [f for f in frontier if proj.rank < cap and proj.try_extend(f)]
+            accepted += fresh
+            frontier = [] if proj.rank == cap else [f.adjoint() for f in fresh] + [
+                h for f in fresh for g in accepted for h in (f * g, g * f)]
+        orthos.append(proj.ortho)
+        worst = max(worst, _closure_residual(proj))
+    return orthos, worst

@@ -1,0 +1,44 @@
+"""The benchmark workloads run green and name exactly their pinned checks.
+
+``bench/run.py`` rejects a call whose summary names other checks than its
+``WORKLOADS`` entry pins; this runs the same configs through the CLI so a
+dropped or renamed check fails here first.  The bench files are only read.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from tracebundle.cli import EXIT_OK, main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize(
+    "config", sorted((BENCH / "workloads").glob("*.json")), ids=lambda p: p.stem
+)
+def test_workload_passes_with_its_pinned_checks(config, tmp_path, capsys):
+    command, pinned = WORKLOADS[config.stem]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [c["name"] for c in summary["checks"]] == pinned

@@ -220,6 +220,19 @@ def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys):
+    # p - 1 = 1e-7 passes parse_config; the dual L(1e7) norms of the duality
+    # check then overflow, after the condexp part has computed its report
+    doc = json.loads(fixture_text("mat2_tower"))
+    doc["exponents"] = [1.0000001, 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "model construction failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outputs_field_is_rejected(tmp_path, capsys):
     doc = json.loads(fixture_text("mat2_tower"))
     doc["outputs"] = {"summary": "axioms.json"}

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tracebundle import (
+    BundleSpec,
     ConditionalExpectation,
     FiberElement,
     InconsistencyError,
+    MeasureSpace,
     Section,
     ShapeMismatchError,
     UsageError,
@@ -24,9 +26,20 @@ from tracebundle import condexp, tracelp
 from tracebundle.towers import fiber_level_generators, level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
-from oracles import ExactFiberProjection, axiom_report_reference, matrix_unit_blocks, pinching_basis
+from oracles import (
+    ExactFiberProjection,
+    axiom_report_reference,
+    closure_loop_reference,
+    matrix_unit_blocks,
+    pinching_basis,
+)
 
 PRESET_LEVELS = ("scalars", "diagonal", "block(2,1)", "full")
+PRESET_TOWERS = {
+    "mat2": ("scalars", "diagonal", "full"),
+    "hetero": ("scalars", "diagonal", "block(1,1)", "full"),
+    "large_blocks": ("scalars", "diagonal", "block(2,1)", "full"),
+}
 
 
 def full_units(shape):
@@ -83,6 +96,78 @@ def test_closure_stops_once_the_span_is_full(large_blocks_bundle, monkeypatch, l
     basis = validate_subalgebra(large_blocks_bundle, level_generators(large_blocks_bundle, level))
     assert basis.is_full() == (level == "full")
     assert ranks and all(rank < cap for rank, cap in ranks)
+
+
+def accumulated_levels(bundle, specs):
+    """Per-level generator lists with every lower level folded in, as build_filtration does."""
+    accumulated = [()] * bundle.space.size
+    for spec in specs:
+        new = level_generators(bundle, spec)
+        accumulated = [acc + tuple(gens) for acc, gens in zip(accumulated, new)]
+        yield accumulated
+
+
+def mat3_bundle():
+    return BundleSpec(MeasureSpace(["m"], [1.0]), [[3]], [[1.0 / 3.0]])
+
+
+def explicit_generating_sets(mat2_bundle):
+    """Explicit generating sets; all but the flip (already closed) need a second round."""
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    diag_ab = np.zeros((3, 3), dtype=np.complex128)
+    diag_ab[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    diag_ab[2, 2] = 0.7 - 0.2j
+    return {
+        "shift": (mat2_bundle, [[FiberElement([np.array([[0.0, 1.0], [0.0, 0.0]])])]]),
+        "hermitian": (mat3_bundle(), [[FiberElement([g + g.conj().T])]]),
+        "flip": (mat2_bundle, [[FiberElement([np.array([[0.0, 1.0], [1.0, 0.0]])])]]),
+        "diag_ab": (mat3_bundle(), [[FiberElement([diag_ab])]]),
+    }
+
+
+def assert_matches_closure_loop_reference(bundle, generators):
+    basis = validate_subalgebra(bundle, generators)
+    orthos, closure = closure_loop_reference(bundle, generators)
+    assert all(np.array_equal(p.ortho, o) for p, o in zip(basis.projectors, orthos))
+    assert basis.closure_residual == closure
+    return basis
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_TOWERS))
+def test_preset_towers_match_closure_loop_reference(name, request):
+    bundle = request.getfixturevalue(f"{name}_bundle")
+    for generators in accumulated_levels(bundle, PRESET_TOWERS[name]):
+        assert_matches_closure_loop_reference(bundle, generators)
+
+
+@pytest.mark.parametrize("name", ["shift", "hermitian", "flip", "diag_ab"])
+def test_explicit_sets_match_closure_loop_reference(name, mat2_bundle):
+    bundle, generators = explicit_generating_sets(mat2_bundle)[name]
+    basis = assert_matches_closure_loop_reference(bundle, generators)
+    assert basis.dims == {"shift": (4,), "hermitian": (3,), "flip": (2,), "diag_ab": (5,)}[name]
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESET_TOWERS), "flip"])
+def test_closed_generating_sets_form_no_product(name, request, mat2_bundle, monkeypatch):
+    # a preset level, or span{1, X} with X* X = 1, is a *-algebra already: the
+    # closure test after the first round stops the loop
+    if name == "flip":
+        cases = [explicit_generating_sets(mat2_bundle)["flip"]]
+    else:
+        bundle = request.getfixturevalue(f"{name}_bundle")
+        cases = [(bundle, gens) for gens in accumulated_levels(bundle, PRESET_TOWERS[name])]
+    products = []
+    mul = FiberElement.__mul__
+
+    def counting(f, other):
+        products.append(None)
+        return mul(f, other)
+
+    monkeypatch.setattr(FiberElement, "__mul__", counting)
+    for bundle, generators in cases:
+        validate_subalgebra(bundle, generators)
+    assert products == []
 
 
 def test_generator_shape_mismatch(mat2_bundle):

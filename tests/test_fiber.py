@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,17 @@ def test_gram_eigenvalues_stack_matches_singular_values():
         assert w.min() >= 0.0
         oracle = np.linalg.svd(y, compute_uv=False) ** 2
         assert np.abs(np.sort(w, axis=1)[:, ::-1] - oracle).max() <= 1e-13 * oracle.max()
+
+
+def test_gram_eigenvalues_stack_of_huge_entries_matches_list_kernel():
+    # the Gram entries are 2e240: their squares overflow to inf in both kernels
+    y = np.full((1, 2, 2), 1e120, dtype=np.complex128)
+    want = gram_eigenvalues(FiberElement([y[0]]))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gram_eigenvalues_stack(y)[0]
+    assert np.array_equal(got, want)
+    assert np.abs(np.sort(want) - [0.0, 4e240]).max() <= 1e-14 * 4e240
 
 
 # ----------------------------------------------------------- norm primitives
