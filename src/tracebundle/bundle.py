@@ -189,15 +189,14 @@ def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
-def gaussian_stacks(bundle: BundleSpec, seeds, kind: str = "general") -> list[np.ndarray]:
-    """Standard complex Gaussian draws, one ``(S, n, n)`` stack per block in ``block_slots`` order.
+def gaussian_stacks(bundle: BundleSpec, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` standard complex Gaussian sections, one ``(S, n, n)`` stack per block.
 
-    Lane s, from its own generator, is the draw behind ``random_section(bundle, seeds[s], kind)``.
+    Lane s is the next ``2 * total`` values of ``rng``, real then imaginary parts; chunks concatenate.
     """
     dims = [n for shape in bundle.fiber_shapes for n in shape]
     total = sum(n * n for n in dims)
-    rngs = [np.random.default_rng([_KIND_CODE[kind], int(s) & 0xFFFFFFFFFFFFFFFF]) for s in seeds]
-    draw = np.array([rng.standard_normal(2 * total) for rng in rngs])
+    draw = rng.standard_normal((count, 2 * total))
     return split_blocks((draw[:, :total] + 1j * draw[:, total:]) / np.sqrt(2.0), dims)
 
 
@@ -212,7 +211,8 @@ def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Sect
     """
     if kind not in _KIND_CODE:
         raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
-    blocks = iter(b[0] for b in gaussian_stacks(bundle, [seed], kind))
+    rng = np.random.default_rng([_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF])
+    blocks = iter(b[0] for b in gaussian_stacks(bundle, rng, 1))
     fibers = []
     for shape in bundle.fiber_shapes:
         g = FiberElement._raw([next(blocks) for _ in shape])

@@ -1,7 +1,8 @@
 """Command-line interface: config-driven checks with machine-readable artifacts.
 
-Exit codes: 0 all checks pass, 2 at least one check failed, 3 config or model
-construction error, 4 I/O error, 5 usage error (bad flags or subcommand).
+Exit codes: 0 all checks pass, 2 at least one check failed, 3 config error, model
+construction error or numerical failure in a check, 4 I/O error, 5 usage error
+(bad flags or subcommand).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, TraceBundleError, UsageError
+from .errors import ConfigError, NumericalFailureError, TraceBundleError, UsageError
 from .fixtures import FIXTURES, fixture_config, fixture_text
 from .runner import run_experiment
 
@@ -70,7 +71,7 @@ def _run_from_config(path: str, out_dir: str, seed_override, parts) -> int:
     except UsageError as exc:
         print(f"tracebundle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
+    except (ConfigError, NumericalFailureError) as exc:
         print(f"tracebundle: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except TraceBundleError as exc:

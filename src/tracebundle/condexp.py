@@ -127,15 +127,17 @@ class SubalgebraBasis:
 
     def random_element(self, seed: int) -> Section:
         """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
-        blocks = iter(b[0] for b in self.random_stacks([seed]))
+        rng = np.random.default_rng([7, int(seed) & 0xFFFFFFFFFFFFFFFF])
+        blocks = iter(b[0] for b in self.random_stacks(rng, 1))
         fibers = [FiberElement._raw([next(blocks) for _ in p.shape]) for p in self.projectors]
         return Section._raw(self.bundle, fibers)
 
-    def random_stacks(self, seeds) -> list[np.ndarray]:
-        """``random_element`` of every seed as one ``(S, n, n)`` stack per block."""
-        rngs = [np.random.default_rng([7, int(s) & 0xFFFFFFFFFFFFFFFF]) for s in seeds]
-        return [block for p in self.projectors for block in p.stack_from_basis(np.array(
-            [[r.standard_normal(p.rank) + 1j * r.standard_normal(p.rank)] for r in rngs]))]
+    def random_stacks(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+        """``count`` elements as ``(S, n, n)`` stacks; lane s is the next ``2 * sum(dims)`` draws."""
+        widths = [w for p in self.projectors for w in (p.rank, p.rank)]  # real, then imaginary
+        parts = np.split(rng.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+        return [block for p, re, im in zip(self.projectors, parts[::2], parts[1::2])
+                for block in p.stack_from_basis((re + 1j * im)[:, None])]
 
     def restrict(self, labels) -> "SubalgebraBasis":
         """Rebuild the validated basis on a sub-bundle from the same generators."""
@@ -279,11 +281,10 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     contraction bound for p in {1, 2, 3, 4}, scalarized-trace preservation for
     random positive center weights, and agreement between the global map and
     independently rebuilt single-atom maps.  Never raises on a residual; the
-    caller compares against tolerances.  Trial ``t`` draws each of its sections
-    under ``derive_seed(seed, tag, t)`` (tags "axiom-x", "axiom-pos", "axiom-a",
-    "axiom-b", "axiom-y", "axiom-nu").  The trials are stacked per block in
-    chunks of DUALITY_CHUNK; no step mixes trials, so the chunking does not
-    show in the report.
+    caller compares against tolerances.  Each tag (x, pos, a, b, y, nu) draws
+    from one generator seeded from ``derive_seed(seed, f"axiom-{tag}")``, trial
+    ``t`` its lane ``t``.  The trials are stacked per block in chunks of
+    DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
@@ -309,12 +310,11 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     def gap(us, vs):
         return [np.abs(u - v).max(axis=(1, 2)) for u, v in zip(us, vs)]
 
-    for ids in chunks(trials):
-        seeds = {tag: [derive_seed(seed, f"axiom-{tag}", t) for t in ids]
-                 for tag in ("x", "pos", "a", "b", "y", "nu")}
-        x = gaussian_stacks(bundle, seeds["x"])
-        g = gaussian_stacks(bundle, seeds["pos"], "positive")
-        a, b, y = (E.target.random_stacks(seeds[tag]) for tag in "aby")
+    rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
+            for tag in ("x", "pos", "a", "b", "y", "nu")}
+    for size in chunks(trials):
+        x, g = (gaussian_stacks(bundle, rngs[tag], size) for tag in ("x", "pos"))
+        a, b, y = (E.target.random_stacks(rngs[tag], size) for tag in "aby")
         ex = _project(projectors, x)
         bump("idempotence", gap(_project(projectors, ex), ex))
         epos = _project(projectors, [v.conj().transpose(0, 2, 1) @ v for v in g])
@@ -327,12 +327,11 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
         bump("trace_preservation", np.abs(tr_ex - tr_x).T, atom_ids)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
         bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, atom_ids)
-        both = [np.concatenate(pair) for pair in zip(ex, x)]  # E(x) in rows < len(ids)
+        both = [np.concatenate(pair) for pair in zip(ex, x)]  # E(x) in rows < size
         for p, n in zip(CONTRACTION_EXPONENTS, stacked_lp_norms(both, bundle, CONTRACTION_EXPONENTS)):
-            gain = np.maximum(n[: len(ids)] - n[len(ids) :], 0.0)
+            gain = np.maximum(n[:size] - n[size:], 0.0)
             bump(f"lp_contraction_p{int(p)}", gain.T, atom_ids)
-        nu = np.array([np.random.default_rng([11, s]).uniform(0.1, 2.0, size=len(labels))
-                       for s in seeds["nu"]])
+        nu = rngs["nu"].uniform(0.1, 2.0, size=(size, len(labels)))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
         res["scalarized_trace"] = max(res["scalarized_trace"], float(d.max()))
         bump("fiberwise_agreement", gap(_project(atom_projectors, x), ex))

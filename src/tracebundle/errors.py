@@ -14,6 +14,10 @@ class ContractViolationError(TraceBundleError):
     to a Hermitian-only kernel, degenerate trace weights)."""
 
 
+class NumericalFailureError(ContractViolationError):
+    """A numerical limit was hit while a check ran (e.g. an Lp norm overflowed)."""
+
+
 class UsageError(TraceBundleError, ValueError):
     """Caller error: bad argument values, unknown atom labels, empty input."""
 

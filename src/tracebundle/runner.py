@@ -17,7 +17,7 @@ import numpy as np
 from .bundle import random_section, section_from_records, section_to_records
 from .condexp import check_cond_exp_axioms
 from .config import ExperimentConfig, config_hash
-from .errors import UsageError
+from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import spectral_norm
 from .martingale import (
     Filtration,
@@ -182,6 +182,14 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     return checks, rows, limit_section
 
 
+def _run_part(part: str, run, *args):
+    """``run(*args)``, with a numerical limit hit by these checks reported as theirs."""
+    try:
+        return run(*args)
+    except ContractViolationError as exc:
+        raise NumericalFailureError(f"numerical failure in the {part} checks: {exc}") from exc
+
+
 def write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -239,9 +247,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         filtration = build_tower(cfg, bundle)
 
     if "trace" in parts:
-        checks.extend(run_trace_checks(cfg, bundle))
+        checks.extend(_run_part("trace", run_trace_checks, cfg, bundle))
     if "condexp" in parts:
-        cx_checks, cx_reports = run_condexp_checks(cfg, filtration)
+        cx_checks, cx_reports = _run_part("condexp", run_condexp_checks, cfg, filtration)
         checks.extend(cx_checks)
         artifacts.append((write_json, "axioms.json", {
             "experiment_id": cfg.experiment_id,
@@ -249,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
             "levels": cx_reports,
         }))
     if "duality" in parts:
-        du_checks, du_reports = run_duality_checks(cfg, bundle)
+        du_checks, du_reports = _run_part("duality", run_duality_checks, cfg, bundle)
         checks.extend(du_checks)
         artifacts.append((write_json, "duality.json", {
             "experiment_id": cfg.experiment_id,
@@ -257,7 +265,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
             "reports": du_reports,
         }))
     if "martingale" in parts:
-        ma_checks, rows, limit_section = run_martingale_checks(cfg, filtration)
+        ma_checks, rows, limit_section = _run_part(
+            "martingale", run_martingale_checks, cfg, filtration)
         checks.extend(ma_checks)
         artifacts.append((write_trace_csv, "traces.csv", rows))
         if limit_section is not None:

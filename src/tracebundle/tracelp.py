@@ -79,9 +79,9 @@ def _exponent(p) -> float:
     return float(p)
 
 
-def chunks(count: int) -> list[range]:
-    """Consecutive index ranges of at most DUALITY_CHUNK covering ``range(count)``."""
-    return [range(s, min(s + DUALITY_CHUNK, count)) for s in range(0, count, DUALITY_CHUNK)]
+def chunks(count: int) -> list[int]:
+    """Sizes of consecutive chunks of at most DUALITY_CHUNK that add up to ``count``."""
+    return [min(DUALITY_CHUNK, count - s) for s in range(0, count, DUALITY_CHUNK)]
 
 
 def solve_by_block_size(stacks, solve) -> list:
@@ -200,12 +200,12 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     Every sampled ``y`` is rescaled per fiber onto the dual-ball boundary; the
     violation is ``|trace(x y)| - norm_p(x)`` pointwise (positive means the
     duality bound failed).  The extremal witness must attain the norm, which
-    the attainment residual measures.  Sample ``i`` is the Gaussian draw of
-    ``random_section`` under ``derive_seed(seed, "duality-sample", i)``.  The
-    samples go through in chunks of DUALITY_CHUNK, stacked per block: the dual
-    norm is ``stacked_lp_norms`` at q = p / (p - 1) (q = inf when p = 1) and
-    ``trace(x y)`` one contraction per block.  Every step treats each sample
-    on its own, so the chunking does not show in the report.
+    the attainment residual measures.  Sample ``i`` is lane ``i`` of
+    ``gaussian_stacks`` on one generator seeded from ``derive_seed(seed,
+    "duality-samples")``.  The samples go through in chunks of DUALITY_CHUNK,
+    stacked per block: the dual norm is ``stacked_lp_norms`` at q = p / (p - 1)
+    (q = inf when p = 1) and ``trace(x y)`` one contraction per block.  Every
+    step treats each sample on its own, so the chunking does not show.
     """
     if samples < 1:
         raise UsageError("need at least one sample")
@@ -216,11 +216,12 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     norms = lp_norm(x, p).values
     x_blocks = [b for f in x.fibers for b in f.blocks]
     worst = np.full(atoms, -np.inf)
-    for ids in chunks(samples):
-        ys = gaussian_stacks(bundle, [derive_seed(seed, "duality-sample", i) for i in ids])
+    rng = np.random.default_rng(derive_seed(seed, "duality-samples"))
+    for size in chunks(samples):
+        ys = gaussian_stacks(bundle, rng, size)
         (dual,) = stacked_lp_norms(ys, bundle, [q])
         scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
-        pairing = np.zeros((len(ids), atoms), dtype=np.complex128)
+        pairing = np.zeros((size, atoms), dtype=np.complex128)
         for (i, c), b, y in zip(bundle.block_slots(), x_blocks, ys):
             pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
         worst = np.maximum(worst, (np.abs(pairing) * scale - norms).max(axis=0))

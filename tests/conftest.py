@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tracebundle import BundleSpec, MeasureSpace
@@ -25,3 +26,27 @@ def large_blocks_bundle():
     """Three atoms with fibers Mat(4), Mat(3)+Mat(2), Mat(5), as in bench axioms-large-blocks."""
     space = MeasureSpace(["a4", "a32", "a5"], [1.0, 0.5, 2.0])
     return BundleSpec(space, [[4], [3, 2], [5]], [[1.0], [0.5, 2.0], [0.25]])
+
+
+@pytest.fixture
+def rng_log(monkeypatch):
+    """Every generator made through ``np.random.default_rng``, each with the count of values drawn."""
+    made, real = [], np.random.default_rng
+
+    class Logged:
+        def __init__(self, seed):
+            self.rng, self.drawn = real(seed), 0
+            made.append(self)
+
+        def standard_normal(self, size):
+            out = self.rng.standard_normal(size)
+            self.drawn += out.size
+            return out
+
+        def uniform(self, low, high, size):
+            out = self.rng.uniform(low, high, size)
+            self.drawn += out.size
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Logged)
+    return made

@@ -7,15 +7,22 @@ with the float implementation: no Gram-Schmidt, no orthonormalization, no
 eigensolver.
 
 The duality reference is the one-sample-at-a-time loop that
-``tracelp.duality_check`` ran before its samples were stacked: one
-``random_section`` per sample, rescaled fiber by fiber through
-``spectral_norm`` or ``lp_norm``, and paired through ``center_trace``.
+``tracelp.duality_check`` ran before its samples were stacked: one section
+per sample, rescaled fiber by fiber through ``spectral_norm`` or ``lp_norm``,
+and paired through ``center_trace``.
 
 The axiom reference is the one-trial-at-a-time loop that
 ``condexp.check_cond_exp_axioms`` ran before its trials were stacked: each
-trial draws its sections with ``random_section`` and ``random_element``,
-applies ``ConditionalExpectation.__call__``, and measures through
-``herm_eig``, ``center_trace``, ``lp_norm`` and ``scalarize``.
+trial draws its sections and subalgebra elements, applies
+``ConditionalExpectation.__call__``, and measures through ``herm_eig``,
+``center_trace``, ``lp_norm`` and ``scalarize``.
+
+Both draw as the checkers do, from one generator per check (duality) or per
+tag (axioms), but one lane at a time: a sample or trial section is one
+``standard_normal(2 * total)`` call, a subalgebra element one pair of
+``standard_normal(rank)`` calls per projector, and the center weights one
+``uniform`` call.  Equal reports therefore also show that the checkers' bulk,
+chunked draws give every lane the values of this per-lane stream.
 
 The tower references are the per-element loops that ``validate_subalgebra``
 and ``build_filtration`` ran before their checks became matrix identities on
@@ -46,7 +53,6 @@ from tracebundle import (
     identity_fiber,
     identity_section,
     lp_norm,
-    random_section,
     scalarize,
     spectral_norm,
 )
@@ -200,13 +206,32 @@ def _rescale_to_dual_ball(y, p):
     return Section(y.bundle, fibers)
 
 
+def gaussian_section(bundle, rng):
+    """The next standard complex Gaussian section of ``rng``, from one ``2 * total`` draw."""
+    dims = [n for shape in bundle.fiber_shapes for n in shape]
+    total = sum(n * n for n in dims)
+    v = rng.standard_normal(2 * total)
+    blocks = iter(split_blocks((v[:total] + 1j * v[total:]) / np.sqrt(2.0), dims))
+    return Section(bundle, [FiberElement([next(blocks) for _ in s]) for s in bundle.fiber_shapes])
+
+
+def subalgebra_element(basis, rng):
+    """The next random element of ``basis``: per projector, ``rank`` real then ``rank`` imaginary."""
+    fibers = []
+    for proj in basis.projectors:
+        coeff = rng.standard_normal(proj.rank) + 1j * rng.standard_normal(proj.rank)
+        fibers.append(_from_coords(proj, proj.ortho @ coeff))
+    return Section(basis.bundle, fibers)
+
+
 def duality_worst_reference(x, p, samples, seed):
     """Per-atom worst sampled violation ``|trace(x y)| - norm_p(x)``, one sample at a time."""
     p = float(p)
     norms = lp_norm(x, p).values
     worst = np.full(x.bundle.space.size, -np.inf)
-    for i in range(samples):
-        y = random_section(x.bundle, derive_seed(seed, "duality-sample", i), "general")
+    rng = np.random.default_rng(derive_seed(seed, "duality-samples"))
+    for _ in range(samples):
+        y = gaussian_section(x.bundle, rng)
         y = _rescale_to_dual_ball(y, p)
         pairing = np.abs(center_trace(x * y).values)
         worst = np.maximum(worst, pairing - norms)
@@ -243,14 +268,17 @@ def axiom_report_reference(E, trials, seed):
         for label in labels
     ]
 
-    for t in range(trials):
-        x = random_section(bundle, derive_seed(seed, "axiom-x", t), "general")
+    rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
+            for tag in ("x", "pos", "a", "b", "y", "nu")}
+    for _ in range(trials):
+        x = gaussian_section(bundle, rngs["x"])
         ex = E(x)
 
         d = _per_atom_max_abs(E(ex) - ex)
         bump("idempotence", d.max(), d)
 
-        pos = random_section(bundle, derive_seed(seed, "axiom-pos", t), "positive")
+        g = gaussian_section(bundle, rngs["pos"])
+        pos = g.adjoint() * g
         epos = E(pos)
         epos_h = 0.5 * (epos + epos.adjoint())
         dips = []
@@ -259,15 +287,15 @@ def axiom_report_reference(E, trials, seed):
             dips.append(max(0.0, -min(float(w[-1]) for w in eig.eigenvalues)))
         bump("positivity", max(dips), dips)
 
-        a = E.target.random_element(derive_seed(seed, "axiom-a", t))
-        b = E.target.random_element(derive_seed(seed, "axiom-b", t))
+        a = subalgebra_element(E.target, rngs["a"])
+        b = subalgebra_element(E.target, rngs["b"])
         d = _per_atom_max_abs(E(a * x * b) - a * ex * b)
         bump("module_property", d.max(), d)
 
         d = np.abs(center_trace(ex).values - center_trace(x).values)
         bump("trace_preservation", d.max(), d)
 
-        y = E.target.random_element(derive_seed(seed, "axiom-y", t))
+        y = subalgebra_element(E.target, rngs["y"])
         d = np.abs(center_trace(ex * y).values - center_trace(x * y).values)
         bump("bimodule_pairing", d.max(), d)
 
@@ -276,8 +304,7 @@ def axiom_report_reference(E, trials, seed):
             gap = np.maximum(gap, 0.0)
             bump(f"lp_contraction_p{int(p)}", gap.max(), gap)
 
-        nu_rng = np.random.default_rng([11, derive_seed(seed, "axiom-nu", t)])
-        nu = nu_rng.uniform(0.1, 2.0, size=bundle.space.size)
+        nu = rngs["nu"].uniform(0.1, 2.0, size=bundle.space.size)
         bump("scalarized_trace", abs(scalarize(nu, ex) - scalarize(nu, x)))
 
         for label, E_atom in sub_restrictions:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,11 @@ from tracebundle import (
     section_from_records,
     section_to_records,
     uniform_norm,
+    validate_subalgebra,
     zero_section,
 )
+from tracebundle.bundle import gaussian_stacks
+from tracebundle.towers import level_generators
 
 
 def test_bundle_validation():
@@ -162,6 +167,45 @@ def test_random_section_determinism(hetero_bundle):
             assert np.array_equal(p, q)
     c = random_section(hetero_bundle, 100, "general")
     assert (a - c).max_abs() > 1e-3
+
+
+def section_digest(x):
+    h = hashlib.sha256()
+    for f in x.fibers:
+        for b in f.blocks:
+            h.update(np.ascontiguousarray(b, dtype=np.complex128).tobytes())
+    return h.hexdigest()
+
+
+def test_seeded_draws_keep_their_bits(hetero_bundle):
+    # digests recorded before the checkers moved to one generator per check:
+    # random_section and random_element keep one generator per seed
+    want = {
+        "general": "179de952a40b58c7ea66508d5abf17cbd8e6a2b7a1d2bc29c2bc703b4f1d1f57",
+        "hermitian": "9e3ae42d8205e07824535131e05c5086324447ea994ab8e0ed199a8ab89288fe",
+        "positive": "a6ee524dcc32db42daff05075e9c0914f17d9a57506b85104c078f7cfc8b0e7f",
+        "unitary": "64e72f248990a54b829ac968da06e5045a57c5d721c7c339befdfa5897430f23",
+        "projection": "d86c38c535200f5db5e69447fb4c6b5ee0a0f054510b24970cee138a1ce8efd1",
+    }
+    for kind, digest in want.items():
+        assert section_digest(random_section(hetero_bundle, 2718, kind)) == digest, kind
+    basis = validate_subalgebra(hetero_bundle, level_generators(hetero_bundle, "diagonal"))
+    assert section_digest(basis.random_element(2718)) == (
+        "480594918648919068e6faab2ac934947cee744a0bc0c644e3848c5b68141ec2")
+
+
+def test_gaussian_stacks_are_standard_complex_gaussian(hetero_bundle):
+    # per entry over n lanes, real and imaginary parts apart: the mean, E|z|^2 - 1
+    # and E z^2 each within 5 standard errors of 0 (sqrt(1/(2n)) for the mean,
+    # 1/sqrt(n) for the others: |z|^2 is Exp(1), Re z^2 and Im z^2 have variance 1)
+    n = 20000
+    stacks = gaussian_stacks(hetero_bundle, np.random.default_rng(8), n)
+    z = np.concatenate([s.reshape(n, -1) for s in stacks], axis=1)
+    assert z.shape == (n, 4 + 9 + 8 + 1)
+    mean, second, square = z.mean(axis=0), (np.abs(z) ** 2).mean(axis=0), (z * z).mean(axis=0)
+    assert np.abs([mean.real, mean.imag]).max() <= 5 * np.sqrt(0.5 / n)
+    assert np.abs(second - 1.0).max() <= 5 / np.sqrt(n)
+    assert np.abs([square.real, square.imag]).max() <= 5 / np.sqrt(n)
 
 
 def test_random_kinds_differ_per_seed_kind(hetero_bundle):

@@ -11,7 +11,8 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle.errors import ShapeMismatchError, UsageError
+from tracebundle import runner
+from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.fixtures import fixture_config, fixture_text
 from tracebundle.runner import read_section_csv, run_experiment
 
@@ -229,7 +230,23 @@ def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
-    assert "model construction failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure in the duality checks: L1e+07 norm is not finite" in err
+    assert "model construction failed" not in err
+    assert not out.exists()
+
+
+def test_construction_failure_keeps_its_message(tmp_path, capsys, monkeypatch):
+    # the same error type from the tower build is no numerical failure of a check
+    def broken_tower(cfg, bundle):
+        raise ContractViolationError("orthonormalization degenerated")
+
+    monkeypatch.setattr(runner, "build_tower", broken_tower)
+    good = tmp_path / "good.json"
+    good.write_text(fixture_text("mat2_tower"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(good), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "model construction failed: orthonormalization degenerated" in capsys.readouterr().err
     assert not out.exists()
 
 

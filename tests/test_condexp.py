@@ -400,6 +400,18 @@ def test_axiom_report_matches_per_trial_reference(axiom_cases, monkeypatch, chun
         assert rep.to_dict() == whole
 
 
+@pytest.mark.parametrize("trials", [20, 600])
+def test_axiom_trials_draw_from_six_generators(hetero_bundle, rng_log, trials):
+    # one generator per tag, whatever the trial count: x and pos draw 2 * 22
+    # values per trial, a, b and y two per basis element, nu one per atom
+    E = preset_expectation(hetero_bundle, "block(2,1)")
+    rng_log.clear()
+    check_cond_exp_axioms(E, trials, 34)
+    rank = sum(E.target.dims)
+    per_trial = [44, 44, 2 * rank, 2 * rank, 2 * rank, 4]
+    assert sorted(g.drawn for g in rng_log) == sorted(trials * w for w in per_trial)
+
+
 def test_axiom_report_reference_above_chunk_size(hetero_bundle):
     # more trials than one chunk, so the last chunk is partial
     E = preset_expectation(hetero_bundle, "block(2,1)")

@@ -330,6 +330,15 @@ def test_duality_check_near_one_fails_loudly(hetero_bundle):
         duality_check(x, 1.0000001, 50, 28)
 
 
+@pytest.mark.parametrize("samples", [40, 600])
+def test_duality_check_draws_from_one_generator(hetero_bundle, rng_log, samples):
+    # one generator per check, every sample's 2 * 22 values drawn from it once
+    x = random_section(hetero_bundle, 29, "general")
+    rng_log.clear()
+    duality_check(x, 3.0, samples, 30)
+    assert [g.drawn for g in rng_log] == [samples * 44]
+
+
 def test_duality_chunking_is_invisible(hetero_bundle, monkeypatch):
     x = random_section(hetero_bundle, 25, "general")
     whole = {p: duality_check(x, p, 40, 26).to_dict() for p in (1.0, 2.0, 3.0)}
