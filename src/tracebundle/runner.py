@@ -152,7 +152,7 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         if limit_section is None:
             limit_section = lim.limit
         recon = max(recon, lim.reconstruction_residual)
-        terminal = max(terminal, lim.residual_trace[-1])
+        terminal = max(terminal, float(lp_norm(lim.limit - x, mart_p).values.max()))
         for a, b in zip(lim.residual_trace, lim.residual_trace[1:]):
             monotone = max(monotone, b - a)
         norm_x_sq = lp_norm(x, 2).values ** 2

@@ -4,9 +4,9 @@ The trace of a section is the center element ``w -> sum_j c_j(w) tr(x(w)_j)``
 with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
-per-block Gram spectrum (the squared singular values).  The duality
-module constructs an explicit witness attaining ``sup |trace(x y)|`` over the
-dual-norm unit ball and samples that ball for violations.
+per-block Gram spectrum (the squared singular values).  The duality module
+builds a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball
+from one Gram eigendecomposition per fiber, and samples that ball for violations.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .bundle import Section, gaussian_stacks, identity_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
 from .fiber import (
-    abs_power,
+    PINV_CUTOFF,
+    _gram_eig,
     gram_eigenvalues,
     gram_eigenvalues_stack,
-    polar,
     zero_fiber,
 )
 
@@ -103,12 +103,25 @@ def stacked_traces(ys, bundle) -> np.ndarray:
     return out
 
 
+def _require_representable(norms, p, ys, bundle):
+    """Refuse ``(S, atoms)`` Lp norms of stacks ``ys`` that overflowed, or are 0 on a nonzero atom."""
+    if not np.isfinite(norms).all():
+        raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
+    if (norms == 0.0).any():
+        nonzero = np.zeros(norms.shape, dtype=bool)
+        for (i, _), y in zip(bundle.block_slots(), ys):
+            nonzero[:, i] |= y.any(axis=(1, 2))
+        if nonzero[norms == 0.0].any():
+            raise ContractViolationError(f"L{p:g} norm is 0 on a nonzero atom (underflow)")
+
+
 def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
     """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
 
     p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
     exponents sum ``w**(p/2)`` over Gram spectra ``w`` solved once, one stacked solve per block size.
-    A norm that overflows (say ``w**(p/2)`` at p near 1e7) raises ContractViolationError.
+    A norm that overflows (say ``w**(p/2)`` at p near 1e7), or that underflows to 0 on an
+    atom with a nonzero entry (say at p = 300), raises ContractViolationError.
     """
     spectra, out = [], []
     for p in exponents:
@@ -123,8 +136,7 @@ def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
                     norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
                 else:
                     norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
-        if not np.isfinite(norm).all():
-            raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
+        _require_representable(norm, p, ys, bundle)
         out.append(np.sqrt(norm) if p in (2.0, math.inf) else norm ** (1.0 / p))
     return out
 
@@ -135,47 +147,46 @@ def lp_norm(x: Section, p: float) -> CenterElement:
     For p = 2 the trace of ``x* x`` is the sum of its eigenvalues, i.e. the
     weighted Frobenius sum ``sum_j c_j ||x_j||_F**2``, so no eigensolve is
     needed.  Other exponents sum ``w**(p/2)`` over the Gram spectrum ``w``.
-    p must be finite and at least 1, else UsageError.
+    p must be finite and at least 1, else UsageError.  A norm that overflows
+    or underflows raises ContractViolationError, as in ``stacked_lp_norms``.
     """
     p = _exponent(p)
     half_p = p / 2.0
     values = np.empty(x.bundle.space.size, dtype=np.float64)
-    for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
-        total = 0.0
-        if p == 2.0:
-            for c, b in zip(cs, f.blocks):
-                total += c * float(np.vdot(b, b).real)
-        else:
-            for c, w in zip(cs, gram_eigenvalues(f)):
-                total += c * float(np.sum(w**half_p))
-        values[i] = total ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming p
+        for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
+            total = 0.0
+            if p == 2.0:
+                for c, b in zip(cs, f.blocks):
+                    total += c * float(np.vdot(b, b).real)
+            else:
+                for c, w in zip(cs, gram_eigenvalues(f)):
+                    total += c * float(np.sum(w**half_p))
+            values[i] = total ** (1.0 / p)
+    _require_representable(values[None], p, [b[None] for f in x.fibers for b in f.blocks], x.bundle)
     return CenterElement(x.bundle.space, values)
 
 
 def dual_extremal(x: Section, p: float) -> Section:
     """Witness attaining the dual characterization of the Lp norm.
 
-    With the fiberwise polar decomposition ``x = u h``: for p = 1 the witness
-    is ``u*`` (uniform-norm ball); for p > 1 it is
-    ``norm_p**(-p/q) * h**(p-1) * u*`` with ``1/p + 1/q = 1``, which sits on
-    the boundary of the Lq unit ball and turns the Hoelder inequality into an
-    equality.  Fibers whose Lp norm is below ZERO_FIBER_TOL get a zero
-    witness, keeping the feasibility contract without dividing by zero.
+    With ``x* x = V diag(w) V*`` from one eigendecomposition per fiber, the
+    witness is ``norm_p**(1-p) V diag(w**(p/2-1)) V* x*`` on the support
+    ``w > PINV_CUTOFF**2``: ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
+    hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
+    (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  Fibers
+    whose Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
     p = _exponent(p)
+    cut = PINV_CUTOFF**2
     norms = lp_norm(x, p).values
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
         if norm_p < ZERO_FIBER_TOL:
             fibers.append(zero_fiber(shape))
-            continue
-        u, h = polar(f)
-        if p == 1.0:
-            fibers.append(u.adjoint())
-        else:
-            q = p / (p - 1.0)
-            scale = float(norm_p) ** (-p / q)
-            fibers.append(scale * (abs_power(h, p - 1.0) * u.adjoint()))
+        else:  # np.maximum keeps a negative power of 0 out of the discarded branch
+            inner = _gram_eig(f).apply(lambda w: np.where(w > cut, np.maximum(w, cut) ** (p / 2 - 1), 0))
+            fibers.append(float(norm_p) ** (1.0 - p) * (inner * f.adjoint()))
     return Section._raw(x.bundle, fibers)
 
 

@@ -6,6 +6,11 @@ a plain Gram-system solve over a matrix-unit basis.  It shares no code path
 with the float implementation: no Gram-Schmidt, no orthonormalization, no
 eigensolver.
 
+The witness reference is the Hoelder witness that ``tracelp.dual_extremal``
+built before its closed form: ``u*`` at p = 1 and
+``norm_p**(-p/q) * abs_power(|x|, p - 1) * u*`` above, with ``x = u |x|``
+from ``polar``, so three spectra per fiber.
+
 The duality reference is the one-sample-at-a-time loop that
 ``tracelp.duality_check`` ran before its samples were stacked: one section
 per sample, rescaled fiber by fiber through ``spectral_norm`` or ``lp_norm``,
@@ -47,14 +52,17 @@ from tracebundle import (
     ConditionalExpectation,
     FiberElement,
     Section,
+    abs_power,
     center_trace,
     derive_seed,
     herm_eig,
     identity_fiber,
     identity_section,
     lp_norm,
+    polar,
     scalarize,
     spectral_norm,
+    zero_fiber,
 )
 from tracebundle.bundle import split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
@@ -222,6 +230,24 @@ def subalgebra_element(basis, rng):
         coeff = rng.standard_normal(proj.rank) + 1j * rng.standard_normal(proj.rank)
         fibers.append(_from_coords(proj, proj.ortho @ coeff))
     return Section(basis.bundle, fibers)
+
+
+def dual_extremal_reference(x, p):
+    """The Hoelder witness of ``dual_extremal`` through ``polar`` and ``abs_power``, fiber by fiber."""
+    p = float(p)
+    norms = lp_norm(x, p).values
+    fibers = []
+    for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
+        if norm_p < ZERO_FIBER_TOL:
+            fibers.append(zero_fiber(shape))
+            continue
+        u, h = polar(f)
+        if p == 1.0:
+            fibers.append(u.adjoint())
+        else:
+            q = p / (p - 1.0)
+            fibers.append(float(norm_p) ** (-p / q) * (abs_power(h, p - 1.0) * u.adjoint()))
+    return Section(x.bundle, fibers)
 
 
 def duality_worst_reference(x, p, samples, seed):

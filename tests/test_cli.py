@@ -236,6 +236,21 @@ def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_underflowing_norm_exits_before_any_artifact(tmp_path, capsys):
+    # at p = 300 the Gram eigenvalues ** 150 of a small sampled section underflow, and
+    # a norm of 0 on that atom would report a false duality violation
+    doc = json.loads(fixture_text("hetero4_tower"))
+    doc["exponents"] = [300]
+    doc["seed"] = 10
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["check-duality", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "numerical failure in the duality checks: L300 norm is 0 on a nonzero atom" in err
+    assert not out.exists()
+
+
 def test_construction_failure_keeps_its_message(tmp_path, capsys, monkeypatch):
     # the same error type from the tower build is no numerical failure of a check
     def broken_tower(cfg, bundle):

@@ -513,6 +513,23 @@ def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
     assert calls == {"martingale_defect": seeds, "martingale_limit": seeds}
 
 
+def test_terminal_residual_measures_the_target(monkeypatch):
+    # each seed's martingale generated by x - d with d = z - E_{K-1}(z): every level below
+    # the top and the martingale property stay, and only the terminal element misses x
+    cfg = fixture_config("hetero4_tower")
+    f = runner.build_tower(cfg, cfg.build_bundle())
+    z = random_section(f.bundle, 91, "general")
+    d = z - f.expectation(f.depth - 2)(z)
+    real = runner.martingale_from_target
+    monkeypatch.setattr(runner, "martingale_from_target", lambda x, filt, p: real(x - d, filt, p=p))
+    checks, _, _ = runner.run_martingale_checks(cfg, f)
+    worst = {c.name: c.worst_residual for c in checks}
+    assert worst["martingale/defect"] <= 1e-12
+    want = float(lp_norm(d, 2).values.max())
+    assert want > 1.0
+    assert abs(worst["martingale/terminal_residual"] - want) <= 1e-12 * want
+
+
 def test_residual_traces_feed_order_convergence(mat2_tower, mat2_bundle):
     from tracebundle import CenterElement, center_zeros, o_converges
 

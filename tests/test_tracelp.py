@@ -24,14 +24,18 @@ from tracebundle import (
     spectral_norm,
     zero_section,
 )
-from tracebundle import tracelp
+from tracebundle import fiber, tracelp
 from tracebundle.tracelp import DUALITY_CHUNK, stacked_lp_norms
 
-from oracles import duality_worst_reference
+from oracles import dual_extremal_reference, duality_worst_reference
 
 
 def abs_section(x):
     return Section(x.bundle, [abs_power(f, 1.0) for f in x.fibers])
+
+
+def with_zero_fiber(x, k):
+    return Section(x.bundle, [0.0 * f if i == k else f for i, f in enumerate(x.fibers)])
 
 
 # -------------------------------------------------------------- center trace
@@ -182,6 +186,7 @@ def test_exponent_must_be_finite_and_at_least_one(hetero_bundle, p):
 def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, p):
     for bundle in (hetero_bundle, large_blocks_bundle):
         xs = [random_section(bundle, 40 + s, "general") for s in range(12)]
+        xs.append(with_zero_fiber(xs[0], 1))  # a norm of 0 is refused only on a nonzero atom
         stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
         (got,) = stacked_lp_norms(stacks, bundle, [p])
         if p == math.inf:  # the uniform norm, largest singular value per atom
@@ -192,12 +197,21 @@ def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, 
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
-@pytest.mark.parametrize("p, scale", [(2.0, 1e200), (10.0, 1e32)])
+@pytest.mark.parametrize(
+    "p, scale", [(2.0, 1e200), (10.0, 1e32), (2.0, 1e-200), (200.0, 1e-2), (math.inf, 1e-200)]
+)
 def test_stacked_lp_norms_overflow_raises(hetero_bundle, p, scale):
-    # finite entries whose squares (p = 2) or Gram eigenvalues ** 5 (p = 10) overflow
+    # finite entries whose squares (p = 2) or Gram eigenvalues ** 5 (p = 10) overflow,
+    # or whose squares (p = 2, inf) or Gram eigenvalues ** 100 (p = 200) underflow to 0
     huge = [np.full((2, n, n), scale, dtype=np.complex128) for n in (2, 3, 2, 2, 1)]
-    with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
+    lane = iter(b[0] for b in huge)
+    x = Section(hetero_bundle, [FiberElement([next(lane) for _ in s]) for s in hetero_bundle.fiber_shapes])
+    match = f"L{p:g} norm " + ("is not finite" if scale > 1.0 else "is 0 on a nonzero atom")
+    with pytest.raises(ContractViolationError, match=match):
         stacked_lp_norms(huge, hetero_bundle, [p])
+    if p != math.inf:
+        with pytest.raises(ContractViolationError, match=match):
+            lp_norm(x, p)
 
 
 def test_lp_norm_zero_iff_zero(hetero_bundle):
@@ -275,6 +289,47 @@ def test_dual_extremal_attains_on_unit_sphere(hetero_bundle, p):
         assert np.abs(lp_norm(y, q).values - 1.0).max() < 1e-8
 
 
+def rank_deficient_section():
+    """The E12 shift on Mat2, a Mat2+Mat2 fiber with one zero block, and a rank-1 Mat3 block.
+
+    The rank-1 block's Gram kernel comes out of the eigensolver as exact zeros.  On a
+    generic rank-1 block it comes out near 1e-16, above PINV_CUTOFF**2; the reference
+    amplifies that noise to about 1e-8 at every p, the closed form at p = 1 (and 2e-13
+    at p = 1.5), so the two witnesses differ there by up to 8e-9.
+    """
+    space = MeasureSpace(["shift", "half", "rank1"], [1.0, 0.5, 2.0])
+    bundle = BundleSpec(space, [[2], [2, 2], [3]], [[0.5], [1.0, 2.0], [0.75]])
+    rng = np.random.default_rng(31)
+    half = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rank1 = np.outer([1.0, 2.0j, 2.0], np.conj([1.0, 1.0j, 1.0]))
+    return Section(bundle, [FiberElement([[[0.0, 1.0], [0.0, 0.0]]]),
+                            FiberElement([half, np.zeros((2, 2))]),
+                            FiberElement([rank1])])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_dual_extremal_matches_polar_reference(hetero_bundle, large_blocks_bundle, p):
+    xs = [random_section(b, 60 + s, "general") for b in (hetero_bundle, large_blocks_bundle)
+          for s in range(6)]
+    for x in xs + [rank_deficient_section()]:
+        got = dual_extremal(x, p)
+        assert (got - dual_extremal_reference(x, p)).max_abs() <= 1e-13
+        attained = center_trace(x * got).values
+        assert np.abs(attained - lp_norm(x, p).values).max() <= 1e-12
+
+
+def test_dual_extremal_solves_one_spectrum_per_fiber(hetero_bundle, monkeypatch):
+    # one eigendecomposition with bases per nonzero fiber, none for a zero fiber
+    solved = []
+    real = fiber.herm_eig
+    monkeypatch.setattr(fiber, "herm_eig", lambda a: solved.append(a.dims) or real(a))
+    x = with_zero_fiber(random_section(hetero_bundle, 5, "general"), 2)
+    for p in (1.0, 1.5, 3.0):
+        solved.clear()
+        dual_extremal(x, p)
+        assert solved == [(2,), (3,), (1,)]
+
+
 def test_dual_extremal_zero_section(hetero_bundle):
     y = dual_extremal(zero_section(hetero_bundle), 3)
     assert y.max_abs() == 0.0
@@ -311,15 +366,18 @@ def test_duality_check_deterministic(hetero_bundle):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
-def test_duality_check_matches_per_sample_reference(hetero_bundle, p):
-    # more samples than one chunk, so the last chunk is partial
+def test_duality_check_matches_per_sample_reference(hetero_bundle, monkeypatch, p):
+    # more samples than one chunk, so the last chunk is partial; then 1..7 samples in
+    # chunks of 3, where every sample is the worst of some atom often enough that a
+    # sample left out of any chunk shows
     x = random_section(hetero_bundle, 23, "general")
-    samples = DUALITY_CHUNK + 37
-    rep = duality_check(x, p, samples, 24)
-    got = np.array([f["worst_sample_violation"] for f in rep.per_fiber])
-    want = duality_worst_reference(x, p, samples, 24)
-    assert np.abs(got - want).max() <= 1e-14
-    assert rep.max_violation == got.max()
+    for chunk, samples in [(DUALITY_CHUNK, DUALITY_CHUNK + 37)] + [(3, n) for n in range(1, 8)]:
+        monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+        rep = duality_check(x, p, samples, 24)
+        got = np.array([f["worst_sample_violation"] for f in rep.per_fiber])
+        want = duality_worst_reference(x, p, samples, 24)
+        assert np.abs(got - want).max() <= 1e-14
+        assert rep.max_violation == got.max()
 
 
 def test_duality_check_near_one_fails_loudly(hetero_bundle):
