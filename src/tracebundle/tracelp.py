@@ -30,6 +30,7 @@ from .fiber import (
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
+TINY = np.finfo(np.float64).tiny  # a power sum below the smallest normal float lost its bits
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -103,16 +104,23 @@ def stacked_traces(ys, bundle) -> np.ndarray:
     return out
 
 
-def _require_representable(norms, p, ys, bundle):
-    """Refuse ``(S, atoms)`` Lp norms of stacks ``ys`` that overflowed, or are 0 on a nonzero atom."""
+def _require_finite(norms, p):
     if not np.isfinite(norms).all():
         raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
-    if (norms == 0.0).any():
-        nonzero = np.zeros(norms.shape, dtype=bool)
-        for (i, _), y in zip(bundle.block_slots(), ys):
-            nonzero[:, i] |= y.any(axis=(1, 2))
-        if nonzero[norms == 0.0].any():
-            raise ContractViolationError(f"L{p:g} norm is 0 on a nonzero atom (underflow)")
+
+
+def _rescale_underflow(sums, norms, spectra, bundle, p):
+    """``(S, atoms)`` Lp ``norms`` whose power ``sums`` fell below the smallest normal float
+    replaced by ``sqrt(max w) * (sum c (w / max w)**(p/2))**(1/p)``, where no power underflows."""
+    top = np.zeros_like(sums)
+    for k, (i, _) in enumerate(bundle.block_slots()):
+        top[:, i] = np.maximum(top[:, i], spectra[k].max(axis=1))
+    lost = (sums < TINY) & (top > 0.0)
+    top = np.where(lost, top, 1.0)
+    again = np.zeros_like(sums)
+    for k, (i, c) in enumerate(bundle.block_slots()):
+        again[:, i] += c * np.sum((spectra[k] / top[:, i, None]) ** (p / 2.0), axis=1)
+    return np.where(lost, np.sqrt(top) * again ** (1.0 / p), norms)
 
 
 def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
@@ -120,8 +128,8 @@ def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
 
     p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
     exponents sum ``w**(p/2)`` over Gram spectra ``w`` solved once, one stacked solve per block size.
-    A norm that overflows (say ``w**(p/2)`` at p near 1e7), or that underflows to 0 on an
-    atom with a nonzero entry (say at p = 300), raises ContractViolationError.
+    A norm that overflows (say ``w**(p/2)`` at p near 1e7) raises ContractViolationError.  A
+    sum that underflows (say at p = 300) is summed again over ``w / max w``; no other norm moves.
     """
     spectra, out = [], []
     for p in exponents:
@@ -136,8 +144,13 @@ def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
                     norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
                 else:
                     norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
-        _require_representable(norm, p, ys, bundle)
-        out.append(np.sqrt(norm) if p in (2.0, math.inf) else norm ** (1.0 / p))
+        _require_finite(norm, p)
+        if p in (2.0, math.inf):
+            out.append(np.sqrt(norm))
+        elif (norm < TINY).any():
+            out.append(_rescale_underflow(norm, norm ** (1.0 / p), spectra, bundle, p))
+        else:
+            out.append(norm ** (1.0 / p))
     return out
 
 
@@ -147,23 +160,27 @@ def lp_norm(x: Section, p: float) -> CenterElement:
     For p = 2 the trace of ``x* x`` is the sum of its eigenvalues, i.e. the
     weighted Frobenius sum ``sum_j c_j ||x_j||_F**2``, so no eigensolve is
     needed.  Other exponents sum ``w**(p/2)`` over the Gram spectrum ``w``.
-    p must be finite and at least 1, else UsageError.  A norm that overflows
-    or underflows raises ContractViolationError, as in ``stacked_lp_norms``.
+    p must be finite and at least 1, else UsageError.  Overflow and underflow
+    are treated as in ``stacked_lp_norms``.
     """
     p = _exponent(p)
     half_p = p / 2.0
     values = np.empty(x.bundle.space.size, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflow is reported below, naming p
         for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
-            total = 0.0
+            total, scale = 0.0, 1.0
             if p == 2.0:
                 for c, b in zip(cs, f.blocks):
                     total += c * float(np.vdot(b, b).real)
             else:
-                for c, w in zip(cs, gram_eigenvalues(f)):
+                spectra = gram_eigenvalues(f)
+                for c, w in zip(cs, spectra):
                     total += c * float(np.sum(w**half_p))
-            values[i] = total ** (1.0 / p)
-    _require_representable(values[None], p, [b[None] for f in x.fibers for b in f.blocks], x.bundle)
+                if total < TINY and (top := max(float(w.max()) for w in spectra)) > 0.0:
+                    scale = math.sqrt(top)  # underflow: sum again over w / max w
+                    total = sum(c * float(np.sum((w / top) ** half_p)) for c, w in zip(cs, spectra))
+            values[i] = scale * total ** (1.0 / p)
+    _require_finite(values, p)
     return CenterElement(x.bundle.space, values)
 
 
@@ -174,19 +191,21 @@ def dual_extremal(x: Section, p: float) -> Section:
     witness is ``norm_p**(1-p) V diag(w**(p/2-1)) V* x*`` on the support
     ``w > PINV_CUTOFF**2``: ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
     hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
-    (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  Fibers
-    whose Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
+    (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  It is
+    formed from ``w / norm_p**2``, so no power overflows at large p.  Fibers whose
+    Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
     p = _exponent(p)
-    cut = PINV_CUTOFF**2
+    cut, power = PINV_CUTOFF**2, p / 2 - 1
     norms = lp_norm(x, p).values
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
         if norm_p < ZERO_FIBER_TOL:
             fibers.append(zero_fiber(shape))
         else:  # np.maximum keeps a negative power of 0 out of the discarded branch
-            inner = _gram_eig(f).apply(lambda w: np.where(w > cut, np.maximum(w, cut) ** (p / 2 - 1), 0))
-            fibers.append(float(norm_p) ** (1.0 - p) * (inner * f.adjoint()))
+            n2 = float(norm_p) ** 2
+            inner = _gram_eig(f).apply(lambda w: np.where(w > cut, (np.maximum(w, cut) / n2) ** power, 0))
+            fibers.append((1.0 / float(norm_p)) * (inner * f.adjoint()))
     return Section._raw(x.bundle, fibers)
 
 

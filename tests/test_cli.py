@@ -236,19 +236,24 @@ def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_underflowing_norm_exits_before_any_artifact(tmp_path, capsys):
-    # at p = 300 the Gram eigenvalues ** 150 of a small sampled section underflow, and
-    # a norm of 0 on that atom would report a false duality violation
+@pytest.mark.parametrize("command, p", [("check-duality", 300), ("run-martingale", 30),
+                                        ("run-martingale", 300)])
+def test_large_exponents_pass(tmp_path, capsys, command, p):
+    # at p = 300 the Gram eigenvalues ** 150 of atom w4's sampled section (seed 10) underflow,
+    # and at p >= 30 those of the round-off terminal residual x_K - x; each such sum is taken
+    # again over w / max w, so w4 keeps its norm and no false violation or error shows
     doc = json.loads(fixture_text("hetero4_tower"))
-    doc["exponents"] = [300]
+    doc["exponents"] = [p]
     doc["seed"] = 10
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    cfg = tmp_path / "large_p.json"
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "o"
-    assert main(["check-duality", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert "numerical failure in the duality checks: L300 norm is 0 on a nonzero atom" in err
-    assert not out.exists()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+    if command == "check-duality":
+        norms = [f["norm_p"] for r in json.loads(read(out / "duality.json"))["reports"]
+                 for f in r["per_fiber"]]
+        assert min(norms) > 0.05
 
 
 def test_construction_failure_keeps_its_message(tmp_path, capsys, monkeypatch):
