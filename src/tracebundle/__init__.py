@@ -36,6 +36,7 @@ from .condexp import (
     SubalgebraBasis,
     build_cond_exp,
     check_cond_exp_axioms,
+    cond_exp_axiom_checks,
     validate_subalgebra,
 )
 from .config import ExperimentConfig, config_hash, parse_config, serialize_config
@@ -83,6 +84,7 @@ from .tracelp import (
     derive_seed,
     dual_extremal,
     duality_check,
+    duality_checks,
     lp_norm,
     normalize_trace,
     scalarize,

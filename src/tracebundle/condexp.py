@@ -17,8 +17,8 @@ import numpy as np
 
 from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
-from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber
-from .tracelp import chunks, derive_seed, solve_by_block_size, stacked_lp_norms, stacked_traces
+from .fiber import FiberElement, _jacobi_eigenvalues_stack, gram_eigenvalues_stack, identity_fiber
+from .tracelp import derive_seed, packed_chunks, solve_by_block_size, stacked_lp_norms, stacked_traces
 
 ORTHO_PIVOT_TOL = 1e-10       # Gram-Schmidt rank decision on unit-norm candidates
 CLOSURE_RESIDUAL_TOL = 1e-9   # *-and-product closure of the validated span
@@ -92,10 +92,6 @@ class _FiberProjector:
     def rank(self) -> int:
         return self.ortho.shape[1]
 
-    def basis_elements(self) -> list[FiberElement]:
-        stack = self.stack_from_basis(np.eye(self.rank)[:, None])
-        return [FiberElement._raw(list(f)) for f in zip(*stack)]
-
 
 class SubalgebraBasis:
     """Validated per-fiber spanning data of a unital *-subalgebra."""
@@ -114,9 +110,6 @@ class SubalgebraBasis:
 
     def is_full(self) -> bool:
         return self.dims == self.bundle.algebra_dims()
-
-    def fiber_basis(self, label: str) -> list[FiberElement]:
-        return self.projectors[self.bundle.space.index_of(label)].basis_elements()
 
     def membership_residual(self, x: Section) -> float:
         if x.bundle is not self.bundle and x.bundle != self.bundle:
@@ -286,55 +279,89 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     ``t`` its lane ``t``.  The trials are stacked per block in chunks of
     DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
     """
+    return cond_exp_axiom_checks([(E, seed)], trials)[0]
+
+
+def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
+    """``check_cond_exp_axioms(E, trials, seed)`` for every ``(E, seed)`` case, in order.
+
+    The cases' chunks go through in groups (``packed_chunks``), each with one stacked
+    solve per block size for its positivity eigenvalues and one for its Gram spectra.
+    No step mixes trials or cases, so the grouping does not show in a report.
+    """
     if trials < 1:
         raise UsageError("need at least one trial")
-    bundle = E.bundle
-    labels = bundle.space.labels
-    projectors = E.target.projectors
-    atom_projectors = [E.target.restrict([label]).projectors[0] for label in labels]
-    res = dict.fromkeys((
-        "idempotence", "unitality", "positivity", "module_property", "trace_preservation",
-        "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
-    ) + tuple(f"lp_contraction_p{int(p)}" for p in CONTRACTION_EXPONENTS), 0.0)
-    res["unitality"] = (E(identity_section(bundle)) - identity_section(bundle)).max_abs()
-    per_fiber = [0.0] * len(labels)
-    atom_ids = range(len(labels))
-    block_atoms = [i for i, _ in bundle.block_slots()]
+    tallies = [_AxiomTally(E, seed) for E, seed in cases]
+    for group in packed_chunks(len(cases), trials):
+        held = [tallies[k].draw(size) for k, size in group]
+        eigs = iter(solve_by_block_size([h for hs, _ in held for h in hs], _jacobi_eigenvalues_stack))
+        grams = iter(solve_by_block_size([g for _, both in held for g in both], gram_eigenvalues_stack))
+        for (k, size), (hs, both) in zip(group, held):
+            tallies[k].finish(size, [next(eigs) for _ in hs], both, [next(grams) for _ in both])
+    return [AxiomReport(trials=trials, seed=seed, residuals=t.res,
+                        per_fiber_worst=dict(zip(E.bundle.space.labels, t.per_fiber)))
+            for (E, seed), t in zip(cases, tallies)]
 
-    def bump(name, values, owners=block_atoms):
+
+class _AxiomTally:
+    """The worst residuals of one conditional expectation, folded in chunk by chunk."""
+
+    def __init__(self, E: ConditionalExpectation, seed: int):
+        bundle, self.E = E.bundle, E
+        self.atom_projectors = [E.target.restrict([label]).projectors[0]
+                                for label in bundle.space.labels]
+        self.res = dict.fromkeys((
+            "idempotence", "unitality", "positivity", "module_property", "trace_preservation",
+            "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
+        ) + tuple(f"lp_contraction_p{int(p)}" for p in CONTRACTION_EXPONENTS), 0.0)
+        self.res["unitality"] = (E(identity_section(bundle)) - identity_section(bundle)).max_abs()
+        self.per_fiber = [0.0] * bundle.space.size
+        self.atom_ids = range(bundle.space.size)
+        self.block_atoms = [i for i, _ in bundle.block_slots()]
+        self.rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
+                     for tag in ("x", "pos", "a", "b", "y", "nu")}
+
+    def bump(self, name, values, owners=None):
         """Fold nonnegative ``(S,)`` values, one per block (or per atom), into the report."""
-        for i, v in zip(owners, values):
-            res[name] = max(res[name], float(v.max()))
-            per_fiber[i] = max(per_fiber[i], float(v.max()))
+        for i, v in zip(self.block_atoms if owners is None else owners, values):
+            self.res[name] = max(self.res[name], float(v.max()))
+            self.per_fiber[i] = max(self.per_fiber[i], float(v.max()))
 
-    def gap(us, vs):
-        return [np.abs(u - v).max(axis=(1, 2)) for u, v in zip(us, vs)]
+    def draw(self, size: int):
+        """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
 
-    rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
-            for tag in ("x", "pos", "a", "b", "y", "nu")}
-    for size in chunks(trials):
+        Returns, one per block, the Hermitian stacks whose eigenvalues ``finish`` checks for
+        positivity, and ``E(x)`` (rows < size) stacked on ``x``, whose Gram spectra give the
+        Lp norms that ``finish`` compares.
+        """
+        E, rngs = self.E, self.rngs
+        bundle, projectors = E.bundle, E.target.projectors
         x, g = (gaussian_stacks(bundle, rngs[tag], size) for tag in ("x", "pos"))
         a, b, y = (E.target.random_stacks(rngs[tag], size) for tag in "aby")
         ex = _project(projectors, x)
-        bump("idempotence", gap(_project(projectors, ex), ex))
+        self.bump("idempotence", _gap(_project(projectors, ex), ex))
         epos = _project(projectors, [v.conj().transpose(0, 2, 1) @ v for v in g])
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
-        bump("positivity", [np.maximum(0.0, -w.min(axis=1))
-                            for w in solve_by_block_size(hs, _jacobi_eigenvalues_stack)])
         axb = _project(projectors, [u @ v @ w for u, v, w in zip(a, x, b)])
-        bump("module_property", gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]))
+        self.bump("module_property", _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]))
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
-        bump("trace_preservation", np.abs(tr_ex - tr_x).T, atom_ids)
+        self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, self.atom_ids)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
-        bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, atom_ids)
-        both = [np.concatenate(pair) for pair in zip(ex, x)]  # E(x) in rows < size
-        for p, n in zip(CONTRACTION_EXPONENTS, stacked_lp_norms(both, bundle, CONTRACTION_EXPONENTS)):
-            gain = np.maximum(n[:size] - n[size:], 0.0)
-            bump(f"lp_contraction_p{int(p)}", gain.T, atom_ids)
-        nu = rngs["nu"].uniform(0.1, 2.0, size=(size, len(labels)))
+        self.bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, self.atom_ids)
+        nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
-        res["scalarized_trace"] = max(res["scalarized_trace"], float(d.max()))
-        bump("fiberwise_agreement", gap(_project(atom_projectors, x), ex))
+        self.res["scalarized_trace"] = max(self.res["scalarized_trace"], float(d.max()))
+        self.bump("fiberwise_agreement", _gap(_project(self.atom_projectors, x), ex))
+        return hs, [np.concatenate(pair) for pair in zip(ex, x)]
 
-    return AxiomReport(trials=trials, seed=seed, residuals=res,
-                       per_fiber_worst=dict(zip(labels, per_fiber)))
+    def finish(self, size: int, eigenvalues, both, spectra):
+        """Fold in the positivity and Lp contraction residuals of the trials ``draw`` left."""
+        self.bump("positivity", [np.maximum(0.0, -w.min(axis=1)) for w in eigenvalues])
+        norms = stacked_lp_norms(both, self.E.bundle, CONTRACTION_EXPONENTS, spectra)
+        for p, n in zip(CONTRACTION_EXPONENTS, norms):
+            gain = np.maximum(n[:size] - n[size:], 0.0)
+            self.bump(f"lp_contraction_p{int(p)}", gain.T, self.atom_ids)
+
+
+def _gap(us, vs):
+    return [np.abs(u - v).max(axis=(1, 2)) for u, v in zip(us, vs)]

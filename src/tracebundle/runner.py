@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import random_section, section_from_records, section_to_records
-from .condexp import check_cond_exp_axioms
+from .condexp import cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import spectral_norm
@@ -26,7 +26,7 @@ from .martingale import (
     martingale_from_target,
     sup_norm_comparison,
 )
-from .tracelp import center_trace, derive_seed, duality_check, lp_norm
+from .tracelp import center_trace, derive_seed, duality_checks, lp_norm
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
 FAITHFULNESS_TRACE_CUT = 1e-12  # trace values below this trigger the norm check
@@ -92,10 +92,9 @@ def run_condexp_checks(cfg: ExperimentConfig, filtration: Filtration):
     tol = cfg.tolerances["condexp_axioms"]
     worst: dict[str, float] = {}
     reports = []
-    for level, E in enumerate(filtration.cond_exps):
-        rep = check_cond_exp_axioms(
-            E, cfg.trials["axioms"], derive_seed(cfg.seed, "axioms", level)
-        )
+    levels = filtration.cond_exps
+    cases = [(E, derive_seed(cfg.seed, "axioms", level)) for level, E in enumerate(levels)]
+    for level, (E, rep) in enumerate(zip(levels, cond_exp_axiom_checks(cases, cfg.trials["axioms"]))):
         reports.append({"level": level, "dims": list(E.target.dims), **rep.to_dict()})
         for name, value in rep.residuals.items():
             worst[name] = max(worst.get(name, 0.0), value)
@@ -108,25 +107,23 @@ def run_condexp_checks(cfg: ExperimentConfig, filtration: Filtration):
 
 def run_duality_checks(cfg: ExperimentConfig, bundle):
     """Sampled dual-ball violations and extremal attainment for every exponent."""
+    sections = cfg.trials["duality_sections"]
+    cases = [
+        (random_section(bundle, derive_seed(cfg.seed, "duality-x", p, s), "general"), p,
+         derive_seed(cfg.seed, "duality", p, s))
+        for p in cfg.exponents for s in range(sections)
+    ]
+    reports = duality_checks(cases, cfg.trials["duality_samples"])
     checks = []
-    reports = []
-    for p in cfg.exponents:
-        violation = attainment = 0.0
-        for s in range(cfg.trials["duality_sections"]):
-            x = random_section(bundle, derive_seed(cfg.seed, "duality-x", p, s), "general")
-            rep = duality_check(
-                x, p, cfg.trials["duality_samples"], derive_seed(cfg.seed, "duality", p, s)
-            )
-            reports.append(rep.to_dict())
-            violation = max(violation, rep.max_violation)
-            attainment = max(attainment, rep.attainment_residual)
-        checks.append(
-            CheckResult(f"duality/p={p:g}/violation", violation, cfg.tolerances["duality_violation"])
-        )
-        checks.append(
-            CheckResult(f"duality/p={p:g}/attainment", attainment, cfg.tolerances["duality_attainment"])
-        )
-    return checks, reports
+    for k, p in enumerate(cfg.exponents):
+        mine = reports[k * sections : (k + 1) * sections]
+        checks.append(CheckResult(f"duality/p={p:g}/violation",
+                                  max(0.0, *(r.max_violation for r in mine)),
+                                  cfg.tolerances["duality_violation"]))
+        checks.append(CheckResult(f"duality/p={p:g}/attainment",
+                                  max(0.0, *(r.attainment_residual for r in mine)),
+                                  cfg.tolerances["duality_attainment"]))
+    return checks, [r.to_dict() for r in reports]
 
 
 def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):

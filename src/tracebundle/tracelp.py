@@ -80,18 +80,29 @@ def _exponent(p) -> float:
     return float(p)
 
 
-def chunks(count: int) -> list[int]:
-    """Sizes of consecutive chunks of at most DUALITY_CHUNK that add up to ``count``."""
-    return [min(DUALITY_CHUNK, count - s) for s in range(0, count, DUALITY_CHUNK)]
+def packed_chunks(cases: int, count: int) -> list[list[tuple[int, int]]]:
+    """Each case's ``count`` lanes as ``(case, size)`` chunks of at most DUALITY_CHUNK, in
+    order, packed into groups of at most DUALITY_CHUNK lanes; a group may span cases."""
+    groups, room = [], 0
+    for k in range(cases):
+        for start in range(0, count, DUALITY_CHUNK):
+            size = min(DUALITY_CHUNK, count - start)
+            if size > room:
+                groups.append([])
+                room = DUALITY_CHUNK
+            groups[-1].append((k, size))
+            room -= size
+    return groups
 
 
 def solve_by_block_size(stacks, solve) -> list:
-    """``solve`` equal-length ``(S, n, n)`` stacks with one call per block size ``n``."""
+    """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``."""
     out = [None] * len(stacks)
     for n in sorted({s.shape[1] for s in stacks}):
         members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
         rows = solve(np.concatenate([stacks[k] for k in members]))
-        for k, part in zip(members, np.split(rows, len(members))):
+        ends = np.cumsum([len(stacks[k]) for k in members])[:-1]
+        for k, part in zip(members, np.split(rows, ends)):
             out[k] = part
     return out
 
@@ -123,19 +134,19 @@ def _rescale_underflow(sums, norms, spectra, bundle, p):
     return np.where(lost, np.sqrt(top) * again ** (1.0 / p), norms)
 
 
-def stacked_lp_norms(ys, bundle, exponents) -> list[np.ndarray]:
+def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
 
     p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
-    exponents sum ``w**(p/2)`` over Gram spectra ``w`` solved once, one stacked solve per block size.
+    exponents sum ``w**(p/2)`` over the Gram ``spectra`` ``w`` of ``ys``, one ``(S, n)``
+    array per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)`` gives them
+    (unused, so it may be empty, when every exponent is 2).
     A norm that overflows (say ``w**(p/2)`` at p near 1e7) raises ContractViolationError.  A
     sum that underflows (say at p = 300) is summed again over ``w / max w``; no other norm moves.
     """
-    spectra, out = [], []
+    out = []
     for p in exponents:
         norm = np.zeros((len(ys[0]), bundle.space.size))
-        if p != 2.0:
-            spectra = spectra or solve_by_block_size(ys, gram_eigenvalues_stack)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming p
             for k, (i, c) in enumerate(bundle.block_slots()):
                 if p == 2.0:
@@ -196,8 +207,12 @@ def dual_extremal(x: Section, p: float) -> Section:
     Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
     p = _exponent(p)
+    return _witness(x, p, lp_norm(x, p).values)
+
+
+def _witness(x: Section, p: float, norms) -> Section:
+    """``dual_extremal(x, p)`` from the per-atom Lp ``norms`` of ``x``."""
     cut, power = PINV_CUTOFF**2, p / 2 - 1
-    norms = lp_norm(x, p).values
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
         if norm_p < ZERO_FIBER_TOL:
@@ -237,42 +252,58 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     (q = inf when p = 1) and ``trace(x y)`` one contraction per block.  Every
     step treats each sample on its own, so the chunking does not show.
     """
+    return duality_checks([(x, p, seed)], samples)[0]
+
+
+def duality_checks(cases, samples: int) -> list[DualityReport]:
+    """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order.
+
+    The cases' chunks go through in groups (``packed_chunks``), each with one stacked
+    solve per block size for the Gram spectra of its dual norms (none at q = 2).  No
+    step mixes samples or cases, so the grouping does not show in a report.
+    """
     if samples < 1:
         raise UsageError("need at least one sample")
-    p = _exponent(p)
-    q = math.inf if p == 1.0 else p / (p - 1.0)
-    bundle = x.bundle
-    atoms = bundle.space.size
-    norms = lp_norm(x, p).values
-    x_blocks = [b for f in x.fibers for b in f.blocks]
-    worst = np.full(atoms, -np.inf)
-    rng = np.random.default_rng(derive_seed(seed, "duality-samples"))
-    for size in chunks(samples):
-        ys = gaussian_stacks(bundle, rng, size)
-        (dual,) = stacked_lp_norms(ys, bundle, [q])
-        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
-        pairing = np.zeros((size, atoms), dtype=np.complex128)
-        for (i, c), b, y in zip(bundle.block_slots(), x_blocks, ys):
-            pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
-        worst = np.maximum(worst, (np.abs(pairing) * scale - norms).max(axis=0))
-    witness = dual_extremal(x, p)
-    attained = center_trace(x * witness).values
-    attain_res = np.abs(attained - norms)
-    per_fiber = [
-        {
-            "atom": label,
-            "norm_p": float(norms[i]),
-            "attained": float(attained[i].real),
-            "attainment_residual": float(attain_res[i]),
-            "worst_sample_violation": float(worst[i]),
-        }
-        for i, label in enumerate(x.bundle.space.labels)
-    ]
-    return DualityReport(
-        p=p,
-        samples=samples,
-        seed=seed,
-        max_violation=float(worst.max()),
-        attainment_residual=float(attain_res.max()),
-        per_fiber=per_fiber,
-    )
+    ps = [_exponent(p) for _, p, _ in cases]
+    qs = [math.inf if p == 1.0 else p / (p - 1.0) for p in ps]
+    norms = [lp_norm(x, p).values for (x, _, _), p in zip(cases, ps)]
+    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
+    rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
+    for group in packed_chunks(len(cases), samples):
+        ys = [gaussian_stacks(cases[k][0].bundle, rngs[k], size) for k, size in group]
+        solved = iter(solve_by_block_size(
+            [y for (k, _), stack in zip(group, ys) if qs[k] != 2.0 for y in stack],
+            gram_eigenvalues_stack))
+        for (k, size), stack in zip(group, ys):
+            bundle = cases[k][0].bundle
+            spectra = [next(solved) for _ in stack] if qs[k] != 2.0 else ()
+            (dual,) = stacked_lp_norms(stack, bundle, [qs[k]], spectra)
+            scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+            pairing = np.zeros((size, bundle.space.size), dtype=np.complex128)
+            x_blocks = [b for f in cases[k][0].fibers for b in f.blocks]
+            for (i, c), b, y in zip(bundle.block_slots(), x_blocks, stack):
+                pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
+            worst[k] = np.maximum(worst[k], (np.abs(pairing) * scale - norms[k]).max(axis=0))
+    reports = []
+    for (x, _, seed), p, norm_p, worst_k in zip(cases, ps, norms, worst):
+        attained = center_trace(x * _witness(x, p, norm_p)).values
+        attain_res = np.abs(attained - norm_p)
+        per_fiber = [
+            {
+                "atom": label,
+                "norm_p": float(norm_p[i]),
+                "attained": float(attained[i].real),
+                "attainment_residual": float(attain_res[i]),
+                "worst_sample_violation": float(worst_k[i]),
+            }
+            for i, label in enumerate(x.bundle.space.labels)
+        ]
+        reports.append(DualityReport(
+            p=p,
+            samples=samples,
+            seed=seed,
+            max_violation=float(worst_k.max()),
+            attainment_residual=float(attain_res.max()),
+            per_fiber=per_fiber,
+        ))
+    return reports

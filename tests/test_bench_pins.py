@@ -2,7 +2,9 @@
 
 ``bench/run.py`` rejects a call whose summary names other checks than its
 ``WORKLOADS`` entry pins; this runs the same configs through the CLI so a
-dropped or renamed check fails here first.  The bench files are only read.
+dropped or renamed check fails here first.  The stacked eigensolver calls of
+the duality and axiom workloads are pinned too, so a refactor that splits a
+check phase's shared solves again fails here.  The bench files are only read.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from tracebundle import fiber
 from tracebundle.cli import EXIT_OK, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -42,3 +45,25 @@ def test_workload_passes_with_its_pinned_checks(config, tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert [c["name"] for c in summary["checks"]] == pinned
+
+
+@pytest.mark.parametrize("workload, least, most", [("duality", 12, 12), ("axioms-large-blocks", 1, 8)])
+def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
+    # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
+    # times 3 block sizes; axioms: 4 levels of 30 trials, one group, 4 block sizes
+    # times 2 (positivity, Gram)
+    command, _ = WORKLOADS[workload]
+    real, calls = fiber._jacobi_eigenvalues_stack, []
+
+    def counted(h):
+        calls.append(len(h))
+        return real(h)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tracebundle")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counted)
+    config = BENCH / "workloads" / f"{workload}.json"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert least <= len(calls) <= most

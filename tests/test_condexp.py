@@ -15,6 +15,7 @@ from tracebundle import (
     build_cond_exp,
     center_trace,
     check_cond_exp_axioms,
+    cond_exp_axiom_checks,
     herm_eig,
     identity_fiber,
     identity_section,
@@ -398,6 +399,16 @@ def test_axiom_report_matches_per_trial_reference(axiom_cases, monkeypatch, chun
         rep = check_cond_exp_axioms(E, 20, 31)
         assert_matches_reference(rep, want)
         assert rep.to_dict() == whole
+
+
+@pytest.mark.parametrize("chunk, trials", [(1, 3), (7, 3), (7, 20), (512, 20)])
+def test_axiom_checks_match_one_check_per_level(axiom_cases, monkeypatch, chunk, trials):
+    # every level of both bundles in one call; at 3 trials in chunks of 7 and at 20
+    # in chunks of 512 a group holds several levels, so case boundaries fall inside it
+    cases = [(E, 40 + k) for k, (E, _, _) in enumerate(axiom_cases.values())]
+    want = [check_cond_exp_axioms(E, trials, seed).to_dict() for E, seed in cases]
+    monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+    assert [rep.to_dict() for rep in cond_exp_axiom_checks(cases, trials)] == want
 
 
 @pytest.mark.parametrize("trials", [20, 600])

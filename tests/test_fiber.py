@@ -339,6 +339,18 @@ def test_gram_eigenvalues_stack_matches_singular_values():
         assert np.abs(np.sort(w, axis=1)[:, ::-1] - oracle).max() <= 1e-13 * oracle.max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gram_eigenvalues_stack_of_a_concatenation_keeps_the_bits(n):
+    # a stack solved together gives each part the bits it gets on its own: the
+    # multi-case checks solve the stacks of several cases in one call
+    rng = np.random.default_rng(n)
+    parts = [rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
+             for s in (1, 7, 3, 40, 2)]
+    parts[2] *= 1e-150  # lanes of another scale converge after other sweep counts
+    whole = gram_eigenvalues_stack(np.concatenate(parts))
+    assert np.array_equal(whole, np.concatenate([gram_eigenvalues_stack(y) for y in parts]))
+
+
 def test_gram_eigenvalues_stack_of_huge_entries_matches_list_kernel():
     # the Gram entries are 2e240: their squares overflow to inf in both kernels
     y = np.full((1, 2, 2), 1e120, dtype=np.complex128)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from tracebundle import (
     center_trace,
     dual_extremal,
     duality_check,
+    duality_checks,
     identity_section,
     lp_norm,
     normalize_trace,
@@ -25,13 +27,18 @@ from tracebundle import (
     zero_section,
 )
 from tracebundle import fiber, tracelp
-from tracebundle.tracelp import DUALITY_CHUNK, stacked_lp_norms
+from tracebundle.fiber import gram_eigenvalues_stack
+from tracebundle.tracelp import DUALITY_CHUNK, packed_chunks, solve_by_block_size, stacked_lp_norms
 
 from oracles import dual_extremal_reference, duality_worst_reference
 
 
 def abs_section(x):
     return Section(x.bundle, [abs_power(f, 1.0) for f in x.fibers])
+
+
+def gram_spectra(stacks):
+    return solve_by_block_size(stacks, gram_eigenvalues_stack)
 
 
 def with_zero_fiber(x, k):
@@ -188,13 +195,34 @@ def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, 
         xs = [random_section(bundle, 40 + s, "general") for s in range(12)]
         xs.append(with_zero_fiber(xs[0], 1))  # a zero atom keeps its norm of 0
         stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
-        (got,) = stacked_lp_norms(stacks, bundle, [p])
+        (got,) = stacked_lp_norms(stacks, bundle, [p], gram_spectra(stacks))
         if p == math.inf:  # the uniform norm, largest singular value per atom
             want = np.array([[spectral_norm(f) for f in x.fibers] for x in xs])
         else:
             want = np.array([lp_norm(x, p).values for x in xs])
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("chunk, cases, count", [(1, 3, 2), (7, 5, 3), (7, 3, 10), (512, 25, 100)])
+def test_packed_chunks_keep_case_order_within_the_bound(monkeypatch, chunk, cases, count):
+    monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+    groups = packed_chunks(cases, count)
+    assert all(sum(size for _, size in g) <= chunk for g in groups)
+    flat = [member for g in groups for member in g]
+    assert flat == [(k, min(chunk, count - s)) for k in range(cases) for s in range(0, count, chunk)]
+    assert all(groups)
+
+
+def test_solve_by_block_size_splits_stacks_of_unequal_length():
+    # stacks of 3 and 5 lanes share one solve per block size and come back as 3 and 5
+    rng = np.random.default_rng(3)
+    stacks = [rng.standard_normal((s, n, n)) for s, n in ((3, 2), (5, 2), (1, 3), (4, 3), (2, 2))]
+    calls = []
+    got = solve_by_block_size(stacks, lambda h: calls.append(len(h)) or h.sum(axis=2))
+    assert sorted(calls) == [5, 10]
+    for stack, part in zip(stacks, got):
+        assert np.array_equal(part, stack.sum(axis=2))
 
 
 @pytest.mark.parametrize("p, scale", [(2.0, 1e200), (10.0, 1e32)])
@@ -204,7 +232,7 @@ def test_stacked_lp_norms_overflow_raises(hetero_bundle, p, scale):
     lane = iter(b[0] for b in huge)
     x = Section(hetero_bundle, [FiberElement([next(lane) for _ in s]) for s in hetero_bundle.fiber_shapes])
     with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
-        stacked_lp_norms(huge, hetero_bundle, [p])
+        stacked_lp_norms(huge, hetero_bundle, [p], gram_spectra(huge))
     with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
         lp_norm(x, p)
 
@@ -234,7 +262,7 @@ def test_underflowing_power_sums_keep_the_norm(hetero_bundle, p):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert got[~lost].tolist() == [t ** (1.0 / p) for t in sums[~lost].tolist()]
     stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
-    (stacked,) = stacked_lp_norms(stacks, hetero_bundle, [p])
+    (stacked,) = stacked_lp_norms(stacks, hetero_bundle, [p], gram_spectra(stacks))
     assert np.all(np.abs(stacked - got) <= 1e-14 * got)
 
 
@@ -440,6 +468,20 @@ def test_duality_check_matches_per_sample_reference(hetero_bundle, monkeypatch, 
         want = duality_worst_reference(x, p, samples, 24)
         assert np.abs(got - want).max() <= 1e-14
         assert rep.max_violation == got.max()
+
+
+@pytest.mark.parametrize("chunk, samples", [(1, 3), (7, 3), (7, 10), (512, 40)])
+def test_duality_checks_match_one_check_per_case(hetero_bundle, large_blocks_bundle,
+                                                 monkeypatch, chunk, samples):
+    # at 3 samples in chunks of 7 and at 40 in chunks of 512 a group holds several
+    # cases, so case boundaries fall inside it; p = 2 needs no spectrum, and one
+    # section has a zero fiber
+    pairs = itertools.product((1.0, 1.5, 2.0, 3.0), (hetero_bundle, large_blocks_bundle))
+    cases = [(random_section(b, 50 + k, "general"), p, 60 + k) for k, (p, b) in enumerate(pairs)]
+    cases.append((with_zero_fiber(cases[0][0], 1), 3.0, 70))
+    want = [duality_check(x, p, samples, seed).to_dict() for x, p, seed in cases]
+    monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
+    assert [rep.to_dict() for rep in duality_checks(cases, samples)] == want
 
 
 def test_duality_check_near_one_fails_loudly(hetero_bundle):
