@@ -4,9 +4,9 @@ A subalgebra is given by per-atom generator lists; validation closes the span
 under adjoints and products, adjoins the identity, and orthonormalizes it in
 the trace inner product ``<a, b> = trace_w(b* a)``.  The conditional
 expectation is the orthogonal projection onto that span, applied fiber by
-fiber; trace preservation, the bimodule property, positivity, and the Lp
-contraction bound are all verifiable consequences collected by
-``check_cond_exp_axioms``.
+fiber; trace preservation, the bimodule property, positivity, the Lp
+contraction bound and locality are verifiable consequences, collected by
+``check_cond_exp_axioms`` with one stacked eigensolve per block size.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
-from .fiber import FiberElement, _jacobi_eigenvalues_stack, gram_eigenvalues_stack, identity_fiber
+from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber
 from .tracelp import derive_seed, packed_chunks, solve_by_block_size, stacked_lp_norms, stacked_traces
 
 ORTHO_PIVOT_TOL = 1e-10       # Gram-Schmidt rank decision on unit-norm candidates
@@ -131,12 +131,6 @@ class SubalgebraBasis:
         parts = np.split(rng.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
         return [block for p, re, im in zip(self.projectors, parts[::2], parts[1::2])
                 for block in p.stack_from_basis((re + 1j * im)[:, None])]
-
-    def restrict(self, labels) -> "SubalgebraBasis":
-        """Rebuild the validated basis on a sub-bundle from the same generators."""
-        sub = self.bundle.restrict(labels)
-        idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
-        return validate_subalgebra(sub, [self.generators[i] for i in idx])
 
     def __repr__(self):
         return f"SubalgebraBasis(dims={self.dims})"
@@ -272,12 +266,13 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     ``E(a x b) = a E(x) b`` for subalgebra a, b, trace preservation, the
     pairing identity ``trace(E(x) y) = trace(x y)`` for subalgebra y, the Lp
     contraction bound for p in {1, 2, 3, 4}, scalarized-trace preservation for
-    random positive center weights, and agreement between the global map and
-    independently rebuilt single-atom maps.  Never raises on a residual; the
-    caller compares against tolerances.  Each tag (x, pos, a, b, y, nu) draws
-    from one generator seeded from ``derive_seed(seed, f"axiom-{tag}")``, trial
-    ``t`` its lane ``t``.  The trials are stacked per block in chunks of
-    DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
+    random positive center weights, and locality (fiberwise_agreement): ``E(x)``
+    at an atom must not change when x takes the trial's ``pos`` draw at every
+    other atom.  Never raises on a residual; the caller compares against
+    tolerances.  Each tag (x, pos, a, b, y, nu) draws from one generator seeded
+    from ``derive_seed(seed, f"axiom-{tag}")``, trial ``t`` its lane ``t``.  The
+    trials are stacked per block in chunks of DUALITY_CHUNK; no step mixes
+    trials, so the chunking does not show.
     """
     return cond_exp_axiom_checks([(E, seed)], trials)[0]
 
@@ -286,7 +281,7 @@ def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
     """``check_cond_exp_axioms(E, trials, seed)`` for every ``(E, seed)`` case, in order.
 
     The cases' chunks go through in groups (``packed_chunks``), each with one stacked
-    solve per block size for its positivity eigenvalues and one for its Gram spectra.
+    solve per block size for its positivity eigenvalues and Gram spectra together.
     No step mixes trials or cases, so the grouping does not show in a report.
     """
     if trials < 1:
@@ -294,10 +289,9 @@ def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
     tallies = [_AxiomTally(E, seed) for E, seed in cases]
     for group in packed_chunks(len(cases), trials):
         held = [tallies[k].draw(size) for k, size in group]
-        eigs = iter(solve_by_block_size([h for hs, _ in held for h in hs], _jacobi_eigenvalues_stack))
-        grams = iter(solve_by_block_size([g for _, both in held for g in both], gram_eigenvalues_stack))
-        for (k, size), (hs, both) in zip(group, held):
-            tallies[k].finish(size, [next(eigs) for _ in hs], both, [next(grams) for _ in both])
+        eigs = iter(solve_by_block_size([s for ss, _ in held for s in ss], _jacobi_eigenvalues_stack))
+        for (k, size), (stacks, both) in zip(group, held):
+            tallies[k].finish(size, [next(eigs) for _ in stacks], both)
     return [AxiomReport(trials=trials, seed=seed, residuals=t.res,
                         per_fiber_worst=dict(zip(E.bundle.space.labels, t.per_fiber)))
             for (E, seed), t in zip(cases, tallies)]
@@ -308,8 +302,6 @@ class _AxiomTally:
 
     def __init__(self, E: ConditionalExpectation, seed: int):
         bundle, self.E = E.bundle, E
-        self.atom_projectors = [E.target.restrict([label]).projectors[0]
-                                for label in bundle.space.labels]
         self.res = dict.fromkeys((
             "idempotence", "unitality", "positivity", "module_property", "trace_preservation",
             "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
@@ -330,9 +322,9 @@ class _AxiomTally:
     def draw(self, size: int):
         """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
 
-        Returns, one per block, the Hermitian stacks whose eigenvalues ``finish`` checks for
-        positivity, and ``E(x)`` (rows < size) stacked on ``x``, whose Gram spectra give the
-        Lp norms that ``finish`` compares.
+        Returns the stacks whose eigenvalues ``finish`` needs, one per block the Hermitian
+        ones it checks for positivity and then the Gram matrices of ``both``; and ``both``,
+        ``E(x)`` (rows < size) stacked on ``x``, whose Lp norms ``finish`` compares.
         """
         E, rngs = self.E, self.rngs
         bundle, projectors = E.bundle, E.target.projectors
@@ -351,12 +343,18 @@ class _AxiomTally:
         nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
         self.res["scalarized_trace"] = max(self.res["scalarized_trace"], float(d.max()))
-        self.bump("fiberwise_agreement", _gap(_project(self.atom_projectors, x), ex))
-        return hs, [np.concatenate(pair) for pair in zip(ex, x)]
+        # locality: lane w * size + t holds x_t at atom w and the pos draw g_t elsewhere
+        far = _project(projectors, [np.concatenate([u if i == w else v for w in self.atom_ids])
+                                    for i, u, v in zip(self.block_atoms, x, g)])
+        own = [f[i * size:(i + 1) * size] for i, f in zip(self.block_atoms, far)]
+        self.bump("fiberwise_agreement", _gap(own, ex))
+        both = [np.concatenate(pair) for pair in zip(ex, x)]
+        return hs + [np.einsum("ski,skj->sij", z.conj(), z) for z in both], both
 
-    def finish(self, size: int, eigenvalues, both, spectra):
+    def finish(self, size: int, eigenvalues, both):
         """Fold in the positivity and Lp contraction residuals of the trials ``draw`` left."""
-        self.bump("positivity", [np.maximum(0.0, -w.min(axis=1)) for w in eigenvalues])
+        self.bump("positivity", [np.maximum(0.0, -w.min(axis=1)) for w in eigenvalues[:len(both)]])
+        spectra = [np.maximum(w, 0.0) for w in eigenvalues[len(both):]]
         norms = stacked_lp_norms(both, self.E.bundle, CONTRACTION_EXPONENTS, spectra)
         for p, n in zip(CONTRACTION_EXPONENTS, norms):
             gain = np.maximum(n[:size] - n[size:], 0.0)

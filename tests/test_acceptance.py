@@ -36,7 +36,7 @@ from tracebundle.fixtures import fixture_config
 from tracebundle.martingale import build_filtration, martingale_defect
 from tracebundle.towers import fiber_level_generators, level_generators
 
-from oracles import ExactFiberProjection, pinching_basis
+from oracles import ExactFiberProjection, pinching_basis, restricted_basis
 
 MASTER_SEED = 987654321
 
@@ -162,7 +162,7 @@ def test_criterion_4_fiberwise_factorization(bundle):
     basis = validate_subalgebra(bundle, gens)
     E = ConditionalExpectation(basis)
     atom_exps = {
-        label: ConditionalExpectation(basis.restrict([label]))
+        label: ConditionalExpectation(restricted_basis(basis, [label]))
         for label in bundle.space.labels
     }
     for k in range(100):

@@ -4,7 +4,8 @@
 ``WORKLOADS`` entry pins; this runs the same configs through the CLI so a
 dropped or renamed check fails here first.  The stacked eigensolver calls of
 the duality and axiom workloads are pinned too, so a refactor that splits a
-check phase's shared solves again fails here.  The bench files are only read.
+check phase's shared solves again fails here, and so are the subalgebra
+validations of the axiom workload.  The bench files are only read.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tracebundle import fiber
+from tracebundle import condexp, fiber
 from tracebundle.cli import EXIT_OK, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,23 +48,40 @@ def test_workload_passes_with_its_pinned_checks(config, tmp_path, capsys):
     assert [c["name"] for c in summary["checks"]] == pinned
 
 
-@pytest.mark.parametrize("workload, least, most", [("duality", 12, 12), ("axioms-large-blocks", 1, 8)])
-def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
-    # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
-    # times 3 block sizes; axioms: 4 levels of 30 trials, one group, 4 block sizes
-    # times 2 (positivity, Gram)
-    command, _ = WORKLOADS[workload]
-    real, calls = fiber._jacobi_eigenvalues_stack, []
+def count_calls(real, monkeypatch) -> list:
+    """Patch ``real`` wherever a tracebundle module holds it; the list grows by one per call."""
+    calls = []
 
-    def counted(h):
-        calls.append(len(h))
-        return real(h)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("tracebundle")]:
         for attr, value in list(vars(module).items()):
             if value is real:
                 monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def run_workload(workload, tmp_path, capsys):
+    command, _ = WORKLOADS[workload]
     config = BENCH / "workloads" / f"{workload}.json"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workload, least, most", [("duality", 12, 12), ("axioms-large-blocks", 4, 4)])
+def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
+    # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
+    # times 3 block sizes; axioms: 4 levels of 30 trials, one group, 4 block sizes,
+    # the positivity and Gram stacks of a size solved together
+    calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
+    run_workload(workload, tmp_path, capsys)
     assert least <= len(calls) <= most
+
+
+def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):
+    # the 4 tower levels; the axiom checks themselves build no subalgebra
+    calls = count_calls(condexp.validate_subalgebra, monkeypatch)
+    run_workload("axioms-large-blocks", tmp_path, capsys)
+    assert len(calls) == 4

@@ -24,6 +24,7 @@ from tracebundle import (
     validate_subalgebra,
 )
 from tracebundle import condexp, tracelp
+from tracebundle.config import DEFAULT_TOLERANCES
 from tracebundle.towers import fiber_level_generators, level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
@@ -33,6 +34,7 @@ from oracles import (
     closure_loop_reference,
     matrix_unit_blocks,
     pinching_basis,
+    restricted_basis,
 )
 
 PRESET_LEVELS = ("scalars", "diagonal", "block(2,1)", "full")
@@ -311,7 +313,7 @@ def test_fiberwise_factorization_bitwise(hetero_bundle):
         x = random_section(hetero_bundle, seed, "general")
         ex = E(x)
         for label in hetero_bundle.space.labels:
-            sub = ConditionalExpectation(basis.restrict([label]))
+            sub = ConditionalExpectation(restricted_basis(basis, [label]))
             got = sub(x.restrict([label])).fibers[0]
             for a, b in zip(got.blocks, ex.fiber(label).blocks):
                 assert np.array_equal(a, b)
@@ -429,6 +431,33 @@ def test_axiom_report_reference_above_chunk_size(hetero_bundle):
     trials = DUALITY_CHUNK + 13
     assert_matches_reference(check_cond_exp_axioms(E, trials, 32),
                              axiom_report_reference(E, trials, 32))
+
+
+def test_fiberwise_agreement_is_zero_on_every_local_map(axiom_cases):
+    # every map here acts fiber by fiber, the perturbed one too: that one is flagged
+    # by idempotence, not by locality
+    for (name, level), (E, want, whole) in axiom_cases.items():
+        assert whole["residuals"]["fiberwise_agreement"] == 0.0
+        assert want.residuals["fiberwise_agreement"] == 0.0
+        if level == "perturbed":
+            assert whole["residuals"]["idempotence"] > 1.0
+
+
+def test_fiberwise_agreement_catches_a_map_that_mixes_atoms(hetero_bundle, monkeypatch):
+    # the leak adds 1e-3 of the projected Mat2 block of w1 to the first Mat2 block of w3
+    real = condexp._project
+
+    def leaky(projectors, blocks):
+        out = real(projectors, blocks)
+        assert [p.shape for p in projectors] == list(hetero_bundle.fiber_shapes)
+        out[3] = out[3] + 1e-3 * out[0]
+        return out
+
+    monkeypatch.setattr(condexp, "_project", leaky)
+    for level in PRESET_LEVELS:  # each reads exactly 0.0 unpatched (the test above)
+        E = preset_expectation(hetero_bundle, level)
+        residual = check_cond_exp_axioms(E, 20, 31).residuals["fiberwise_agreement"]
+        assert residual > DEFAULT_TOLERANCES["condexp_axioms"]
 
 
 def test_expectation_commutes_with_adjoint(hetero_diag_exp, hetero_bundle):

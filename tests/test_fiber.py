@@ -329,6 +329,23 @@ def test_stacked_lane_bits_do_not_depend_on_the_stack(seed, n, lanes):
         assert np.array_equal(fiber._jacobi_eigenvalues_stack(block[None])[0], lane)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), lanes=lane_specs, gram=st.booleans())
+def test_stacked_lanes_equal_the_list_kernel_bit_for_bit(seed, n, lanes, gram):
+    # the axiom checks solve positivity and Gram stacks of every block size in one
+    # call, which leaves their reports unchanged only under this contract
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    if gram:  # Gram matrices y* y of general complex blocks at the same scales
+        rng = np.random.default_rng(seed)
+        y = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) * np.sqrt(
+            [scale for scale, _ in lanes])[:, None, None]
+        h = np.einsum("ski,skj->sij", y.conj(), y)
+    for block, lane in zip(h, fiber._jacobi_eigenvalues_stack(h)):
+        w, vectors = fiber._jacobi_hermitian(block, vectors=False)
+        assert vectors is None
+        assert np.array_equal(lane, w)
+
+
 def test_gram_eigenvalues_stack_matches_singular_values():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 5):
