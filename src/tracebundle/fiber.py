@@ -367,12 +367,17 @@ def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
 
     Lean path for norm computations that need only the spectrum; skips the
     Hermiticity check (the Gram matrix is Hermitian by construction), the
-    descending sort, and the basis bookkeeping of ``herm_eig``.
+    descending sort, and the basis bookkeeping of ``herm_eig``.  A Gram matrix
+    whose entries overflow has an infinite spectrum, as in the stacked kernel,
+    and no Jacobi sweep runs on it.
     """
     out = []
     for b in x.blocks:
-        w, _ = _jacobi_hermitian(b.conj().T @ b, vectors=False)
-        out.append(np.maximum(w, 0.0))
+        gram = b.conj().T @ b
+        if np.isfinite(gram).all():
+            out.append(np.maximum(_jacobi_hermitian(gram, vectors=False)[0], 0.0))
+        else:
+            out.append(np.full(len(gram), math.inf))
     return out
 
 

@@ -4,7 +4,8 @@ The trace of a section is the center element ``w -> sum_j c_j(w) tr(x(w)_j)``
 with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
-per-block Gram spectrum (the squared singular values).  The duality module
+per-block Gram spectrum (the squared singular values), summed relative to the
+atom's largest so that no power leaves the float range.  The duality module
 builds a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball
 from one Gram eigendecomposition per fiber, and samples that ball for violations.
 """
@@ -30,7 +31,6 @@ from .fiber import (
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
-TINY = np.finfo(np.float64).tiny  # a power sum below the smallest normal float lost its bits
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -120,48 +120,36 @@ def _require_finite(norms, p):
         raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
 
 
-def _rescale_underflow(sums, norms, spectra, bundle, p):
-    """``(S, atoms)`` Lp ``norms`` whose power ``sums`` fell below the smallest normal float
-    replaced by ``sqrt(max w) * (sum c (w / max w)**(p/2))**(1/p)``, where no power underflows."""
-    top = np.zeros_like(sums)
-    for k, (i, _) in enumerate(bundle.block_slots()):
-        top[:, i] = np.maximum(top[:, i], spectra[k].max(axis=1))
-    lost = (sums < TINY) & (top > 0.0)
-    top = np.where(lost, top, 1.0)
-    again = np.zeros_like(sums)
-    for k, (i, c) in enumerate(bundle.block_slots()):
-        again[:, i] += c * np.sum((spectra[k] / top[:, i, None]) ** (p / 2.0), axis=1)
-    return np.where(lost, np.sqrt(top) * again ** (1.0 / p), norms)
-
-
 def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
 
-    p = 2 is the weighted Frobenius identity, p = inf the uniform norm, and other
-    exponents sum ``w**(p/2)`` over the Gram ``spectra`` ``w`` of ``ys``, one ``(S, n)``
-    array per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)`` gives them
-    (unused, so it may be empty, when every exponent is 2).
-    A norm that overflows (say ``w**(p/2)`` at p near 1e7) raises ContractViolationError.  A
-    sum that underflows (say at p = 300) is summed again over ``w / max w``; no other norm moves.
+    p = 2 is the weighted Frobenius identity.  Every other exponent, p = inf included, is
+    ``sqrt(top) * (sum_j c_j sum (w / top)**(p/2))**(1/p)`` over the Gram ``spectra`` ``w`` of
+    ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)``
+    gives them (unused, so it may be empty, when every exponent is 2), where ``top`` is the
+    atom's largest ``w``: no power overflows or underflows, and at p = inf the sum's root is 1.
+    A norm that is not finite (squares past the float range) raises ContractViolationError.
     """
+    slots = bundle.block_slots()
+    top = np.zeros((len(ys[0]), bundle.space.size))
+    for w, (i, _) in zip(spectra, slots):
+        top[:, i] = np.maximum(top[:, i], w.max(axis=1))
+    divisor = np.where((top > 0.0) & (top < math.inf), top, 1.0)  # no 0 / 0 or inf / inf
+    scaled = [w / divisor[:, i, None] for w, (i, _) in zip(spectra, slots)]
     out = []
     for p in exponents:
-        norm = np.zeros((len(ys[0]), bundle.space.size))
-        with np.errstate(over="ignore"):  # an overflow is reported below, naming p
-            for k, (i, c) in enumerate(bundle.block_slots()):
-                if p == 2.0:
-                    norm[:, i] += c * np.sum(ys[k].real**2 + ys[k].imag**2, axis=(1, 2))
-                elif p == math.inf:
-                    norm[:, i] = np.maximum(norm[:, i], spectra[k].max(axis=1))
-                else:
-                    norm[:, i] += c * np.sum(spectra[k] ** (p / 2.0), axis=1)
-        _require_finite(norm, p)
-        if p in (2.0, math.inf):
-            out.append(np.sqrt(norm))
-        elif (norm < TINY).any():
-            out.append(_rescale_underflow(norm, norm ** (1.0 / p), spectra, bundle, p))
+        norm = np.zeros_like(top)
+        if p == 2.0:
+            with np.errstate(over="ignore"):  # an overflow is reported below, naming p
+                for y, (i, c) in zip(ys, slots):
+                    norm[:, i] += c * np.sum(y.real**2 + y.imag**2, axis=(1, 2))
+            norm = np.sqrt(norm)
         else:
-            out.append(norm ** (1.0 / p))
+            for w, (i, c) in zip(scaled, slots):
+                norm[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
+            norm = np.sqrt(top) * norm ** (1.0 / p)
+        _require_finite(norm, p)
+        out.append(norm)
     return out
 
 
@@ -170,27 +158,27 @@ def lp_norm(x: Section, p: float) -> CenterElement:
 
     For p = 2 the trace of ``x* x`` is the sum of its eigenvalues, i.e. the
     weighted Frobenius sum ``sum_j c_j ||x_j||_F**2``, so no eigensolve is
-    needed.  Other exponents sum ``w**(p/2)`` over the Gram spectrum ``w``.
-    p must be finite and at least 1, else UsageError.  Overflow and underflow
-    are treated as in ``stacked_lp_norms``.
+    needed.  Other exponents take the scaled sum of ``stacked_lp_norms`` over
+    the Gram spectrum.  p must be finite and at least 1, else UsageError; a norm
+    that is not finite raises ContractViolationError.
     """
     p = _exponent(p)
-    half_p = p / 2.0
     values = np.empty(x.bundle.space.size, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is reported below, naming p
+    # an overflow, or inf - inf in a Gram product, is reported below, naming p
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
-            total, scale = 0.0, 1.0
+            total = 0.0
             if p == 2.0:
                 for c, b in zip(cs, f.blocks):
                     total += c * float(np.vdot(b, b).real)
+                values[i] = total ** 0.5
             else:
                 spectra = gram_eigenvalues(f)
+                top = max(max(w.tolist()) for w in spectra)
+                divisor = top if 0.0 < top < math.inf else 1.0
                 for c, w in zip(cs, spectra):
-                    total += c * float(np.sum(w**half_p))
-                if total < TINY and (top := max(float(w.max()) for w in spectra)) > 0.0:
-                    scale = math.sqrt(top)  # underflow: sum again over w / max w
-                    total = sum(c * float(np.sum((w / top) ** half_p)) for c, w in zip(cs, spectra))
-            values[i] = scale * total ** (1.0 / p)
+                    total += c * float(np.sum((w / divisor) ** (p / 2.0)))
+                values[i] = math.sqrt(top) * total ** (1.0 / p)
     _require_finite(values, p)
     return CenterElement(x.bundle.space, values)
 

@@ -11,7 +11,7 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle import runner
+from tracebundle import runner, tracelp
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.fixtures import fixture_config, fixture_text
 from tracebundle.runner import read_section_csv, run_experiment
@@ -221,27 +221,30 @@ def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys):
-    # p - 1 = 1e-7 passes parse_config; the dual L(1e7) norms of the duality
-    # check then overflow, after the condexp part has computed its report
-    doc = json.loads(fixture_text("mat2_tower"))
-    doc["exponents"] = [1.0000001, 2]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys, monkeypatch):
+    # a numerical limit hit by the dual norms of the duality check, after the condexp
+    # part has computed its report
+    def capped(y):
+        raise ContractViolationError("Jacobi eigensolver did not converge in 100 sweeps")
+
+    monkeypatch.setattr(tracelp, "gram_eigenvalues_stack", capped)
+    good = tmp_path / "good.json"
+    good.write_text(fixture_text("mat2_tower"))
     out = tmp_path / "o"
-    assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert main(["run", "--config", str(good), "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert "numerical failure in the duality checks: L1e+07 norm is not finite" in err
+    assert "numerical failure in the duality checks: Jacobi eigensolver did not converge" in err
     assert "model construction failed" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command, p", [("check-duality", 300), ("run-martingale", 30),
-                                        ("run-martingale", 300)])
+                                        ("run-martingale", 300), ("check-duality", 1.0000001)])
 def test_large_exponents_pass(tmp_path, capsys, command, p):
     # at p = 300 the Gram eigenvalues ** 150 of atom w4's sampled section (seed 10) underflow,
-    # and at p >= 30 those of the round-off terminal residual x_K - x; each such sum is taken
-    # again over w / max w, so w4 keeps its norm and no false violation or error shows
+    # at p >= 30 those of the round-off terminal residual x_K - x, and at p = 1.0000001 those
+    # ** 5e6 of the dual L(1e7) norms overflow or underflow; summed over w / max w, every norm
+    # keeps its value and no false violation or error shows
     doc = json.loads(fixture_text("hetero4_tower"))
     doc["exponents"] = [p]
     doc["seed"] = 10
