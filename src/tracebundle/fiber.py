@@ -372,8 +372,9 @@ def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
     and no Jacobi sweep runs on it.
     """
     out = []
-    for b in x.blocks:
-        gram = b.conj().T @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the inf spectrum below
+        grams = [b.conj().T @ b for b in x.blocks]
+    for gram in grams:
         if np.isfinite(gram).all():
             out.append(np.maximum(_jacobi_hermitian(gram, vectors=False)[0], 0.0))
         else:

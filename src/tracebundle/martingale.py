@@ -5,12 +5,13 @@ projection-composition law are verified numerically at construction.  Towers
 are finite; the infinite-index regime of the averaging statements is emulated
 by holding the terminal element fixed for extra steps, which drives the
 cumulative weight to infinity while every limit stays exact.  Held steps are
-evaluated in closed form, so the whole tail costs O(1) norm evaluations.
+evaluated in closed form as array operations: the whole tail costs O(1) norm
+evaluations, and no Python runs once per held step.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -290,25 +291,22 @@ def _running_means(seq: MartingaleSeq, w, extend_by: int = 0):
     """Running means sigma_1..sigma_K and, for the held steps n > K, W_K/W_n.
 
     Holding ``y = x_K`` gives ``sigma_n - y = (W_K/W_n)(sigma_K - y)`` exactly.
+    The cumsum of the held ``W_n`` starts from ``W_K``, so it adds in step order.
     """
-    w = [float(v) for v in w]
+    w = np.asarray(w, dtype=np.float64)
     needed = len(seq) + max(0, int(extend_by))
     if len(w) < needed:
         raise UsageError(f"need at least {needed} weights, got {len(w)}")
-    if any(not np.isfinite(v) or v <= 0.0 for v in w):
+    if not np.all(np.isfinite(w) & (w > 0.0)):
         raise UsageError("averaging weights must be finite and strictly positive")
     sigmas = []
     running = None
     total = 0.0
-    for x_k, w_k in zip(seq.elements, w):
+    for x_k, w_k in zip(seq.elements, w[:len(seq)].tolist()):
         running = w_k * x_k if running is None else running + w_k * x_k
         total += w_k
         sigmas.append((1.0 / total) * running)
-    terminal_weight = total
-    ratios = []
-    for w_n in w[len(seq):needed]:
-        total += w_n
-        ratios.append(terminal_weight / total)
+    ratios = total / np.cumsum(np.concatenate(([total], w[len(seq):needed])))[1:]
     return sigmas, ratios
 
 
@@ -327,9 +325,9 @@ def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
     segment, so by convexity only its far end sigma_N joins the sup.
     """
     sigmas, ratios = _running_means(seq, w, extend_by)
-    if ratios:
+    if ratios.size:
         y = seq.elements[-1]
-        sigmas.append(y + ratios[-1] * (sigmas[-1] - y))
+        sigmas.append(y + float(ratios[-1]) * (sigmas[-1] - y))
     sup_x = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
     sup_sigma = center_sup([lp_norm(s, p) for s in sigmas])
     return sup_x, sup_sigma, sup_x - sup_sigma
@@ -344,8 +342,8 @@ class CesaroReport:
     verdict: str                 # "both" | "neither" | "exactly-one"
     element_trace: list          # max over atoms of ||x_n - y||_p
     average_trace: list          # max over atoms of ||sigma_n - y||_p
-    element_trace_per_atom: list = field(default_factory=list)
-    average_trace_per_atom: list = field(default_factory=list)
+    element_trace_per_atom: np.ndarray = None  # (steps, atoms)
+    average_trace_per_atom: np.ndarray = None  # (steps, atoms)
     limit: MartingaleLimit = None  # the verified limit y
 
     def converged(self) -> tuple[bool, bool]:
@@ -379,12 +377,12 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     limit = martingale_limit(seq)
     y = limit.limit
     sigmas, ratios = _running_means(seq, w, extend_by)
-    xa = [[float(v) for v in lp_norm(x_n - y, p).values] for x_n in seq.elements]
-    sa = [[float(v) for v in lp_norm(s_n - y, p).values] for s_n in sigmas]
-    xa += [[0.0] * len(xa[-1]) for _ in ratios]
-    sa += [[r * v for v in sa[-1]] for r in ratios]  # sa[-1] is still sigma_K's row
-    xt = [max(v) for v in xa]
-    st = [max(v) for v in sa]
+    xa = np.array([lp_norm(x_n - y, p).values for x_n in seq.elements])
+    sa = np.array([lp_norm(s_n - y, p).values for s_n in sigmas])
+    xa = np.concatenate((xa, np.zeros((ratios.size, xa.shape[1]))))
+    sa = np.concatenate((sa, ratios[:, None] * sa[-1]))  # sa[-1] is sigma_K's row
+    xt = xa.max(axis=1).tolist()
+    st = sa.max(axis=1).tolist()
 
     x_conv = xt[-1] <= tol
     s_conv = st[-1] <= tol

@@ -133,7 +133,7 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     defect = recon = terminal = monotone = pythagoras = gap = 0.0
     all_both = True
     never_one = True
-    rows = []
+    traces = []
     limit_section = None
     for s in range(cfg.trials["martingale_seeds"]):
         x = random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
@@ -160,12 +160,8 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
             pythagoras = max(pythagoras, float(drift.max()))
         all_both = all_both and rep.verdict == "both"
         never_one = never_one and rep.verdict != "exactly-one"
-        tag = f"{cfg.experiment_id}:seed={s}"
-        for n, (xv, sv) in enumerate(
-            zip(rep.element_trace_per_atom, rep.average_trace_per_atom), start=1
-        ):
-            for label, rx, rs in zip(bundle.space.labels, xv, sv):
-                rows.append((tag, n, label, rx, rs))
+        traces.append((f"{cfg.experiment_id}:seed={s}", bundle.space.labels,
+                       rep.element_trace_per_atom, rep.average_trace_per_atom))
     checks = [
         CheckResult("martingale/defect", defect, cfg.tolerances["martingale_defect"]),
         CheckResult("martingale/limit_reconstruction", recon, cfg.tolerances["martingale_defect"]),
@@ -176,7 +172,7 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         CheckResult("martingale/cesaro_both", _flag(all_both), 0.5),
         CheckResult("martingale/cesaro_never_one", _flag(never_one), 0.5),
     ]
-    return checks, rows, limit_section
+    return checks, traces, limit_section
 
 
 def _run_part(part: str, run, *args):
@@ -193,11 +189,16 @@ def write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def write_trace_csv(path: str, rows):
+def write_trace_csv(path: str, traces):
+    """``traces.csv`` from one ``(tag, labels, xa, sa)`` per seed, one ``write`` per seed."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("experiment_id,n,omega,residual_xp,residual_sigma\n")
-        for tag, n, label, rx, rs in rows:
-            fh.write(f"{tag},{n},{label},{rx!r},{rs!r}\n")
+        for tag, labels, xa, sa in traces:  # rows run over atoms within each step
+            steps = [n for n in range(1, len(xa) + 1) for _ in labels]
+            fh.write("".join([
+                f"{tag},{n},{label},{rx!r},{rs!r}\n" for n, label, rx, rs
+                in zip(steps, labels * len(xa), xa.ravel().tolist(), sa.ravel().tolist())
+            ]))
 
 
 def write_section_csv(path: str, section):
@@ -262,10 +263,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
             "reports": du_reports,
         }))
     if "martingale" in parts:
-        ma_checks, rows, limit_section = _run_part(
+        ma_checks, traces, limit_section = _run_part(
             "martingale", run_martingale_checks, cfg, filtration)
         checks.extend(ma_checks)
-        artifacts.append((write_trace_csv, "traces.csv", rows))
+        artifacts.append((write_trace_csv, "traces.csv", traces))
         if limit_section is not None:
             artifacts.append((write_section_csv, "limit_section.csv", limit_section))
 

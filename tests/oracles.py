@@ -43,6 +43,11 @@ The closure-loop reference is the loop that ``validate_subalgebra`` ran before
 the stacked closure residual became its stopping test: product rounds until a
 round accepts nothing or the span fills the fiber algebra, then one closure
 residual after the loop.
+
+The held-tail references are the per-step loops that ``martingale`` and
+``runner`` ran before the held tail became array operations: one running
+float total and one ratio ``W_K / W_n`` per held step, one list of per-atom
+floats per step for the Cesaro traces, and one ``write`` per ``traces.csv`` row.
 """
 
 from fractions import Fraction
@@ -427,3 +432,39 @@ def closure_loop_reference(bundle, generators):
         orthos.append(proj.ortho)
         worst = max(worst, _closure_residual(proj))
     return orthos, worst
+
+
+def running_means_reference(seq, w, extend_by=0):
+    """Running means and the held ratios ``W_K / W_n``, one float total per step."""
+    w = [float(v) for v in w]
+    needed = len(seq) + max(0, int(extend_by))
+    sigmas, running, total = [], None, 0.0
+    for x_k, w_k in zip(seq.elements, w):
+        running = w_k * x_k if running is None else running + w_k * x_k
+        total += w_k
+        sigmas.append((1.0 / total) * running)
+    terminal_weight = total
+    ratios = []
+    for w_n in w[len(seq):needed]:
+        total += w_n
+        ratios.append(terminal_weight / total)
+    return sigmas, ratios
+
+
+def cesaro_traces_reference(seq, w, p, extend_by=0):
+    """Per-atom ``||x_n - y||_p`` and ``||sigma_n - y||_p`` rows, one list per step."""
+    y = seq.elements[-1]
+    sigmas, ratios = running_means_reference(seq, w, extend_by)
+    xa = [[float(v) for v in lp_norm(x_n - y, p).values] for x_n in seq.elements]
+    sa = [[float(v) for v in lp_norm(s_n - y, p).values] for s_n in sigmas]
+    xa += [[0.0] * len(xa[-1]) for _ in ratios]
+    sa += [[r * v for v in sa[-1]] for r in ratios]  # sa[-1] is still sigma_K's row
+    return xa, sa
+
+
+def write_trace_csv_reference(path, rows):
+    """``traces.csv`` from ``(tag, n, label, rx, rs)`` rows, one ``write`` per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("experiment_id,n,omega,residual_xp,residual_sigma\n")
+        for tag, n, label, rx, rs in rows:
+            fh.write(f"{tag},{n},{label},{rx!r},{rs!r}\n")

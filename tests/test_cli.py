@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -84,6 +85,30 @@ def test_subcommands_write_their_reports(config_path, tmp_path):
     names = [c["name"] for c in summary["checks"]]
     assert names and all(n.startswith("martingale/") for n in names)
     assert (out / "traces.csv").exists()
+
+
+# sha256 of run-martingale's artifacts, recorded before the held tail became array
+# operations: any change to the bits of the tail or of the limit fails here
+MARTINGALE_DIGESTS = {
+    "mat2_tower": {
+        "traces.csv": "3837da633495ec5aae7b1dfd3bd8a711dbd34c71c0e7d2df389f5a91111dd246",
+        "limit_section.csv": "a76ab3ffab880ce858e70dae06d97b6b79dd377225b5dd7a7181b32f26f7d400",
+    },
+    "hetero4_tower": {
+        "traces.csv": "deba4eb1030feafa0ddae01e8625081ceefc9ec3e23927c85862b3d8e7f1728e",
+        "limit_section.csv": "de96ab5f383162ec3206f17793af24da9c8593b174f72edaa8544b9f8c455341",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARTINGALE_DIGESTS))
+def test_martingale_artifacts_keep_their_bytes(name, tmp_path):
+    config = tmp_path / f"{name}.json"
+    config.write_text(fixture_text(name))
+    out = tmp_path / "out"
+    assert main(["run-martingale", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    for artifact, digest in MARTINGALE_DIGESTS[name].items():
+        assert hashlib.sha256(read(out / artifact)).hexdigest() == digest, artifact
 
 
 def test_check_failure_exit_code(config_path, tmp_path):

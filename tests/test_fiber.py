@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tracebundle import (
     ContractViolationError,
     FiberElement,
+    Section,
     ShapeMismatchError,
     abs_power,
     herm_eig,
@@ -15,6 +17,7 @@ from tracebundle import (
     polar,
     spectral_norm,
     spectral_projection,
+    uniform_norm,
 )
 from tracebundle import fiber
 from tracebundle.fiber import gram_eigenvalues, gram_eigenvalues_stack
@@ -386,6 +389,15 @@ def test_spectral_norm_matches_oracle():
         x = random_fiber(seed, dims=(3, 2))
         oracle = max(np.linalg.norm(b, 2) for b in x.blocks)
         assert abs(spectral_norm(x) - oracle) < 1e-10
+
+
+def test_spectral_norm_of_overflowing_gram_is_inf_without_warning(mat2_bundle):
+    # the Gram entries 2e320 overflow; the inf spectrum comes back and, under the
+    # error::RuntimeWarning filter, no "overflow encountered in matmul" is raised
+    x = FiberElement([np.full((2, 2), 1e160, dtype=complex)])
+    assert spectral_norm(x) == math.inf
+    assert uniform_norm(Section(mat2_bundle, [x])) == math.inf
+    assert spectral_norm(FiberElement([np.full((2, 2), 1e150, dtype=complex)])) == pytest.approx(2e150)
 
 
 def test_gram_eigenvalues_nonnegative():

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tracebundle import (
     build_filtration,
     center_sup,
     cesaro_equivalence,
+    derive_seed,
     double_sequence_check,
     identity_section,
     is_martingale,
@@ -26,15 +28,19 @@ from tracebundle import (
 )
 from tracebundle import condexp, martingale, runner
 from tracebundle.condexp import SubalgebraBasis
-from tracebundle.fixtures import fixture_config
+from tracebundle.config import parse_config
+from tracebundle.fixtures import FIXTURES, fixture_config
 from tracebundle.martingale import Filtration
 from tracebundle.runner import run_experiment
 from tracebundle.towers import level_generators
 
 from oracles import (
+    cesaro_traces_reference,
     closure_residual_reference,
     composition_residual_reference,
     inclusion_residual_reference,
+    running_means_reference,
+    write_trace_csv_reference,
 )
 
 
@@ -364,6 +370,22 @@ def test_weight_validation(mat2_tower, mat2_bundle):
         weighted_averages(seq, [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_weight_validation_covers_the_whole_list(mat2_tower, mat2_bundle, bad):
+    # a bad weight past the first len(seq), inside the held range or past it
+    x = random_section(mat2_bundle, 63, "general")
+    seq = martingale_from_target(x, mat2_tower)
+    w = [1.0] * (len(seq) + 5)
+    w[len(seq) + 2] = bad
+    with pytest.raises(UsageError, match="finite and strictly positive"):
+        weighted_averages(seq, w)
+    for extend_by in (0, 5):
+        with pytest.raises(UsageError, match="finite and strictly positive"):
+            sup_norm_comparison(seq, w, p=2, extend_by=extend_by)
+        with pytest.raises(UsageError, match="finite and strictly positive"):
+            cesaro_equivalence(seq, w, p=2, tol=1e-2, extend_by=extend_by)
+
+
 def test_sigma_domination(hetero_tower, hetero_bundle):
     for seed in range(5):
         x = random_section(hetero_bundle, seed, "general")
@@ -492,10 +514,57 @@ def test_held_tail_closed_form_matches_explicit_means(which, weights, request):
         assert np.array_equal(got[:k], want[:k])
         assert np.all(np.abs(got[k:] - want[k:]) <= 1e-12 * lp_norm(x, p).values)
         assert rep.element_trace[k - 1:] == [0.0] * (n_ext + 1)
-        assert all(row == [0.0] * f.bundle.space.size for row in rep.element_trace_per_atom[k:])
+        assert np.array_equal(rep.element_trace_per_atom[k:], np.zeros((n_ext, f.bundle.space.size)))
         _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=n_ext)
         ref_sup = np.max([lp_norm(s, p).values for s in sigmas], axis=0)
         assert np.all(np.abs(sup_sigma.values - ref_sup) <= 1e-13 * ref_sup)
+
+
+def _held_tail_config(name, weights, extension):
+    doc = copy.deepcopy(FIXTURES[name])
+    doc["extension"] = extension
+    steps = len(doc["tower"]) + extension
+    # non-integer explicit weights, whose partial sums depend on the summation order
+    doc["weights"] = (np.random.default_rng(14).uniform(0.1, 3.0, steps).tolist()
+                      if weights == "explicit" else weights)
+    return parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("extension", [0, 1000])
+@pytest.mark.parametrize("weights", ["uniform", "linear", "explicit"])
+@pytest.mark.parametrize("name", ["hetero4_tower", "mat2_tower"])
+def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp_path):
+    cfg = _held_tail_config(name, weights, extension)
+    f = runner.build_tower(cfg, cfg.build_bundle())
+    _, traces, _ = runner.run_martingale_checks(cfg, f)
+    rows = []
+    for s, (tag, labels, xa, sa) in enumerate(traces):
+        x = random_section(f.bundle, derive_seed(cfg.seed, "mart-x", s), "general")
+        seq = martingale_from_target(x, f, p=2.0)
+        y = seq.elements[-1]
+        w = cfg.weight_list(len(seq) + extension)
+        ref_sigmas, ref_ratios = running_means_reference(seq, w, extension)
+        assert martingale._running_means(seq, w, extension)[1].tolist() == ref_ratios
+        for p in (1.0, 2.0, 3.0):
+            rep = cesaro_equivalence(seq, w, p, tol=1.0, extend_by=extension)
+            ref_xa, ref_sa = cesaro_traces_reference(seq, w, p, extension)
+            assert rep.element_trace_per_atom.tolist() == ref_xa
+            assert rep.average_trace_per_atom.tolist() == ref_sa
+            assert rep.element_trace == [max(r) for r in ref_xa]
+            assert rep.average_trace == [max(r) for r in ref_sa]
+            ends = ref_sigmas + [y + r * (ref_sigmas[-1] - y) for r in ref_ratios[-1:]]
+            _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=extension)
+            assert np.array_equal(sup_sigma.values,
+                                  center_sup([lp_norm(e, p) for e in ends]).values)
+        ref_xa, ref_sa = cesaro_traces_reference(seq, w, 2.0, extension)
+        assert xa.tolist() == ref_xa and sa.tolist() == ref_sa
+        rows += [(tag, n, label, rx, rs)
+                 for n, (xv, sv) in enumerate(zip(ref_xa, ref_sa), start=1)
+                 for label, rx, rs in zip(labels, xv, sv)]
+    assert len(rows) == len(traces) * (len(f.tower) + extension) * f.bundle.space.size
+    runner.write_trace_csv(str(tmp_path / "traces.csv"), traces)
+    write_trace_csv_reference(str(tmp_path / "reference.csv"), rows)
+    assert (tmp_path / "traces.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
