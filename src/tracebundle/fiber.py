@@ -117,21 +117,24 @@ def _plane_turn(x, y, c, s, wr, wi):
     return new_x, new_y
 
 
-def _jacobi_eigenvalues_stack(h):
+def _jacobi_eigenvalues_stack(h, vectors=False):
     """Eigenvalues of every Hermitian block of a stack ``h`` of shape ``(B, n, n)``.
 
-    Returns a ``(B, n)`` array, unordered per block.  Each block (a lane)
-    runs the eigenvalue-only sweeps of ``_jacobi_hermitian``: the same
-    row-major (p, q) rotation order, the same plane transforms written out in
-    real float64 arithmetic, and the same stop at
+    Returns a ``(B, n)`` array, unordered per block; with ``vectors`` it
+    returns ``(w, u)``, ``u`` a ``(B, n, n)`` stack of unitaries with
+    ``h[b] = u[b] @ diag(w[b]) @ u[b]*``.  Each block (a lane) runs the sweeps
+    of ``_jacobi_hermitian``: the same row-major (p, q) rotation order, the
+    same plane transforms written out in real float64 arithmetic (``u`` takes
+    the column turn of ``h``), and the same stop at
     ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (here ``||a||_F`` is accumulated
-    by ``np.hypot``).  All unconverged lanes rotate together, one numpy
-    operation per step, and a lane leaves the stack at the first sweep that
-    finds it converged.  Every operation is elementwise across lanes, so a
-    lane's eigenvalues do not depend on the other lanes or on its position in
-    the stack.  A stack with a lane still unconverged after JACOBI_MAX_SWEEPS
-    sweeps raises ContractViolationError.  For a single block the list kernel
-    is the faster one.
+    by ``np.hypot``), so ``w`` and ``u`` equal its output bit for bit.  All
+    unconverged lanes rotate together, one numpy operation per step, and a
+    lane leaves the stack at the first sweep that finds it converged.  Every
+    operation is elementwise across lanes, so a lane's output does not depend
+    on the other lanes or on its position in the stack.  A stack with a lane
+    still unconverged after JACOBI_MAX_SWEEPS sweeps raises
+    ContractViolationError.  For a single block the list kernel is the faster
+    one.
     """
     lanes, n = h.shape[0], h.shape[-1]
     # a[0] and a[1] hold the real and imaginary parts, lanes last
@@ -147,6 +150,10 @@ def _jacobi_eigenvalues_stack(h):
     diag = np.arange(n)
     out = np.empty((lanes, n))
     lane = np.arange(lanes)
+    if vectors:
+        u = np.zeros_like(a)
+        u[0, diag, diag] = 1.0
+        u_out = np.empty((lanes, n, n), dtype=np.complex128)
     for _ in range(JACOBI_MAX_SWEEPS):
         offdiag = a[:, rows, cols]
         with np.errstate(over="ignore"):  # huge entries square to inf, as in the list kernel
@@ -157,10 +164,15 @@ def _jacobi_eigenvalues_stack(h):
         done = np.sqrt(off) <= tol
         if done.any():
             out[lane[done]] = a[0, diag, diag][:, done].T
+            if vectors:
+                u_out.real[lane[done]] = u[0][..., done].transpose(2, 0, 1)
+                u_out.imag[lane[done]] = u[1][..., done].transpose(2, 0, 1)
             if done.all():
                 break
             keep = ~done
             a, tol, lane = a[..., keep], tol[keep], lane[keep]
+            if vectors:
+                u = u[..., keep]
         for p, q in pairs:
             re, im = a[0, p, q], a[1, p, q]
             r = np.hypot(re, im)
@@ -180,12 +192,14 @@ def _jacobi_eigenvalues_stack(h):
             if any_skip:  # the list kernel leaves these planes alone
                 c[skip], s[skip], wr[skip] = 1.0, 0.0, 1.0
             a[:, :, p], a[:, :, q] = _plane_turn(a[:, :, p], a[:, :, q], c, s, wr, -wi)
+            if vectors:
+                u[:, :, p], u[:, :, q] = _plane_turn(u[:, :, p], u[:, :, q], c, s, wr, -wi)
             a[:, p], a[:, q] = _plane_turn(a[:, p], a[:, q], c, s, wr, wi)
     else:
         raise ContractViolationError(
             f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    return out
+    return (out, u_out) if vectors else out
 
 
 class FiberElement:
@@ -382,15 +396,24 @@ def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
     return out
 
 
-def gram_eigenvalues_stack(y: np.ndarray) -> np.ndarray:
+def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
     """Eigenvalues of ``y_s* y_s`` for a stack ``y`` of shape ``(S, n, n)``.
 
-    Returns an ``(S, n)`` array, clamped nonnegative and unordered per block.
-    One stacked Jacobi solve serves the whole stack; single fibers go through
-    ``gram_eigenvalues`` and the list kernel, which is faster for one block.
+    Returns an ``(S, n)`` array, clamped nonnegative and unordered per block;
+    with ``vectors`` it returns ``(w, u)``, the eigenvectors of the stacked
+    kernel alongside.  One stacked Jacobi solve serves the whole stack.  The
+    Lp norms of single fibers go through ``gram_eigenvalues`` and the list
+    kernel, which is faster for one block; the duality witnesses of every
+    case of a check come from one call per block size with ``vectors``.
     """
     gram = np.einsum("ski,skj->sij", y.conj(), y)
-    return np.maximum(_jacobi_eigenvalues_stack(gram), 0.0)
+    overflowed = ~np.isfinite(gram).all(axis=(1, 2))
+    if overflowed.any():  # the inf spectrum, as in ``gram_eigenvalues``; no sweep runs on it
+        gram[overflowed] = np.diag(np.full(y.shape[-1], math.inf))
+    if not vectors:
+        return np.maximum(_jacobi_eigenvalues_stack(gram), 0.0)
+    w, u = _jacobi_eigenvalues_stack(gram, vectors=True)
+    return np.maximum(w, 0.0), u
 
 
 def spectral_norm(x: FiberElement) -> float:

@@ -324,10 +324,14 @@ def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
     which the ``extend_by`` holding scheme emulates.  The held means lie on one
     segment, so by convexity only its far end sigma_N joins the sup.
     """
-    sigmas, ratios = _running_means(seq, w, extend_by)
+    return _sup_comparison(seq, *_running_means(seq, w, extend_by), p)
+
+
+def _sup_comparison(seq: MartingaleSeq, sigmas, ratios, p: float):
+    """``sup_norm_comparison`` from the output of ``_running_means``."""
     if ratios.size:
         y = seq.elements[-1]
-        sigmas.append(y + float(ratios[-1]) * (sigmas[-1] - y))
+        sigmas = sigmas + [y + float(ratios[-1]) * (sigmas[-1] - y)]
     sup_x = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
     sup_sigma = center_sup([lp_norm(s, p) for s in sigmas])
     return sup_x, sup_sigma, sup_x - sup_sigma
@@ -345,6 +349,7 @@ class CesaroReport:
     element_trace_per_atom: np.ndarray = None  # (steps, atoms)
     average_trace_per_atom: np.ndarray = None  # (steps, atoms)
     limit: MartingaleLimit = None  # the verified limit y
+    sup_comparison: tuple = None   # sup_norm_comparison on the same weights and extension
 
     def converged(self) -> tuple[bool, bool]:
         return (
@@ -370,7 +375,9 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     additional steps, which sends the cumulative weight to infinity (the
     hypothesis behind the averaging equivalence) while keeping the limit
     exact; per atom a held step has ``||sigma_n - y||_p = (W_K/W_n)||sigma_K - y||_p``.
-    Refuses sequences that are not martingales to tolerance.
+    The report also holds ``sup_norm_comparison(seq, w, p, extend_by)``, taken
+    from the same running means.  Refuses sequences that are not martingales
+    to tolerance.
     """
     if seq.defect > MARTINGALE_TOL:
         raise UsageError("input sequence is not a martingale to tolerance")
@@ -396,4 +403,5 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
         element_trace_per_atom=xa,
         average_trace_per_atom=sa,
         limit=limit,
+        sup_comparison=_sup_comparison(seq, sigmas, ratios, p),
     )

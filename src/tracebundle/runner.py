@@ -24,7 +24,6 @@ from .martingale import (
     build_filtration,
     cesaro_equivalence,
     martingale_from_target,
-    sup_norm_comparison,
 )
 from .tracelp import center_trace, derive_seed, duality_checks, lp_norm
 
@@ -140,11 +139,11 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         seq = martingale_from_target(x, filtration, p=mart_p)
         defect = max(defect, seq.defect)
         w = cfg.weight_list(len(seq) + cfg.extension)
-        sup_x, sup_sigma, _ = sup_norm_comparison(seq, w, mart_p, extend_by=cfg.extension)
-        gap = max(gap, max(0.0, float((sup_sigma.values - sup_x.values).max())))
         rep = cesaro_equivalence(
             seq, w, mart_p, cfg.tolerances["cesaro"], extend_by=cfg.extension
         )
+        sup_x, sup_sigma, _ = rep.sup_comparison
+        gap = max(gap, max(0.0, float((sup_sigma.values - sup_x.values).max())))
         lim = rep.limit
         if limit_section is None:
             limit_section = lim.limit

@@ -5,29 +5,24 @@ with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
 per-block Gram spectrum (the squared singular values), summed relative to the
-atom's largest so that no power leaves the float range.  The duality module
-builds a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball
-from one Gram eigendecomposition per fiber, and samples that ball for violations.
+atom's largest so that no power leaves the float range.  The duality checks
+build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
+the Gram eigenvectors of every block of every case, one stacked solve per block
+size, and sample that ball for violations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import Section, gaussian_stacks, identity_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
-from .fiber import (
-    PINV_CUTOFF,
-    _gram_eig,
-    gram_eigenvalues,
-    gram_eigenvalues_stack,
-    zero_fiber,
-)
+from .fiber import PINV_CUTOFF, FiberElement, gram_eigenvalues, gram_eigenvalues_stack
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
@@ -96,13 +91,21 @@ def packed_chunks(cases: int, count: int) -> list[list[tuple[int, int]]]:
 
 
 def solve_by_block_size(stacks, solve) -> list:
-    """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``."""
+    """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``.
+
+    ``solve`` returns one row per lane, or a tuple of such arrays; each stack gets its rows
+    (a tuple of them likewise).
+    """
     out = [None] * len(stacks)
     for n in sorted({s.shape[1] for s in stacks}):
         members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
         rows = solve(np.concatenate([stacks[k] for k in members]))
         ends = np.cumsum([len(stacks[k]) for k in members])[:-1]
-        for k, part in zip(members, np.split(rows, ends)):
+        if isinstance(rows, tuple):
+            parts = zip(*[np.split(r, ends) for r in rows])
+        else:
+            parts = np.split(rows, ends)
+        for k, part in zip(members, parts):
             out[k] = part
     return out
 
@@ -186,7 +189,7 @@ def lp_norm(x: Section, p: float) -> CenterElement:
 def dual_extremal(x: Section, p: float) -> Section:
     """Witness attaining the dual characterization of the Lp norm.
 
-    With ``x* x = V diag(w) V*`` from one eigendecomposition per fiber, the
+    With ``x* x = V diag(w) V*`` from one eigendecomposition per block, the
     witness is ``norm_p**(1-p) V diag(w**(p/2-1)) V* x*`` on the support
     ``w > PINV_CUTOFF**2``: ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
     hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
@@ -194,22 +197,56 @@ def dual_extremal(x: Section, p: float) -> Section:
     formed from ``w / norm_p**2``, so no power overflows at large p.  Fibers whose
     Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
-    p = _exponent(p)
-    return _witness(x, p, lp_norm(x, p).values)
+    return _witnesses([(x, _exponent(p))])[0][1]
 
 
-def _witness(x: Section, p: float, norms) -> Section:
-    """``dual_extremal(x, p)`` from the per-atom Lp ``norms`` of ``x``."""
-    cut, power = PINV_CUTOFF**2, p / 2 - 1
-    fibers = []
-    for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
-        if norm_p < ZERO_FIBER_TOL:
-            fibers.append(zero_fiber(shape))
-        else:  # np.maximum keeps a negative power of 0 out of the discarded branch
-            n2 = float(norm_p) ** 2
-            inner = _gram_eig(f).apply(lambda w: np.where(w > cut, (np.maximum(w, cut) / n2) ** power, 0))
-            fibers.append((1.0 / float(norm_p)) * (inner * f.adjoint()))
-    return Section._raw(x.bundle, fibers)
+def _sorted_gram_eig(y):
+    """Gram spectra of a stack as solved, and sorted per lane with their eigenvectors
+    (stable, descending, as ``herm_eig`` sorts)."""
+    w, u = gram_eigenvalues_stack(y, vectors=True)
+    order = np.argsort(-w, axis=1, kind="stable")
+    return w, np.take_along_axis(w, order, 1), np.take_along_axis(u, order[:, None, :], 2)
+
+
+def _witnesses(cases) -> list:
+    """``(norm_p, dual_extremal(x, p), trace(x dual_extremal(x, p)))`` for ``(x, p)`` cases.
+
+    The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  The
+    Gram matrices of every block of every batch go through one stacked solve with
+    eigenvectors per block size.  A batch's norms are ``stacked_lp_norms`` of its unsorted
+    spectra, and its witnesses are formed from the sorted ones.  Every step treats each case
+    on its own, so the batching does not show.
+    """
+    batches = {}
+    for k, (x, p) in enumerate(cases):
+        batches.setdefault((x.bundle, p), []).append(k)
+    batches = list(batches.values())
+    stacks = []
+    for ks in batches:
+        blocks = [[b for f in cases[k][0].fibers for b in f.blocks] for k in ks]
+        stacks.append([np.stack(slot) for slot in zip(*blocks)])
+    solved = iter(solve_by_block_size([y for ys in stacks for y in ys], _sorted_gram_eig))
+    cut = PINV_CUTOFF**2
+    out = [None] * len(cases)
+    for ks, ys in zip(batches, stacks):
+        bundle, p = cases[ks[0]][0].bundle, cases[ks[0]][1]
+        eigs = [next(solved) for _ in ys]
+        (norms,) = stacked_lp_norms(ys, bundle, [p], [w for w, _, _ in eigs])
+        zero = norms < ZERO_FIBER_TOL
+        norms_or_one = np.where(zero, 1.0, norms)
+        witness = []
+        for y, (_, w, u), (i, _) in zip(ys, eigs, bundle.block_slots()):
+            # np.maximum keeps a negative power of 0 out of the discarded branch
+            scaled = np.maximum(w, cut) / norms_or_one[:, i, None] ** 2
+            fw = np.where((w > cut) & ~zero[:, i, None], scaled ** (p / 2 - 1), 0.0)
+            inner = (u * fw[:, None, :]) @ u.conj().transpose(0, 2, 1) @ y.conj().transpose(0, 2, 1)
+            witness.append((1.0 / norms_or_one[:, i, None, None]) * inner)
+        attained = stacked_traces([y @ v for y, v in zip(ys, witness)], bundle)
+        for j, k in enumerate(ks):
+            blocks = iter(v[j] for v in witness)
+            fibers = [FiberElement._raw([next(blocks) for _ in s]) for s in bundle.fiber_shapes]
+            out[k] = (norms[j], Section._raw(cases[k][0].bundle, fibers), attained[j])
+    return out
 
 
 @dataclass
@@ -224,7 +261,14 @@ class DualityReport:
     per_fiber: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "p": self.p,
+            "samples": self.samples,
+            "seed": self.seed,
+            "max_violation": self.max_violation,
+            "attainment_residual": self.attainment_residual,
+            "per_fiber": [dict(row) for row in self.per_fiber],
+        }
 
 
 def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:
@@ -254,7 +298,7 @@ def duality_checks(cases, samples: int) -> list[DualityReport]:
         raise UsageError("need at least one sample")
     ps = [_exponent(p) for _, p, _ in cases]
     qs = [math.inf if p == 1.0 else p / (p - 1.0) for p in ps]
-    norms = [lp_norm(x, p).values for (x, _, _), p in zip(cases, ps)]
+    witnessed = _witnesses([(x, p) for (x, _, _), p in zip(cases, ps)])
     worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
     rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
     for group in packed_chunks(len(cases), samples):
@@ -271,10 +315,9 @@ def duality_checks(cases, samples: int) -> list[DualityReport]:
             x_blocks = [b for f in cases[k][0].fibers for b in f.blocks]
             for (i, c), b, y in zip(bundle.block_slots(), x_blocks, stack):
                 pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
-            worst[k] = np.maximum(worst[k], (np.abs(pairing) * scale - norms[k]).max(axis=0))
+            worst[k] = np.maximum(worst[k], (np.abs(pairing) * scale - witnessed[k][0]).max(axis=0))
     reports = []
-    for (x, _, seed), p, norm_p, worst_k in zip(cases, ps, norms, worst):
-        attained = center_trace(x * _witness(x, p, norm_p)).values
+    for (x, _, seed), p, (norm_p, _, attained), worst_k in zip(cases, ps, witnessed, worst):
         attain_res = np.abs(attained - norm_p)
         per_fiber = [
             {

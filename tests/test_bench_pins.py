@@ -4,8 +4,9 @@
 ``WORKLOADS`` entry pins; this runs the same configs through the CLI so a
 dropped or renamed check fails here first.  The stacked eigensolver calls of
 the duality and axiom workloads are pinned too, so a refactor that splits a
-check phase's shared solves again fails here, and so are the subalgebra
-validations of the axiom workload.  The bench files are only read.
+check phase's shared solves again fails here, and so are the list-kernel
+solves of the duality workload (none) and the subalgebra validations of the
+axiom workload.  The bench files are only read.
 """
 
 import importlib.util
@@ -70,14 +71,22 @@ def run_workload(workload, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("workload, least, most", [("duality", 12, 12), ("axioms-large-blocks", 4, 4)])
+@pytest.mark.parametrize("workload, least, most", [("duality", 15, 15), ("axioms-large-blocks", 4, 4)])
 def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
     # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
-    # times 3 block sizes; axioms: 4 levels of 30 trials, one group, 4 block sizes,
-    # the positivity and Gram stacks of a size solved together
+    # times 3 block sizes, plus one solve with eigenvectors per block size for the
+    # witnesses of all 25 cases; axioms: 4 levels of 30 trials, one group, 4 block
+    # sizes, the positivity and Gram stacks of a size solved together
     calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
     run_workload(workload, tmp_path, capsys)
     assert least <= len(calls) <= most
+
+
+def test_duality_phase_makes_no_list_kernel_solve(tmp_path, capsys, monkeypatch):
+    # the norms and witnesses of the checked sections come from the stacked solves too
+    calls = count_calls(fiber._jacobi_hermitian, monkeypatch)
+    run_workload("duality", tmp_path, capsys)
+    assert calls == []
 
 
 def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):

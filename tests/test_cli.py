@@ -247,9 +247,9 @@ def test_invalid_config_exits_before_any_artifact(edit, tmp_path, capsys):
 
 
 def test_numerical_failure_exits_before_any_artifact(tmp_path, capsys, monkeypatch):
-    # a numerical limit hit by the dual norms of the duality check, after the condexp
+    # a numerical limit hit by the stacked solves of the duality check, after the condexp
     # part has computed its report
-    def capped(y):
+    def capped(*args, **kwargs):
         raise ContractViolationError("Jacobi eigensolver did not converge in 100 sweeps")
 
     monkeypatch.setattr(tracelp, "gram_eigenvalues_stack", capped)

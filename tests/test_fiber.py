@@ -279,6 +279,12 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
         fiber._jacobi_eigenvalues_stack(np.stack([random_hermitian_fiber(s, dims=(4,)).blocks[0]
                                                   for s in range(3)]))
     fiber._jacobi_eigenvalues_stack(np.array([np.diag([2.0, 1.0])] * 3, dtype=np.complex128))
+    with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
+        fiber._jacobi_eigenvalues_stack(np.stack([random_hermitian_fiber(s, dims=(4,)).blocks[0]
+                                                  for s in range(3)]), vectors=True)
+    w, u = fiber._jacobi_eigenvalues_stack(np.array([np.diag([2.0, 1.0])] * 3, dtype=np.complex128),
+                                           vectors=True)
+    assert np.array_equal(u, np.array([np.eye(2)] * 3))
 
 
 # ------------------------------------------------------ stacked Jacobi kernel
@@ -332,21 +338,79 @@ def test_stacked_lane_bits_do_not_depend_on_the_stack(seed, n, lanes):
         assert np.array_equal(fiber._jacobi_eigenvalues_stack(block[None])[0], lane)
 
 
+def hermitian_or_gram_stack(seed, n, lanes, gram):
+    """``hermitian_stack``, or Gram matrices ``y* y`` of general complex blocks at the same scales."""
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    if gram:
+        rng = np.random.default_rng(seed)
+        y = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) * np.sqrt(
+            [scale for scale, _ in lanes])[:, None, None]
+        h = np.einsum("ski,skj->sij", y.conj(), y)
+    return h
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), lanes=lane_specs, gram=st.booleans())
 def test_stacked_lanes_equal_the_list_kernel_bit_for_bit(seed, n, lanes, gram):
     # the axiom checks solve positivity and Gram stacks of every block size in one
     # call, which leaves their reports unchanged only under this contract
-    h = hermitian_stack(seed, n, *zip(*lanes))
-    if gram:  # Gram matrices y* y of general complex blocks at the same scales
-        rng = np.random.default_rng(seed)
-        y = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) * np.sqrt(
-            [scale for scale, _ in lanes])[:, None, None]
-        h = np.einsum("ski,skj->sij", y.conj(), y)
+    h = hermitian_or_gram_stack(seed, n, lanes, gram)
     for block, lane in zip(h, fiber._jacobi_eigenvalues_stack(h)):
         w, vectors = fiber._jacobi_hermitian(block, vectors=False)
         assert vectors is None
         assert np.array_equal(lane, w)
+
+
+def assert_stacked_vectors_equal_the_list_kernel(h):
+    # the values match the eigenvalue-only solve too: the vectors never feed back
+    w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
+    assert np.array_equal(w, fiber._jacobi_eigenvalues_stack(h))
+    for block, lane_w, lane_u in zip(h, w, u):
+        want_w, want_u = fiber._jacobi_hermitian(block)
+        assert np.array_equal(lane_w, want_w)
+        assert np.array_equal(lane_u, want_u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), lanes=lane_specs, gram=st.booleans())
+def test_stacked_vectors_equal_the_list_kernel_bit_for_bit(seed, n, lanes, gram):
+    # the duality witnesses come from the stacked eigenvectors
+    assert_stacked_vectors_equal_the_list_kernel(hermitian_or_gram_stack(seed, n, lanes, gram))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("gram", [False, True])
+def test_stacked_vectors_equal_the_list_kernel_at_every_scale(n, gram):
+    # one lane per (scale, spectrum) pair, so every SCALES value is solved in one stack
+    lanes = [(scale, spectrum) for scale in SCALES for spectrum in SPECTRA]
+    assert_stacked_vectors_equal_the_list_kernel(hermitian_or_gram_stack(n, n, lanes, gram))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), lanes=lane_specs)
+def test_stacked_vector_bits_do_not_depend_on_the_stack(seed, n, lanes):
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
+    order = np.random.default_rng(seed).permutation(len(lanes))
+    w_perm, u_perm = fiber._jacobi_eigenvalues_stack(h[order], vectors=True)
+    assert np.array_equal(w_perm, w[order]) and np.array_equal(u_perm, u[order])
+    for block, lane_w, lane_u in zip(h, w, u):
+        one_w, one_u = fiber._jacobi_eigenvalues_stack(block[None], vectors=True)
+        assert np.array_equal(one_w[0], lane_w) and np.array_equal(one_u[0], lane_u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), lanes=lane_specs)
+def test_stacked_vectors_reconstruct_against_lapack(seed, n, lanes):
+    h = hermitian_stack(seed, n, *zip(*lanes))
+    w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
+    for block, lane_w, lane_u in zip(h, w, u):
+        oracle = np.linalg.eigvalsh(block)
+        scale = np.abs(oracle).max()
+        assert np.abs(np.sort(lane_w) - oracle).max() <= 1e-13 * scale
+        rebuilt = (lane_u * lane_w) @ lane_u.conj().T
+        assert np.abs(rebuilt - block).max() <= 1e-13 * scale
+        assert np.abs(lane_u.conj().T @ lane_u - np.eye(n)).max() <= 1e-13
 
 
 def test_gram_eigenvalues_stack_matches_singular_values():
@@ -369,6 +433,19 @@ def test_gram_eigenvalues_stack_of_a_concatenation_keeps_the_bits(n):
     parts[2] *= 1e-150  # lanes of another scale converge after other sweep counts
     whole = gram_eigenvalues_stack(np.concatenate(parts))
     assert np.array_equal(whole, np.concatenate([gram_eigenvalues_stack(y) for y in parts]))
+
+
+def test_gram_eigenvalues_stack_of_an_overflowed_gram_is_inf_without_a_sweep():
+    # inf - inf makes NaN Gram entries, on which the sweeps would never converge; the
+    # lane gets the inf spectrum of the list kernel instead, and no warning is raised
+    y = np.array([[[1e160, 1e160], [1e160, -1e160]], [[1.0, 0.0], [0.0, 2.0]]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, u = gram_eigenvalues_stack(y, vectors=True)
+        assert np.array_equal(gram_eigenvalues_stack(y), w)
+    assert np.array_equal(w[0], gram_eigenvalues(FiberElement([y[0]]))[0])
+    assert np.array_equal(w[0], [math.inf, math.inf])
+    assert np.array_equal(np.sort(w[1]), [1.0, 4.0])
 
 
 def test_gram_eigenvalues_stack_of_huge_entries_matches_list_kernel():

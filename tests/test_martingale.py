@@ -553,9 +553,10 @@ def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp
             assert rep.element_trace == [max(r) for r in ref_xa]
             assert rep.average_trace == [max(r) for r in ref_sa]
             ends = ref_sigmas + [y + r * (ref_sigmas[-1] - y) for r in ref_ratios[-1:]]
-            _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=extension)
-            assert np.array_equal(sup_sigma.values,
+            sup = sup_norm_comparison(seq, w, p, extend_by=extension)
+            assert np.array_equal(sup[1].values,
                                   center_sup([lp_norm(e, p) for e in ends]).values)
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(rep.sup_comparison, sup))
         ref_xa, ref_sa = cesaro_traces_reference(seq, w, 2.0, extension)
         assert xa.tolist() == ref_xa and sa.tolist() == ref_sa
         rows += [(tag, n, label, rx, rs)
@@ -580,6 +581,16 @@ def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
     run_experiment(cfg, str(tmp_path), parts=("martingale",))
     seeds = cfg.trials["martingale_seeds"]
     assert calls == {"martingale_defect": seeds, "martingale_limit": seeds}
+
+
+def test_one_running_means_pass_per_seed(monkeypatch, tmp_path):
+    # the sup comparison comes with the cesaro report, from the same running means
+    calls = []
+    real = martingale._running_means
+    monkeypatch.setattr(martingale, "_running_means", lambda *a: calls.append(a) or real(*a))
+    cfg = fixture_config("hetero4_tower")
+    run_experiment(cfg, str(tmp_path), parts=("martingale",))
+    assert len(calls) == cfg.trials["martingale_seeds"]
 
 
 def test_terminal_residual_measures_the_target(monkeypatch):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,16 +430,21 @@ def test_dual_extremal_stays_finite_at_large_p(hetero_bundle, p, scale):
         assert np.abs(lp_norm(y, q).values - 1.0).max() < 1e-8
 
 
-def test_dual_extremal_solves_one_spectrum_per_fiber(hetero_bundle, monkeypatch):
-    # one eigendecomposition with bases per nonzero fiber, none for a zero fiber
+def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatch):
+    # one stacked solve with eigenvectors per block size (1, 2, 3), no list-kernel solve,
+    # and a zero witness for a zero fiber
     solved = []
-    real = fiber.herm_eig
-    monkeypatch.setattr(fiber, "herm_eig", lambda a: solved.append(a.dims) or real(a))
+    real = fiber._jacobi_eigenvalues_stack
+    monkeypatch.setattr(fiber, "_jacobi_eigenvalues_stack",
+                        lambda h, vectors=False: solved.append((h.shape, vectors)) or real(h, vectors))
+    monkeypatch.setattr(fiber, "_jacobi_hermitian", None)
     x = with_zero_fiber(random_section(hetero_bundle, 5, "general"), 2)
     for p in (1.0, 1.5, 3.0):
         solved.clear()
-        dual_extremal(x, p)
-        assert solved == [(2,), (3,), (1,)]
+        y = dual_extremal(x, p)
+        assert solved == [((1, 1, 1), True), ((3, 2, 2), True), ((1, 3, 3), True)]
+        assert y.fibers[2].max_abs() == 0.0
+        assert min(f.max_abs() for f in y.fibers[:2] + y.fibers[3:]) > 0.0
 
 
 def test_dual_extremal_zero_section(hetero_bundle):
@@ -464,6 +471,7 @@ def test_duality_check_p3(hetero_bundle):
     assert rep.max_violation <= 1e-9
     assert rep.attainment_residual <= 1e-8
     payload = rep.to_dict()
+    assert payload == dataclasses.asdict(rep)  # the fields duality.json has always held
     assert payload["p"] == 3
     assert len(payload["per_fiber"]) == 4
 
@@ -502,6 +510,33 @@ def test_duality_checks_match_one_check_per_case(hetero_bundle, large_blocks_bun
     want = [duality_check(x, p, samples, seed).to_dict() for x, p, seed in cases]
     monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
     assert [rep.to_dict() for rep in duality_checks(cases, samples)] == want
+
+
+def test_duality_checks_norms_and_attainment_match_the_references(hetero_bundle, large_blocks_bundle):
+    # sections of two bundles at every exponent in one call, one with a zero fiber, and
+    # the rank-deficient section (a zero block and a rank-1 block)
+    xs = [random_section(b, 80 + s, "general") for b in (hetero_bundle, large_blocks_bundle)
+          for s in range(3)]
+    xs += [with_zero_fiber(xs[0], 1), rank_deficient_section()]
+    cases = [(x, p, 90 + k) for k, (x, p) in enumerate(itertools.product(xs, (1.0, 1.5, 2.0, 3.0, 4.0)))]
+    for (x, p, _), rep in zip(cases, duality_checks(cases, 5)):
+        want = lp_norm(x, p).values
+        norms = np.array([f["norm_p"] for f in rep.per_fiber])
+        assert np.all(np.abs(norms - want) <= 1e-13 * want)
+        attained = np.array([f["attained"] for f in rep.per_fiber])
+        want_attained = center_trace(x * dual_extremal_reference(x, p)).values.real
+        assert np.all(np.abs(attained - want_attained) <= 1e-13 * want)
+
+
+def test_dual_extremal_of_an_overflowing_section_raises(hetero_bundle):
+    # the Gram entries of the Mat2 block overflow, some as inf - inf
+    x = random_section(hetero_bundle, 3, "general")
+    x.fibers[0].blocks[0][:] = [[1e160, 1e160], [1e160, -1e160]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.5, 3.0):
+            with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
+                dual_extremal(x, p)
 
 
 def test_duality_check_near_one_passes(hetero_bundle):
