@@ -56,7 +56,6 @@ from .fiber import (
     herm_eig,
     identity_fiber,
     polar,
-    singular_values,
     spectral_norm,
     spectral_projection,
     zero_fiber,

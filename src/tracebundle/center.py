@@ -125,9 +125,6 @@ class CenterElement:
             rhs = np.asarray(other, dtype=np.float64)
         return bool(np.all(self.real_values() <= rhs + tol))
 
-    def value_at(self, label: str):
-        return self.values[self.space.index_of(label)]
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import tracelp
 from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
 from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber
@@ -141,8 +142,11 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
 
     Round 1 tries the identity (always accepted), the generators and their
     adjoints; each later round, the new elements' adjoints and their products
-    with all accepted ones.  The loop stops once ``_closure_residual`` is within
-    CLOSURE_RESIDUAL_TOL, and fails closure when a round grows nothing.
+    with all accepted ones.  A candidate bit-equal to one tried before at the
+    atom is skipped, as the span only grew since.  The loop stops once the
+    closure residual (0.0 for a span of full rank, the fiber algebra; else
+    ``_closure_residual``) is within CLOSURE_RESIDUAL_TOL, and fails closure
+    when a round grows nothing.
     """
     generators = [tuple(gens) for gens in generators]
     if len(generators) != bundle.space.size:
@@ -160,18 +164,16 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
         proj = _FiberProjector(shape, weights)
         cap = sum(n * n for n in shape)
         accepted: list[FiberElement] = []
+        tried: set[bytes] = set()
         frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
-        while fresh := [f for f in frontier if proj.rank < cap and proj.try_extend(f)]:
+        while fresh := [f for f in frontier if proj.rank < cap and _first_try(f, tried)
+                        and proj.try_extend(f)]:
             accepted += fresh
-            closure = _closure_residual(proj)
+            closure = 0.0 if proj.rank == cap else _closure_residual(proj)
             if closure <= CLOSURE_RESIDUAL_TOL:
                 break
             frontier = [f.adjoint() for f in fresh] + [
                 h for f in fresh for g in accepted for h in (f * g, g * f)]
-        if proj.rank > cap:
-            raise InconsistencyError(
-                f"closure at {label!r} exceeded the fiber algebra dimension {cap}"
-            )
         gram = proj.ortho.conj().T @ proj.ortho
         gram_drift = float(np.abs(gram - np.eye(proj.rank)).max())
         if gram_drift > SPAN_RESIDUAL_TOL:
@@ -193,12 +195,21 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
     return SubalgebraBasis(bundle, generators, projectors, worst_closure)
 
 
+def _first_try(f: FiberElement, tried: set) -> bool:
+    """False when a bit-equal candidate was tried before: the span only grew since."""
+    key = b"".join(b.tobytes() for b in f.blocks)
+    return key not in tried and tried.add(key) is None  # set.add returns None
+
+
 def _closure_residual(proj: _FiberProjector) -> float:
-    """Worst distance to the span of the stacked basis adjoints and basis products."""
+    """Worst distance to the span of the stacked basis adjoints and basis products
+    ``a_j a_k``, the products in stacks of at most DUALITY_CHUNK to bound the memory."""
     basis = proj.stack_from_basis(np.eye(proj.rank)[:, None])
     closure = proj.stack_residuals([b.conj().transpose(0, 2, 1) for b in basis]).max()
-    for k in range(proj.rank):  # one row a_k * basis at a time: O(rank * dim) memory
-        closure = max(closure, proj.stack_residuals([b[k] @ b for b in basis]).max())
+    pairs = np.divmod(np.arange(proj.rank ** 2), proj.rank)  # (j, k) of every product a_j a_k
+    for start in range(0, proj.rank ** 2, tracelp.DUALITY_CHUNK):
+        j, k = (ids[start:start + tracelp.DUALITY_CHUNK] for ids in pairs)
+        closure = max(closure, proj.stack_residuals([b[j] @ b[k] for b in basis]).max())
     return float(closure)
 
 

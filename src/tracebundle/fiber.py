@@ -99,22 +99,24 @@ def _jacobi_hermitian(a, vectors=True):
     return w, (np.array(u, dtype=np.complex128) if vectors else None)
 
 
-_SWAP_SIGN = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_SWAP_SIGNS = (np.array([-1.0, 1.0]).reshape(2, 1, 1), np.array([1.0, -1.0]).reshape(2, 1, 1))
 
 
-def _plane_turn(x, y, c, s, wr, wi):
-    """``(c x - s w y, s x + c w y)`` for complex vectors stored as (re, im) pairs.
+def _plane_turn(x, y, c, s, w, conj, out_x, out_y):
+    """Write ``c x - s w y`` to ``out_x`` and ``s x + c w y`` to ``out_y``.
 
-    ``x`` and ``y`` have shape ``(2, n, lanes)``; ``c``, ``s`` and the phase
-    ``w = wr + i wi`` have one value per lane.  Each product is formed the
-    way Python forms the complex products of ``_jacobi_hermitian``.
+    ``x``, ``y``: contiguous ``(2, n, lanes)`` copies of two planes, real part
+    first; ``w = (s wr, s wi, c wr, c wi)`` per lane, shared by a step's turns.
+    ``conj`` turns by ``conj(w)``: the swapped parts of ``y`` change sign, which
+    is exact.  Products are formed as Python forms those of ``_jacobi_hermitian``.
     """
-    y_swapped = y[::-1]
-    sw_im = _SWAP_SIGN * (s * wi)
-    cw_im = _SWAP_SIGN * (c * wi)
-    new_x = c * x - ((s * wr) * y + sw_im * y_swapped)
-    new_y = s * x + ((c * wr) * y + cw_im * y_swapped)
-    return new_x, new_y
+    y_swapped = y[::-1] * _SWAP_SIGNS[conj]  # (-yi, yr), or (yi, -yr) for conj(w)
+    wy = w[0] * y
+    wy += w[1] * y_swapped
+    np.subtract(c * x, wy, out=out_x)
+    wy = w[2] * y
+    wy += w[3] * y_swapped
+    np.add(s * x, wy, out=out_y)
 
 
 def _jacobi_eigenvalues_stack(h, vectors=False):
@@ -127,33 +129,34 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
     same plane transforms written out in real float64 arithmetic (``u`` takes
     the column turn of ``h``), and the same stop at
     ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (here ``||a||_F`` is accumulated
-    by ``np.hypot``), so ``w`` and ``u`` equal its output bit for bit.  All
-    unconverged lanes rotate together, one numpy operation per step, and a
-    lane leaves the stack at the first sweep that finds it converged.  Every
-    operation is elementwise across lanes, so a lane's output does not depend
-    on the other lanes or on its position in the stack.  A stack with a lane
-    still unconverged after JACOBI_MAX_SWEEPS sweeps raises
-    ContractViolationError.  For a single block the list kernel is the faster
-    one.
+    by ``np.hypot``), so ``w`` equals its output bit for bit, and ``u`` up to
+    the sign of a zero: on inputs with exact zero planes (a pinching, a zero
+    row) some entries of ``u`` read -0.0 in one kernel and 0.0 in the other.
+    All unconverged lanes rotate together, one numpy operation per step, each
+    turn on contiguous copies of its two planes, and a lane leaves the stack
+    at the first sweep that finds it converged.  Every operation is
+    elementwise across lanes, so a lane's output does not depend on the other
+    lanes or on its position in the stack.  A stack with a lane still
+    unconverged after JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
+    For a single block the list kernel is the faster one.
     """
     lanes, n = h.shape[0], h.shape[-1]
-    # a[0] and a[1] hold the real and imaginary parts, lanes last
-    a = np.stack([h.real, h.imag]).transpose(0, 2, 3, 1).copy()
+    diag = np.arange(n)
+    # a[0] and a[1] hold the real and imaginary parts, lanes last; with vectors,
+    # rows n to 2n hold u, which takes the column turns of h
+    a = np.zeros((2, 2 * n if vectors else n, n, lanes))
+    a[0, :n], a[1, :n] = h.real.transpose(1, 2, 0), h.imag.transpose(1, 2, 0)
+    if vectors:
+        a[0, n + diag, diag] = 1.0
+        u_out = np.empty((lanes, n, n), dtype=np.complex128)
     norm = np.zeros(lanes)
     for i in range(n):
         for j in range(n):
             norm = np.hypot(norm, np.hypot(a[0, i, j], a[1, i, j]))
     tol = JACOBI_OFFDIAG_TOL * norm
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    rows = [p for p, _ in pairs]
-    cols = [q for _, q in pairs]
-    diag = np.arange(n)
+    rows, cols = np.triu_indices(n, 1)  # the (p, q) pairs in row-major order
     out = np.empty((lanes, n))
     lane = np.arange(lanes)
-    if vectors:
-        u = np.zeros_like(a)
-        u[0, diag, diag] = 1.0
-        u_out = np.empty((lanes, n, n), dtype=np.complex128)
     for _ in range(JACOBI_MAX_SWEEPS):
         offdiag = a[:, rows, cols]
         with np.errstate(over="ignore"):  # huge entries square to inf, as in the list kernel
@@ -165,15 +168,13 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
         if done.any():
             out[lane[done]] = a[0, diag, diag][:, done].T
             if vectors:
-                u_out.real[lane[done]] = u[0][..., done].transpose(2, 0, 1)
-                u_out.imag[lane[done]] = u[1][..., done].transpose(2, 0, 1)
+                u_out.real[lane[done]] = a[0, n:][..., done].transpose(2, 0, 1)
+                u_out.imag[lane[done]] = a[1, n:][..., done].transpose(2, 0, 1)
             if done.all():
                 break
             keep = ~done
             a, tol, lane = a[..., keep], tol[keep], lane[keep]
-            if vectors:
-                u = u[..., keep]
-        for p, q in pairs:
+        for p, q in zip(rows.tolist(), cols.tolist()):
             re, im = a[0, p, q], a[1, p, q]
             r = np.hypot(re, im)
             skip = r == 0.0
@@ -191,10 +192,9 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
             wi = im / r
             if any_skip:  # the list kernel leaves these planes alone
                 c[skip], s[skip], wr[skip] = 1.0, 0.0, 1.0
-            a[:, :, p], a[:, :, q] = _plane_turn(a[:, :, p], a[:, :, q], c, s, wr, -wi)
-            if vectors:
-                u[:, :, p], u[:, :, q] = _plane_turn(u[:, :, p], u[:, :, q], c, s, wr, -wi)
-            a[:, p], a[:, q] = _plane_turn(a[:, p], a[:, q], c, s, wr, wi)
+            w = (s * wr, s * wi, c * wr, c * wi)
+            _plane_turn(a[:, :, p].copy(), a[:, :, q].copy(), c, s, w, True, a[:, :, p], a[:, :, q])
+            _plane_turn(a[:, p].copy(), a[:, q].copy(), c, s, w, False, a[:, p], a[:, q])
     else:
         raise ContractViolationError(
             f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
@@ -368,12 +368,6 @@ def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
         return (snapped > threshold).astype(np.float64)
 
     return eig.apply(indicator)
-
-
-def singular_values(x: FiberElement) -> tuple[np.ndarray, ...]:
-    """Per-block singular values in descending order."""
-    eig = _gram_eig(x)
-    return tuple(np.sqrt(w) for w in eig.eigenvalues)
 
 
 def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:

@@ -184,8 +184,7 @@ def _run_part(part: str, run, *args):
 
 def write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_trace_csv(path: str, traces):

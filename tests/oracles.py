@@ -417,8 +417,8 @@ def composition_residual_reference(tower):
 
 
 def closure_loop_reference(bundle, generators):
-    """Every atom's ``ortho`` and the worst closure residual, by the old closure loop."""
-    orthos, worst = [], 0.0
+    """Every atom's ``ortho`` and closure residual, by the old closure loop."""
+    orthos, closures = [], []
     for shape, weights, gens in zip(bundle.fiber_shapes, bundle.trace_weights, generators):
         proj = _FiberProjector(shape, weights)
         cap = sum(n * n for n in shape)
@@ -430,8 +430,8 @@ def closure_loop_reference(bundle, generators):
             frontier = [] if proj.rank == cap else [f.adjoint() for f in fresh] + [
                 h for f in fresh for g in accepted for h in (f * g, g * f)]
         orthos.append(proj.ortho)
-        worst = max(worst, _closure_residual(proj))
-    return orthos, worst
+        closures.append(_closure_residual(proj))
+    return orthos, closures
 
 
 def running_means_reference(seq, w, extend_by=0):

@@ -5,8 +5,9 @@
 dropped or renamed check fails here first.  The stacked eigensolver calls of
 the duality and axiom workloads are pinned too, so a refactor that splits a
 check phase's shared solves again fails here, and so are the list-kernel
-solves of the duality workload (none) and the subalgebra validations of the
-axiom workload.  The bench files are only read.
+solves of the duality workload (none), and the subalgebra validations, span
+extensions and closure residuals of the axiom workload.  The bench files are
+only read.
 """
 
 import importlib.util
@@ -94,3 +95,18 @@ def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypat
     calls = count_calls(condexp.validate_subalgebra, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
     assert len(calls) == 4
+
+
+def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):
+    # 221 span extensions and 12 closure residuals before duplicate candidates were
+    # skipped and full spans closed by dimension
+    extend, tries = condexp._FiberProjector.try_extend, []
+
+    def counted(proj, f):
+        tries.append(f)
+        return extend(proj, f)
+
+    monkeypatch.setattr(condexp._FiberProjector, "try_extend", counted)
+    closures = count_calls(condexp._closure_residual, monkeypatch)
+    run_workload("axioms-large-blocks", tmp_path, capsys)
+    assert (len(tries), len(closures)) == (151, 9)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ from oracles import (
     ExactFiberProjection,
     axiom_report_reference,
     closure_loop_reference,
+    closure_residual_reference,
     matrix_unit_blocks,
     pinching_basis,
     restricted_basis,
@@ -131,9 +133,12 @@ def explicit_generating_sets(mat2_bundle):
 
 def assert_matches_closure_loop_reference(bundle, generators):
     basis = validate_subalgebra(bundle, generators)
-    orthos, closure = closure_loop_reference(bundle, generators)
+    orthos, closures = closure_loop_reference(bundle, generators)
     assert all(np.array_equal(p.ortho, o) for p, o in zip(basis.projectors, orthos))
-    assert basis.closure_residual == closure
+    # a span of full rank is the fiber algebra: closed by dimension, so it reports 0.0
+    full = [p.rank == p.sqrt_weights.size for p in basis.projectors]
+    assert all(c <= condexp.CLOSURE_RESIDUAL_TOL for c, f in zip(closures, full) if f)
+    assert basis.closure_residual == max([c for c, f in zip(closures, full) if not f], default=0.0)
     return basis
 
 
@@ -149,6 +154,24 @@ def test_explicit_sets_match_closure_loop_reference(name, mat2_bundle):
     bundle, generators = explicit_generating_sets(mat2_bundle)[name]
     basis = assert_matches_closure_loop_reference(bundle, generators)
     assert basis.dims == {"shift": (4,), "hermitian": (3,), "flip": (2,), "diag_ab": (5,)}[name]
+
+
+def test_chunked_closure_matches_the_per_product_reference(request, mat2_bundle, monkeypatch):
+    # stacks of 7 products split every span of rank 3 or more; each span is measured
+    # as validated and with its basis pushed off it, where every product has its own
+    # residual of O(1)
+    monkeypatch.setattr(tracelp, "DUALITY_CHUNK", 7)
+    bundles = {name: request.getfixturevalue(f"{name}_bundle") for name in PRESET_TOWERS}
+    cases = [(bundles[name], gens) for name, specs in PRESET_TOWERS.items()
+             for gens in accumulated_levels(bundles[name], specs)]
+    cases += explicit_generating_sets(mat2_bundle).values()
+    rng = np.random.default_rng(5)
+    for bundle, generators in cases:
+        for proj in validate_subalgebra(bundle, generators).projectors:
+            pushed = copy.copy(proj)
+            pushed.ortho = proj.ortho + 0.1 * rng.standard_normal(proj.ortho.shape)
+            for p in (proj, pushed):
+                assert abs(condexp._closure_residual(p) - closure_residual_reference(p)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", [*sorted(PRESET_TOWERS), "flip"])

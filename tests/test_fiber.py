@@ -291,13 +291,31 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
 
 SCALES = (1e-15, 1e-9, 1e-3, 1.0, 1e4, 1e8)
 SPECTRA = ("random", "degenerate", "graded")
+PATTERNS = ("dense", "pinched", "zero_row")  # where a block's exact zeros sit, as a pinching leaves them
 
 
-def hermitian_stack(seed, n, scales, spectra):
-    """One exactly Hermitian ``u diag(w) u*`` per (scale, spectrum) pair, stacked."""
+def bits(a):
+    """The float64 words of ``a``: equal only when every bit is, the sign of a zero too."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def zero_pattern(rng, n, pattern):
+    """Entries a block keeps: all, two diagonal blocks (zero planes between them), or all but a row and column."""
+    keep = np.ones((n, n), dtype=bool)
+    if pattern == "pinched":
+        labels = rng.integers(0, 2, n)
+        keep = labels[:, None] == labels[None, :]
+    elif pattern == "zero_row":
+        k = rng.integers(n)
+        keep[k, :] = keep[:, k] = False
+    return keep
+
+
+def hermitian_stack(seed, n, scales, spectra, patterns):
+    """One exactly Hermitian ``u diag(w) u*`` per (scale, spectrum, pattern) triple, stacked."""
     rng = np.random.default_rng(seed)
     out = []
-    for scale, spectrum in zip(scales, spectra):
+    for scale, spectrum, pattern in zip(scales, spectra, patterns):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         u, _ = np.linalg.qr(g)
         if spectrum == "random":
@@ -307,12 +325,13 @@ def hermitian_stack(seed, n, scales, spectra):
         else:
             w = rng.choice([-1.0, 1.0], size=n) * 10.0 ** (-3.0 * rng.permutation(n))
         h = scale * ((u * w) @ u.conj().T)
-        out.append(0.5 * (h + h.conj().T))
+        out.append(np.where(zero_pattern(rng, n, pattern), 0.5 * (h + h.conj().T), 0.0))
     return np.array(out)
 
 
-lane_specs = st.lists(st.tuples(st.sampled_from(SCALES), st.sampled_from(SPECTRA)),
-                      min_size=1, max_size=10)
+lane_specs = st.lists(
+    st.tuples(st.sampled_from(SCALES), st.sampled_from(SPECTRA), st.sampled_from(PATTERNS)),
+    min_size=1, max_size=10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,18 +352,20 @@ def test_stacked_lane_bits_do_not_depend_on_the_stack(seed, n, lanes):
     h = hermitian_stack(seed, n, *zip(*lanes))
     w = fiber._jacobi_eigenvalues_stack(h)
     order = np.random.default_rng(seed).permutation(len(lanes))
-    assert np.array_equal(fiber._jacobi_eigenvalues_stack(h[order]), w[order])
+    assert np.array_equal(bits(fiber._jacobi_eigenvalues_stack(h[order])), bits(w[order]))
     for block, lane in zip(h, w):
-        assert np.array_equal(fiber._jacobi_eigenvalues_stack(block[None])[0], lane)
+        assert np.array_equal(bits(fiber._jacobi_eigenvalues_stack(block[None])[0]), bits(lane))
 
 
 def hermitian_or_gram_stack(seed, n, lanes, gram):
-    """``hermitian_stack``, or Gram matrices ``y* y`` of general complex blocks at the same scales."""
+    """``hermitian_stack``, or Gram matrices ``y* y`` of general complex blocks at the same
+    scales, each ``y`` zero where its ``hermitian_stack`` block is (so is the Gram matrix)."""
     h = hermitian_stack(seed, n, *zip(*lanes))
     if gram:
         rng = np.random.default_rng(seed)
         y = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) * np.sqrt(
-            [scale for scale, _ in lanes])[:, None, None]
+            [scale for scale, _, _ in lanes])[:, None, None]
+        y = np.where(h != 0.0, y, 0.0)
         h = np.einsum("ski,skj->sij", y.conj(), y)
     return h
 
@@ -358,16 +379,17 @@ def test_stacked_lanes_equal_the_list_kernel_bit_for_bit(seed, n, lanes, gram):
     for block, lane in zip(h, fiber._jacobi_eigenvalues_stack(h)):
         w, vectors = fiber._jacobi_hermitian(block, vectors=False)
         assert vectors is None
-        assert np.array_equal(lane, w)
+        assert np.array_equal(bits(lane), bits(w))
 
 
 def assert_stacked_vectors_equal_the_list_kernel(h):
-    # the values match the eigenvalue-only solve too: the vectors never feed back
+    # the values match the eigenvalue-only solve too: the vectors never feed back;
+    # the vectors may differ from the list kernel's in the sign of a zero entry
     w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
-    assert np.array_equal(w, fiber._jacobi_eigenvalues_stack(h))
+    assert np.array_equal(bits(w), bits(fiber._jacobi_eigenvalues_stack(h)))
     for block, lane_w, lane_u in zip(h, w, u):
         want_w, want_u = fiber._jacobi_hermitian(block)
-        assert np.array_equal(lane_w, want_w)
+        assert np.array_equal(bits(lane_w), bits(want_w))
         assert np.array_equal(lane_u, want_u)
 
 
@@ -382,7 +404,8 @@ def test_stacked_vectors_equal_the_list_kernel_bit_for_bit(seed, n, lanes, gram)
 @pytest.mark.parametrize("gram", [False, True])
 def test_stacked_vectors_equal_the_list_kernel_at_every_scale(n, gram):
     # one lane per (scale, spectrum) pair, so every SCALES value is solved in one stack
-    lanes = [(scale, spectrum) for scale in SCALES for spectrum in SPECTRA]
+    lanes = [(scale, spectrum, pattern) for scale in SCALES for spectrum in SPECTRA
+             for pattern in PATTERNS]
     assert_stacked_vectors_equal_the_list_kernel(hermitian_or_gram_stack(n, n, lanes, gram))
 
 
@@ -393,10 +416,11 @@ def test_stacked_vector_bits_do_not_depend_on_the_stack(seed, n, lanes):
     w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
     order = np.random.default_rng(seed).permutation(len(lanes))
     w_perm, u_perm = fiber._jacobi_eigenvalues_stack(h[order], vectors=True)
-    assert np.array_equal(w_perm, w[order]) and np.array_equal(u_perm, u[order])
+    assert np.array_equal(bits(w_perm), bits(w[order])) and np.array_equal(bits(u_perm), bits(u[order]))
     for block, lane_w, lane_u in zip(h, w, u):
         one_w, one_u = fiber._jacobi_eigenvalues_stack(block[None], vectors=True)
-        assert np.array_equal(one_w[0], lane_w) and np.array_equal(one_u[0], lane_u)
+        assert np.array_equal(bits(one_w[0]), bits(lane_w))
+        assert np.array_equal(bits(one_u[0]), bits(lane_u))
 
 
 @settings(max_examples=40, deadline=None)
