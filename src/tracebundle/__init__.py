@@ -85,6 +85,7 @@ from .tracelp import (
     duality_check,
     duality_checks,
     lp_norm,
+    lp_norms,
     normalize_trace,
     scalarize,
 )

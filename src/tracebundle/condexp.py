@@ -18,8 +18,8 @@ import numpy as np
 from . import tracelp
 from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
-from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber
-from .tracelp import derive_seed, packed_chunks, solve_by_block_size, stacked_lp_norms, stacked_traces
+from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber, solve_by_block_size
+from .tracelp import derive_seed, packed_chunks, stacked_lp_norms, stacked_traces
 
 ORTHO_PIVOT_TOL = 1e-10       # Gram-Schmidt rank decision on unit-norm candidates
 CLOSURE_RESIDUAL_TOL = 1e-9   # *-and-product closure of the validated span

@@ -5,9 +5,10 @@ stored as an ordered tuple of square complex blocks (never flattened into one
 big matrix, so the cost of a product is the sum of the per-block costs).
 Everything here is a pure function of its inputs: arithmetic, a self-contained
 Hermitian eigensolver (cyclic Jacobi with a fixed sweep order, hence
-bit-deterministic, for one block or for a stack of same-size blocks),
-functional calculus, polar decomposition, and spectral projections built on
-top of it.
+bit-deterministic, on a stack of same-size blocks), functional calculus, polar
+decomposition, and spectral projections built on top of it.  Every eigensolve
+takes all the same-size blocks its caller has at once: one stacked solve per
+block size.
 """
 
 from __future__ import annotations
@@ -25,80 +26,6 @@ PINV_CUTOFF = 1e-10           # singular values at or below this count as kernel
 EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
 
 
-def _jacobi_hermitian(a, vectors=True):
-    """Eigendecomposition of one Hermitian complex block by cyclic Jacobi.
-
-    Returns ``(w, u)`` with ``a = u @ diag(w) @ u*`` and ``w`` unordered;
-    ``u`` is None when ``vectors`` is false, which skips its accumulation
-    without changing a bit of ``w``.
-    Rotations are applied in a fixed row-major (p, q) order, so the output is
-    a deterministic function of the input bits.  The sweeps run on nested
-    lists of Python complex scalars, which at these block sizes is cheaper
-    than per-element numpy indexing; arrays are built only at the end.
-    The sweeps stop once the off-diagonal Frobenius norm is at most
-    JACOBI_OFFDIAG_TOL times that of ``a`` (rotations preserve the latter),
-    so the accuracy does not depend on the scale of ``a``; a block still
-    above it after JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
-    """
-    n = a.shape[0]
-    h = a.tolist()
-    u = np.eye(n, dtype=np.complex128).tolist() if vectors else []
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    tol = JACOBI_OFFDIAG_TOL * math.hypot(*[abs(v) for row in h for v in row])
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p, q in pairs:
-            hpq = h[p][q]
-            off += 2.0 * (hpq.real * hpq.real + hpq.imag * hpq.imag)
-        if math.sqrt(off) <= tol:
-            break
-        for p, q in pairs:
-            hp = h[p]
-            hq = h[q]
-            hpq = hp[q]
-            r = abs(hpq)
-            if r == 0.0:
-                continue
-            # Unimodular phase w turns the (p, q) plane Hermitian block
-            # into a real symmetric one; then a classical Jacobi rotation
-            # annihilates it.  The combined plane transform is
-            # j = [[c, s], [-s*conj(w), c*conj(w)]].
-            w = hpq / r
-            wc = w.conjugate()
-            tau = (hq[q].real - hp[p].real) / (2.0 * r)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            swc = s * wc
-            cwc = c * wc
-            for hi in h:  # columns p, q of h: h j
-                x = hi[p]
-                y = hi[q]
-                hi[p] = c * x - swc * y
-                hi[q] = s * x + cwc * y
-            for ui in u:  # columns p, q of u: u j
-                x = ui[p]
-                y = ui[q]
-                ui[p] = c * x - swc * y
-                ui[q] = s * x + cwc * y
-            sw = s * w
-            cw = c * w
-            for i in range(n):  # rows p, q of h: j* h
-                x = hp[i]
-                y = hq[i]
-                hp[i] = c * x - sw * y
-                hq[i] = s * x + cw * y
-    else:
-        raise ContractViolationError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    w = np.array([h[i][i].real for i in range(n)], dtype=np.float64)
-    return w, (np.array(u, dtype=np.complex128) if vectors else None)
-
-
 _SWAP_SIGNS = (np.array([-1.0, 1.0]).reshape(2, 1, 1), np.array([1.0, -1.0]).reshape(2, 1, 1))
 
 
@@ -108,7 +35,7 @@ def _plane_turn(x, y, c, s, w, conj, out_x, out_y):
     ``x``, ``y``: contiguous ``(2, n, lanes)`` copies of two planes, real part
     first; ``w = (s wr, s wi, c wr, c wi)`` per lane, shared by a step's turns.
     ``conj`` turns by ``conj(w)``: the swapped parts of ``y`` change sign, which
-    is exact.  Products are formed as Python forms those of ``_jacobi_hermitian``.
+    is exact.  Each complex product is formed from its real and imaginary parts.
     """
     y_swapped = y[::-1] * _SWAP_SIGNS[conj]  # (-yi, yr), or (yi, -yr) for conj(w)
     wy = w[0] * y
@@ -124,21 +51,20 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
 
     Returns a ``(B, n)`` array, unordered per block; with ``vectors`` it
     returns ``(w, u)``, ``u`` a ``(B, n, n)`` stack of unitaries with
-    ``h[b] = u[b] @ diag(w[b]) @ u[b]*``.  Each block (a lane) runs the sweeps
-    of ``_jacobi_hermitian``: the same row-major (p, q) rotation order, the
-    same plane transforms written out in real float64 arithmetic (``u`` takes
-    the column turn of ``h``), and the same stop at
-    ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (here ``||a||_F`` is accumulated
-    by ``np.hypot``), so ``w`` equals its output bit for bit, and ``u`` up to
-    the sign of a zero: on inputs with exact zero planes (a pinching, a zero
-    row) some entries of ``u`` read -0.0 in one kernel and 0.0 in the other.
-    All unconverged lanes rotate together, one numpy operation per step, each
+    ``h[b] = u[b] @ diag(w[b]) @ u[b]*``.  Each block (a lane) runs cyclic
+    Jacobi sweeps in a fixed row-major (p, q) rotation order: a unimodular
+    phase ``w`` turns the (p, q) plane into a real symmetric one, which a
+    classical rotation annihilates, so the combined plane transform is
+    ``[[c, s], [-s conj(w), c conj(w)]]``; ``u`` takes the column turns of
+    ``h``.  The sweeps stop at ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (the
+    off-diagonal Frobenius norm against that of the input, which rotations
+    preserve), so the accuracy does not depend on the scale of ``h``.  All
+    unconverged lanes rotate together, one numpy operation per step, each
     turn on contiguous copies of its two planes, and a lane leaves the stack
     at the first sweep that finds it converged.  Every operation is
     elementwise across lanes, so a lane's output does not depend on the other
     lanes or on its position in the stack.  A stack with a lane still
     unconverged after JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
-    For a single block the list kernel is the faster one.
     """
     lanes, n = h.shape[0], h.shape[-1]
     diag = np.arange(n)
@@ -159,7 +85,7 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
     lane = np.arange(lanes)
     for _ in range(JACOBI_MAX_SWEEPS):
         offdiag = a[:, rows, cols]
-        with np.errstate(over="ignore"):  # huge entries square to inf, as in the list kernel
+        with np.errstate(over="ignore"):  # huge entries square to inf: not yet converged
             squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
             off = 0.0
             for sq in squares:
@@ -181,8 +107,7 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
             any_skip = skip.any()
             if any_skip:
                 r[skip] = 1.0
-            # tau * tau overflows only for a negligible (p, q) entry; t is then
-            # 0, as in the list kernel
+            # tau * tau overflows only for a negligible (p, q) entry; t is then 0
             with np.errstate(over="ignore"):
                 tau = (a[0, q, q] - a[0, p, p]) / (2.0 * r)
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -190,7 +115,7 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
             s = t * c
             wr = re / r
             wi = im / r
-            if any_skip:  # the list kernel leaves these planes alone
+            if any_skip:  # a zero (p, q) entry takes the identity turn: c = 1, s = 0, w = 1
                 c[skip], s[skip], wr[skip] = 1.0, 0.0, 1.0
             w = (s * wr, s * wi, c * wr, c * wi)
             _plane_turn(a[:, :, p].copy(), a[:, :, q].copy(), c, s, w, True, a[:, :, p], a[:, :, q])
@@ -299,10 +224,36 @@ class HermEig:
         return FiberElement._raw(out)
 
 
+def solve_by_block_size(stacks, solve) -> list:
+    """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``.
+
+    ``solve`` returns one row per lane, or a tuple of such arrays; each stack gets its rows
+    (a tuple of them likewise).
+    """
+    out = [None] * len(stacks)
+    for n in sorted({s.shape[1] for s in stacks}):
+        members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
+        rows = solve(np.concatenate([stacks[k] for k in members]))
+        ends = np.cumsum([len(stacks[k]) for k in members])[:-1]
+        if isinstance(rows, tuple):
+            parts = zip(*[np.split(r, ends) for r in rows])
+        else:
+            parts = np.split(rows, ends)
+        for k, part in zip(members, parts):
+            out[k] = part
+    return out
+
+
+def _solve_blocks(x: FiberElement, solve) -> list:
+    """``solve`` the blocks of one fiber as B = 1 stacks, one call per block size."""
+    return solve_by_block_size([b[None] for b in x.blocks], solve)
+
+
 def herm_eig(a: FiberElement) -> HermEig:
     """Deterministic Hermitian eigendecomposition of every block of ``a``.
 
-    Raises ContractViolationError when ``a`` is not Hermitian to within
+    One stacked solve with eigenvectors per block size of ``a``.  Raises
+    ContractViolationError when ``a`` is not Hermitian to within
     HERMITIAN_INPUT_TOL (max-abs entrywise).
     """
     eigenvalues = []
@@ -313,10 +264,10 @@ def herm_eig(a: FiberElement) -> HermEig:
             raise ContractViolationError(
                 f"block {k} is not Hermitian: max |a - a*| = {drift:.3e}"
             )
-        w, u = _jacobi_hermitian(np.ascontiguousarray(b))
-        order = np.argsort(-w, kind="stable")
-        eigenvalues.append(w[order])
-        bases.append(np.ascontiguousarray(u[:, order]))
+    for w, u in _solve_blocks(a, lambda h: _jacobi_eigenvalues_stack(h, vectors=True)):
+        order = np.argsort(-w[0], kind="stable")
+        eigenvalues.append(w[0, order])
+        bases.append(np.ascontiguousarray(u[0][:, order]))
     return HermEig(eigenvalues, bases)
 
 
@@ -373,36 +324,28 @@ def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
 def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
     """Eigenvalues of ``x* x`` per block, clamped nonnegative, unordered.
 
-    Lean path for norm computations that need only the spectrum; skips the
-    Hermiticity check (the Gram matrix is Hermitian by construction), the
-    descending sort, and the basis bookkeeping of ``herm_eig``.  A Gram matrix
-    whose entries overflow has an infinite spectrum, as in the stacked kernel,
-    and no Jacobi sweep runs on it.
+    Lean path for norm computations that need only the spectrum: one
+    ``gram_eigenvalues_stack`` call per block size of ``x``, with no
+    Hermiticity check (the Gram matrix is Hermitian by construction), no
+    descending sort and no eigenvectors.
     """
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the inf spectrum below
-        grams = [b.conj().T @ b for b in x.blocks]
-    for gram in grams:
-        if np.isfinite(gram).all():
-            out.append(np.maximum(_jacobi_hermitian(gram, vectors=False)[0], 0.0))
-        else:
-            out.append(np.full(len(gram), math.inf))
-    return out
+    return [w[0] for w in _solve_blocks(x, gram_eigenvalues_stack)]
 
 
 def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
     """Eigenvalues of ``y_s* y_s`` for a stack ``y`` of shape ``(S, n, n)``.
 
     Returns an ``(S, n)`` array, clamped nonnegative and unordered per block;
-    with ``vectors`` it returns ``(w, u)``, the eigenvectors of the stacked
-    kernel alongside.  One stacked Jacobi solve serves the whole stack.  The
-    Lp norms of single fibers go through ``gram_eigenvalues`` and the list
-    kernel, which is faster for one block; the duality witnesses of every
-    case of a check come from one call per block size with ``vectors``.
+    with ``vectors`` it returns ``(w, u)``, the eigenvectors alongside.  One
+    stacked Jacobi solve serves the whole stack.  The Gram matrices are one
+    stacked ``matmul``, which gives each lane the bits of its own
+    ``b.conj().T @ b``.  A Gram matrix whose entries overflow has an infinite
+    spectrum, and no Jacobi sweep runs on it.
     """
-    gram = np.einsum("ski,skj->sij", y.conj(), y)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the inf spectrum below
+        gram = y.conj().transpose(0, 2, 1) @ y
     overflowed = ~np.isfinite(gram).all(axis=(1, 2))
-    if overflowed.any():  # the inf spectrum, as in ``gram_eigenvalues``; no sweep runs on it
+    if overflowed.any():
         gram[overflowed] = np.diag(np.full(y.shape[-1], math.inf))
     if not vectors:
         return np.maximum(_jacobi_eigenvalues_stack(gram), 0.0)

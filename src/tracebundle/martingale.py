@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bundle import BundleSpec, Section
-from .center import center_sup
+from .center import CenterElement
 from .condexp import ConditionalExpectation, SubalgebraBasis, validate_subalgebra
 from .errors import (
     InconsistencyError,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedConfigurationError,
     UsageError,
 )
-from .tracelp import lp_norm
+from .tracelp import lp_norms
 
 INCLUSION_BUILD_TOL = 1e-8      # hard failure bound on tower inclusions
 COMPOSITION_TOL = 1e-9          # E_m . E_n = E_min(m,n) on every matrix unit
@@ -133,16 +133,14 @@ def martingale_defect(elements, filtration: Filtration) -> float:
     """Worst defect of the martingale property over the whole sequence.
 
     The defect at step n is the pointwise max over atoms of the L1 center
-    norm of ``E(x_{n+1} | M_n) - x_n``.
+    norm of ``E(x_{n+1} | M_n) - x_n``; all steps take their norms in one call.
     """
     elements = list(elements)
     if len(elements) > filtration.depth:
         raise UsageError("more elements than tower levels")
-    worst = 0.0
-    for n in range(len(elements) - 1):
-        diff = filtration.expectation(n)(elements[n + 1]) - elements[n]
-        worst = max(worst, float(lp_norm(diff, 1).values.max()))
-    return worst
+    diffs = [filtration.expectation(n)(elements[n + 1]) - elements[n]
+             for n in range(len(elements) - 1)]
+    return float(lp_norms(diffs, 1).max()) if diffs else 0.0
 
 
 def is_martingale(elements, filtration: Filtration, tol: float = MARTINGALE_TOL) -> bool:
@@ -207,11 +205,8 @@ def martingale_limit(seq: MartingaleSeq) -> MartingaleLimit:
     if len(seq.elements) != f.depth:
         raise UsageError("sequence does not reach the terminal level")
     x = seq.elements[-1]
-    recon = 0.0
-    trace = []
-    for n, x_n in enumerate(seq.elements):
-        recon = max(recon, float(lp_norm(f.expectation(n)(x) - x_n, 1).values.max()))
-        trace.append(float(lp_norm(x_n - x, seq.p).values.max()))
+    recon = float(lp_norms([E(x) - x_n for E, x_n in zip(f.cond_exps, seq.elements)], 1).max())
+    trace = lp_norms([x_n - x for x_n in seq.elements], seq.p).max(axis=1).tolist()
     if recon > LIMIT_RECONSTRUCTION_TOL:
         raise InconsistencyError(
             f"limit reconstruction residual {recon:.2e} exceeds "
@@ -254,19 +249,14 @@ def double_sequence_check(xs, x: Section, filtration: Filtration, p: float,
     xs = list(xs)
     if not xs:
         raise UsageError("empty sequence")
-    seq_res = [float(lp_norm(x_n - x, p).values.max()) for x_n in xs]
-    tower_res = [
-        float(lp_norm(E(x) - x, p).values.max()) for E in filtration.cond_exps
-    ]
-    grid = []
-    violation = -np.inf
-    for n, x_n in enumerate(xs):
-        row = []
-        for m, E in enumerate(filtration.cond_exps):
-            r = float(lp_norm(E(x_n) - x, p).values.max())
-            row.append(r)
-            violation = max(violation, r - (seq_res[n] + tower_res[m]))
-        grid.append(row)
+    levels = filtration.cond_exps
+    k, m = len(xs), len(levels)
+    residuals = lp_norms([x_n - x for x_n in xs] + [E(x) - x for E in levels]
+                         + [E(x_n) - x for x_n in xs for E in levels], p).max(axis=1).tolist()
+    seq_res, tower_res = residuals[:k], residuals[k:k + m]
+    grid = [residuals[k + m * (n + 1):k + m * (n + 2)] for n in range(k)]
+    violation = max(r - (seq_res[n] + tower_res[j])
+                    for n, row in enumerate(grid) for j, r in enumerate(row))
     bound_ok = all(
         seq_res[n + 1] <= seq_res[n] + slack for n in range(len(seq_res) - 1)
     ) and all(
@@ -332,8 +322,9 @@ def _sup_comparison(seq: MartingaleSeq, sigmas, ratios, p: float):
     if ratios.size:
         y = seq.elements[-1]
         sigmas = sigmas + [y + float(ratios[-1]) * (sigmas[-1] - y)]
-    sup_x = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
-    sup_sigma = center_sup([lp_norm(s, p) for s in sigmas])
+    space = seq.elements[0].bundle.space
+    sup_x = CenterElement(space, lp_norms(seq.elements, p).max(axis=0))
+    sup_sigma = CenterElement(space, lp_norms(sigmas, p).max(axis=0))
     return sup_x, sup_sigma, sup_x - sup_sigma
 
 
@@ -384,8 +375,9 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     limit = martingale_limit(seq)
     y = limit.limit
     sigmas, ratios = _running_means(seq, w, extend_by)
-    xa = np.array([lp_norm(x_n - y, p).values for x_n in seq.elements])
-    sa = np.array([lp_norm(s_n - y, p).values for s_n in sigmas])
+    k = len(seq)
+    both = lp_norms([z - y for z in seq.elements + tuple(sigmas)], p)
+    xa, sa = both[:k], both[k:]
     xa = np.concatenate((xa, np.zeros((ratios.size, xa.shape[1]))))
     sa = np.concatenate((sa, ratios[:, None] * sa[-1]))  # sa[-1] is sigma_K's row
     xt = xa.max(axis=1).tolist()

@@ -5,7 +5,8 @@ with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
 per-block Gram spectrum (the squared singular values), summed relative to the
-atom's largest so that no power leaves the float range.  The duality checks
+atom's largest so that no power leaves the float range; the norms of a family
+of sections share one stacked solve per block size.  The duality checks
 build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
 the Gram eigenvectors of every block of every case, one stacked solve per block
 size, and sample that ball for violations.
@@ -22,7 +23,7 @@ import numpy as np
 from .bundle import Section, gaussian_stacks, identity_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
-from .fiber import PINV_CUTOFF, FiberElement, gram_eigenvalues, gram_eigenvalues_stack
+from .fiber import PINV_CUTOFF, FiberElement, gram_eigenvalues_stack, solve_by_block_size
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
@@ -90,24 +91,10 @@ def packed_chunks(cases: int, count: int) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def solve_by_block_size(stacks, solve) -> list:
-    """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``.
-
-    ``solve`` returns one row per lane, or a tuple of such arrays; each stack gets its rows
-    (a tuple of them likewise).
-    """
-    out = [None] * len(stacks)
-    for n in sorted({s.shape[1] for s in stacks}):
-        members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
-        rows = solve(np.concatenate([stacks[k] for k in members]))
-        ends = np.cumsum([len(stacks[k]) for k in members])[:-1]
-        if isinstance(rows, tuple):
-            parts = zip(*[np.split(r, ends) for r in rows])
-        else:
-            parts = np.split(rows, ends)
-        for k, part in zip(members, parts):
-            out[k] = part
-    return out
+def section_stacks(sections) -> list[np.ndarray]:
+    """The blocks of S sections of one bundle, one ``(S, n, n)`` stack per block slot."""
+    return [np.stack(slot) for slot in zip(*[[b for f in x.fibers for b in f.blocks]
+                                             for x in sections])]
 
 
 def stacked_traces(ys, bundle) -> np.ndarray:
@@ -126,7 +113,8 @@ def _require_finite(norms, p):
 def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
 
-    p = 2 is the weighted Frobenius identity.  Every other exponent, p = inf included, is
+    p = 2 is the weighted Frobenius identity, each block's ``||y_s||_F**2`` one ``vecdot`` of
+    its flattened entries.  Every other exponent, p = inf included, is
     ``sqrt(top) * (sum_j c_j sum (w / top)**(p/2))**(1/p)`` over the Gram ``spectra`` ``w`` of
     ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)``
     gives them (unused, so it may be empty, when every exponent is 2), where ``top`` is the
@@ -143,9 +131,11 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     for p in exponents:
         norm = np.zeros_like(top)
         if p == 2.0:
-            with np.errstate(over="ignore"):  # an overflow is reported below, naming p
+            # an overflow, or inf - inf in an imaginary part, is reported below, naming p
+            with np.errstate(over="ignore", invalid="ignore"):
                 for y, (i, c) in zip(ys, slots):
-                    norm[:, i] += c * np.sum(y.real**2 + y.imag**2, axis=(1, 2))
+                    flat = y.reshape(len(y), -1)
+                    norm[:, i] += c * np.vecdot(flat, flat).real
             norm = np.sqrt(norm)
         else:
             for w, (i, c) in zip(scaled, slots):
@@ -156,34 +146,25 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     return out
 
 
-def lp_norm(x: Section, p: float) -> CenterElement:
-    """Center-valued Lp norm: ``(trace(|x|**p))**(1/p)`` per atom.
+def lp_norms(sections, p: float) -> np.ndarray:
+    """``(S, atoms)`` center-valued Lp norms ``(trace(|x|**p))**(1/p)`` of S sections of one bundle.
 
-    For p = 2 the trace of ``x* x`` is the sum of its eigenvalues, i.e. the
-    weighted Frobenius sum ``sum_j c_j ||x_j||_F**2``, so no eigensolve is
-    needed.  Other exponents take the scaled sum of ``stacked_lp_norms`` over
-    the Gram spectrum.  p must be finite and at least 1, else UsageError; a norm
-    that is not finite raises ContractViolationError.
+    The sections' blocks are stacked per block slot (``section_stacks``), their Gram spectra
+    come from one stacked solve per block size (none at p = 2), and the norms are those of
+    ``stacked_lp_norms``.  p must be finite and at least 1, else UsageError; a norm that is
+    not finite raises ContractViolationError.
     """
     p = _exponent(p)
-    values = np.empty(x.bundle.space.size, dtype=np.float64)
-    # an overflow, or inf - inf in a Gram product, is reported below, naming p
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, (f, cs) in enumerate(zip(x.fibers, x.bundle.trace_weights)):
-            total = 0.0
-            if p == 2.0:
-                for c, b in zip(cs, f.blocks):
-                    total += c * float(np.vdot(b, b).real)
-                values[i] = total ** 0.5
-            else:
-                spectra = gram_eigenvalues(f)
-                top = max(max(w.tolist()) for w in spectra)
-                divisor = top if 0.0 < top < math.inf else 1.0
-                for c, w in zip(cs, spectra):
-                    total += c * float(np.sum((w / divisor) ** (p / 2.0)))
-                values[i] = math.sqrt(top) * total ** (1.0 / p)
-    _require_finite(values, p)
-    return CenterElement(x.bundle.space, values)
+    for x in sections[1:]:
+        x._require_same_bundle(sections[0])
+    ys = section_stacks(sections)
+    spectra = solve_by_block_size(ys, gram_eigenvalues_stack) if p != 2.0 else ()
+    return stacked_lp_norms(ys, sections[0].bundle, [p], spectra)[0]
+
+
+def lp_norm(x: Section, p: float) -> CenterElement:
+    """Center-valued Lp norm: ``(trace(|x|**p))**(1/p)`` per atom, the one-section ``lp_norms``."""
+    return CenterElement(x.bundle.space, lp_norms([x], p)[0])
 
 
 def dual_extremal(x: Section, p: float) -> Section:
@@ -221,10 +202,7 @@ def _witnesses(cases) -> list:
     for k, (x, p) in enumerate(cases):
         batches.setdefault((x.bundle, p), []).append(k)
     batches = list(batches.values())
-    stacks = []
-    for ks in batches:
-        blocks = [[b for f in cases[k][0].fibers for b in f.blocks] for k in ks]
-        stacks.append([np.stack(slot) for slot in zip(*blocks)])
+    stacks = [section_stacks([cases[k][0] for k in ks]) for ks in batches]
     solved = iter(solve_by_block_size([y for ys in stacks for y in ys], _sorted_gram_eig))
     cut = PINV_CUTOFF**2
     out = [None] * len(cases)

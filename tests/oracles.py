@@ -1,5 +1,15 @@
 """Independent oracles used by the test suite.
 
+The list kernel ``jacobi_hermitian`` is the cyclic Jacobi eigensolver of one
+Hermitian block on nested lists of Python complex scalars: the bit-for-bit
+reference of the stacked kernel ``fiber._jacobi_eigenvalues_stack``.  It runs
+the same sweeps and forms every product of a real and a complex number on the
+real and imaginary parts, as the stacked kernel does.  The norm references
+(``herm_eigenvalues_reference``, ``gram_eigenvalues_reference``,
+``spectral_norm_reference`` and ``lp_norm_reference``) take their spectra from
+it one block at a time, so the per-trial and per-sample references below stay
+independent of the kernel they check.
+
 The exact-rational oracle recomputes the trace-inner-product projection with
 ``fractions.Fraction`` arithmetic (floats convert to rationals exactly), using
 a plain Gram-system solve over a matrix-unit basis.  It shares no code path
@@ -13,16 +23,16 @@ from ``polar``, so three spectra per fiber.
 
 The duality reference is the one-sample-at-a-time loop that
 ``tracelp.duality_check`` ran before its samples were stacked: one section
-per sample, rescaled fiber by fiber through ``spectral_norm`` or ``lp_norm``,
-and paired through ``center_trace``.
+per sample, rescaled fiber by fiber through ``spectral_norm_reference`` or
+``lp_norm_reference``, and paired through ``center_trace``.
 
 The axiom reference is the one-trial-at-a-time loop that
 ``condexp.check_cond_exp_axioms`` ran before its trials were stacked: each
 trial draws its sections and subalgebra elements, applies
-``ConditionalExpectation.__call__``, and measures through ``herm_eig``,
-``center_trace``, ``lp_norm`` and ``scalarize``.  Its locality check applies
-``E`` once per atom, to ``x`` with every other atom's fiber taken from the
-trial's ``pos`` draw.
+``ConditionalExpectation.__call__``, and measures through
+``herm_eigenvalues_reference``, ``center_trace``, ``lp_norm_reference`` and
+``scalarize``.  Its locality check applies ``E`` once per atom, to ``x`` with
+every other atom's fiber taken from the trial's ``pos`` draw.
 
 Both draw as the checkers do, from one generator per check (duality) or per
 tag (axioms), but one lane at a time: a sample or trial section is one
@@ -47,32 +57,33 @@ residual after the loop.
 The held-tail references are the per-step loops that ``martingale`` and
 ``runner`` ran before the held tail became array operations: one running
 float total and one ratio ``W_K / W_n`` per held step, one list of per-atom
-floats per step for the Cesaro traces, and one ``write`` per ``traces.csv`` row.
+floats per step for the Cesaro traces (one ``lp_norm_reference`` per step), and
+one ``write`` per ``traces.csv`` row.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from tracebundle import (
     AxiomReport,
+    ContractViolationError,
     FiberElement,
     Section,
     abs_power,
     center_trace,
     derive_seed,
-    herm_eig,
     identity_fiber,
     identity_section,
-    lp_norm,
     polar,
     scalarize,
-    spectral_norm,
     validate_subalgebra,
     zero_fiber,
 )
 from tracebundle.bundle import split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
+from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL
 from tracebundle.towers import level_generators
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
@@ -200,6 +211,126 @@ def pinching_basis(shape, partition):
     return out
 
 
+def jacobi_hermitian(a, vectors=True):
+    """Eigendecomposition of one Hermitian complex block by cyclic Jacobi (the list kernel).
+
+    Returns ``(w, u)`` with ``a = u @ diag(w) @ u*`` and ``w`` unordered; ``u`` is None
+    when ``vectors`` is false.  Rotations run in the fixed row-major (p, q) order of the
+    stacked kernel, and the sweeps stop once the off-diagonal Frobenius norm is at most
+    JACOBI_OFFDIAG_TOL times that of ``a``; a block still above it after
+    JACOBI_MAX_SWEEPS sweeps raises.  A real factor multiplies the real and imaginary
+    parts on their own: Python's ``c * z`` for a float ``c`` would promote ``c`` to
+    ``complex(c, 0.0)``, and ``2.0 * complex(-0.0, -1.0)`` would get the real part 0.0
+    where the stacked kernel gets -0.0.
+    """
+    def scaled(c, z):
+        return complex(c * z.real, c * z.imag)
+
+    n = a.shape[0]
+    h = a.tolist()
+    u = np.eye(n, dtype=np.complex128).tolist() if vectors else []
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    tol = JACOBI_OFFDIAG_TOL * math.hypot(*[abs(v) for row in h for v in row])
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p, q in pairs:
+            hpq = h[p][q]
+            off += 2.0 * (hpq.real * hpq.real + hpq.imag * hpq.imag)
+        if math.sqrt(off) <= tol:
+            break
+        for p, q in pairs:
+            hp = h[p]
+            hq = h[q]
+            hpq = hp[q]
+            r = abs(hpq)
+            if r == 0.0:
+                # a zero plane takes the identity turn, as in the stacked kernel, where
+                # every lane turns; its value is unchanged, the sign of a zero may not be
+                c, s, w = 1.0, 0.0, complex(1.0, hpq.imag)
+            else:
+                # the phase w makes the (p, q) plane real symmetric, a rotation
+                # annihilates it: the transform is j = [[c, s], [-s*conj(w), c*conj(w)]]
+                w = complex(hpq.real / r, hpq.imag / r)
+                tau = (hq[q].real - hp[p].real) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+            wc = w.conjugate()
+            swc = scaled(s, wc)
+            cwc = scaled(c, wc)
+            for row in h + u:  # columns p, q of h and of u: h j, u j
+                x = row[p]
+                y = row[q]
+                row[p] = scaled(c, x) - swc * y
+                row[q] = scaled(s, x) + cwc * y
+            sw = scaled(s, w)
+            cw = scaled(c, w)
+            for i in range(n):  # rows p, q of h: j* h
+                x = hp[i]
+                y = hq[i]
+                hp[i] = scaled(c, x) - sw * y
+                hq[i] = scaled(s, x) + cw * y
+    else:
+        raise ContractViolationError(
+            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    w = np.array([h[i][i].real for i in range(n)], dtype=np.float64)
+    return w, (np.array(u, dtype=np.complex128) if vectors else None)
+
+
+def herm_eigenvalues_reference(f):
+    """Per block of a Hermitian fiber, the list kernel's eigenvalues in descending order."""
+    return [np.sort(jacobi_hermitian(b, vectors=False)[0])[::-1] for b in f.blocks]
+
+
+def gram_eigenvalues_reference(f):
+    """Per block, the list kernel's eigenvalues of ``b.conj().T @ b``, clamped nonnegative;
+    inf where the Gram matrix overflows."""
+    out = []
+    for b in f.blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = b.conj().T @ b
+        if np.isfinite(gram).all():
+            out.append(np.maximum(jacobi_hermitian(gram, vectors=False)[0], 0.0))
+        else:
+            out.append(np.full(len(gram), math.inf))
+    return out
+
+
+def spectral_norm_reference(f):
+    """Largest singular value of a fiber, from the list kernel."""
+    return math.sqrt(max(float(w.max()) for w in gram_eigenvalues_reference(f)))
+
+
+def lp_norm_reference(x, p):
+    """Per-atom Lp norms of one section, fiber by fiber, from the list kernel.
+
+    p = 2 sums ``c_j vdot(x_j, x_j)``; other exponents sum ``c_j (w / top)**(p/2)`` over the
+    Gram spectra, ``top`` the atom's largest.  The roots are taken on the array of atoms.
+    """
+    p = float(p)
+    totals, tops = [], []
+    for f, cs in zip(x.fibers, x.bundle.trace_weights):
+        total = 0.0
+        if p == 2.0:
+            for c, b in zip(cs, f.blocks):
+                total += c * float(np.vdot(b, b).real)
+        else:
+            spectra = gram_eigenvalues_reference(f)
+            top = max(float(w.max()) for w in spectra)
+            divisor = top if 0.0 < top < math.inf else 1.0
+            for c, w in zip(cs, spectra):
+                total += c * float(np.sum((w / divisor) ** (p / 2.0)))
+            tops.append(top)
+        totals.append(total)
+    if p == 2.0:
+        return np.sqrt(np.array(totals))
+    return np.sqrt(np.array(tops)) * np.array(totals) ** (1.0 / p)
+
+
 def eigh_oracle(block):
     """numpy's LAPACK Hermitian eigensolver, descending eigenvalues."""
     w, u = np.linalg.eigh(block)
@@ -211,11 +342,11 @@ def _rescale_to_dual_ball(y, p):
     fibers = []
     if p == 1.0:
         for f in y.fibers:
-            scale = spectral_norm(f)
+            scale = spectral_norm_reference(f)
             fibers.append((1.0 / scale) * f if scale > ZERO_FIBER_TOL else f)
     else:
         q = p / (p - 1.0)
-        norms = lp_norm(y, q).values
+        norms = lp_norm_reference(y, q)
         for f, nq in zip(y.fibers, norms):
             fibers.append((1.0 / float(nq)) * f if nq > ZERO_FIBER_TOL else f)
     return Section(y.bundle, fibers)
@@ -242,7 +373,7 @@ def subalgebra_element(basis, rng):
 def dual_extremal_reference(x, p):
     """The Hoelder witness of ``dual_extremal`` through ``polar`` and ``abs_power``, fiber by fiber."""
     p = float(p)
-    norms = lp_norm(x, p).values
+    norms = lp_norm_reference(x, p)
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
         if norm_p < ZERO_FIBER_TOL:
@@ -260,7 +391,7 @@ def dual_extremal_reference(x, p):
 def duality_worst_reference(x, p, samples, seed):
     """Per-atom worst sampled violation ``|trace(x y)| - norm_p(x)``, one sample at a time."""
     p = float(p)
-    norms = lp_norm(x, p).values
+    norms = lp_norm_reference(x, p)
     worst = np.full(x.bundle.space.size, -np.inf)
     rng = np.random.default_rng(derive_seed(seed, "duality-samples"))
     for _ in range(samples):
@@ -311,8 +442,7 @@ def axiom_report_reference(E, trials, seed):
         epos_h = 0.5 * (epos + epos.adjoint())
         dips = []
         for f in epos_h.fibers:
-            eig = herm_eig(f)
-            dips.append(max(0.0, -min(float(w[-1]) for w in eig.eigenvalues)))
+            dips.append(max(0.0, -min(float(w[-1]) for w in herm_eigenvalues_reference(f))))
         bump("positivity", max(dips), dips)
 
         a = subalgebra_element(E.target, rngs["a"])
@@ -328,7 +458,7 @@ def axiom_report_reference(E, trials, seed):
         bump("bimodule_pairing", d.max(), d)
 
         for p in CONTRACTION_EXPONENTS:
-            gap = lp_norm(ex, p).values - lp_norm(x, p).values
+            gap = lp_norm_reference(ex, p) - lp_norm_reference(x, p)
             gap = np.maximum(gap, 0.0)
             bump(f"lp_contraction_p{int(p)}", gap.max(), gap)
 
@@ -455,8 +585,8 @@ def cesaro_traces_reference(seq, w, p, extend_by=0):
     """Per-atom ``||x_n - y||_p`` and ``||sigma_n - y||_p`` rows, one list per step."""
     y = seq.elements[-1]
     sigmas, ratios = running_means_reference(seq, w, extend_by)
-    xa = [[float(v) for v in lp_norm(x_n - y, p).values] for x_n in seq.elements]
-    sa = [[float(v) for v in lp_norm(s_n - y, p).values] for s_n in sigmas]
+    xa = [[float(v) for v in lp_norm_reference(x_n - y, p)] for x_n in seq.elements]
+    sa = [[float(v) for v in lp_norm_reference(s_n - y, p)] for s_n in sigmas]
     xa += [[0.0] * len(xa[-1]) for _ in ratios]
     sa += [[r * v for v in sa[-1]] for r in ratios]  # sa[-1] is still sigma_K's row
     return xa, sa

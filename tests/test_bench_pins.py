@@ -3,15 +3,18 @@
 ``bench/run.py`` rejects a call whose summary names other checks than its
 ``WORKLOADS`` entry pins; this runs the same configs through the CLI so a
 dropped or renamed check fails here first.  The stacked eigensolver calls of
-the duality and axiom workloads are pinned too, so a refactor that splits a
-check phase's shared solves again fails here, and so are the list-kernel
-solves of the duality workload (none), and the subalgebra validations, span
-extensions and closure residuals of the axiom workload.  The bench files are
-only read.
+every workload are pinned too, so a refactor that splits a phase's shared
+solves again fails here, and so are the single-block solves of the duality
+workload (none), and the subalgebra validations, span extensions and closure
+residuals of the axiom workload.  Each workload also runs once through
+``bench/child.py`` with tracing on, which wraps the package's public functions
+by name, so a rename that breaks ``bench/run.py --trace 1`` fails here.  The
+bench files are only read.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,22 +75,26 @@ def run_workload(workload, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("workload, least, most", [("duality", 15, 15), ("axioms-large-blocks", 4, 4)])
+@pytest.mark.parametrize("workload, least, most", [
+    ("duality", 15, 15), ("axioms-large-blocks", 4, 4), ("martingale-tail", 12, 12)])
 def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
     # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
     # times 3 block sizes, plus one solve with eigenvectors per block size for the
     # witnesses of all 25 cases; axioms: 4 levels of 30 trials, one group, 4 block
-    # sizes, the positivity and Gram stacks of a size solved together
+    # sizes, the positivity and Gram stacks of a size solved together; martingale-tail:
+    # per seed, the L1 norms of the defect and of the limit reconstruction, one solve per
+    # block size (1, 2, 3) each, and none for the p = 2 norms
     calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
     run_workload(workload, tmp_path, capsys)
     assert least <= len(calls) <= most
 
 
-def test_duality_phase_makes_no_list_kernel_solve(tmp_path, capsys, monkeypatch):
-    # the norms and witnesses of the checked sections come from the stacked solves too
-    calls = count_calls(fiber._jacobi_hermitian, monkeypatch)
+def test_duality_phase_makes_no_single_block_solve(tmp_path, capsys, monkeypatch):
+    # the norms and witnesses of the checked sections come from the shared stacks, each of
+    # at least the 25 cases' blocks of one size, never from a solve of one block
+    calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
     run_workload("duality", tmp_path, capsys)
-    assert calls == []
+    assert min(len(h) for h, *_ in calls) >= 25
 
 
 def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):
@@ -110,3 +117,18 @@ def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):
     closures = count_calls(condexp._closure_residual, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
     assert (len(tries), len(closures)) == (151, 9)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_bench_call_runs(workload, tmp_path):
+    # the tracer patches its functions by name: a missing one fails the call
+    command, _ = WORKLOADS[workload]
+    spans = tmp_path / "spans.csv"
+    argv = [sys.executable, "-B", str(BENCH / "child.py"), "call", str(BENCH.parent),
+            str(BENCH / "workloads" / f"{workload}.json"), command, "1", str(tmp_path / "out"),
+            str(spans)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["exit_code"] == 0
+    assert "counts" in result and spans.stat().st_size > 0

@@ -33,6 +33,7 @@ from tracebundle.fixtures import FIXTURES, fixture_config
 from tracebundle.martingale import Filtration
 from tracebundle.runner import run_experiment
 from tracebundle.towers import level_generators
+from tracebundle.tracelp import lp_norms
 
 from oracles import (
     cesaro_traces_reference,
@@ -509,14 +510,14 @@ def test_held_tail_closed_form_matches_explicit_means(which, weights, request):
     for p in (1.0, 2.0, 3.0):
         rep = cesaro_equivalence(seq, w, p=p, tol=1.0, extend_by=n_ext)
         got = np.array(rep.average_trace_per_atom)
-        want = np.array([lp_norm(d, p).values for d in offsets])
+        want = lp_norms(offsets, p)
         assert got.shape == want.shape == (steps, f.bundle.space.size)
         assert np.array_equal(got[:k], want[:k])
         assert np.all(np.abs(got[k:] - want[k:]) <= 1e-12 * lp_norm(x, p).values)
         assert rep.element_trace[k - 1:] == [0.0] * (n_ext + 1)
         assert np.array_equal(rep.element_trace_per_atom[k:], np.zeros((n_ext, f.bundle.space.size)))
         _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=n_ext)
-        ref_sup = np.max([lp_norm(s, p).values for s in sigmas], axis=0)
+        ref_sup = lp_norms(sigmas, p).max(axis=0)
         assert np.all(np.abs(sup_sigma.values - ref_sup) <= 1e-13 * ref_sup)
 
 

@@ -13,6 +13,7 @@ from tracebundle import (
     FiberElement,
     MeasureSpace,
     Section,
+    ShapeMismatchError,
     UsageError,
     abs_power,
     center_scale,
@@ -30,9 +31,21 @@ from tracebundle import (
 )
 from tracebundle import fiber, tracelp
 from tracebundle.fiber import gram_eigenvalues_stack
-from tracebundle.tracelp import DUALITY_CHUNK, packed_chunks, solve_by_block_size, stacked_lp_norms
+from tracebundle.tracelp import (
+    DUALITY_CHUNK,
+    lp_norms,
+    packed_chunks,
+    section_stacks,
+    solve_by_block_size,
+    stacked_lp_norms,
+)
 
-from oracles import dual_extremal_reference, duality_worst_reference
+from oracles import (
+    dual_extremal_reference,
+    duality_worst_reference,
+    lp_norm_reference,
+    spectral_norm_reference,
+)
 
 
 def abs_section(x):
@@ -193,17 +206,29 @@ def test_exponent_must_be_finite_and_at_least_one(hetero_bundle, p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
 def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, p):
+    # against the list kernel, one section and one block at a time: the Gram matrices of one
+    # stacked matmul, the p = 2 sums of one vecdot and the spectra of the stacked kernel give
+    # every finite p the bits of the per-block loop
     for bundle in (hetero_bundle, large_blocks_bundle):
         xs = [random_section(bundle, 40 + s, "general") for s in range(12)]
         xs.append(with_zero_fiber(xs[0], 1))  # a zero atom keeps its norm of 0
-        stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
+        xs.append(1e-90 * xs[1])
+        stacks = section_stacks(xs)
         (got,) = stacked_lp_norms(stacks, bundle, [p], gram_spectra(stacks))
         if p == math.inf:  # the uniform norm, largest singular value per atom
-            want = np.array([[spectral_norm(f) for f in x.fibers] for x in xs])
+            want = np.array([[spectral_norm_reference(f) for f in x.fibers] for x in xs])
         else:
-            want = np.array([lp_norm(x, p).values for x in xs])
+            want = np.array([lp_norm_reference(x, p) for x in xs])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(lp_norms(xs, p), got)
+            assert all(np.array_equal(lp_norm(x, p).values, row) for x, row in zip(xs, got))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_lp_norms_refuses_sections_of_two_bundles(hetero_bundle, large_blocks_bundle):
+    with pytest.raises(ShapeMismatchError):
+        lp_norms([random_section(b, 1, "general") for b in (hetero_bundle, large_blocks_bundle)], 2)
 
 
 @pytest.mark.parametrize("chunk, cases, count", [(1, 3, 2), (7, 5, 3), (7, 3, 10), (512, 25, 100)])
@@ -431,13 +456,12 @@ def test_dual_extremal_stays_finite_at_large_p(hetero_bundle, p, scale):
 
 
 def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatch):
-    # one stacked solve with eigenvectors per block size (1, 2, 3), no list-kernel solve,
-    # and a zero witness for a zero fiber
+    # one stacked solve with eigenvectors per block size (1, 2, 3) and no other solve, the
+    # norms taken from the same spectra; and a zero witness for a zero fiber
     solved = []
     real = fiber._jacobi_eigenvalues_stack
     monkeypatch.setattr(fiber, "_jacobi_eigenvalues_stack",
                         lambda h, vectors=False: solved.append((h.shape, vectors)) or real(h, vectors))
-    monkeypatch.setattr(fiber, "_jacobi_hermitian", None)
     x = with_zero_fiber(random_section(hetero_bundle, 5, "general"), 2)
     for p in (1.0, 1.5, 3.0):
         solved.clear()
