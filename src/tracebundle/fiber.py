@@ -3,12 +3,12 @@
 A fiber algebra is a finite direct sum of full matrix algebras; an element is
 stored as an ordered tuple of square complex blocks (never flattened into one
 big matrix, so the cost of a product is the sum of the per-block costs).
-Everything here is a pure function of its inputs: arithmetic, a self-contained
-Hermitian eigensolver (cyclic Jacobi with a fixed sweep order, hence
-bit-deterministic, on a stack of same-size blocks), functional calculus, polar
-decomposition, and spectral projections built on top of it.  Every eigensolve
-takes all the same-size blocks its caller has at once: one stacked solve per
-block size.
+Everything here is a pure function of its inputs: arithmetic, two
+self-contained cyclic Jacobi kernels on stacks of same-size blocks (Hermitian
+eigenvalues, and one-sided for singular values; fixed sweep orders, hence
+bit-deterministic), functional calculus, polar decomposition, and spectral
+projections built on them.  Every solve takes all the same-size blocks its
+caller has at once: one stacked solve per block size.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import numpy as np
 from .errors import ContractViolationError, ShapeMismatchError
 
 HERMITIAN_INPUT_TOL = 1e-10   # max-abs tolerance on ``a - a*`` for Hermitian-only kernels
-JACOBI_OFFDIAG_TOL = 1e-14    # off-diagonal Frobenius norm stopping threshold, relative to ||a||_F
+JACOBI_OFFDIAG_TOL = 1e-14    # Jacobi stop: off-diagonal / ||a||_F, or |y_p* y_q| / ||y_p|| ||y_q||
 JACOBI_MAX_SWEEPS = 100
+NEGLIGIBLE_COLUMN = 2.0**-52  # a column at most this times ||y||_F settles its one-sided pairs
 PINV_CUTOFF = 1e-10           # singular values at or below this count as kernel directions
 EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
 
@@ -29,8 +30,8 @@ EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap on
 _SWAP_SIGNS = (np.array([-1.0, 1.0]).reshape(2, 1, 1), np.array([1.0, -1.0]).reshape(2, 1, 1))
 
 
-def _plane_turn(x, y, c, s, w, conj, out_x, out_y):
-    """Write ``c x - s w y`` to ``out_x`` and ``s x + c w y`` to ``out_y``.
+def _plane_turn(x, y, c, s, w, conj, out_x=None, out_y=None):
+    """``c x - s w y`` and ``s x + c w y``, written to ``out_x`` and ``out_y`` when given.
 
     ``x``, ``y``: contiguous ``(2, n, lanes)`` copies of two planes, real part
     first; ``w = (s wr, s wi, c wr, c wi)`` per lane, shared by a step's turns.
@@ -40,10 +41,10 @@ def _plane_turn(x, y, c, s, w, conj, out_x, out_y):
     y_swapped = y[::-1] * _SWAP_SIGNS[conj]  # (-yi, yr), or (yi, -yr) for conj(w)
     wy = w[0] * y
     wy += w[1] * y_swapped
-    np.subtract(c * x, wy, out=out_x)
+    new_x = np.subtract(c * x, wy, out=out_x)
     wy = w[2] * y
     wy += w[3] * y_swapped
-    np.add(s * x, wy, out=out_y)
+    return new_x, np.add(s * x, wy, out=out_y)
 
 
 def _jacobi_eigenvalues_stack(h, vectors=False):
@@ -127,6 +128,96 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
     return (out, u_out) if vectors else out
 
 
+def _row_sums(t):
+    """Sum over axis -2 by adds in row order, which no lane count changes (``np.sum`` may)."""
+    acc = t[..., 0, :]
+    for k in range(1, t.shape[-2]):
+        acc = acc + t[..., k, :]
+    return acc
+
+
+def _pair_sums(y_p, y_q):
+    """``(4, lanes)``: ``||y_p||**2``, ``||y_q||**2``, re and im of ``y_p* y_q`` (columns as parts)."""
+    pp, qq, pq, pq_swapped = y_p * y_p, y_q * y_q, y_p * y_q, y_p * y_q[::-1]
+    return _row_sums(np.array([pp[0] + pp[1], qq[0] + qq[1],
+                               pq[0] + pq[1], pq_swapped[0] - pq_swapped[1]]))
+
+
+def _column_squares(a, n):
+    """``(n, lanes)`` squared norms of the ``n`` columns held as in ``gram_eigenvalues_stack``."""
+    y = a[:, :, :n]
+    sq = y * y
+    return _row_sums(sq[:, 0] + sq[:, 1])
+
+
+def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
+    """Eigenvalues of ``y_s* y_s`` (squared singular values) for a stack ``y`` of shape
+    ``(S, n, n)``, by one-sided (Hestenes) Jacobi on the blocks themselves.
+
+    Returns an ``(S, n)`` array, unordered per block; with ``vectors``, ``(w, v)`` with ``v``
+    the unitaries of right singular vectors.  No Gram matrix is formed, so ``sqrt(w)`` is
+    accurate to about ``eps ||y_s||``.  Each block (a lane) is scaled by the power of 2 that
+    brings its largest part into [0.5, 1), so no square leaves the float range, and ``w``
+    is scaled back (inf where it overflows).  Sweeps turn the column pairs (p, q) in
+    row-major order by the transform of ``_jacobi_eigenvalues_stack`` for the (p, q) entry
+    of ``y* y``, from ``||y_p||**2``, ``||y_q||**2`` and ``y_p* y_q`` summed afresh from the
+    columns (carried norms would cancel on a nearly dependent pair).  A pair is settled, and
+    not turned, when ``|y_p* y_q| <= JACOBI_OFFDIAG_TOL ||y_p|| ||y_q||`` or a column is at
+    most NEGLIGIBLE_COLUMN ``||y_s||_F``; a lane leaves after a sweep that turns nothing.
+    Sums add in a fixed row order and all else is elementwise across lanes, so a lane's bits
+    do not depend on the stack.  A lane still turning after JACOBI_MAX_SWEEPS sweeps raises
+    ContractViolationError.
+    """
+    lanes, n = y.shape[0], y.shape[-1]
+    # a[j, 0] and a[j, 1] hold the real and imaginary parts of column j, lanes last;
+    # with vectors, rows n to 2n hold v, which takes the same column turns
+    a = np.zeros((n, 2, 2 * n if vectors else n, lanes))
+    a[:, 0, :n], a[:, 1, :n] = y.real.transpose(2, 1, 0), y.imag.transpose(2, 1, 0)
+    exponent = np.frexp(np.abs(a[:, :, :n]).max(axis=(0, 1, 2)))[1]  # of the largest part
+    a[:, :, :n] = np.ldexp(a[:, :, :n], -exponent)
+    if vectors:
+        a[np.arange(n), 0, np.arange(n, 2 * n)] = 1.0
+        v_out = np.empty((lanes, n, n), dtype=np.complex128)
+    floor = NEGLIGIBLE_COLUMN * np.sqrt(_row_sums(_column_squares(a, n)))  # ||y_s||_F
+    out = np.empty((lanes, n))
+    lane = np.arange(lanes)
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        turned = np.zeros(len(lane), dtype=bool)
+        for p, q in pairs:
+            sums = _pair_sums(a[p, :, :n], a[q, :, :n])
+            r = np.hypot(sums[2], sums[3])
+            norms = np.sqrt(sums[:2])
+            turn = ((r > JACOBI_OFFDIAG_TOL * (norms[0] * norms[1]))
+                    & (np.minimum(norms[0], norms[1]) > floor))
+            if not turn.any():
+                continue
+            turned |= turn
+            r[~turn] = 1.0  # a settled lane's turn is computed and discarded
+            tau = (sums[1] - sums[0]) / (2.0 * r)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            phase = sums[2:] / r
+            w = (s * phase[0], s * phase[1], c * phase[0], c * phase[1])
+            new_p, new_q = _plane_turn(a[p], a[q], c, s, w, True)
+            np.copyto(a[p], new_p, where=turn)  # settled lanes keep their columns bit for bit
+            np.copyto(a[q], new_q, where=turn)
+        done = ~turned
+        if done.any():
+            with np.errstate(over="ignore"):  # a block whose squares overflow: w = inf
+                out[lane[done]] = np.ldexp(_column_squares(a, n)[:, done], 2 * exponent[done]).T
+            if vectors:
+                v_out.real[lane[done]] = a[:, 0, n:][..., done].transpose(2, 1, 0)
+                v_out.imag[lane[done]] = a[:, 1, n:][..., done].transpose(2, 1, 0)
+            if done.all():
+                break
+            a, floor, exponent, lane = a[..., turned], floor[turned], exponent[turned], lane[turned]
+    else:
+        raise ContractViolationError(f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    return (out, v_out) if vectors else out
+
+
 class FiberElement:
     """Element of one fiber algebra: an ordered tuple of square complex blocks."""
 
@@ -138,7 +229,7 @@ class FiberElement:
             m = np.array(b, dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
                 raise ShapeMismatchError(f"block {k} is not a square matrix: shape {m.shape}")
-            if not np.all(np.isfinite(m.view(np.float64))):
+            if not np.isfinite(m).all():
                 raise ContractViolationError(f"block {k} contains NaN or Inf entries")
             mats.append(m)
         if not mats:
@@ -271,38 +362,30 @@ def herm_eig(a: FiberElement) -> HermEig:
     return HermEig(eigenvalues, bases)
 
 
-def _gram_eig(x: FiberElement) -> HermEig:
-    """Eigendecomposition of ``x* x`` with negatives clamped to zero."""
-    gram = FiberElement._raw([b.conj().T @ b for b in x.blocks])
-    eig = herm_eig(gram)
-    return HermEig([np.maximum(w, 0.0) for w in eig.eigenvalues], eig.bases)
+def _singular_eig(x: FiberElement) -> HermEig:
+    """The spectral data of ``x* x`` from one ``gram_eigenvalues_stack`` solve per block size."""
+    solved = _solve_blocks(x, lambda y: gram_eigenvalues_stack(y, vectors=True))
+    return HermEig([w[0] for w, _ in solved], [v[0] for _, v in solved])
 
 
 def abs_power(x: FiberElement, p: float) -> FiberElement:
-    """``|x|**p`` computed as ``(x* x)**(p/2)`` through the eigensolver.
+    """``|x|**p = v diag(w**(p/2)) v*`` from the squared singular values ``w`` of each block.
 
-    Intended for p >= 1 (the Lp norms); any nonnegative power works the same
-    way since ``x* x`` is positive semidefinite.
+    Intended for p >= 1 (the Lp norms); any nonnegative power works the same way.
     """
-    return _gram_eig(x).apply(lambda w: w ** (p / 2.0))
+    return _singular_eig(x).apply(lambda w: w ** (p / 2.0))
 
 
 def polar(x: FiberElement) -> tuple[FiberElement, FiberElement]:
-    """Polar decomposition ``x = u h`` with ``h = |x|`` positive.
+    """Polar decomposition ``x = u h`` with ``h = |x| = v diag(s) v*`` positive.
 
-    ``u`` is the partial isometry ``x h^+`` (pseudo-inverse with singular
-    cutoff PINV_CUTOFF), so it vanishes on the kernel of ``h``.
+    ``u = U v*`` with ``U = x v / s`` on ``s > PINV_CUTOFF``, formed as ``x (v diag(1 / s) v*)``,
+    is a partial isometry that vanishes on the kernel of ``h``.
     """
-    def cut_inverse(s):
-        out = np.zeros_like(s)
-        supported = s > PINV_CUTOFF
-        out[supported] = 1.0 / s[supported]
-        return out
-
-    eig = _gram_eig(x)
+    eig = _singular_eig(x)
     singulars = HermEig([np.sqrt(w) for w in eig.eigenvalues], eig.bases)
     h = singulars.apply(lambda s: s)
-    return x * singulars.apply(cut_inverse), h
+    return x * singulars.apply(lambda s: np.where(s > PINV_CUTOFF, 1 / np.maximum(s, PINV_CUTOFF), 0)), h
 
 
 def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
@@ -322,35 +405,13 @@ def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
 
 
 def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
-    """Eigenvalues of ``x* x`` per block, clamped nonnegative, unordered.
+    """Eigenvalues of ``x* x`` (squared singular values) per block, nonnegative, unordered.
 
     Lean path for norm computations that need only the spectrum: one
-    ``gram_eigenvalues_stack`` call per block size of ``x``, with no
-    Hermiticity check (the Gram matrix is Hermitian by construction), no
-    descending sort and no eigenvectors.
+    ``gram_eigenvalues_stack`` call per block size of ``x``, with no descending
+    sort and no singular vectors.
     """
     return [w[0] for w in _solve_blocks(x, gram_eigenvalues_stack)]
-
-
-def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
-    """Eigenvalues of ``y_s* y_s`` for a stack ``y`` of shape ``(S, n, n)``.
-
-    Returns an ``(S, n)`` array, clamped nonnegative and unordered per block;
-    with ``vectors`` it returns ``(w, u)``, the eigenvectors alongside.  One
-    stacked Jacobi solve serves the whole stack.  The Gram matrices are one
-    stacked ``matmul``, which gives each lane the bits of its own
-    ``b.conj().T @ b``.  A Gram matrix whose entries overflow has an infinite
-    spectrum, and no Jacobi sweep runs on it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the inf spectrum below
-        gram = y.conj().transpose(0, 2, 1) @ y
-    overflowed = ~np.isfinite(gram).all(axis=(1, 2))
-    if overflowed.any():
-        gram[overflowed] = np.diag(np.full(y.shape[-1], math.inf))
-    if not vectors:
-        return np.maximum(_jacobi_eigenvalues_stack(gram), 0.0)
-    w, u = _jacobi_eigenvalues_stack(gram, vectors=True)
-    return np.maximum(w, 0.0), u
 
 
 def spectral_norm(x: FiberElement) -> float:

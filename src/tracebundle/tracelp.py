@@ -4,11 +4,11 @@ The trace of a section is the center element ``w -> sum_j c_j(w) tr(x(w)_j)``
 with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
-per-block Gram spectrum (the squared singular values), summed relative to the
+per-block squared singular values (one-sided Jacobi), summed relative to the
 atom's largest so that no power leaves the float range; the norms of a family
 of sections share one stacked solve per block size.  The duality checks
 build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
-the Gram eigenvectors of every block of every case, one stacked solve per block
+the right singular vectors of every block of every case, one stacked solve per block
 size, and sample that ball for violations.
 """
 
@@ -115,10 +115,11 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
 
     p = 2 is the weighted Frobenius identity, each block's ``||y_s||_F**2`` one ``vecdot`` of
     its flattened entries.  Every other exponent, p = inf included, is
-    ``sqrt(top) * (sum_j c_j sum (w / top)**(p/2))**(1/p)`` over the Gram ``spectra`` ``w`` of
-    ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)``
-    gives them (unused, so it may be empty, when every exponent is 2), where ``top`` is the
-    atom's largest ``w``: no power overflows or underflows, and at p = inf the sum's root is 1.
+    ``sqrt(top) * (sum_j c_j sum (w / top)**(p/2))**(1/p)`` over the squared singular values
+    ``w`` of ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys,
+    gram_eigenvalues_stack)`` gives them (unused, so it may be empty, when every exponent is
+    2), where ``top`` is the atom's largest ``w``: no power overflows or underflows, and at
+    p = inf the sum's root is 1.
     A norm that is not finite (squares past the float range) raises ContractViolationError.
     """
     slots = bundle.block_slots()
@@ -138,8 +139,9 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
                     norm[:, i] += c * np.vecdot(flat, flat).real
             norm = np.sqrt(norm)
         else:
-            for w, (i, c) in zip(scaled, slots):
-                norm[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
+            with np.errstate(over="ignore"):  # beside an infinite top, w is not scaled down
+                for w, (i, c) in zip(scaled, slots):
+                    norm[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
             norm = np.sqrt(top) * norm ** (1.0 / p)
         _require_finite(norm, p)
         out.append(norm)
@@ -149,7 +151,7 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
 def lp_norms(sections, p: float) -> np.ndarray:
     """``(S, atoms)`` center-valued Lp norms ``(trace(|x|**p))**(1/p)`` of S sections of one bundle.
 
-    The sections' blocks are stacked per block slot (``section_stacks``), their Gram spectra
+    The sections' blocks are stacked per block slot (``section_stacks``), their spectra
     come from one stacked solve per block size (none at p = 2), and the norms are those of
     ``stacked_lp_norms``.  p must be finite and at least 1, else UsageError; a norm that is
     not finite raises ContractViolationError.
@@ -181,39 +183,31 @@ def dual_extremal(x: Section, p: float) -> Section:
     return _witnesses([(x, _exponent(p))])[0][1]
 
 
-def _sorted_gram_eig(y):
-    """Gram spectra of a stack as solved, and sorted per lane with their eigenvectors
-    (stable, descending, as ``herm_eig`` sorts)."""
-    w, u = gram_eigenvalues_stack(y, vectors=True)
-    order = np.argsort(-w, axis=1, kind="stable")
-    return w, np.take_along_axis(w, order, 1), np.take_along_axis(u, order[:, None, :], 2)
-
-
 def _witnesses(cases) -> list:
     """``(norm_p, dual_extremal(x, p), trace(x dual_extremal(x, p)))`` for ``(x, p)`` cases.
 
-    The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  The
-    Gram matrices of every block of every batch go through one stacked solve with
-    eigenvectors per block size.  A batch's norms are ``stacked_lp_norms`` of its unsorted
-    spectra, and its witnesses are formed from the sorted ones.  Every step treats each case
-    on its own, so the batching does not show.
+    The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  Every
+    block of every batch goes through one stacked solve with singular vectors per block
+    size, and a batch's norms and witnesses come from the same spectra.  Every step treats
+    each case on its own, so the batching does not show.
     """
     batches = {}
     for k, (x, p) in enumerate(cases):
         batches.setdefault((x.bundle, p), []).append(k)
     batches = list(batches.values())
     stacks = [section_stacks([cases[k][0] for k in ks]) for ks in batches]
-    solved = iter(solve_by_block_size([y for ys in stacks for y in ys], _sorted_gram_eig))
+    solved = iter(solve_by_block_size([y for ys in stacks for y in ys],
+                                      lambda y: gram_eigenvalues_stack(y, vectors=True)))
     cut = PINV_CUTOFF**2
     out = [None] * len(cases)
     for ks, ys in zip(batches, stacks):
         bundle, p = cases[ks[0]][0].bundle, cases[ks[0]][1]
         eigs = [next(solved) for _ in ys]
-        (norms,) = stacked_lp_norms(ys, bundle, [p], [w for w, _, _ in eigs])
+        (norms,) = stacked_lp_norms(ys, bundle, [p], [w for w, _ in eigs])
         zero = norms < ZERO_FIBER_TOL
         norms_or_one = np.where(zero, 1.0, norms)
         witness = []
-        for y, (_, w, u), (i, _) in zip(ys, eigs, bundle.block_slots()):
+        for y, (w, u), (i, _) in zip(ys, eigs, bundle.block_slots()):
             # np.maximum keeps a negative power of 0 out of the discarded branch
             scaled = np.maximum(w, cut) / norms_or_one[:, i, None] ** 2
             fw = np.where((w > cut) & ~zero[:, i, None], scaled ** (p / 2 - 1), 0.0)
@@ -265,12 +259,39 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     return duality_checks([(x, p, seed)], samples)[0]
 
 
+def _group_excess(cases, qs, rngs, witnessed, group):
+    """``(case, row)`` per case of one ``duality_checks`` group, ``row`` its worst sampled
+    ``|trace(x y)| - norm_p(x)`` per atom; the group's arrays are freed when it is done."""
+    batches = {}
+    for k, size in group:
+        batches.setdefault((cases[k][0].bundle, qs[k]), []).append((k, size))
+    stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
+                                                      for k, size in members])]
+              for (bundle, _), members in batches.items()]
+    solved = iter(solve_by_block_size(
+        [y for (_, q), ys in zip(batches, stacks) if q != 2.0 for y in ys], gram_eigenvalues_stack))
+    for ((bundle, q), members), ys in zip(batches.items(), stacks):
+        spectra = [next(solved) for _ in ys] if q != 2.0 else ()
+        (dual,) = stacked_lp_norms(ys, bundle, [q], spectra)
+        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+        sizes = [size for _, size in members]
+        # each lane pairs with the blocks of its own case, and its excess is over that case's norm
+        xs = section_stacks([cases[k][0] for k, _ in members])
+        pairing = np.zeros(dual.shape, dtype=np.complex128)
+        for (i, c), x, y in zip(bundle.block_slots(), xs, ys):
+            pairing[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
+        norms = np.repeat(np.array([witnessed[k][0] for k, _ in members]), sizes, axis=0)
+        excess = np.abs(pairing) * scale - norms
+        yield from zip((k for k, _ in members), np.maximum.reduceat(excess, np.cumsum(sizes) - sizes))
+
+
 def duality_checks(cases, samples: int) -> list[DualityReport]:
     """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order.
 
-    The cases' chunks go through in groups (``packed_chunks``), each with one stacked
-    solve per block size for the Gram spectra of its dual norms (none at q = 2).  No
-    step mixes samples or cases, so the grouping does not show in a report.
+    The cases' chunks go through in groups (``packed_chunks``), each with one stacked solve
+    per block size for the spectra of its dual norms (none at q = 2); the chunks of a group
+    whose cases share a bundle and q are a batch, with one norm call and one pairing
+    contraction per block.  No step mixes samples or cases, so neither shows in a report.
     """
     if samples < 1:
         raise UsageError("need at least one sample")
@@ -280,20 +301,8 @@ def duality_checks(cases, samples: int) -> list[DualityReport]:
     worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
     rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
     for group in packed_chunks(len(cases), samples):
-        ys = [gaussian_stacks(cases[k][0].bundle, rngs[k], size) for k, size in group]
-        solved = iter(solve_by_block_size(
-            [y for (k, _), stack in zip(group, ys) if qs[k] != 2.0 for y in stack],
-            gram_eigenvalues_stack))
-        for (k, size), stack in zip(group, ys):
-            bundle = cases[k][0].bundle
-            spectra = [next(solved) for _ in stack] if qs[k] != 2.0 else ()
-            (dual,) = stacked_lp_norms(stack, bundle, [qs[k]], spectra)
-            scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
-            pairing = np.zeros((size, bundle.space.size), dtype=np.complex128)
-            x_blocks = [b for f in cases[k][0].fibers for b in f.blocks]
-            for (i, c), b, y in zip(bundle.block_slots(), x_blocks, stack):
-                pairing[:, i] += c * np.einsum("ab,sba->s", b, y)
-            worst[k] = np.maximum(worst[k], (np.abs(pairing) * scale - witnessed[k][0]).max(axis=0))
+        for k, row in _group_excess(cases, qs, rngs, witnessed, group):
+            worst[k] = np.maximum(worst[k], row)
     reports = []
     for (x, _, seed), p, (norm_p, _, attained), worst_k in zip(cases, ps, witnessed, worst):
         attain_res = np.abs(attained - norm_p)

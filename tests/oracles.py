@@ -1,14 +1,19 @@
 """Independent oracles used by the test suite.
 
-The list kernel ``jacobi_hermitian`` is the cyclic Jacobi eigensolver of one
-Hermitian block on nested lists of Python complex scalars: the bit-for-bit
-reference of the stacked kernel ``fiber._jacobi_eigenvalues_stack``.  It runs
+The two list kernels run one block at a time on Python scalars and are the
+bit-for-bit references of the stacked kernels.  ``jacobi_hermitian`` is the
+cyclic Jacobi eigensolver of one Hermitian block on nested lists of Python
+complex scalars, the reference of ``fiber._jacobi_eigenvalues_stack``: it runs
 the same sweeps and forms every product of a real and a complex number on the
-real and imaginary parts, as the stacked kernel does.  The norm references
-(``herm_eigenvalues_reference``, ``gram_eigenvalues_reference``,
-``spectral_norm_reference`` and ``lp_norm_reference``) take their spectra from
-it one block at a time, so the per-trial and per-sample references below stay
-independent of the kernel they check.
+real and imaginary parts, as the stacked kernel does.  ``jacobi_singular`` is
+the one-sided Jacobi solve of one block on lists of Python floats, the
+reference of ``fiber.gram_eigenvalues_stack``: the same scaling, pair order,
+row-by-row sums, stop rule and untouched settled pairs.  The norm references
+take their spectra from them one block at a time
+(``herm_eigenvalues_reference`` from the first; ``gram_eigenvalues_reference``,
+``spectral_norm_reference`` and ``lp_norm_reference`` from the second), so the
+per-trial and per-sample references below stay independent of the kernels
+they check.
 
 The exact-rational oracle recomputes the trace-inner-product projection with
 ``fractions.Fraction`` arithmetic (floats convert to rationals exactly), using
@@ -18,8 +23,8 @@ eigensolver.
 
 The witness reference is the Hoelder witness that ``tracelp.dual_extremal``
 built before its closed form: ``u*`` at p = 1 and
-``norm_p**(-p/q) * abs_power(|x|, p - 1) * u*`` above, with ``x = u |x|``
-from ``polar``, so three spectra per fiber.
+``norm_p**(-p/q) * |x|**(p - 1) * u*`` above, with ``x = u |x|``, each block's
+polar factors and power formed from its ``jacobi_singular`` solve.
 
 The duality reference is the one-sample-at-a-time loop that
 ``tracelp.duality_check`` ran before its samples were stacked: one section
@@ -71,19 +76,17 @@ from tracebundle import (
     ContractViolationError,
     FiberElement,
     Section,
-    abs_power,
     center_trace,
     derive_seed,
     identity_fiber,
     identity_section,
-    polar,
     scalarize,
     validate_subalgebra,
     zero_fiber,
 )
 from tracebundle.bundle import split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
-from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL
+from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE_COLUMN, PINV_CUTOFF
 from tracebundle.towers import level_generators
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
@@ -281,27 +284,102 @@ def jacobi_hermitian(a, vectors=True):
     return w, (np.array(u, dtype=np.complex128) if vectors else None)
 
 
+def jacobi_singular(y, vectors=True):
+    """Squared singular values of one complex block by one-sided Jacobi (the list kernel).
+
+    Returns ``(w, v)`` with ``w`` unordered and ``v`` the right singular vectors, so
+    ``y* y = v @ diag(w) @ v*``; ``v`` is None when ``vectors`` is false.  The steps are
+    those of ``fiber.gram_eigenvalues_stack`` on Python floats, real and imaginary parts
+    apart: the block is scaled by the power of 2 that brings its largest real or imaginary
+    part into [0.5, 1) and ``w`` scaled back; column pairs turn in row-major order; the
+    sums ``||y_p||**2``, ``||y_q||**2`` and ``y_p* y_q`` are added row by row; a pair with
+    ``|y_p* y_q| <= JACOBI_OFFDIAG_TOL ||y_p|| ||y_q||``, or with a column at most
+    NEGLIGIBLE_COLUMN times ``||y||_F``, is not turned; the block is done after a sweep
+    that turns nothing, and one still turning after JACOBI_MAX_SWEEPS sweeps raises.
+    """
+    n = y.shape[0]
+    top = max(max(abs(z.real), abs(z.imag)) for z in y.ravel().tolist())
+    e = math.frexp(top)[1]
+    # cols[j] = [re, im] of column j: the rows of y, then (with vectors) those of v
+    cols = []
+    for j in range(n):
+        re = [math.ldexp(float(y[i, j].real), -e) for i in range(n)]
+        im = [math.ldexp(float(y[i, j].imag), -e) for i in range(n)]
+        if vectors:
+            re += [1.0 if i == j else 0.0 for i in range(n)]
+            im += [0.0] * n
+        cols.append([re, im])
+
+    def row_sum(terms):
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc
+
+    def squares(col):
+        re, im = col
+        return row_sum([re[k] * re[k] + im[k] * im[k] for k in range(n)])
+
+    floor = NEGLIGIBLE_COLUMN * math.sqrt(row_sum([squares(col) for col in cols]))
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        turned = False
+        for p, q in pairs:
+            (pr, pi), (qr, qi) = cols[p], cols[q]
+            alpha, beta = squares(cols[p]), squares(cols[q])
+            gr = row_sum([pr[k] * qr[k] + pi[k] * qi[k] for k in range(n)])
+            gi = row_sum([pr[k] * qi[k] - pi[k] * qr[k] for k in range(n)])
+            r = abs(complex(gr, gi))
+            sa, sb = math.sqrt(alpha), math.sqrt(beta)
+            if r <= JACOBI_OFFDIAG_TOL * (sa * sb) or min(sa, sb) <= floor:
+                continue
+            turned = True
+            # the transform [[c, s], [-s conj(w), c conj(w)]] of the Hermitian kernel, w the
+            # phase of y_p* y_q: column p takes c y_p - s conj(w) y_q, column q s y_p + c conj(w) y_q
+            tau = (beta - alpha) / (2.0 * r)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            wr, wi = gr / r, gi / r
+            w0, w1, w2, w3 = s * wr, s * wi, c * wr, c * wi
+            for k in range(len(pr)):
+                xr, xi, yr, yi = pr[k], pi[k], qr[k], qi[k]
+                # conj(w) y from the parts of y and of its swap (yi, -yr)
+                sr, si = yi * 1.0, yr * -1.0
+                pr[k] = c * xr - (w0 * yr + w1 * sr)
+                pi[k] = c * xi - (w0 * yi + w1 * si)
+                qr[k] = s * xr + (w2 * yr + w3 * sr)
+                qi[k] = s * xi + (w2 * yi + w3 * si)
+        if not turned:
+            break
+    else:
+        raise ContractViolationError(f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    w = []
+    for col in cols:
+        try:
+            w.append(math.ldexp(squares(col), 2 * e))
+        except OverflowError:  # a block whose squares overflow
+            w.append(math.inf)
+    w = np.array(w)
+    if not vectors:
+        return w, None
+    v = np.array([[complex(cols[j][0][n + i], cols[j][1][n + i]) for j in range(n)]
+                  for i in range(n)])
+    return w, v
+
+
 def herm_eigenvalues_reference(f):
     """Per block of a Hermitian fiber, the list kernel's eigenvalues in descending order."""
     return [np.sort(jacobi_hermitian(b, vectors=False)[0])[::-1] for b in f.blocks]
 
 
 def gram_eigenvalues_reference(f):
-    """Per block, the list kernel's eigenvalues of ``b.conj().T @ b``, clamped nonnegative;
-    inf where the Gram matrix overflows."""
-    out = []
-    for b in f.blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = b.conj().T @ b
-        if np.isfinite(gram).all():
-            out.append(np.maximum(jacobi_hermitian(gram, vectors=False)[0], 0.0))
-        else:
-            out.append(np.full(len(gram), math.inf))
-    return out
+    """Per block, the eigenvalues of ``b* b`` (squared singular values) from ``jacobi_singular``."""
+    return [jacobi_singular(b, vectors=False)[0] for b in f.blocks]
 
 
 def spectral_norm_reference(f):
-    """Largest singular value of a fiber, from the list kernel."""
+    """Largest singular value of a fiber, from ``jacobi_singular``."""
     return math.sqrt(max(float(w.max()) for w in gram_eigenvalues_reference(f)))
 
 
@@ -371,7 +449,12 @@ def subalgebra_element(basis, rng):
 
 
 def dual_extremal_reference(x, p):
-    """The Hoelder witness of ``dual_extremal`` through ``polar`` and ``abs_power``, fiber by fiber."""
+    """The Hoelder witness ``norm_p**(-p/q) |x|**(p-1) u*`` of ``dual_extremal``, block by block.
+
+    With ``(w, v) = jacobi_singular(b)`` and ``s = sqrt(w)``: ``x = u |x|`` with
+    ``u = b v diag(1 / s) v*`` on ``s > PINV_CUTOFF`` and ``|x|**(p-1) = v diag(s**(p-1)) v*``;
+    ``u*`` at p = 1.
+    """
     p = float(p)
     norms = lp_norm_reference(x, p)
     fibers = []
@@ -379,12 +462,19 @@ def dual_extremal_reference(x, p):
         if norm_p < ZERO_FIBER_TOL:
             fibers.append(zero_fiber(shape))
             continue
-        u, h = polar(f)
-        if p == 1.0:
-            fibers.append(u.adjoint())
-        else:
-            q = p / (p - 1.0)
-            fibers.append(float(norm_p) ** (-p / q) * (abs_power(h, p - 1.0) * u.adjoint()))
+        blocks = []
+        for b in f.blocks:
+            w, v = jacobi_singular(b)
+            s = np.sqrt(w)
+            inverse = np.where(s > PINV_CUTOFF, 1.0 / np.maximum(s, PINV_CUTOFF), 0.0)
+            u = b @ (v * inverse) @ v.conj().T
+            if p == 1.0:
+                blocks.append(u.conj().T)
+            else:
+                q = p / (p - 1.0)
+                power = (v * s ** (p - 1.0)) @ v.conj().T
+                blocks.append(float(norm_p) ** (-p / q) * (power @ u.conj().T))
+        fibers.append(FiberElement(blocks))
     return Section(x.bundle, fibers)
 
 

@@ -79,22 +79,25 @@ def run_workload(workload, tmp_path, capsys):
     ("duality", 15, 15), ("axioms-large-blocks", 4, 4), ("martingale-tail", 12, 12)])
 def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
     # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
-    # times 3 block sizes, plus one solve with eigenvectors per block size for the
+    # times 3 block sizes, plus one solve with singular vectors per block size for the
     # witnesses of all 25 cases; axioms: 4 levels of 30 trials, one group, 4 block
     # sizes, the positivity and Gram stacks of a size solved together; martingale-tail:
     # per seed, the L1 norms of the defect and of the limit reconstruction, one solve per
-    # block size (1, 2, 3) each, and none for the p = 2 norms
-    calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
+    # block size (1, 2, 3) each, and none for the p = 2 norms.  The axiom solves are
+    # Hermitian, all others one-sided.
+    hermitian = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
+    one_sided = count_calls(fiber.gram_eigenvalues_stack, monkeypatch)
     run_workload(workload, tmp_path, capsys)
-    assert least <= len(calls) <= most
+    assert least <= len(hermitian) + len(one_sided) <= most
+    assert not (one_sided if workload == "axioms-large-blocks" else hermitian)
 
 
 def test_duality_phase_makes_no_single_block_solve(tmp_path, capsys, monkeypatch):
     # the norms and witnesses of the checked sections come from the shared stacks, each of
     # at least the 25 cases' blocks of one size, never from a solve of one block
-    calls = count_calls(fiber._jacobi_eigenvalues_stack, monkeypatch)
+    calls = count_calls(fiber.gram_eigenvalues_stack, monkeypatch)
     run_workload("duality", tmp_path, capsys)
-    assert min(len(h) for h, *_ in calls) >= 25
+    assert calls and min(len(y) for y, *_ in calls) >= 25
 
 
 def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):

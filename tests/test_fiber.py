@@ -22,7 +22,7 @@ from tracebundle import (
 from tracebundle import fiber
 from tracebundle.fiber import gram_eigenvalues, gram_eigenvalues_stack
 
-from oracles import eigh_oracle, gram_eigenvalues_reference, jacobi_hermitian
+from oracles import eigh_oracle, gram_eigenvalues_reference, jacobi_hermitian, jacobi_singular
 
 
 def random_fiber(seed, dims=(2,)):
@@ -285,6 +285,14 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
     w, u = fiber._jacobi_eigenvalues_stack(np.array([np.diag([2.0, 1.0])] * 3, dtype=np.complex128),
                                            vectors=True)
     assert np.array_equal(u, np.array([np.eye(2)] * 3))
+    # the one-sided kernel: the sweep that turns a pair cannot also find the lane settled,
+    # while a block of orthogonal columns settles in its first sweep with v = 1
+    general = np.stack([random_fiber(s, dims=(3,)).blocks[0] for s in range(3)])
+    for vectors in (False, True):
+        with pytest.raises(ContractViolationError, match="one-sided Jacobi did not converge in 1 sweeps"):
+            fiber.gram_eigenvalues_stack(general, vectors=vectors)
+    w, v = fiber.gram_eigenvalues_stack(np.array([[[0.0, 2.0], [1j, 0.0]]] * 3), vectors=True)
+    assert np.array_equal(w, [[1.0, 4.0]] * 3) and np.array_equal(v, np.array([np.eye(2)] * 3))
 
 
 # ------------------------------------------------------ stacked Jacobi kernel
@@ -447,6 +455,86 @@ def test_gram_eigenvalues_stack_matches_singular_values():
         assert np.abs(np.sort(w, axis=1)[:, ::-1] - oracle).max() <= 1e-13 * oracle.max()
 
 
+# ---------------------------------------------------- one-sided Jacobi kernel
+
+KINDS = ("dense", "zero_column", "rank1", "rank2")
+BLOCK_SCALES = (2.0**-150, 1e-9, 1.0, 1e8, 2.0**150)
+
+
+def general_stack(seed, n, kinds, scales):
+    """One complex block per (kind, scale) pair, stacked: dense, with a zero column, or a
+    product ``a b*`` of rank 1 or 2 (rank n when n is smaller)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind, scale in zip(kinds, scales):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "zero_column":
+            g[:, rng.integers(n)] = 0.0
+        elif kind != "dense":
+            k = min(n, 1 if kind == "rank1" else 2)
+            a, b = rng.standard_normal((2, n, k)) + 1j * rng.standard_normal((2, n, k))
+            g = a @ b.conj().T
+        out.append(scale * g)
+    return np.array(out)
+
+
+block_specs = st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(BLOCK_SCALES)),
+                       min_size=1, max_size=10)
+
+
+def assert_one_sided_equals_the_list_kernel(y):
+    # the values match the solve without vectors, which never feed back; values and
+    # vectors match the list kernel in every bit, the sign of a zero entry too
+    w, v = gram_eigenvalues_stack(y, vectors=True)
+    assert np.array_equal(bits(w), bits(gram_eigenvalues_stack(y)))
+    for block, lane_w, lane_v in zip(y, w, v):
+        want_w, want_v = jacobi_singular(block)
+        assert np.array_equal(bits(lane_w), bits(want_w))
+        assert np.array_equal(bits(lane_v), bits(want_v))
+        assert jacobi_singular(block, vectors=False)[1] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), blocks=block_specs)
+def test_one_sided_lanes_equal_the_list_kernel_bit_for_bit(seed, n, blocks):
+    assert_one_sided_equals_the_list_kernel(general_stack(seed, n, *zip(*blocks)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_sided_equals_the_list_kernel_on_every_kind_and_scale(n):
+    blocks = [(kind, scale) for kind in KINDS for scale in BLOCK_SCALES]
+    assert_one_sided_equals_the_list_kernel(general_stack(n, n, *zip(*blocks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), blocks=block_specs)
+def test_one_sided_lane_bits_do_not_depend_on_the_stack(seed, n, blocks):
+    # lanes of mixed kinds and scales settle after different sweep counts
+    y = general_stack(seed, n, *zip(*blocks))
+    w, v = gram_eigenvalues_stack(y, vectors=True)
+    order = np.random.default_rng(seed).permutation(len(blocks))
+    w_perm, v_perm = gram_eigenvalues_stack(y[order], vectors=True)
+    assert np.array_equal(bits(w_perm), bits(w[order])) and np.array_equal(bits(v_perm), bits(v[order]))
+    for block, lane_w, lane_v in zip(y, w, v):
+        one_w, one_v = gram_eigenvalues_stack(block[None], vectors=True)
+        assert np.array_equal(bits(one_w[0]), bits(lane_w))
+        assert np.array_equal(bits(one_v[0]), bits(lane_v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), blocks=block_specs)
+def test_one_sided_solve_matches_lapack(seed, n, blocks):
+    # singular values to eps ||y||, and v unitary with y v of orthogonal columns
+    y = general_stack(seed, n, *zip(*blocks))
+    w, v = gram_eigenvalues_stack(y, vectors=True)
+    for block, lane_w, lane_v in zip(y, w, v):
+        sigma = np.linalg.svd(block, compute_uv=False)
+        assert np.abs(np.sort(np.sqrt(lane_w))[::-1] - sigma).max() <= 1e-14 * sigma.max()
+        assert np.abs(lane_v.conj().T @ lane_v - np.eye(n)).max() <= 1e-14
+        cols = block @ lane_v
+        assert np.abs(cols.conj().T @ cols - np.diag(lane_w)).max() <= 1e-14 * sigma.max() ** 2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_gram_eigenvalues_stack_of_a_concatenation_keeps_the_bits(n):
     # a stack solved together gives each part the bits it gets on its own: the
@@ -455,17 +543,19 @@ def test_gram_eigenvalues_stack_of_a_concatenation_keeps_the_bits(n):
     parts = [rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
              for s in (1, 7, 3, 40, 2)]
     parts[2] *= 1e-150  # lanes of another scale converge after other sweep counts
-    whole = gram_eigenvalues_stack(np.concatenate(parts))
-    assert np.array_equal(whole, np.concatenate([gram_eigenvalues_stack(y) for y in parts]))
+    whole = gram_eigenvalues_stack(np.concatenate(parts), vectors=True)
+    alone = [gram_eigenvalues_stack(y, vectors=True) for y in parts]
+    for got, want in zip(whole, zip(*alone)):
+        assert np.array_equal(bits(got), bits(np.concatenate(want)))
 
 
-def test_gram_eigenvalues_stack_of_an_overflowed_gram_is_inf_without_a_sweep():
-    # inf - inf makes NaN Gram entries, on which the sweeps would never converge; the
-    # lane gets the inf spectrum of the list kernel instead, and no warning is raised
+def test_gram_eigenvalues_stack_of_overflowing_squares_is_inf():
+    # squares past the float range come back as an infinite spectrum, as in the list
+    # kernel, and no warning is raised
     y = np.array([[[1e160, 1e160], [1e160, -1e160]], [[1.0, 0.0], [0.0, 2.0]]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, u = gram_eigenvalues_stack(y, vectors=True)
+        w, v = gram_eigenvalues_stack(y, vectors=True)
         assert np.array_equal(gram_eigenvalues_stack(y), w)
     assert np.array_equal(w[0], gram_eigenvalues_reference(FiberElement([y[0]]))[0])
     assert np.array_equal(w[0], [math.inf, math.inf])
@@ -473,7 +563,7 @@ def test_gram_eigenvalues_stack_of_an_overflowed_gram_is_inf_without_a_sweep():
 
 
 def test_gram_eigenvalues_stack_of_huge_entries_matches_list_kernel():
-    # the Gram entries are 2e240: their squares overflow to inf in both kernels
+    # the Gram entries would be 2e240; the one-sided solve scales the block into range
     y = np.full((1, 2, 2), 1e120, dtype=np.complex128)
     want = gram_eigenvalues_reference(FiberElement([y[0]]))[0]
     with warnings.catch_warnings():
@@ -481,6 +571,24 @@ def test_gram_eigenvalues_stack_of_huge_entries_matches_list_kernel():
         got = gram_eigenvalues_stack(y)[0]
     assert np.array_equal(got, want)
     assert np.abs(np.sort(want) - [0.0, 4e240]).max() <= 1e-14 * 4e240
+
+
+def test_gram_eigenvalues_stack_of_a_block_past_the_square_range():
+    # a block of entries near 1e-170, whose squares underflow, and a unit column beside
+    # columns of 1e-170: the first is solved scaled into range (its w underflow to 0, its v
+    # are those of the unscaled block), and the second settles at once instead of
+    # turning until the sweep cap
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y = np.array([1e-170 * g, [[1.0, 1e-170, 0.0], [0.0, 1e-170, 0.0], [0.0, 0.0, 0.0]]])
+    w, v = gram_eigenvalues_stack(y, vectors=True)
+    assert np.array_equal(w[0], np.zeros(3))
+    sigma = np.linalg.svd(g, compute_uv=False)
+    cols = g @ v[0]
+    assert np.abs(np.sort(np.linalg.norm(cols, axis=0))[::-1] - sigma).max() <= 1e-14 * sigma.max()
+    gram = cols.conj().T @ cols
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-14 * sigma.max() ** 2
+    assert np.array_equal(np.sort(w[1]), [0.0, 0.0, 1.0])
 
 
 # ----------------------------------------------------------- norm primitives
@@ -493,8 +601,8 @@ def test_spectral_norm_matches_oracle():
 
 
 def test_spectral_norm_of_overflowing_gram_is_inf_without_warning(mat2_bundle):
-    # the Gram entries 2e320 overflow; the inf spectrum comes back and, under the
-    # error::RuntimeWarning filter, no "overflow encountered in matmul" is raised
+    # the squared singular values 4e320 overflow; the inf spectrum comes back and, under
+    # the error::RuntimeWarning filter, no overflow warning is raised
     x = FiberElement([np.full((2, 2), 1e160, dtype=complex)])
     assert spectral_norm(x) == math.inf
     assert uniform_norm(Section(mat2_bundle, [x])) == math.inf

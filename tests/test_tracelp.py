@@ -206,9 +206,9 @@ def test_exponent_must_be_finite_and_at_least_one(hetero_bundle, p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
 def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, p):
-    # against the list kernel, one section and one block at a time: the Gram matrices of one
-    # stacked matmul, the p = 2 sums of one vecdot and the spectra of the stacked kernel give
-    # every finite p the bits of the per-block loop
+    # against the list kernels, one section and one block at a time: the p = 2 sums of one
+    # vecdot and the spectra of the stacked one-sided kernel give every finite p the bits of
+    # the per-block loop
     for bundle in (hetero_bundle, large_blocks_bundle):
         xs = [random_section(bundle, 40 + s, "general") for s in range(12)]
         xs.append(with_zero_fiber(xs[0], 1))  # a zero atom keeps its norm of 0
@@ -261,8 +261,8 @@ def constant_section(bundle, scale):
 
 @pytest.mark.parametrize("p, scale", [(2.0, 1e200), (3.0, 1e160)])
 def test_stacked_lp_norms_overflow_raises(hetero_bundle, p, scale):
-    # finite entries whose squares (p = 2) or Gram entries (p = 3) overflow; both paths raise,
-    # the list one without a Jacobi solve on the overflowed Gram or a warning
+    # finite entries whose squares overflow, summed (p = 2) or as squared singular values
+    # (p = 3); both paths raise, without a warning
     huge, x = constant_section(hetero_bundle, scale)
     with pytest.raises(ContractViolationError, match=f"L{p:g} norm is not finite"):
         stacked_lp_norms(huge, hetero_bundle, [p], gram_spectra(huge))
@@ -391,11 +391,8 @@ def test_dual_extremal_attains_on_unit_sphere(hetero_bundle, p):
 def rank_deficient_section():
     """The E12 shift on Mat2, a Mat2+Mat2 fiber with one zero block, and a rank-1 Mat3 block.
 
-    The rank-1 block's Gram kernel comes out of the eigensolver as exact zeros.  On a
-    generic rank-1 block it comes out near 1e-16, above PINV_CUTOFF**2; the reference
-    amplifies that noise to about 1e-8 at every p, the closed form at p = 1 (and 1e-12
-    at p = 1.5), so the two witnesses differ there by up to 1e-8.  That block is
-    checked for attainment alone, in test_dual_extremal_attains_on_generic_rank_one_block.
+    A generic rank-1 block is checked for attainment in
+    test_dual_extremal_attains_on_generic_rank_one_block.
     """
     space = MeasureSpace(["shift", "half", "rank1"], [1.0, 0.5, 2.0])
     bundle = BundleSpec(space, [[2], [2, 2], [3]], [[0.5], [1.0, 2.0], [0.75]])
@@ -418,19 +415,11 @@ def test_dual_extremal_matches_polar_reference(hetero_bundle, large_blocks_bundl
         assert np.abs(attained - lp_norm(x, p).values).max() <= 1e-12
 
 
-ATTAINMENT_FOUND = ("absolute support cut (FOUND in CHANGES.md): the Gram kernel noise of a generic "
-                    "rank-deficient block, near 1e-16, enters the p = 1 attainment as its square root")
-
-
-@pytest.mark.parametrize("p, bound", [
-    pytest.param(1.0, 1e-12,
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ATTAINMENT_FOUND)),
-    (1.5, 1e-10), (2.0, 1e-12), (3.0, 1e-12), (4.0, 1e-12),
-])
+@pytest.mark.parametrize("p, bound", [(1.0, 1e-12), (1.5, 1e-10), (2.0, 1e-12), (3.0, 1e-12),
+                                      (4.0, 1e-12)])
 def test_dual_extremal_attains_on_generic_rank_one_block(p, bound):
-    # the Gram kernel of a c* comes out of the eigensolver near 1e-16, above PINV_CUTOFF**2,
-    # and that noise w enters the attainment as w**(p/2): about 1e-8 at p = 1 (against the
-    # duality_attainment tolerance of 1e-8), 1e-12 at p = 1.5 and round-off from p = 2 on
+    # the kernel of a c* comes out of the one-sided solve at singular values near
+    # 1e-16 ||x||, below PINV_CUTOFF, so no noise direction enters the witness or the norm
     space = MeasureSpace(["rank1"], [1.0])
     bundle = BundleSpec(space, [[3]], [[0.75]])
     rng = np.random.default_rng(0)
@@ -438,6 +427,24 @@ def test_dual_extremal_attains_on_generic_rank_one_block(p, bound):
     x = Section(bundle, [FiberElement([np.outer(a, c.conj())])])
     attained = center_trace(x * dual_extremal(x, p)).values
     assert np.abs(attained - lp_norm(x, p).values).max() <= bound
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_lp_norms_of_rank_deficient_blocks_match_the_svd(rank, p):
+    # the singular values come from the blocks, not from their Gram matrices, so the
+    # kernel's sigma near 1e-16 sigma_max adds no more than that to the norm (squaring to
+    # x* x would leave it near 1e-8 sigma_max, which the L1 sum takes in full)
+    bundle = BundleSpec(MeasureSpace(["w"], [1.0]), [[3]], [[1.0]])
+    rng = np.random.default_rng(40 + rank)
+    sections = []
+    for _ in range(100):
+        a, c = rng.standard_normal((2, 3, rank)) + 1j * rng.standard_normal((2, 3, rank))
+        sections.append(Section(bundle, [FiberElement([a @ c.conj().T])]))
+    got = lp_norms(sections, p)[:, 0]
+    for x, norm in zip(sections, got):
+        sigma = np.linalg.svd(x.fibers[0].blocks[0], compute_uv=False)
+        assert abs(norm - np.sum(sigma**p) ** (1.0 / p)) <= 1e-14 * sigma.max()
 
 
 @pytest.mark.parametrize("p, scale", [(100.0, 1e-4), (300.0, 5e-2)])
@@ -456,12 +463,13 @@ def test_dual_extremal_stays_finite_at_large_p(hetero_bundle, p, scale):
 
 
 def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatch):
-    # one stacked solve with eigenvectors per block size (1, 2, 3) and no other solve, the
-    # norms taken from the same spectra; and a zero witness for a zero fiber
+    # one stacked one-sided solve with singular vectors per block size (1, 2, 3) and no
+    # other solve, the norms taken from the same spectra; and a zero witness for a zero fiber
     solved = []
-    real = fiber._jacobi_eigenvalues_stack
-    monkeypatch.setattr(fiber, "_jacobi_eigenvalues_stack",
-                        lambda h, vectors=False: solved.append((h.shape, vectors)) or real(h, vectors))
+    real = fiber.gram_eigenvalues_stack
+    monkeypatch.setattr(tracelp, "gram_eigenvalues_stack",
+                        lambda y, vectors=False: solved.append((y.shape, vectors)) or real(y, vectors))
+    monkeypatch.setattr(fiber, "_jacobi_eigenvalues_stack", None)  # no Hermitian solve
     x = with_zero_fiber(random_section(hetero_bundle, 5, "general"), 2)
     for p in (1.0, 1.5, 3.0):
         solved.clear()
@@ -553,7 +561,7 @@ def test_duality_checks_norms_and_attainment_match_the_references(hetero_bundle,
 
 
 def test_dual_extremal_of_an_overflowing_section_raises(hetero_bundle):
-    # the Gram entries of the Mat2 block overflow, some as inf - inf
+    # the squares of the Mat2 block overflow
     x = random_section(hetero_bundle, 3, "general")
     x.fibers[0].blocks[0][:] = [[1e160, 1e160], [1e160, -1e160]]
     with warnings.catch_warnings():
