@@ -189,6 +189,13 @@ def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
+def lane_section(bundle: BundleSpec, stacks, lane: int) -> Section:
+    """Lane ``lane`` of sections held as one ``(S, n, n)`` stack per block, as a section."""
+    blocks = iter(s[lane] for s in stacks)
+    return Section._raw(bundle, [FiberElement._raw([next(blocks) for _ in shape])
+                                 for shape in bundle.fiber_shapes])
+
+
 def gaussian_stacks(bundle: BundleSpec, rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """``count`` standard complex Gaussian sections, one ``(S, n, n)`` stack per block.
 
@@ -212,10 +219,8 @@ def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Sect
     if kind not in _KIND_CODE:
         raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
     rng = np.random.default_rng([_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF])
-    blocks = iter(b[0] for b in gaussian_stacks(bundle, rng, 1))
     fibers = []
-    for shape in bundle.fiber_shapes:
-        g = FiberElement._raw([next(blocks) for _ in shape])
+    for g in lane_section(bundle, gaussian_stacks(bundle, rng, 1), 0).fibers:
         if kind == "general":
             fibers.append(g)
         elif kind == "hermitian":

@@ -1,8 +1,8 @@
 """Command-line interface: config-driven checks with machine-readable artifacts.
 
 Exit codes: 0 all checks pass, 2 at least one check failed, 3 config error, model
-construction error or numerical failure in a check, 4 I/O error, 5 usage error
-(bad flags or subcommand).
+construction error, unsupported configuration or numerical failure in a check, 4 I/O
+error, 5 usage error (bad flags or subcommand).
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, NumericalFailureError, TraceBundleError, UsageError
+from .errors import (ConfigError, NumericalFailureError, TraceBundleError,
+                     UnsupportedConfigurationError, UsageError)
 from .fixtures import FIXTURES, fixture_config, fixture_text
 from .runner import run_experiment
 
@@ -73,6 +74,9 @@ def _run_from_config(path: str, out_dir: str, seed_override, parts) -> int:
         return EXIT_USAGE
     except (ConfigError, NumericalFailureError) as exc:
         print(f"tracebundle: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except UnsupportedConfigurationError as exc:
+        print(f"tracebundle: unsupported configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except TraceBundleError as exc:
         print(f"tracebundle: model construction failed: {exc}", file=sys.stderr)

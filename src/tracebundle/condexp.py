@@ -11,12 +11,13 @@ contraction bound and locality are verifiable consequences, collected by
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tracelp
-from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, split_blocks
+from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, lane_section, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
 from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber, solve_by_block_size
 from .tracelp import derive_seed, packed_chunks, stacked_lp_norms, stacked_traces
@@ -37,16 +38,19 @@ class _FiberProjector:
     Works in weighted coordinates: a fiber element maps to the concatenation
     of ``sqrt(c_j) * vec(block_j)``, where the trace inner product becomes the
     plain Euclidean one.  Elements go through as stacks of S, one ``(S, n, n)``
-    array per block; a single element is a one-lane stack.
+    array per block; a single element is a one-lane stack.  It keeps the closure
+    state of ``validate_subalgebra``: the accepted elements, the bytes of every
+    candidate tried, and the closure residual.
     """
 
-    __slots__ = ("shape", "sqrt_weights", "ortho")
+    __slots__ = ("shape", "sqrt_weights", "ortho", "accepted", "tried", "closure")
 
     def __init__(self, shape, weights):
         self.shape = tuple(shape)
         parts = [np.full(n * n, np.sqrt(c)) for n, c in zip(shape, weights)]
         self.sqrt_weights = np.concatenate(parts)
         self.ortho = np.zeros((self.sqrt_weights.size, 0), dtype=np.complex128)
+        self.accepted, self.tried, self.closure = [], set(), 0.0
 
     def stack_coords(self, blocks) -> np.ndarray:
         """Weighted coordinates ``(S, 1, dim)`` of S stacked elements."""
@@ -122,9 +126,7 @@ class SubalgebraBasis:
     def random_element(self, seed: int) -> Section:
         """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
         rng = np.random.default_rng([7, int(seed) & 0xFFFFFFFFFFFFFFFF])
-        blocks = iter(b[0] for b in self.random_stacks(rng, 1))
-        fibers = [FiberElement._raw([next(blocks) for _ in p.shape]) for p in self.projectors]
-        return Section._raw(self.bundle, fibers)
+        return lane_section(self.bundle, self.random_stacks(rng, 1), 0)
 
     def random_stacks(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """``count`` elements as ``(S, n, n)`` stacks; lane s is the next ``2 * sum(dims)`` draws."""
@@ -137,7 +139,7 @@ class SubalgebraBasis:
         return f"SubalgebraBasis(dims={self.dims})"
 
 
-def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
+def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> SubalgebraBasis:
     """Close per-atom generator lists into a validated unital *-subalgebra.
 
     Round 1 tries the identity (always accepted), the generators and their
@@ -146,34 +148,37 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
     atom is skipped, as the span only grew since.  The loop stops once the
     closure residual (0.0 for a span of full rank, the fiber algebra; else
     ``_closure_residual``) is within CLOSURE_RESIDUAL_TOL, and fails closure
-    when a round grows nothing.
+    when a round grows nothing.  ``bundle`` may be a validated SubalgebraBasis
+    instead: the loop goes on from its span and closure state, trying only the
+    candidates it did not, and the generators are its own followed by ``generators``.
     """
+    below = bundle if isinstance(bundle, SubalgebraBasis) else None
+    bundle = below.bundle if below else bundle
     generators = [tuple(gens) for gens in generators]
     if len(generators) != bundle.space.size:
         raise ShapeMismatchError("need one generator list per atom")
     projectors = []
     worst_closure = 0.0
-    for label, shape, weights, gens in zip(
+    for i, (label, shape, weights, gens) in enumerate(zip(
         bundle.space.labels, bundle.fiber_shapes, bundle.trace_weights, generators
-    ):
+    )):
         for g in gens:
             if g.dims != shape:
                 raise ShapeMismatchError(
                     f"generator at {label!r} has dims {g.dims}, expected {shape}"
                 )
-        proj = _FiberProjector(shape, weights)
-        cap = sum(n * n for n in shape)
-        accepted: list[FiberElement] = []
-        tried: set[bytes] = set()
+        proj = copy.copy(below.projectors[i]) if below else _FiberProjector(shape, weights)
+        proj.accepted, proj.tried = list(proj.accepted), set(proj.tried)  # the copy's own
+        cap, tried, closure = sum(n * n for n in shape), proj.tried, proj.closure
         frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
         while fresh := [f for f in frontier if proj.rank < cap and _first_try(f, tried)
                         and proj.try_extend(f)]:
-            accepted += fresh
+            proj.accepted += fresh
             closure = 0.0 if proj.rank == cap else _closure_residual(proj)
             if closure <= CLOSURE_RESIDUAL_TOL:
                 break
             frontier = [f.adjoint() for f in fresh] + [
-                h for f in fresh for g in accepted for h in (f * g, g * f)]
+                h for f in fresh for g in proj.accepted for h in (f * g, g * f)]
         gram = proj.ortho.conj().T @ proj.ortho
         gram_drift = float(np.abs(gram - np.eye(proj.rank)).max())
         if gram_drift > SPAN_RESIDUAL_TOL:
@@ -190,8 +195,11 @@ def validate_subalgebra(bundle: BundleSpec, generators) -> SubalgebraBasis:
                 f"span at {label!r} is not closed under * and products "
                 f"(residual {closure:.2e})"
             )
+        proj.closure = closure
         worst_closure = max(worst_closure, closure)
         projectors.append(proj)
+    if below:
+        generators = [old + new for old, new in zip(below.generators, generators)]
     return SubalgebraBasis(bundle, generators, projectors, worst_closure)
 
 

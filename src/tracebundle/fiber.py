@@ -97,10 +97,10 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
             if vectors:
                 u_out.real[lane[done]] = a[0, n:][..., done].transpose(2, 0, 1)
                 u_out.imag[lane[done]] = a[1, n:][..., done].transpose(2, 0, 1)
-            if done.all():
-                break
             keep = ~done
             a, tol, lane = a[..., keep], tol[keep], lane[keep]
+        if not lane.size:  # every lane is done; an empty stack, at once
+            break
         for p, q in zip(rows.tolist(), cols.tolist()):
             re, im = a[0, p, q], a[1, p, q]
             r = np.hypot(re, im)
@@ -210,9 +210,9 @@ def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
             if vectors:
                 v_out.real[lane[done]] = a[:, 0, n:][..., done].transpose(2, 1, 0)
                 v_out.imag[lane[done]] = a[:, 1, n:][..., done].transpose(2, 1, 0)
-            if done.all():
-                break
             a, floor, exponent, lane = a[..., turned], floor[turned], exponent[turned], lane[turned]
+        if not lane.size:  # every lane is done; an empty stack, at once
+            break
     else:
         raise ContractViolationError(f"one-sided Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     return (out, v_out) if vectors else out

@@ -6,7 +6,8 @@ are finite; the infinite-index regime of the averaging statements is emulated
 by holding the terminal element fixed for extra steps, which drives the
 cumulative weight to infinity while every limit stays exact.  Held steps are
 evaluated in closed form as array operations: the whole tail costs O(1) norm
-evaluations, and no Python runs once per held step.
+evaluations, and no Python runs once per held step.  Many sequences are checked
+at once, held as block stacks (``martingale_checks``).
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bundle import BundleSpec, Section
+from .bundle import BundleSpec, Section, lane_section
 from .center import CenterElement
-from .condexp import ConditionalExpectation, SubalgebraBasis, validate_subalgebra
+from .condexp import ConditionalExpectation, _project, validate_subalgebra
 from .errors import (
     InconsistencyError,
     ShapeMismatchError,
     UnsupportedConfigurationError,
     UsageError,
 )
-from .tracelp import lp_norms
+from .tracelp import _exponent, lp_norms, section_stacks, shared_lp_norms
 
 INCLUSION_BUILD_TOL = 1e-8      # hard failure bound on tower inclusions
 COMPOSITION_TOL = 1e-9          # E_m . E_n = E_min(m,n) on every matrix unit
@@ -74,21 +75,18 @@ class Filtration:
 def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
     """Validate a tower from per-level, per-atom generator lists.
 
-    Generators of level n are folded into every later level's generating set
-    before closure, so the inclusions hold by construction; they are then
-    re-verified numerically, as is the composition law of the projections, as
-    matrix identities on the projector bases (``_tower_residuals``).
+    Each level is validated on top of the one below (``validate_subalgebra`` from
+    the lower basis), so it contains the lower generators and tries only its own;
+    the inclusions, and the composition law of the projections, are then verified
+    numerically as matrix identities on the projector bases (``_tower_residuals``).
     """
     levels = [list(map(tuple, gens)) for gens in level_generator_lists]
     if not levels:
         raise UsageError("a filtration needs at least one level")
-    tower = []
-    accumulated = [tuple() for _ in range(bundle.space.size)]
+    tower, below = [], bundle
     for gens in levels:
-        if len(gens) != bundle.space.size:
-            raise ShapeMismatchError("each level needs one generator list per atom")
-        accumulated = [acc + new for acc, new in zip(accumulated, gens)]
-        tower.append(validate_subalgebra(bundle, accumulated))
+        below = validate_subalgebra(below, gens)
+        tower.append(below)
 
     inclusion, composition = _tower_residuals(tower)
     if inclusion > INCLUSION_BUILD_TOL:
@@ -129,18 +127,124 @@ def _tower_residuals(tower) -> tuple[float, float]:
     return float(inclusion), float(composition)
 
 
+@dataclass
+class MartingaleChecks:
+    """Per-lane results of ``martingale_checks``; a part it was not asked for is None."""
+
+    defect: np.ndarray             # (S,) worst L1 norm of E_n(x_{n+1}) - x_n
+    recon: np.ndarray = None       # (S,) worst L1 norm of E_n(y) - x_n, y the last step
+    xa: np.ndarray = None          # (S, steps, atoms) ||x_n - y||_p, 0 on held steps
+    sa: np.ndarray = None          # (S, steps, atoms) ||sigma_n - y||_p
+    sup_x: np.ndarray = None       # (S, atoms) max over n of ||x_n||_p
+    sup_sigma: np.ndarray = None   # (S, atoms) the same over the means and the held end
+    terminal: np.ndarray = None    # (S,) max over atoms of ||y - x||_p, x the target
+    pythagoras: np.ndarray = None  # (S,) worst |(||x||^2 - ||x_n||^2 - ||x - x_n||^2)|, p = 2
+
+
+def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = False,
+                      w=None, extend_by: int = 0, target=None) -> MartingaleChecks:
+    """Martingale diagnostics of S sequences at once, step n held as ``xs[n]``, one
+    ``(S, n, n)`` stack per block (``section_stacks``).
+
+    Always the defect.  With ``limit`` (a full tower, one step per level) the
+    reconstruction residual, refused above LIMIT_RECONSTRUCTION_TOL, and the traces toward
+    the last step y; with weights ``w`` the running means held for ``extend_by`` steps,
+    their traces and the sup comparison; with the ``target`` x of the steps, ``||y - x||_p``
+    and Pythagoras.  Each level's E applies once per fiber, to the next step and y
+    together; the L1 norms and those at p take their spectra from one stacked solve per
+    block size, and each exponent's norms come from one ``stacked_lp_norms`` call.
+    """
+    p, k, y = _exponent(p), len(xs), xs[-1]
+    if k > filtration.depth:
+        raise UsageError("more elements than tower levels")
+    if limit and not filtration.terminal_is_full:
+        raise UnsupportedConfigurationError(
+            "martingale limits need a tower whose terminal level is the full algebra")
+    if limit and k != filtration.depth:
+        raise UsageError("sequence does not reach the terminal level")
+    sigmas, ratios = _running_means(xs, w, extend_by) if w is not None else ([], np.zeros(0))
+    lanes, defects, recons = len(y[0]), [], []
+    for n, E in enumerate(filtration.cond_exps[:k - 1 + limit]):
+        ys = _project(E.target.projectors, _cat(xs[n + 1:n + 2] + [y] * limit, y))
+        if n + 1 < k:
+            defects.append(_minus([z[:lanes] for z in ys], xs[n]))
+        if limit:
+            recons.append(_minus([z[-lanes:] for z in ys], xs[n]))
+    held = [[b + complex(ratios[-1]) * (s - b) for s, b in zip(sigmas[-1], y)]] if ratios.size else []
+    at_p = [_minus(x_n, y) for x_n in xs] if limit or w is not None else []
+    at_p += [_minus(s, y) for s in sigmas] + (xs + sigmas + held if w is not None else [])
+    at_p += [_minus(y, target)] if target is not None else []
+    at_2 = [target, *xs, *(_minus(target, x_n) for x_n in xs)] if target is not None else []
+    sets, bundle = (defects + recons, at_p, at_2), filtration.bundle
+    norms = shared_lp_norms([(_cat(e, y), bundle, q) for e, q in zip(sets, (1.0, p, 2.0))])
+    l1, lp, l2 = (n.reshape(len(e), lanes, bundle.space.size) for n, e in zip(norms, sets))
+    out = MartingaleChecks(defect=l1[:len(defects)].max(axis=(0, 2), initial=0.0))
+    if limit:
+        out.recon = l1[len(defects):].max(axis=(0, 2))
+        if out.recon.max() > LIMIT_RECONSTRUCTION_TOL:
+            raise InconsistencyError(f"limit reconstruction residual {out.recon.max():.2e} "
+                                     f"exceeds {LIMIT_RECONSTRUCTION_TOL:.0e}")
+    if limit or w is not None:
+        out.xa = np.concatenate((lp[:k], np.zeros((ratios.size,) + lp.shape[1:]))).transpose(1, 0, 2)
+    if w is not None:
+        sa = lp[k:2 * k].transpose(1, 0, 2)
+        out.sa = np.concatenate((sa, ratios[None, :, None] * sa[:, -1:]), axis=1)
+        out.sup_x, out.sup_sigma = lp[2 * k:3 * k].max(axis=0), lp[3 * k:4 * k + len(held)].max(axis=0)
+    if target is not None:
+        sq = l2 ** 2
+        out.terminal = lp[-1].max(axis=1)
+        out.pythagoras = np.abs(sq[0] - sq[1:k + 1] - sq[k + 1:]).max(axis=(0, 2))
+    return out
+
+
+def _cat(entries, like):
+    """Per block, the lanes of the block-stack lists ``entries`` one after another (``like``
+    gives the blocks, so no entries give no lanes)."""
+    return [np.concatenate([b[:0], *(e[j] for e in entries)]) for j, b in enumerate(like)]
+
+
+def _minus(us, vs):
+    return [u - v for u, v in zip(us, vs)]
+
+
+def _running_means(xs, w, extend_by: int = 0):
+    """Running means sigma_1..sigma_K of the steps ``xs`` (held as in ``martingale_checks``)
+    and, for the held steps n > K, W_K/W_n.
+
+    Holding ``y = x_K`` gives ``sigma_n - y = (W_K/W_n)(sigma_K - y)`` exactly.
+    The cumsum of the held ``W_n`` starts from ``W_K``, so it adds in step order.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    needed = len(xs) + max(0, int(extend_by))
+    if len(w) < needed:
+        raise UsageError(f"need at least {needed} weights, got {len(w)}")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise UsageError("averaging weights must be finite and strictly positive")
+    sigmas, running, total = [], None, 0.0
+    for x_k, w_k in zip(xs, w[:len(xs)].tolist()):
+        term = [complex(w_k) * b for b in x_k]
+        running = term if running is None else [r + t for r, t in zip(running, term)]
+        total += w_k
+        sigmas.append([complex(1.0 / total) * r for r in running])
+    ratios = total / np.cumsum(np.concatenate(([total], w[len(xs):needed])))[1:]
+    return sigmas, ratios
+
+
+def _one_sequence(filtration: Filtration, elements, p: float = 2.0, **parts) -> MartingaleChecks:
+    """``martingale_checks`` of one sequence of sections, each a one-lane stack."""
+    if any(x.bundle is not filtration.bundle and x.bundle != filtration.bundle for x in elements):
+        raise ShapeMismatchError("section lives on a different bundle")
+    return martingale_checks(filtration, [section_stacks([x]) for x in elements], p, **parts)
+
+
 def martingale_defect(elements, filtration: Filtration) -> float:
     """Worst defect of the martingale property over the whole sequence.
 
     The defect at step n is the pointwise max over atoms of the L1 center
-    norm of ``E(x_{n+1} | M_n) - x_n``; all steps take their norms in one call.
+    norm of ``E(x_{n+1} | M_n) - x_n``: the one-sequence ``martingale_checks``.
     """
     elements = list(elements)
-    if len(elements) > filtration.depth:
-        raise UsageError("more elements than tower levels")
-    diffs = [filtration.expectation(n)(elements[n + 1]) - elements[n]
-             for n in range(len(elements) - 1)]
-    return float(lp_norms(diffs, 1).max()) if diffs else 0.0
+    return float(_one_sequence(filtration, elements).defect[0]) if elements else 0.0
 
 
 def is_martingale(elements, filtration: Filtration, tol: float = MARTINGALE_TOL) -> bool:
@@ -195,24 +299,14 @@ def martingale_limit(seq: MartingaleSeq) -> MartingaleLimit:
 
     On a tower whose top level is the whole algebra the terminal element is
     the limit; projecting it down every level must reproduce the sequence,
-    which is re-verified here.
+    which is re-verified here: the one-sequence ``martingale_checks`` at ``seq.p``.
     """
-    f = seq.filtration
-    if not f.terminal_is_full:
-        raise UnsupportedConfigurationError(
-            "martingale limits need a tower whose terminal level is the full algebra"
-        )
-    if len(seq.elements) != f.depth:
-        raise UsageError("sequence does not reach the terminal level")
-    x = seq.elements[-1]
-    recon = float(lp_norms([E(x) - x_n for E, x_n in zip(f.cond_exps, seq.elements)], 1).max())
-    trace = lp_norms([x_n - x for x_n in seq.elements], seq.p).max(axis=1).tolist()
-    if recon > LIMIT_RECONSTRUCTION_TOL:
-        raise InconsistencyError(
-            f"limit reconstruction residual {recon:.2e} exceeds "
-            f"{LIMIT_RECONSTRUCTION_TOL:.0e}"
-        )
-    return MartingaleLimit(limit=x, reconstruction_residual=recon, residual_trace=trace)
+    return _limit(seq, _one_sequence(seq.filtration, seq.elements, seq.p, limit=True))
+
+
+def _limit(seq: MartingaleSeq, checks: MartingaleChecks) -> MartingaleLimit:
+    return MartingaleLimit(limit=seq.elements[-1], reconstruction_residual=float(checks.recon[0]),
+                           residual_trace=checks.xa[0, :len(seq)].max(axis=1).tolist())
 
 
 @dataclass
@@ -277,32 +371,10 @@ def double_sequence_check(xs, x: Section, filtration: Filtration, p: float,
     )
 
 
-def _running_means(seq: MartingaleSeq, w, extend_by: int = 0):
-    """Running means sigma_1..sigma_K and, for the held steps n > K, W_K/W_n.
-
-    Holding ``y = x_K`` gives ``sigma_n - y = (W_K/W_n)(sigma_K - y)`` exactly.
-    The cumsum of the held ``W_n`` starts from ``W_K``, so it adds in step order.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    needed = len(seq) + max(0, int(extend_by))
-    if len(w) < needed:
-        raise UsageError(f"need at least {needed} weights, got {len(w)}")
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise UsageError("averaging weights must be finite and strictly positive")
-    sigmas = []
-    running = None
-    total = 0.0
-    for x_k, w_k in zip(seq.elements, w[:len(seq)].tolist()):
-        running = w_k * x_k if running is None else running + w_k * x_k
-        total += w_k
-        sigmas.append((1.0 / total) * running)
-    ratios = total / np.cumsum(np.concatenate(([total], w[len(seq):needed])))[1:]
-    return sigmas, ratios
-
-
 def weighted_averages(seq: MartingaleSeq, w) -> list:
     """Normalized weighted running means ``(1/W_n) sum_{k<=n} w_k x_k``."""
-    return _running_means(seq, w)[0]
+    sigmas, _ = _running_means([section_stacks([x]) for x in seq.elements], w)
+    return [lane_section(seq.filtration.bundle, s, 0) for s in sigmas]
 
 
 def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
@@ -312,19 +384,15 @@ def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
     ``gap = sup_x - sup_sigma``.  Convexity forces ``sup_sigma <= sup_x`` up
     to roundoff on any finite range; the two sups meet only asymptotically,
     which the ``extend_by`` holding scheme emulates.  The held means lie on one
-    segment, so by convexity only its far end sigma_N joins the sup.
+    segment, so by convexity only its far end sigma_N joins the sup.  The
+    one-sequence ``martingale_checks`` with weights.
     """
-    return _sup_comparison(seq, *_running_means(seq, w, extend_by), p)
+    return _sup(seq, _one_sequence(seq.filtration, seq.elements, p, w=w, extend_by=extend_by))
 
 
-def _sup_comparison(seq: MartingaleSeq, sigmas, ratios, p: float):
-    """``sup_norm_comparison`` from the output of ``_running_means``."""
-    if ratios.size:
-        y = seq.elements[-1]
-        sigmas = sigmas + [y + float(ratios[-1]) * (sigmas[-1] - y)]
-    space = seq.elements[0].bundle.space
-    sup_x = CenterElement(space, lp_norms(seq.elements, p).max(axis=0))
-    sup_sigma = CenterElement(space, lp_norms(sigmas, p).max(axis=0))
+def _sup(seq: MartingaleSeq, checks: MartingaleChecks):
+    space = seq.filtration.bundle.space
+    sup_x, sup_sigma = CenterElement(space, checks.sup_x[0]), CenterElement(space, checks.sup_sigma[0])
     return sup_x, sup_sigma, sup_x - sup_sigma
 
 
@@ -366,20 +434,14 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     additional steps, which sends the cumulative weight to infinity (the
     hypothesis behind the averaging equivalence) while keeping the limit
     exact; per atom a held step has ``||sigma_n - y||_p = (W_K/W_n)||sigma_K - y||_p``.
-    The report also holds ``sup_norm_comparison(seq, w, p, extend_by)``, taken
-    from the same running means.  Refuses sequences that are not martingales
-    to tolerance.
+    The report also holds the verified limit, its residual trace at ``p``, and
+    ``sup_norm_comparison(seq, w, p, extend_by)``: all one ``martingale_checks`` of
+    the one sequence.  Refuses sequences that are not martingales to tolerance.
     """
     if seq.defect > MARTINGALE_TOL:
         raise UsageError("input sequence is not a martingale to tolerance")
-    limit = martingale_limit(seq)
-    y = limit.limit
-    sigmas, ratios = _running_means(seq, w, extend_by)
-    k = len(seq)
-    both = lp_norms([z - y for z in seq.elements + tuple(sigmas)], p)
-    xa, sa = both[:k], both[k:]
-    xa = np.concatenate((xa, np.zeros((ratios.size, xa.shape[1]))))
-    sa = np.concatenate((sa, ratios[:, None] * sa[-1]))  # sa[-1] is sigma_K's row
+    checks = _one_sequence(seq.filtration, seq.elements, p, limit=True, w=w, extend_by=extend_by)
+    xa, sa = checks.xa[0], checks.sa[0]
     xt = xa.max(axis=1).tolist()
     st = sa.max(axis=1).tolist()
 
@@ -394,6 +456,6 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
         average_trace=st,
         element_trace_per_atom=xa,
         average_trace_per_atom=sa,
-        limit=limit,
-        sup_comparison=_sup_comparison(seq, sigmas, ratios, p),
+        limit=_limit(seq, checks),
+        sup_comparison=_sup(seq, checks),
     )

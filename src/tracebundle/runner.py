@@ -15,18 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import random_section, section_from_records, section_to_records
-from .condexp import cond_exp_axiom_checks
+from .bundle import lane_section, random_section, section_from_records, section_to_records
+from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import gram_eigenvalues_stack, solve_by_block_size
-from .martingale import (
-    Filtration,
-    build_filtration,
-    cesaro_equivalence,
-    martingale_from_target,
-)
-from .tracelp import center_trace, derive_seed, duality_checks, lp_norms
+from .martingale import MARTINGALE_TOL, Filtration, build_filtration, martingale_checks
+from .tracelp import center_trace, derive_seed, duality_checks, section_stacks
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
 FAITHFULNESS_TRACE_CUT = 1e-12  # trace values below this trigger the norm check
@@ -134,50 +129,34 @@ def run_duality_checks(cfg: ExperimentConfig, bundle):
 
 
 def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
-    """Tower-projection martingales: convergence, averaging, and traces."""
-    bundle = filtration.bundle
+    """Tower-projection martingales: convergence, averaging, and traces.
+
+    Each seed's target is one lane of block stacks, and the checks of all seeds are
+    one ``martingale_checks`` pass.
+    """
+    bundle, seeds, tol = filtration.bundle, range(cfg.trials["martingale_seeds"]), cfg.tolerances
     mart_p = 2.0 if 2.0 in cfg.exponents else cfg.exponents[0]
-    defect = recon = terminal = monotone = pythagoras = gap = 0.0
-    all_both = True
-    never_one = True
-    traces = []
-    limit_section = None
-    for s in range(cfg.trials["martingale_seeds"]):
-        x = random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
-        seq = martingale_from_target(x, filtration, p=mart_p)
-        defect = max(defect, seq.defect)
-        w = cfg.weight_list(len(seq) + cfg.extension)
-        rep = cesaro_equivalence(
-            seq, w, mart_p, cfg.tolerances["cesaro"], extend_by=cfg.extension
-        )
-        sup_x, sup_sigma, _ = rep.sup_comparison
-        gap = max(gap, max(0.0, float((sup_sigma.values - sup_x.values).max())))
-        lim = rep.limit
-        if limit_section is None:
-            limit_section = lim.limit
-        recon = max(recon, lim.reconstruction_residual)
-        terminal = max(terminal, float(lp_norms([lim.limit - x], mart_p).max()))
-        for a, b in zip(lim.residual_trace, lim.residual_trace[1:]):
-            monotone = max(monotone, b - a)
-        # ||x||^2 = ||x_n||^2 + ||x - x_n||^2 at p = 2, every n from one call
-        k = len(seq)
-        sq = lp_norms([x, *seq.elements, *(x - x_n for x_n in seq.elements)], 2) ** 2
-        pythagoras = max(pythagoras, float(np.abs(sq[0] - sq[1:k + 1] - sq[k + 1:]).max()))
-        all_both = all_both and rep.verdict == "both"
-        never_one = never_one and rep.verdict != "exactly-one"
-        traces.append((f"{cfg.experiment_id}:seed={s}", bundle.space.labels,
-                       rep.element_trace_per_atom, rep.average_trace_per_atom))
+    x = section_stacks([random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
+                        for s in seeds])
+    xs = [_project(E.target.projectors, x) for E in filtration.cond_exps]
+    r = martingale_checks(filtration, xs, mart_p, limit=True, target=x,
+                          w=cfg.weight_list(len(xs) + cfg.extension), extend_by=cfg.extension)
+    if r.defect.max() > MARTINGALE_TOL:
+        raise UsageError("sequence violates the martingale property beyond tolerance")
+    x_conv, s_conv = (a[:, -1].max(axis=1) <= tol["cesaro"] for a in (r.xa, r.sa))
+    monotone = float(np.max(np.diff(r.xa[:, :len(xs)].max(axis=2)), initial=0.0))
     checks = [
-        CheckResult("martingale/defect", defect, cfg.tolerances["martingale_defect"]),
-        CheckResult("martingale/limit_reconstruction", recon, cfg.tolerances["martingale_defect"]),
-        CheckResult("martingale/terminal_residual", terminal, cfg.tolerances["martingale_terminal"]),
-        CheckResult("martingale/monotone_residuals", monotone, cfg.tolerances["martingale_defect"]),
-        CheckResult("martingale/pythagoras_p2", pythagoras, cfg.tolerances["pythagoras"]),
-        CheckResult("martingale/sup_gap", gap, cfg.tolerances["sup_gap"]),
-        CheckResult("martingale/cesaro_both", _flag(all_both), 0.5),
-        CheckResult("martingale/cesaro_never_one", _flag(never_one), 0.5),
+        CheckResult("martingale/defect", float(r.defect.max()), tol["martingale_defect"]),
+        CheckResult("martingale/limit_reconstruction", float(r.recon.max()), tol["martingale_defect"]),
+        CheckResult("martingale/terminal_residual", float(r.terminal.max()), tol["martingale_terminal"]),
+        CheckResult("martingale/monotone_residuals", monotone, tol["martingale_defect"]),
+        CheckResult("martingale/pythagoras_p2", float(r.pythagoras.max()), tol["pythagoras"]),
+        CheckResult("martingale/sup_gap", max(0.0, float((r.sup_sigma - r.sup_x).max())), tol["sup_gap"]),
+        CheckResult("martingale/cesaro_both", _flag(bool((x_conv & s_conv).all())), 0.5),
+        CheckResult("martingale/cesaro_never_one", _flag(bool((x_conv == s_conv).all())), 0.5),
     ]
-    return checks, traces, limit_section
+    traces = [(f"{cfg.experiment_id}:seed={s}", bundle.space.labels, r.xa[s], r.sa[s]) for s in seeds]
+    return checks, traces, lane_section(bundle, xs[-1], 0)
 
 
 def _run_part(part: str, run, *args):
@@ -235,7 +214,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
 
     Returns ``(summary_dict, all_pass)``.  The summary enumerates every check
     the config defines for the requested parts.  Every part is computed before
-    ``out_dir`` is created, so a run that raises leaves no partial artifacts.
+    ``out_dir`` is created, so a run that raises leaves no partial artifacts; a file
+    is renamed onto its name from a ``.tmp`` sibling once complete.
     """
     unknown = [p for p in parts if p not in ALL_PARTS]
     if unknown:
@@ -270,9 +250,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         ma_checks, traces, limit_section = _run_part(
             "martingale", run_martingale_checks, cfg, filtration)
         checks.extend(ma_checks)
-        artifacts.append((write_trace_csv, "traces.csv", traces))
-        if limit_section is not None:
-            artifacts.append((write_section_csv, "limit_section.csv", limit_section))
+        artifacts += [(write_trace_csv, "traces.csv", traces),
+                      (write_section_csv, "limit_section.csv", limit_section)]
 
     summary = {
         "experiment_id": cfg.experiment_id,
@@ -282,6 +261,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     }
     artifacts.append((write_json, "summary.json", summary))
     os.makedirs(out_dir, exist_ok=True)
-    for write, name, payload in artifacts:
-        write(os.path.join(out_dir, name), payload)
+    for write, name, payload in artifacts:  # each through a .tmp sibling, renamed when complete
+        path = os.path.join(out_dir, name)
+        try:
+            write(path + ".tmp", payload)
+            os.replace(path + ".tmp", path)
+        finally:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
     return summary, all(c.passed for c in checks)

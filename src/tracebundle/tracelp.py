@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import Section, gaussian_stacks, identity_section
+from .bundle import Section, gaussian_stacks, identity_section, lane_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
-from .fiber import PINV_CUTOFF, FiberElement, gram_eigenvalues_stack, solve_by_block_size
+from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
@@ -135,7 +135,7 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
             # an overflow, or inf - inf in an imaginary part, is reported below, naming p
             with np.errstate(over="ignore", invalid="ignore"):
                 for y, (i, c) in zip(ys, slots):
-                    flat = y.reshape(len(y), -1)
+                    flat = y.reshape(len(y), y.shape[1] * y.shape[2])  # also with no lanes
                     norm[:, i] += c * np.vecdot(flat, flat).real
             norm = np.sqrt(norm)
         else:
@@ -148,6 +148,15 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     return out
 
 
+def shared_lp_norms(cases) -> list[np.ndarray]:
+    """``stacked_lp_norms`` of every ``(ys, bundle, p)`` case at its one exponent; the spectra
+    of all cases away from p = 2 come from one stacked solve per block size."""
+    solved = iter(solve_by_block_size([y for ys, _, p in cases if p != 2.0 for y in ys],
+                                      gram_eigenvalues_stack))
+    return [stacked_lp_norms(ys, bundle, [p], [next(solved) for _ in ys] if p != 2.0 else ())[0]
+            for ys, bundle, p in cases]
+
+
 def lp_norms(sections, p: float) -> np.ndarray:
     """``(S, atoms)`` center-valued Lp norms ``(trace(|x|**p))**(1/p)`` of S sections of one bundle.
 
@@ -157,11 +166,11 @@ def lp_norms(sections, p: float) -> np.ndarray:
     not finite raises ContractViolationError.
     """
     p = _exponent(p)
+    if not sections:
+        raise UsageError("need at least one section")
     for x in sections[1:]:
         x._require_same_bundle(sections[0])
-    ys = section_stacks(sections)
-    spectra = solve_by_block_size(ys, gram_eigenvalues_stack) if p != 2.0 else ()
-    return stacked_lp_norms(ys, sections[0].bundle, [p], spectra)[0]
+    return shared_lp_norms([(section_stacks(sections), sections[0].bundle, p)])[0]
 
 
 def lp_norm(x: Section, p: float) -> CenterElement:
@@ -215,9 +224,7 @@ def _witnesses(cases) -> list:
             witness.append((1.0 / norms_or_one[:, i, None, None]) * inner)
         attained = stacked_traces([y @ v for y, v in zip(ys, witness)], bundle)
         for j, k in enumerate(ks):
-            blocks = iter(v[j] for v in witness)
-            fibers = [FiberElement._raw([next(blocks) for _ in s]) for s in bundle.fiber_shapes]
-            out[k] = (norms[j], Section._raw(cases[k][0].bundle, fibers), attained[j])
+            out[k] = (norms[j], lane_section(cases[k][0].bundle, witness, j), attained[j])
     return out
 
 
@@ -268,11 +275,8 @@ def _group_excess(cases, qs, rngs, witnessed, group):
     stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
                                                       for k, size in members])]
               for (bundle, _), members in batches.items()]
-    solved = iter(solve_by_block_size(
-        [y for (_, q), ys in zip(batches, stacks) if q != 2.0 for y in ys], gram_eigenvalues_stack))
-    for ((bundle, q), members), ys in zip(batches.items(), stacks):
-        spectra = [next(solved) for _ in ys] if q != 2.0 else ()
-        (dual,) = stacked_lp_norms(ys, bundle, [q], spectra)
+    duals = shared_lp_norms([(ys, bundle, q) for (bundle, q), ys in zip(batches, stacks)])
+    for ((bundle, q), members), ys, dual in zip(batches.items(), stacks, duals):
         scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
         sizes = [size for _, size in members]
         # each lane pairs with the blocks of its own case, and its excess is over that case's norm

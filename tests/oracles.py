@@ -64,6 +64,12 @@ The held-tail references are the per-step loops that ``martingale`` and
 float total and one ratio ``W_K / W_n`` per held step, one list of per-atom
 floats per step for the Cesaro traces (one ``lp_norm_reference`` per step), and
 one ``write`` per ``traces.csv`` row.
+
+The martingale-phase reference is the per-seed loop that
+``runner.run_martingale_checks`` ran before every seed's checks became one
+stacked ``martingale_checks`` pass: the martingale of each seed projected by
+``ConditionalExpectation.__call__``, its means by section arithmetic, and its
+norms from ``lp_norms`` calls on sections.
 """
 
 import math
@@ -80,6 +86,8 @@ from tracebundle import (
     derive_seed,
     identity_fiber,
     identity_section,
+    lp_norms,
+    random_section,
     scalarize,
     validate_subalgebra,
     zero_fiber,
@@ -654,18 +662,18 @@ def closure_loop_reference(bundle, generators):
     return orthos, closures
 
 
-def running_means_reference(seq, w, extend_by=0):
+def running_means_reference(elements, w, extend_by=0):
     """Running means and the held ratios ``W_K / W_n``, one float total per step."""
     w = [float(v) for v in w]
-    needed = len(seq) + max(0, int(extend_by))
+    needed = len(elements) + max(0, int(extend_by))
     sigmas, running, total = [], None, 0.0
-    for x_k, w_k in zip(seq.elements, w):
+    for x_k, w_k in zip(elements, w):
         running = w_k * x_k if running is None else running + w_k * x_k
         total += w_k
         sigmas.append((1.0 / total) * running)
     terminal_weight = total
     ratios = []
-    for w_n in w[len(seq):needed]:
+    for w_n in w[len(elements):needed]:
         total += w_n
         ratios.append(terminal_weight / total)
     return sigmas, ratios
@@ -674,7 +682,7 @@ def running_means_reference(seq, w, extend_by=0):
 def cesaro_traces_reference(seq, w, p, extend_by=0):
     """Per-atom ``||x_n - y||_p`` and ``||sigma_n - y||_p`` rows, one list per step."""
     y = seq.elements[-1]
-    sigmas, ratios = running_means_reference(seq, w, extend_by)
+    sigmas, ratios = running_means_reference(seq.elements, w, extend_by)
     xa = [[float(v) for v in lp_norm_reference(x_n - y, p)] for x_n in seq.elements]
     sa = [[float(v) for v in lp_norm_reference(s_n - y, p)] for s_n in sigmas]
     xa += [[0.0] * len(xa[-1]) for _ in ratios]
@@ -688,3 +696,50 @@ def write_trace_csv_reference(path, rows):
         fh.write("experiment_id,n,omega,residual_xp,residual_sigma\n")
         for tag, n, label, rx, rs in rows:
             fh.write(f"{tag},{n},{label},{rx!r},{rs!r}\n")
+
+
+def martingale_phase_reference(cfg, filtration):
+    """``runner.run_martingale_checks`` as the per-seed loop it was before the seeds were
+    stacked: each seed's martingale ``E(x)``, defect, limit, running means, traces and sup
+    comparison from sections, ``ConditionalExpectation.__call__`` and one ``lp_norms`` call
+    per quantity.  Returns the worst residual per check name, the ``(tag, labels, xa, sa)``
+    traces and the limit section of seed 0."""
+    bundle, levels, tol = filtration.bundle, filtration.cond_exps, cfg.tolerances["cesaro"]
+    p = 2.0 if 2.0 in cfg.exponents else cfg.exponents[0]
+    worst = dict.fromkeys(["martingale/" + name for name in (
+        "defect", "limit_reconstruction", "terminal_residual", "monotone_residuals",
+        "pythagoras_p2", "sup_gap")], 0.0)
+    all_both = never_one = True
+    traces = []
+    for s in range(cfg.trials["martingale_seeds"]):
+        x = random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
+        xs = [E(x) for E in levels]
+        k, y = len(xs), xs[-1]
+        sigmas, ratios = running_means_reference(xs, cfg.weight_list(k + cfg.extension),
+                                                 cfg.extension)
+        xa, sa = lp_norms([a - y for a in xs], p), lp_norms([z - y for z in sigmas], p)
+        ends = sigmas + [y + r * (sigmas[-1] - y) for r in ratios[-1:]]
+        trace = xa.max(axis=1).tolist()
+        sq = lp_norms([x, *xs, *(x - a for a in xs)], 2) ** 2
+        for name, value in [
+            ("defect", float(lp_norms([E(b) - a for E, a, b in zip(levels, xs, xs[1:])], 1).max())
+             if k > 1 else 0.0),
+            ("limit_reconstruction", float(lp_norms([E(y) - a for E, a in zip(levels, xs)], 1).max())),
+            ("terminal_residual", float(lp_norms([y - x], p).max())),
+            ("monotone_residuals", max([0.0] + [b - a for a, b in zip(trace, trace[1:])])),
+            ("pythagoras_p2", float(np.abs(sq[0] - sq[1:k + 1] - sq[k + 1:]).max())),
+            ("sup_gap", max(0.0, float((lp_norms(ends, p).max(axis=0)
+                                        - lp_norms(xs, p).max(axis=0)).max()))),
+        ]:
+            worst["martingale/" + name] = max(worst["martingale/" + name], value)
+        xa = np.concatenate((xa, np.zeros((len(ratios), xa.shape[1]))))
+        sa = np.concatenate((sa, np.array(ratios)[:, None] * sa[-1]))
+        x_conv, s_conv = xa[-1].max() <= tol, sa[-1].max() <= tol
+        all_both = all_both and x_conv and s_conv
+        never_one = never_one and x_conv == s_conv
+        traces.append((f"{cfg.experiment_id}:seed={s}", bundle.space.labels, xa, sa))
+        if s == 0:
+            limit_section = y
+    worst["martingale/cesaro_both"] = 0.0 if all_both else 1.0
+    worst["martingale/cesaro_never_one"] = 0.0 if never_one else 1.0
+    return worst, traces, limit_section

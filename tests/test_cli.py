@@ -307,3 +307,39 @@ def test_outputs_field_is_rejected(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "config error at outputs: unknown field" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_full_tower_reports_an_unsupported_configuration(tmp_path, capsys):
+    # the model is built; only the martingale limit needs a full top level
+    doc = json.loads(fixture_text("hetero4_tower"))
+    doc["tower"] = ["scalars", "diagonal", "block(1,1)"]
+    config = tmp_path / "shallow.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run-martingale", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "tracebundle: unsupported configuration: martingale limits need a tower" in err
+    assert "model construction failed" not in err
+    assert not out.exists()
+    assert main(["check-axioms", "--config", str(config), "--out", str(out)]) == EXIT_OK
+
+
+def test_failed_write_leaves_no_partial_artifact(config_path, tmp_path, capsys, monkeypatch):
+    # each artifact goes through a .tmp sibling: a writer that fails midway leaves the old
+    # file at its name untouched and no stray file; the files before it are complete
+    out = tmp_path / "out"
+    assert main(["run-martingale", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    before = {name: read(out / name) for name in os.listdir(out)}
+    (out / "limit_section.csv").write_bytes(b"old\n")
+
+    def failing(path, section):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("omega,block,row,col,re,im\n")
+            raise OSError("device full")
+
+    monkeypatch.setattr(runner, "write_section_csv", failing)
+    assert main(["run-martingale", "--config", config_path, "--out", str(out)]) == EXIT_IO_ERROR
+    assert "I/O failure: device full" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted(before)
+    assert read(out / "limit_section.csv") == b"old\n"
+    assert read(out / "traces.csv") == before["traces.csv"]

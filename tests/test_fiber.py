@@ -613,3 +613,36 @@ def test_gram_eigenvalues_nonnegative():
     x = random_fiber(5, dims=(4,))
     for w in gram_eigenvalues(x):
         assert w.min() >= 0.0
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+@pytest.mark.parametrize("kernel", ["one_sided", "hermitian"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_kernels_return_an_empty_stack_at_once(kernel, n, vectors, monkeypatch):
+    # no lane to turn: the first sweep ends the solve (a cap of one sweep is not reached)
+    solve = {"one_sided": gram_eigenvalues_stack, "hermitian": fiber._jacobi_eigenvalues_stack}[kernel]
+    monkeypatch.setattr(fiber, "JACOBI_MAX_SWEEPS", 1)
+    got = solve(np.zeros((0, n, n), dtype=np.complex128), vectors=vectors)
+    w, v = got if vectors else (got, None)
+    assert w.shape == (0, n) and w.dtype == np.float64
+    if vectors:
+        assert v.shape == (0, n, n) and v.dtype == np.complex128
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_solve_by_block_size_with_a_zero_lane_member(vectors):
+    # a member with no lanes gets empty rows, and the others their own bits
+    rng = np.random.default_rng(41)
+    y = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    empty = np.zeros((0, 2, 2), dtype=np.complex128)
+    solve = lambda s: gram_eigenvalues_stack(s, vectors=vectors)  # noqa: E731
+    whole = solve(y)
+    got = fiber.solve_by_block_size([empty, y, empty[:, :1, :1]], solve)
+    if vectors:
+        assert [a.shape for a in got[0]] == [(0, 2), (0, 2, 2)]
+        assert [a.shape for a in got[2]] == [(0, 1), (0, 1, 1)]
+        assert all(np.array_equal(bits(a.view(np.float64)), bits(b.view(np.float64)))
+                   for a, b in zip(got[1], whole))
+    else:
+        assert got[0].shape == (0, 2) and got[2].shape == (0, 1)
+        assert np.array_equal(bits(got[1]), bits(whole))

@@ -6,6 +6,7 @@ import pytest
 
 from tracebundle import (
     BundleSpec,
+    FiberElement,
     InconsistencyError,
     MartingaleSeq,
     MeasureSpace,
@@ -33,11 +34,12 @@ from tracebundle.fixtures import FIXTURES, fixture_config
 from tracebundle.martingale import Filtration
 from tracebundle.runner import run_experiment
 from tracebundle.towers import level_generators
-from tracebundle.tracelp import lp_norms
+from tracebundle.tracelp import lp_norms, section_stacks
 
 from oracles import (
     cesaro_traces_reference,
     closure_residual_reference,
+    martingale_phase_reference,
     composition_residual_reference,
     inclusion_residual_reference,
     running_means_reference,
@@ -59,10 +61,13 @@ def hetero_tower(hetero_bundle):
     return tower(hetero_bundle, "scalars", "diagonal", "block(1,1)", "full")
 
 
+MAT4_SPECS = ("scalars", "diagonal", "block(1,1,2)", "block(2,2)", "full")
+
+
 @pytest.fixture(scope="module")
 def mat4_tower():
     bundle = BundleSpec(MeasureSpace(["w"], [1.0]), [[4]], [[0.25]])
-    return tower(bundle, "scalars", "diagonal", "block(1,1,2)", "block(2,2)", "full")
+    return tower(bundle, *MAT4_SPECS)
 
 
 # ----------------------------------------------------------------- building
@@ -123,6 +128,73 @@ def push_off_span(basis, column=-1, seed=9):
     return SubalgebraBasis(basis.bundle, basis.generators, projectors, basis.closure_residual)
 
 
+# ------------------------------------------- levels extended from the one below
+
+def generator_bits(basis):
+    return [[b"".join(b.tobytes() for b in g.blocks) for g in gens] for gens in basis.generators]
+
+
+@pytest.mark.parametrize("name", [*TOWER_SPECS, "mat4"])
+def test_tower_levels_equal_from_scratch_validation(name, request):
+    # each level goes on from the validated level below, and gets the bases, closure
+    # residual and generators of validating all generators up to it from scratch
+    f = request.getfixturevalue(f"{name}_tower") if name == "mat4" else tower(
+        request.getfixturevalue(f"{name}_bundle"), *TOWER_SPECS[name])
+    bundle, specs = f.bundle, TOWER_SPECS.get(name, MAT4_SPECS)
+    accumulated = [()] * bundle.space.size
+    for level, spec in zip(f.tower, specs):
+        accumulated = [a + tuple(g) for a, g in zip(accumulated, level_generators(bundle, spec))]
+        scratch = condexp.validate_subalgebra(bundle, accumulated)
+        assert all(p.ortho.tobytes() == q.ortho.tobytes()
+                   for p, q in zip(level.projectors, scratch.projectors))
+        assert level.closure_residual == scratch.closure_residual
+        assert generator_bits(level) == generator_bits(scratch)
+
+
+def test_explicit_tower_matches_from_scratch_projectors():
+    # explicit generators that need product rounds: the level below was closed first, so
+    # the bases differ in their bits, but they span the same algebras
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    diag_ab = np.zeros((3, 3), dtype=np.complex128)
+    diag_ab[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    diag_ab[2, 2] = 0.7 - 0.2j
+    bundle = BundleSpec(MeasureSpace(["m", "s"], [1.0, 2.0]), [[3], [2]], [[1 / 3], [0.5]])
+    flip = FiberElement([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    shift = FiberElement([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    levels = [[[FiberElement([diag_ab])], [flip]], [[FiberElement([g + g.conj().T])], [shift]]]
+    f = build_filtration(bundle, levels)
+    assert [t.dims for t in f.tower] == [(5, 2), (9, 4)]
+    accumulated = [()] * bundle.space.size
+    for level, gens in zip(f.tower, levels):
+        accumulated = [a + tuple(new) for a, new in zip(accumulated, gens)]
+        scratch = condexp.validate_subalgebra(bundle, accumulated)
+        assert level.dims == scratch.dims
+        for p, q in zip(level.projectors, scratch.projectors):
+            gap = p.ortho @ p.ortho.conj().T - q.ortho @ q.ortho.conj().T
+            assert np.abs(gap).max() <= 1e-12
+
+
+def test_tower_validates_each_level_once_and_tries_no_candidate_twice(hetero_bundle, monkeypatch):
+    specs = ("scalars", "diagonal", "block(1,1)", "full")
+    calls, tried = [], []
+    real, extend = martingale.validate_subalgebra, condexp._FiberProjector.try_extend
+
+    def validate(below, generators):
+        calls.append(below)
+        return real(below, generators)
+
+    def recording(proj, f):
+        tried.append((proj.shape, b"".join(b.tobytes() for b in f.blocks)))
+        return extend(proj, f)
+
+    monkeypatch.setattr(martingale, "validate_subalgebra", validate)
+    monkeypatch.setattr(condexp._FiberProjector, "try_extend", recording)
+    f = tower(hetero_bundle, *specs)
+    assert calls == [hetero_bundle, *f.tower[:-1]]
+    assert len(tried) == len(set(tried))  # each atom's candidates are tried once per tower
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["valid", "broken"])
 @pytest.mark.parametrize("name", list(TOWER_SPECS))
 def test_tower_checks_match_per_element_loops(name, broken, request):
@@ -150,14 +222,14 @@ def test_tower_checks_match_per_element_loops(name, broken, request):
 ])
 def test_build_filtration_rejects_broken_tower(hetero_bundle, monkeypatch, specs, broken_call,
                                                message):
-    calls = []
+    # level broken_call is measured with a column pushed off its span; each level is
+    # extended from the validated one below, so the push goes into the measurement only
+    real = martingale._tower_residuals
 
-    def validate(bundle, generators):
-        calls.append(None)
-        basis = condexp.validate_subalgebra(bundle, generators)
-        return push_off_span(basis) if len(calls) == broken_call else basis
+    def measure(levels):
+        return real([push_off_span(t) if k + 1 == broken_call else t for k, t in enumerate(levels)])
 
-    monkeypatch.setattr(martingale, "validate_subalgebra", validate)
+    monkeypatch.setattr(martingale, "_tower_residuals", measure)
     with pytest.raises(InconsistencyError, match=message):
         tower(hetero_bundle, *specs)
 
@@ -522,7 +594,7 @@ def test_held_tail_closed_form_matches_explicit_means(which, weights, request):
 
 
 def _held_tail_config(name, weights, extension):
-    doc = copy.deepcopy(FIXTURES[name])
+    doc = copy.deepcopy(FIXTURES[name]) if isinstance(name, str) else name
     doc["extension"] = extension
     steps = len(doc["tower"]) + extension
     # non-integer explicit weights, whose partial sums depend on the summation order
@@ -544,8 +616,9 @@ def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp
         seq = martingale_from_target(x, f, p=2.0)
         y = seq.elements[-1]
         w = cfg.weight_list(len(seq) + extension)
-        ref_sigmas, ref_ratios = running_means_reference(seq, w, extension)
-        assert martingale._running_means(seq, w, extension)[1].tolist() == ref_ratios
+        ref_sigmas, ref_ratios = running_means_reference(seq.elements, w, extension)
+        stacks = [section_stacks([e]) for e in seq.elements]
+        assert martingale._running_means(stacks, w, extension)[1].tolist() == ref_ratios
         for p in (1.0, 2.0, 3.0):
             rep = cesaro_equivalence(seq, w, p, tol=1.0, extend_by=extension)
             ref_xa, ref_sa = cesaro_traces_reference(seq, w, p, extension)
@@ -569,29 +642,80 @@ def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp
     assert (tmp_path / "traces.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+@pytest.mark.parametrize("exponents", [[1], [2], [1.5, 3]], ids=lambda e: "p=" + ",".join(map(str, e)))
+@pytest.mark.parametrize("extension", [0, 1000])
+@pytest.mark.parametrize("weights", ["uniform", "linear", "explicit"])
+@pytest.mark.parametrize("name", ["hetero4_tower", "mat2_tower"])
+def test_stacked_phase_equals_the_per_seed_reference(name, weights, extension, exponents):
+    doc = copy.deepcopy(FIXTURES[name])
+    doc["exponents"] = exponents
+    cfg = _held_tail_config(doc, weights, extension)
+    f = runner.build_tower(cfg, cfg.build_bundle())
+    checks, traces, limit_section = runner.run_martingale_checks(cfg, f)
+    worst, ref_traces, ref_limit = martingale_phase_reference(cfg, f)
+    assert [c.name for c in checks] == list(worst)
+    assert bits([c.worst_residual for c in checks]) == bits(list(worst.values()))
+    assert len(traces) == len(ref_traces) == cfg.trials["martingale_seeds"]
+    for (tag, labels, xa, sa), (ref_tag, ref_labels, ref_xa, ref_sa) in zip(traces, ref_traces):
+        assert (tag, labels) == (ref_tag, ref_labels)
+        assert bits(xa) == bits(ref_xa) and bits(sa) == bits(ref_sa)
+    assert all(bits(a) == bits(b) for f_a, f_b in zip(limit_section.fibers, ref_limit.fibers)
+               for a, b in zip(f_a.blocks, f_b.blocks))
+
+
+def test_depth_one_tower_has_no_defect_differences(mat2_bundle):
+    # a one-level tower: no E_n(x_{n+1}) - x_n to measure, and the pass still runs
+    f = tower(mat2_bundle, "full")
+    x = section_stacks([random_section(mat2_bundle, s, "general") for s in range(3)])
+    checks = martingale.martingale_checks(f, [x], 1.5, limit=True, w=[1.0] * 4, extend_by=3,
+                                          target=x)
+    assert bits(checks.defect) == bits(np.zeros(3))
+    assert checks.xa.shape == checks.sa.shape == (3, 4, 1)
+    assert checks.recon.max() <= 1e-12 and checks.terminal.max() <= 1e-12
+
+
 def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
-    calls = {"martingale_defect": 0, "martingale_limit": 0}
+    # one stacked martingale_checks pass measures every seed's defect and limit; the
+    # one-sequence martingale_defect and martingale_limit are not called
+    calls = dict.fromkeys(["martingale_checks", "martingale_defect", "martingale_limit",
+                           "cesaro_equivalence", "sup_norm_comparison"], 0)
+    results = []
     for name in calls:
         def counted(*args, _fn=getattr(martingale, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name == "martingale_checks":
+                results.append(out)
+            return out
 
         monkeypatch.setattr(martingale, name, counted)
         monkeypatch.setattr(runner, name, counted, raising=False)
     cfg = fixture_config("mat2_tower")
-    run_experiment(cfg, str(tmp_path), parts=("martingale",))
     seeds = cfg.trials["martingale_seeds"]
-    assert calls == {"martingale_defect": seeds, "martingale_limit": seeds}
+    assert seeds > 1
+    run_experiment(cfg, str(tmp_path), parts=("martingale",))
+    assert calls == {"martingale_checks": 1, "martingale_defect": 0, "martingale_limit": 0,
+                     "cesaro_equivalence": 0, "sup_norm_comparison": 0}
+    (r,) = results
+    assert r.defect.shape == r.recon.shape == r.terminal.shape == (seeds,)
 
 
 def test_one_running_means_pass_per_seed(monkeypatch, tmp_path):
-    # the sup comparison comes with the cesaro report, from the same running means
+    # the sup comparison comes with the cesaro report, from the same running means, and
+    # the running means of all seeds are one pass over their stacked lanes
     calls = []
     real = martingale._running_means
     monkeypatch.setattr(martingale, "_running_means", lambda *a: calls.append(a) or real(*a))
     cfg = fixture_config("hetero4_tower")
+    seeds = cfg.trials["martingale_seeds"]
+    assert seeds > 1
     run_experiment(cfg, str(tmp_path), parts=("martingale",))
-    assert len(calls) == cfg.trials["martingale_seeds"]
+    (args,) = calls
+    assert all(len(block) == seeds for step in args[0] for block in step)
 
 
 def test_terminal_residual_measures_the_target(monkeypatch):
@@ -601,8 +725,9 @@ def test_terminal_residual_measures_the_target(monkeypatch):
     f = runner.build_tower(cfg, cfg.build_bundle())
     z = random_section(f.bundle, 91, "general")
     d = z - f.expectation(f.depth - 2)(z)
-    real = runner.martingale_from_target
-    monkeypatch.setattr(runner, "martingale_from_target", lambda x, filt, p: real(x - d, filt, p=p))
+    real, shift = runner._project, section_stacks([d])
+    monkeypatch.setattr(runner, "_project",
+                        lambda projectors, x: real(projectors, [b - s for b, s in zip(x, shift)]))
     checks, _, _ = runner.run_martingale_checks(cfg, f)
     worst = {c.name: c.worst_residual for c in checks}
     assert worst["martingale/defect"] <= 1e-12

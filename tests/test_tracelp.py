@@ -231,6 +231,12 @@ def test_lp_norms_refuses_sections_of_two_bundles(hetero_bundle, large_blocks_bu
         lp_norms([random_section(b, 1, "general") for b in (hetero_bundle, large_blocks_bundle)], 2)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lp_norms_of_no_section_is_a_usage_error(p):
+    with pytest.raises(UsageError, match="need at least one section"):
+        lp_norms([], p)
+
+
 @pytest.mark.parametrize("chunk, cases, count", [(1, 3, 2), (7, 5, 3), (7, 3, 10), (512, 25, 100)])
 def test_packed_chunks_keep_case_order_within_the_bound(monkeypatch, chunk, cases, count):
     monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
