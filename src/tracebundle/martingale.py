@@ -61,10 +61,14 @@ class Filtration:
         return self.cond_exps[level]
 
     def restrict(self, labels) -> "Filtration":
-        """The same tower rebuilt on a sub-bundle (per-atom data is identical)."""
+        """The same tower rebuilt on a sub-bundle (per-atom data is identical).
+
+        A level's generators hold those of the level below first; each level gets only its own.
+        """
         sub = self.bundle.restrict(labels)
         idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
-        specs = [[level.generators[i] for i in idx] for level in self.tower]
+        specs = [[level.generators[i][len(below.generators[i]) if below else 0:] for i in idx]
+                 for below, level in zip([None] + self.tower, self.tower)]
         return build_filtration(sub, specs)
 
     def __repr__(self):

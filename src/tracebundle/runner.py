@@ -9,22 +9,21 @@ the configured seed, so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import lane_section, random_section, section_from_records, section_to_records
+from .bundle import (gaussian_stacks, lane_section, random_section, section_from_records,
+                     section_to_records)
 from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import gram_eigenvalues_stack, solve_by_block_size
 from .martingale import MARTINGALE_TOL, Filtration, build_filtration, martingale_checks
-from .tracelp import center_trace, derive_seed, duality_checks, section_stacks
+from .tracelp import derive_seed, duality_checks, packed_chunks, section_stacks, stacked_traces
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
-FAITHFULNESS_TRACE_CUT = 1e-12  # trace values below this trigger the norm check
 
 
 @dataclass
@@ -52,32 +51,28 @@ def _flag(ok: bool) -> float:
 
 
 def run_trace_checks(cfg: ExperimentConfig, bundle) -> list[CheckResult]:
-    """Traciality, positivity, and the faithfulness contrapositive.
+    """Traciality, positivity and faithfulness of the center-valued trace.
 
-    The spectral norms of the faithfulness check, over every trial's fibers whose
-    trace falls below the cut, come from one stacked solve per block size.
+    x and y come from one generator per tag, trial t their lane t, stacked per block in
+    chunks of at most DUALITY_CHUNK trials.  Traciality and positivity are read off the
+    ``stacked_traces`` of ``x y``, ``y x`` and ``x* x``.  Faithfulness is the per-atom bound
+    ``min_j c_j ||x(w)||_inf**2 <= trace(x* x)(w)``, reported as its worst relative excess;
+    the squared spectral norms come from one stacked solve per block size per chunk.
     """
-    tol = cfg.tolerances["trace_axioms"]
+    tol, trials = cfg.tolerances["trace_axioms"], cfg.trials["trace_sections"]
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y")]
+    c_min = np.array([min(cs) for cs in bundle.trace_weights])
     traciality = positivity = faithfulness = 0.0
-    below_cut = []  # the blocks of the tiny fibers with a trace under the cut, as B = 1 stacks
-    for t in range(cfg.trials["trace_sections"]):
-        x = random_section(bundle, derive_seed(cfg.seed, "trace-x", t), "general")
-        y = random_section(bundle, derive_seed(cfg.seed, "trace-y", t), "general")
-        d = np.abs(center_trace(x * y).values - center_trace(y * x).values)
-        traciality = max(traciality, float(d.max()))
-        gram = center_trace(x.adjoint() * x).values
-        positivity = max(
-            positivity,
-            float(np.abs(gram.imag).max()),
-            max(0.0, float(-gram.real.min())),
-        )
-        tiny = 1e-9 * x
-        tiny_tr = center_trace(tiny.adjoint() * tiny).values.real
-        below_cut += [b[None] for f, tr in zip(tiny.fibers, tiny_tr)
-                      if tr < FAITHFULNESS_TRACE_CUT for b in f.blocks]
-    if below_cut:
-        spectra = solve_by_block_size(below_cut, gram_eigenvalues_stack)
-        faithfulness = math.sqrt(max(float(w.max()) for w in spectra))
+    for [(_, size)] in packed_chunks(1, trials):  # with one case, each group is one chunk
+        x, y = (gaussian_stacks(bundle, rng, size) for rng in rngs)
+        xy, yx, gram = (stacked_traces([u @ v for u, v in zip(us, vs)], bundle) for us, vs in (
+            (x, y), (y, x), ([u.conj().transpose(0, 2, 1) for u in x], x)))
+        traciality = max(traciality, float(np.abs(xy - yx).max()))
+        positivity = max(positivity, float(np.abs(gram.imag).max()), max(0.0, float(-gram.real.min())))
+        top = np.zeros(gram.shape)
+        for w, (i, _) in zip(solve_by_block_size(x, gram_eigenvalues_stack), bundle.block_slots()):
+            top[:, i] = np.maximum(top[:, i], w.max(axis=1))
+        faithfulness = max(faithfulness, float((c_min * top / gram.real - 1.0).max()))
     return [
         CheckResult("trace/traciality", traciality, tol),
         CheckResult("trace/positivity", positivity, tol),

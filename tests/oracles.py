@@ -70,6 +70,17 @@ The martingale-phase reference is the per-seed loop that
 stacked ``martingale_checks`` pass: the martingale of each seed projected by
 ``ConditionalExpectation.__call__``, its means by section arithmetic, and its
 norms from ``lp_norms`` calls on sections.
+
+The trace-phase reference is the per-trial loop that ``runner.run_trace_checks`` ran
+before its trials were stacked, on the phase's lanes: one ``gaussian_section`` per
+trial from each of the ``trace-x`` and ``trace-y`` generators, products as ``Section``
+arithmetic, traces through ``center_trace``, and each fiber's squared spectral norm from
+``gram_eigenvalues_reference``.
+
+The closed-form conditional expectations are those of the preset levels, built from
+``towers._partition`` alone: ``scalars`` maps a fiber to
+``(sum_j c_j tr x_j / sum_j c_j n_j) 1``, and every other preset level is a pinching,
+which keeps the entries inside the parts of its partition and zeroes the rest.
 """
 
 import math
@@ -95,7 +106,7 @@ from tracebundle import (
 from tracebundle.bundle import split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE_COLUMN, PINV_CUTOFF
-from tracebundle.towers import level_generators
+from tracebundle.towers import _partition, level_generators
 from tracebundle.tracelp import ZERO_FIBER_TOL
 
 
@@ -743,3 +754,48 @@ def martingale_phase_reference(cfg, filtration):
     worst["martingale/cesaro_both"] = 0.0 if all_both else 1.0
     worst["martingale/cesaro_never_one"] = 0.0 if never_one else 1.0
     return worst, traces, limit_section
+
+
+def trace_phase_reference(cfg, bundle):
+    """``runner.run_trace_checks`` as a loop over its trials, one section pair at a time:
+    the worst traciality, positivity and faithfulness excess by check name."""
+    rx, ry = (np.random.default_rng(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y"))
+    traciality = positivity = faithfulness = 0.0
+    for _ in range(cfg.trials["trace_sections"]):
+        x, y = gaussian_section(bundle, rx), gaussian_section(bundle, ry)
+        d = np.abs(center_trace(x * y).values - center_trace(y * x).values)
+        traciality = max(traciality, float(d.max()))
+        gram = center_trace(x.adjoint() * x).values
+        positivity = max(
+            positivity, float(np.abs(gram.imag).max()), max(0.0, float(-gram.real.min()))
+        )
+        for f, cs, tr in zip(x.fibers, bundle.trace_weights, gram.real.tolist()):
+            top = max(float(w.max()) for w in gram_eigenvalues_reference(f))
+            faithfulness = max(faithfulness, min(cs) * top / tr - 1.0)
+    return {"trace/traciality": traciality, "trace/positivity": positivity,
+            "trace/faithfulness": faithfulness}
+
+
+def closed_form_expectation(bundle, spec, x):
+    """The trace-preserving conditional expectation of ``x`` onto a preset level, in closed form."""
+    fibers = []
+    for shape, cs, f in zip(bundle.fiber_shapes, bundle.trace_weights, x.fibers):
+        if spec == "scalars":
+            mean = sum(c * np.trace(b) for c, b in zip(cs, f.blocks)) / sum(
+                c * n for c, n in zip(cs, shape))
+            fibers.append(mean * identity_fiber(shape))
+            continue
+        if spec == "diagonal":
+            parts = [1] * sum(shape)
+        elif spec == "full":
+            parts = list(shape)
+        else:  # "block(k1,...,kr)"
+            parts = [int(k) for k in spec[len("block("):-1].split(",")]
+        blocks = []
+        for b, ranges in zip(f.blocks, _partition(shape, parts)):
+            kept = np.zeros_like(b)
+            for start, stop in ranges:
+                kept[start:stop, start:stop] = b[start:stop, start:stop]
+            blocks.append(kept)
+        fibers.append(FiberElement(blocks))
+    return Section(bundle, fibers)

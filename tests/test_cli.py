@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from tracebundle.cli import (
@@ -14,8 +15,11 @@ from tracebundle.cli import (
 )
 from tracebundle import runner, tracelp
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
+from tracebundle.config import parse_config
 from tracebundle.fixtures import fixture_config, fixture_text
 from tracebundle.runner import read_section_csv, run_experiment
+
+from oracles import trace_phase_reference
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,50 @@ def test_check_failure_exit_code(config_path, tmp_path):
     strict.write_text(json.dumps(doc))
     code = main(["run", "--config", str(strict), "--out", str(tmp_path / "out")])
     assert code == EXIT_CHECK_FAILURE
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("name", ["mat2_tower", "hetero4_tower"])
+@pytest.mark.parametrize("trials", [1, 3, 6])
+def test_trace_phase_matches_the_per_trial_loop(name, trials, monkeypatch):
+    # in chunks of 3 trials: one partial chunk, one full chunk, two full chunks
+    monkeypatch.setattr(tracelp, "DUALITY_CHUNK", 3)
+    doc = json.loads(fixture_text(name))
+    doc["trials"]["trace_sections"] = trials
+    cfg = parse_config(json.dumps(doc))
+    checks = runner.run_trace_checks(cfg, cfg.build_bundle())
+    reference = trace_phase_reference(cfg, cfg.build_bundle())
+    assert [c.name for c in checks] == list(reference)
+    assert bits([c.worst_residual for c in checks]) == bits(list(reference.values()))
+
+
+def without_block_slot(slot):
+    """``tracelp.stacked_traces`` with the blocks of one slot left out of the trace."""
+    real = tracelp.stacked_traces
+    return lambda ys, bundle: real([0 * y if k == slot else y for k, y in enumerate(ys)], bundle)
+
+
+def test_faithfulness_fails_on_a_trace_that_drops_a_block(tmp_path, monkeypatch):
+    # slot 3 is the second Mat2 block of w3 (weights 1 and 2): without it the trace of x* x at
+    # w3 is ||x_1||_F^2, below ||x(w3)||_inf^2 whenever the dropped block has the larger norm
+    config = tmp_path / "hetero4_tower.json"
+    config.write_text(fixture_text("hetero4_tower"))
+    with monkeypatch.context() as patched:
+        patched.setattr(runner, "stacked_traces", without_block_slot(3))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILURE
+        checks = json.loads(read(out / "summary.json"))["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == ["trace/faithfulness"]
+        cfg = fixture_config("hetero4_tower")
+        excess = runner.run_trace_checks(cfg, cfg.build_bundle())[2].worst_residual
+        # the per-trial loop, its center_trace patched alike, finds the same excess
+        patched.setattr(tracelp, "stacked_traces", without_block_slot(3))
+        reference = trace_phase_reference(cfg, cfg.build_bundle())["trace/faithfulness"]
+    assert bits(excess) == bits(reference)
+    assert excess > cfg.tolerances["faithfulness_norm"]
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from tracebundle import (
     validate_subalgebra,
 )
 from tracebundle import condexp, tracelp
-from tracebundle.config import DEFAULT_TOLERANCES
+from tracebundle.config import DEFAULT_TOLERANCES, parse_config
+from tracebundle.fixtures import FIXTURES, fixture_text
 from tracebundle.towers import fiber_level_generators, level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
@@ -34,6 +36,7 @@ from oracles import (
     axiom_report_reference,
     closure_loop_reference,
     closure_residual_reference,
+    closed_form_expectation,
     matrix_unit_blocks,
     pinching_basis,
     restricted_basis,
@@ -376,6 +379,37 @@ def test_axiom_report_needs_a_trial(hetero_diag_exp, trials):
 
 def preset_expectation(bundle, level):
     return ConditionalExpectation(validate_subalgebra(bundle, level_generators(bundle, level)))
+
+
+def config_bundles():
+    """The distinct bundles of the fixture configs and of the bench workload configs."""
+    workloads = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+    docs = [fixture_text(name) for name in sorted(FIXTURES)]
+    docs += [path.read_text() for path in sorted(workloads.glob("*.json"))]
+    bundles = []
+    for doc in docs:
+        bundle = parse_config(doc).build_bundle()
+        if bundle not in bundles:
+            bundles.append(bundle)
+    return bundles
+
+
+@pytest.mark.parametrize("k", [0, 10, -10])
+def test_preset_expectations_match_their_closed_forms(k):
+    # every preset level is the weighted scalar average or a pinching, on every fiber shape of
+    # the configs, also with every trace weight times 4**k (the weights' square roots scale
+    # exactly)
+    bundles = config_bundles()
+    assert {shape for b in bundles for shape in b.fiber_shapes} == {(1,), (2,), (3,), (4,), (5,),
+                                                                   (2, 2), (3, 2)}
+    for bundle in bundles:
+        scaled = BundleSpec(bundle.space, bundle.fiber_shapes,
+                            [[c * 4.0**k for c in cs] for cs in bundle.trace_weights])
+        xs = [random_section(scaled, seed, "general") for seed in range(5)]
+        for level in ("scalars", "diagonal", "block(1,1)", "block(2,1)", "full"):
+            E = preset_expectation(scaled, level)
+            for x in xs:
+                assert (E(x) - closed_form_expectation(scaled, level, x)).max_abs() <= 1e-12
 
 
 def perturbed_expectation(bundle):

@@ -767,3 +767,15 @@ def test_restricted_tower_matches_atomwise(hetero_tower, hetero_bundle):
     assert isinstance(sub, Filtration)
     assert sub.depth == hetero_tower.depth
     assert sub.terminal_is_full
+
+
+def test_restricted_tower_keeps_each_levels_own_generators(hetero_tower, hetero_bundle):
+    # a level's generators start with those of the level below; restricting passes each level
+    # only its own, so the counts and bases are those of the tower at the atom
+    for i, label in enumerate(hetero_bundle.space.labels):
+        sub = hetero_tower.restrict([label])
+        assert ([len(level.generators[0]) for level in sub.tower]
+                == [len(level.generators[i]) for level in hetero_tower.tower])
+        for level, sub_level in zip(hetero_tower.tower, sub.tower):
+            assert level.projectors[i].ortho.tobytes() == sub_level.projectors[0].ortho.tobytes()
+
