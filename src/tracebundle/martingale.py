@@ -150,13 +150,13 @@ def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = 
     """Martingale diagnostics of S sequences at once, step n held as ``xs[n]``, one
     ``(S, n, n)`` stack per block (``section_stacks``).
 
-    Always the defect.  With ``limit`` (a full tower, one step per level) the
-    reconstruction residual, refused above LIMIT_RECONSTRUCTION_TOL, and the traces toward
-    the last step y; with weights ``w`` the running means held for ``extend_by`` steps,
-    their traces and the sup comparison; with the ``target`` x of the steps, ``||y - x||_p``
-    and Pythagoras.  Each level's E applies once per fiber, to the next step and y
-    together; the L1 norms and those at p take their spectra from one stacked solve per
-    block size, and each exponent's norms come from one ``stacked_lp_norms`` call.
+    Always the defect.  With ``limit`` (a full tower, one step per level) the reconstruction
+    residual and the traces toward the last step y; with weights ``w`` the running means
+    held for ``extend_by`` steps, their traces and the sup comparison; with the ``target`` x
+    of the steps, ``||y - x||_p`` and Pythagoras.  None is refused here.  Each level's E
+    applies once per fiber, to the next step and y together; the L1 norms and those at p
+    take their spectra from one stacked solve per block size, and each exponent's norms come
+    from one ``stacked_lp_norms`` call.
     """
     p, k, y = _exponent(p), len(xs), xs[-1]
     if k > filtration.depth:
@@ -185,9 +185,6 @@ def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = 
     out = MartingaleChecks(defect=l1[:len(defects)].max(axis=(0, 2), initial=0.0))
     if limit:
         out.recon = l1[len(defects):].max(axis=(0, 2))
-        if out.recon.max() > LIMIT_RECONSTRUCTION_TOL:
-            raise InconsistencyError(f"limit reconstruction residual {out.recon.max():.2e} "
-                                     f"exceeds {LIMIT_RECONSTRUCTION_TOL:.0e}")
     if limit or w is not None:
         out.xa = np.concatenate((lp[:k], np.zeros((ratios.size,) + lp.shape[1:]))).transpose(1, 0, 2)
     if w is not None:
@@ -301,15 +298,19 @@ class MartingaleLimit:
 def martingale_limit(seq: MartingaleSeq) -> MartingaleLimit:
     """Recover the generating element of a martingale on a full finite tower.
 
-    On a tower whose top level is the whole algebra the terminal element is
-    the limit; projecting it down every level must reproduce the sequence,
-    which is re-verified here: the one-sequence ``martingale_checks`` at ``seq.p``.
+    On a tower whose top level is the whole algebra the terminal element is the limit;
+    projecting it down every level must reproduce the sequence within LIMIT_RECONSTRUCTION_TOL,
+    else InconsistencyError: the one-sequence ``martingale_checks`` at ``seq.p``.
     """
     return _limit(seq, _one_sequence(seq.filtration, seq.elements, seq.p, limit=True))
 
 
 def _limit(seq: MartingaleSeq, checks: MartingaleChecks) -> MartingaleLimit:
-    return MartingaleLimit(limit=seq.elements[-1], reconstruction_residual=float(checks.recon[0]),
+    recon = float(checks.recon[0])
+    if recon > LIMIT_RECONSTRUCTION_TOL:
+        raise InconsistencyError(f"limit reconstruction residual {recon:.2e} "
+                                 f"exceeds {LIMIT_RECONSTRUCTION_TOL:.0e}")
+    return MartingaleLimit(limit=seq.elements[-1], reconstruction_residual=recon,
                            residual_trace=checks.xa[0, :len(seq)].max(axis=1).tolist())
 
 

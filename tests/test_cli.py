@@ -124,6 +124,42 @@ def test_check_failure_exit_code(config_path, tmp_path):
     assert code == EXIT_CHECK_FAILURE
 
 
+def weights_times_1e8(tmp_path, **tolerances):
+    """``hetero4_tower`` with every trace weight times 1e8, and ``tolerances`` set."""
+    doc = json.loads(fixture_text("hetero4_tower"))
+    bundle = doc["bundle"]
+    bundle["trace_weights"] = [[c * 1e8 for c in cs] for cs in bundle["trace_weights"]]
+    doc["tolerances"].update(tolerances)
+    config = tmp_path / "scaled.json"
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+@pytest.mark.parametrize("command", ["run", "run-martingale"])
+def test_martingale_residuals_are_check_failures(command, tmp_path, capsys):
+    # the tower builds (composition residual 2.2e-16); the defect and the limit
+    # reconstruction, 1.39e-7 each, are failures of their reported checks, not a model
+    # construction failure (exit 3) or a usage error (exit 5)
+    out = tmp_path / "out"
+    config = weights_times_1e8(tmp_path)
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert "model construction failed" not in capsys.readouterr().err
+    failing = {c["name"] for c in json.loads(read(out / "summary.json"))["checks"] if not c["pass"]}
+    assert {"martingale/defect", "martingale/limit_reconstruction"} <= failing
+
+
+def test_martingale_residuals_meet_the_configured_tolerance(tmp_path, capsys):
+    # the same run under "martingale_defect": 1e-3; the scale failures left (Pythagoras and
+    # the Cesaro verdicts, absolute tolerances) are ROADMAP item 2
+    out = tmp_path / "out"
+    config = weights_times_1e8(tmp_path, martingale_defect=1e-3)
+    assert main(["run-martingale", "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    capsys.readouterr()
+    checks = {c["name"]: c for c in json.loads(read(out / "summary.json"))["checks"]}
+    for name in ("martingale/defect", "martingale/limit_reconstruction"):
+        assert checks[name]["pass"] and checks[name]["worst_residual"] > 1e-9
+
+
 def bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 

@@ -353,6 +353,21 @@ def test_limit_of_constant_martingale(mat2_tower, mat2_bundle):
     assert lim.residual_trace == [0.0, 0.0, 0.0]
 
 
+def test_limit_refuses_a_broken_reconstruction(mat2_tower, mat2_bundle):
+    # the one-sequence library calls keep their refusals; the stacked checks only measure
+    x = random_section(mat2_bundle, 36, "general")
+    seq = martingale_from_target(x, mat2_tower)
+    h = random_section(mat2_bundle, 37, "hermitian")
+    h = h - mat2_tower.expectation(0)(h)
+    bumped = [seq.elements[0], seq.elements[1] + 1e-3 * h, seq.elements[2]]
+    broken = MartingaleSeq(mat2_tower, bumped, check=False)
+    with pytest.raises(InconsistencyError, match="limit reconstruction residual"):
+        martingale_limit(broken)
+    checks = martingale.martingale_checks(mat2_tower, [section_stacks([e]) for e in bumped],
+                                          limit=True)
+    assert checks.recon[0] > 1e-5 and checks.defect[0] > 1e-5
+
+
 def test_limit_requires_full_terminal(mat2_bundle):
     shallow = tower(mat2_bundle, "scalars", "diagonal")
     assert not shallow.terminal_is_full
