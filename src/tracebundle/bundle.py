@@ -19,7 +19,6 @@ from .fiber import (
     identity_fiber,
     polar,
     spectral_norm,
-    spectral_projection,
     zero_fiber,
 )
 
@@ -231,9 +230,8 @@ def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Sect
             u, _ = polar(g)
             fibers.append(u)
         else:  # projection
-            h = 0.5 * (g + g.adjoint())
-            all_w = np.concatenate(herm_eig(h).eigenvalues)
-            fibers.append(spectral_projection(h, float(np.median(all_w))))
+            eig = herm_eig(0.5 * (g + g.adjoint()))
+            fibers.append(eig.projection(float(np.median(np.concatenate(eig.eigenvalues)))))
     return Section._raw(bundle, fibers)
 
 

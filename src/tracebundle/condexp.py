@@ -179,6 +179,9 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
                 break
             frontier = [f.adjoint() for f in fresh] + [
                 h for f in fresh for g in proj.accepted for h in (f * g, g * f)]
+        if not proj.rank:
+            raise InconsistencyError(f"the span at {label!r} is empty: its identity has weighted "
+                                     f"norm below ORTHO_PIVOT_TOL ({ORTHO_PIVOT_TOL:.0e})")
         gram = proj.ortho.conj().T @ proj.ortho
         gram_drift = float(np.abs(gram - np.eye(proj.rank)).max())
         if gram_drift > SPAN_RESIDUAL_TOL:
@@ -324,7 +327,7 @@ class _AxiomTally:
         self.res = dict.fromkeys((
             "idempotence", "unitality", "positivity", "module_property", "trace_preservation",
             "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
-        ) + tuple(f"lp_contraction_p{int(p)}" for p in CONTRACTION_EXPONENTS), 0.0)
+        ) + tuple(f"lp_contraction_p{p:g}" for p in CONTRACTION_EXPONENTS), 0.0)
         self.res["unitality"] = (E(identity_section(bundle)) - identity_section(bundle)).max_abs()
         self.per_fiber = [0.0] * bundle.space.size
         self.atom_ids = range(bundle.space.size)
@@ -377,7 +380,7 @@ class _AxiomTally:
         norms = stacked_lp_norms(both, self.E.bundle, CONTRACTION_EXPONENTS, spectra)
         for p, n in zip(CONTRACTION_EXPONENTS, norms):
             gain = np.maximum(n[:size] - n[size:], 0.0)
-            self.bump(f"lp_contraction_p{int(p)}", gain.T, self.atom_ids)
+            self.bump(f"lp_contraction_p{p:g}", gain.T, self.atom_ids)
 
 
 def _gap(us, vs):

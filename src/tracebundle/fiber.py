@@ -275,9 +275,6 @@ class FiberElement:
     def adjoint(self) -> "FiberElement":
         return FiberElement._raw([b.conj().T for b in self.blocks])
 
-    def copy(self) -> "FiberElement":
-        return FiberElement._raw([b.copy() for b in self.blocks])
-
     def max_abs(self) -> float:
         return max(float(np.abs(b).max()) for b in self.blocks)
 
@@ -313,6 +310,14 @@ class HermEig:
             fw = np.asarray(fn(w), dtype=np.float64)
             out.append((u * fw) @ u.conj().T)
         return FiberElement._raw(out)
+
+    def projection(self, threshold: float) -> FiberElement:
+        """``spectral_projection`` at ``threshold`` of the element with this spectral data."""
+        def indicator(w):
+            snapped = np.where(np.abs(w - threshold) <= EIGENVALUE_CLAMP, threshold, w)
+            return (snapped > threshold).astype(np.float64)
+
+        return self.apply(indicator)
 
 
 def solve_by_block_size(stacks, solve) -> list:
@@ -395,13 +400,7 @@ def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
     are excluded, which keeps the projection stable for spectra numerically at
     the cut.
     """
-    eig = herm_eig(x)
-
-    def indicator(w):
-        snapped = np.where(np.abs(w - threshold) <= EIGENVALUE_CLAMP, threshold, w)
-        return (snapped > threshold).astype(np.float64)
-
-    return eig.apply(indicator)
+    return herm_eig(x).projection(threshold)
 
 
 def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundle import BundleSpec, Section, lane_section
 from .center import CenterElement
-from .condexp import ConditionalExpectation, _project, validate_subalgebra
+from .condexp import ConditionalExpectation, SubalgebraBasis, _project, validate_subalgebra
 from .errors import (
     InconsistencyError,
     ShapeMismatchError,
@@ -61,15 +61,17 @@ class Filtration:
         return self.cond_exps[level]
 
     def restrict(self, labels) -> "Filtration":
-        """The same tower rebuilt on a sub-bundle (per-atom data is identical).
+        """The same tower on a sub-bundle, from the chosen atoms' validated per-atom data.
 
-        A level's generators hold those of the level below first; each level gets only its own.
+        Validation works atom by atom, so each level keeps its generators, projectors and
+        closure residuals at those atoms; only the tower residuals are measured again.
         """
         sub = self.bundle.restrict(labels)
         idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
-        specs = [[level.generators[i][len(below.generators[i]) if below else 0:] for i in idx]
-                 for below, level in zip([None] + self.tower, self.tower)]
-        return build_filtration(sub, specs)
+        return _verified([SubalgebraBasis(sub, [level.generators[i] for i in idx],
+                                          [level.projectors[i] for i in idx],
+                                          max(level.projectors[i].closure for i in idx))
+                          for level in self.tower])
 
     def __repr__(self):
         dims = [t.dims for t in self.tower]
@@ -91,7 +93,11 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
     for gens in levels:
         below = validate_subalgebra(below, gens)
         tower.append(below)
+    return _verified(tower)
 
+
+def _verified(tower) -> Filtration:
+    """The filtration of validated levels whose tower residuals are within the build bounds."""
     inclusion, composition = _tower_residuals(tower)
     if inclusion > INCLUSION_BUILD_TOL:
         raise InconsistencyError(
@@ -414,12 +420,6 @@ class CesaroReport:
     average_trace_per_atom: np.ndarray = None  # (steps, atoms)
     limit: MartingaleLimit = None  # the verified limit y
     sup_comparison: tuple = None   # sup_norm_comparison on the same weights and extension
-
-    def converged(self) -> tuple[bool, bool]:
-        return (
-            self.element_trace[-1] <= self.tol,
-            self.average_trace[-1] <= self.tol,
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -189,11 +189,12 @@ def dual_extremal(x: Section, p: float) -> Section:
     formed from ``w / norm_p**2``, so no power overflows at large p.  Fibers whose
     Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
-    return _witnesses([(x, _exponent(p))])[0][1]
+    return lane_section(x.bundle, _witnesses([(x, _exponent(p))])[0][1], 0)
 
 
 def _witnesses(cases) -> list:
-    """``(norm_p, dual_extremal(x, p), trace(x dual_extremal(x, p)))`` for ``(x, p)`` cases.
+    """``(norm_p, v, trace(x v))`` for ``(x, p)`` cases, v the witness ``dual_extremal(x, p)``
+    as one-lane block stacks.
 
     The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  Every
     block of every batch goes through one stacked solve with singular vectors per block
@@ -224,7 +225,7 @@ def _witnesses(cases) -> list:
             witness.append((1.0 / norms_or_one[:, i, None, None]) * inner)
         attained = stacked_traces([y @ v for y, v in zip(ys, witness)], bundle)
         for j, k in enumerate(ks):
-            out[k] = (norms[j], lane_section(cases[k][0].bundle, witness, j), attained[j])
+            out[k] = (norms[j], [v[j:j + 1] for v in witness], attained[j])
     return out
 
 
@@ -239,15 +240,8 @@ class DualityReport:
     attainment_residual: float
     per_fiber: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_violation": self.max_violation,
-            "attainment_residual": self.attainment_residual,
-            "per_fiber": [dict(row) for row in self.per_fiber],
-        }
+    def to_dict(self) -> dict:  # not asdict, whose deep copy costs 50 times as much here
+        return dict(vars(self), per_fiber=[dict(row) for row in self.per_fiber])
 
 
 def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:

@@ -21,6 +21,7 @@ from tracebundle import (
     validate_subalgebra,
     zero_section,
 )
+from tracebundle import bundle, fiber
 from tracebundle.bundle import gaussian_stacks
 from tracebundle.towers import level_generators
 
@@ -239,6 +240,17 @@ def test_random_projection_sections(hetero_bundle):
         proj = random_section(hetero_bundle, seed, "projection")
         assert (proj * proj - proj).max_abs() < 1e-10
         assert (proj - proj.adjoint()).max_abs() < 1e-10
+
+
+def test_random_projection_solves_once_per_fiber(hetero_bundle, monkeypatch):
+    # the median cut and the projection come from the same spectral data
+    solved = []
+    real = fiber.herm_eig
+    counting = lambda a: solved.append(a.dims) or real(a)
+    monkeypatch.setattr(fiber, "herm_eig", counting)
+    monkeypatch.setattr(bundle, "herm_eig", counting)
+    random_section(hetero_bundle, 3, "projection")
+    assert solved == list(hetero_bundle.fiber_shapes)
 
 
 def test_random_unknown_kind(hetero_bundle):

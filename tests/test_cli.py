@@ -13,7 +13,7 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle import runner, tracelp
+from tracebundle import cli, runner, tracelp
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.config import parse_config
 from tracebundle.fixtures import fixture_config, fixture_text
@@ -124,11 +124,11 @@ def test_check_failure_exit_code(config_path, tmp_path):
     assert code == EXIT_CHECK_FAILURE
 
 
-def weights_times_1e8(tmp_path, **tolerances):
-    """``hetero4_tower`` with every trace weight times 1e8, and ``tolerances`` set."""
+def weights_times(tmp_path, factor, **tolerances):
+    """``hetero4_tower`` with every trace weight times ``factor``, and ``tolerances`` set."""
     doc = json.loads(fixture_text("hetero4_tower"))
     bundle = doc["bundle"]
-    bundle["trace_weights"] = [[c * 1e8 for c in cs] for cs in bundle["trace_weights"]]
+    bundle["trace_weights"] = [[c * factor for c in cs] for cs in bundle["trace_weights"]]
     doc["tolerances"].update(tolerances)
     config = tmp_path / "scaled.json"
     config.write_text(json.dumps(doc))
@@ -141,7 +141,7 @@ def test_martingale_residuals_are_check_failures(command, tmp_path, capsys):
     # reconstruction, 1.39e-7 each, are failures of their reported checks, not a model
     # construction failure (exit 3) or a usage error (exit 5)
     out = tmp_path / "out"
-    config = weights_times_1e8(tmp_path)
+    config = weights_times(tmp_path, 1e8)
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
     assert "model construction failed" not in capsys.readouterr().err
     failing = {c["name"] for c in json.loads(read(out / "summary.json"))["checks"] if not c["pass"]}
@@ -152,12 +152,37 @@ def test_martingale_residuals_meet_the_configured_tolerance(tmp_path, capsys):
     # the same run under "martingale_defect": 1e-3; the scale failures left (Pythagoras and
     # the Cesaro verdicts, absolute tolerances) are ROADMAP item 2
     out = tmp_path / "out"
-    config = weights_times_1e8(tmp_path, martingale_defect=1e-3)
+    config = weights_times(tmp_path, 1e8, martingale_defect=1e-3)
     assert main(["run-martingale", "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
     capsys.readouterr()
     checks = {c["name"]: c for c in json.loads(read(out / "summary.json"))["checks"]}
     for name in ("martingale/defect", "martingale/limit_reconstruction"):
         assert checks[name]["pass"] and checks[name]["worst_residual"] > 1e-9
+
+
+def test_tiny_trace_weights_fail_the_build_at_an_atom(tmp_path, capsys):
+    # every weight times 1e-24 puts the identity below the pivot tolerance: an empty span
+    out = tmp_path / "out"
+    config = weights_times(tmp_path, 1e-24)
+    assert main(["check-axioms", "--config", config, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "model construction failed: the span at 'w1' is empty" in err
+    assert not out.exists()
+
+
+def test_usage_error_inside_a_run_exits_5(config_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._PARTS_BY_COMMAND, "run", ("trace", "bogus"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_USAGE
+    assert "unknown experiment parts: ['bogus']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_section_file_with_a_wrong_header_is_rejected(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("atom,block,row,col,re,im\nw,0,0,0,1.0,0.0\n")
+    with pytest.raises(UsageError, match="not a section file: unexpected header"):
+        read_section_csv(str(bad), fixture_config("mat2_tower").build_bundle())
 
 
 def bits(values) -> bytes:

@@ -417,6 +417,11 @@ def test_double_sequence_requires_full_terminal(mat2_bundle):
         double_sequence_check([x], x, shallow, p=2)
 
 
+def test_double_sequence_needs_a_sequence(mat2_tower, mat2_bundle):
+    with pytest.raises(UsageError, match="empty sequence"):
+        double_sequence_check([], random_section(mat2_bundle, 55, "general"), mat2_tower, p=2)
+
+
 # ------------------------------------------------------------------ averages
 
 def test_averages_of_constant_martingale(mat2_tower, mat2_bundle):
@@ -794,3 +799,21 @@ def test_restricted_tower_keeps_each_levels_own_generators(hetero_tower, hetero_
         for level, sub_level in zip(hetero_tower.tower, sub.tower):
             assert level.projectors[i].ortho.tobytes() == sub_level.projectors[0].ortho.tobytes()
 
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_restricted_tower_reuses_the_validated_levels(name, monkeypatch):
+    # no level is validated again, and each atom's bases are those of a tower built on it alone
+    cfg = fixture_config(name)
+    full = runner.build_tower(cfg, cfg.build_bundle())
+    for label in full.bundle.space.labels:
+        built = runner.build_tower(cfg, full.bundle.restrict([label]))
+        with monkeypatch.context() as patch:
+            patch.setattr(martingale, "validate_subalgebra", None)
+            sub = full.restrict([label])
+        assert sub.bundle == built.bundle and sub.terminal_is_full == built.terminal_is_full
+        assert (sub.inclusion_residual, sub.composition_residual) == (
+            built.inclusion_residual, built.composition_residual)
+        for level, want in zip(sub.tower, built.tower, strict=True):
+            assert level.closure_residual == want.closure_residual
+            assert [len(g) for g in level.generators] == [len(g) for g in want.generators]
+            assert level.projectors[0].ortho.tobytes() == want.projectors[0].ortho.tobytes()

@@ -140,7 +140,7 @@ def witness_grown(p):
     def mutate(monkeypatch):
         real = tracelp._witnesses
         monkeypatch.setattr(tracelp, "_witnesses", lambda cases: [
-            (n, 1.01 * w, 1.01 * a) if case_p == p else (n, w, a)
+            (n, [1.01 * v for v in w], 1.01 * a) if case_p == p else (n, w, a)
             for (_, case_p), (n, w, a) in zip(cases, real(cases))])
     return mutate
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import warnings
@@ -564,6 +565,37 @@ def test_duality_checks_norms_and_attainment_match_the_references(hetero_bundle,
         attained = np.array([f["attained"] for f in rep.per_fiber])
         want_attained = center_trace(x * dual_extremal_reference(x, p)).values.real
         assert np.all(np.abs(attained - want_attained) <= 1e-13 * want)
+
+
+def test_duality_checks_build_no_witness_section(hetero_bundle, monkeypatch):
+    # the checks read only the witnesses' norms and attained traces
+    monkeypatch.setattr(tracelp, "lane_section", None)
+    cases = [(random_section(hetero_bundle, 40 + k, "general"), p, k)
+             for k, p in enumerate((1.0, 1.5, 2.0, 3.0))]
+    assert len(duality_checks(cases, 3)) == 4
+
+
+# sha256 of dual_extremal(random_section(hetero_bundle, 31, "general"), p), recorded before
+# the witnesses became block stacks that only dual_extremal turns into a section
+DUAL_EXTREMAL_DIGESTS = {
+    1: "4e3c36bc67898339cb7b6902fd2e0cc6369646dbe95afb58fe73e93bd3a1a9d3",
+    1.5: "7eeda1b5a7a2e06c8a6b5a48843f85dc333bcfa0f2d474b9d7b5f2fd0e3c8995",
+    2: "5f983403788a113d042a3a2c0ac077df150924e8aafaa049c0c35d95bc80e7b4",
+    3: "07119c5f4c019c401da6f1ed507a2beb38ef9b1e0d7c936487297e6dc4cf50e6",
+    4: "9049dca37ce66a112dbd2697b9feaa5fde8738e825ff521d4ae2281db3910f8c",
+}
+
+
+@pytest.mark.parametrize("p", sorted(DUAL_EXTREMAL_DIGESTS))
+def test_dual_extremal_keeps_its_bits(hetero_bundle, p):
+    y = dual_extremal(random_section(hetero_bundle, 31, "general"), p)
+    blocks = b"".join(b.tobytes() for f in y.fibers for b in f.blocks)
+    assert hashlib.sha256(blocks).hexdigest() == DUAL_EXTREMAL_DIGESTS[p]
+
+
+def test_duality_checks_need_a_sample(hetero_bundle):
+    with pytest.raises(UsageError, match="at least one sample"):
+        duality_checks([(random_section(hetero_bundle, 1, "general"), 2.0, 0)], 0)
 
 
 def test_dual_extremal_of_an_overflowing_section_raises(hetero_bundle):
