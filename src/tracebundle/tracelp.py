@@ -9,7 +9,12 @@ atom's largest so that no power leaves the float range; the norms of a family
 of sections share one stacked solve per block size.  The duality checks
 build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
 the right singular vectors of every block of every case, one stacked solve per block
-size, and sample that ball for violations.
+size, and sample that ball for violations.  Only a case's worst sample reaches its
+report, so a sample's dual norm is solved only where it can be that worst: the
+ratio ``|trace(x y)| / ||y||_q`` is bracketed from the blocks' Frobenius norms
+(majorization), and a lane whose upper bound is below the best lower bound of its
+case is never solved.  The bracket is widened past the rounding of either side, so
+every report is the one that solving every sample gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import Section, gaussian_stacks, identity_section, lane_section
+from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, lane_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
 ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
+BRACKET_MARGIN = 1e-9   # relative widening of the no-solve bounds on a sample's dual norm
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -119,7 +125,7 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     ``w`` of ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys,
     gram_eigenvalues_stack)`` gives them (unused, so it may be empty, when every exponent is
     2), where ``top`` is the atom's largest ``w``: no power overflows or underflows, and at
-    p = inf the sum's root is 1.
+    p = inf the sum's root is 1.  Away from p = 2, ``ys`` gives only the lane count.
     A norm that is not finite (squares past the float range) raises ContractViolationError.
     """
     slots = bundle.block_slots()
@@ -254,53 +260,181 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     ``gaussian_stacks`` on one generator seeded from ``derive_seed(seed,
     "duality-samples")``.  The samples go through in chunks of DUALITY_CHUNK,
     stacked per block: the dual norm is ``stacked_lp_norms`` at q = p / (p - 1)
-    (q = inf when p = 1) and ``trace(x y)`` one contraction per block.  Every
-    step treats each sample on its own, so the chunking does not show.
+    (q = inf when p = 1) and ``trace(x y)`` one contraction per block.  A sample's
+    dual norm is solved only at the atoms where it can set the worst violation (see
+    ``duality_checks``).  Every step treats each sample on its own, so neither the
+    chunking nor the samples left unsolved show.
     """
     return duality_checks([(x, p, seed)], samples)[0]
 
 
-def _group_excess(cases, qs, rngs, witnessed, group):
-    """``(case, row)`` per case of one ``duality_checks`` group, ``row`` its worst sampled
-    ``|trace(x y)| - norm_p(x)`` per atom; the group's arrays are freed when it is done."""
+def dual_norm_bracket(ys, bundle, q) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: ``(S, atoms)`` bounds on the Lq norms of S sections held as in
+    ``stacked_traces``, from each block's ``||y_s||_F**2 = F`` alone, with no solve.
+
+    The squared singular values of an n x n block majorize the flat spectrum
+    ``(F/n, ..., F/n)`` and are majorized by the spike ``(F, 0, ..., 0)`` (Bhatia, Matrix
+    Analysis, II and IV), so every Lq norm, q = inf included, lies between the
+    ``stacked_lp_norms`` of the two, one call on 2S lanes whose scaling keeps large q in
+    range (at q = 2 both are the Frobenius norm).  Widened by BRACKET_MARGIN, the bounds
+    hold for the rounded norms of solved spectra too.
+    """
+    if q == 2.0:
+        flat = spike = stacked_lp_norms(ys, bundle, [q], ())[0]
+    else:
+        lanes = len(ys[0])
+        spectra = []
+        for y in ys:
+            entries = y.reshape(lanes, y.shape[1] * y.shape[2])
+            w = np.zeros((2 * lanes, y.shape[1]))
+            w[lanes:, 0] = np.vecdot(entries, entries).real  # lanes S to 2S hold the spikes
+            w[:lanes] = w[lanes:, :1] / y.shape[1]
+            spectra.append(w)
+        (norms,) = stacked_lp_norms(spectra, bundle, [q], spectra)
+        flat, spike = norms[:lanes], norms[lanes:]
+    return (np.minimum(flat, spike) * (1.0 - BRACKET_MARGIN),
+            np.maximum(flat, spike) * (1.0 + BRACKET_MARGIN))
+
+
+def _contenders(ys, bundle, q, pairing, starts) -> np.ndarray:
+    """``(S, atoms)`` mask of the sample lanes whose ratio ``pairing / ||y||_q`` at an atom can
+    reach the largest of their case (the lanes from each of ``starts`` to the next).
+
+    A lane is dropped where its ratio's upper bound, from ``dual_norm_bracket``, is below
+    its case's best lower bound, so every lane attaining a maximum stays.  A lane whose
+    lower bracket is at most ZERO_FIBER_TOL stays too, with the lower bound 0 (its dual
+    norm may be taken as 1), so no 0 / 0 is formed.
+    """
+    lo, hi = dual_norm_bracket(ys, bundle, q)
+    small = lo <= ZERO_FIBER_TOL
+    least = np.divide(pairing, hi, out=np.zeros_like(hi), where=~small)
+    most = np.divide(pairing, lo, out=np.full_like(lo, np.inf), where=~small)
+    best = np.maximum.reduceat(least, starts)
+    return most >= np.repeat(best, np.diff(starts, append=len(pairing)), axis=0)
+
+
+@dataclass
+class _Drawn:
+    """The sample lanes of one bundle and q in one group: the chunks ``members``, each
+    ``(case, size)``, in order; ``pairing`` the ``(S, atoms)`` ``|trace(x y)|``; ``keep`` the
+    entries whose dual norm is taken.  At q = 2 every entry is kept and ``frobenius`` holds
+    the dual norms; elsewhere ``blocks`` holds each block slot's kept lanes, those kept at
+    its atom."""
+
+    members: list
+    bundle: BundleSpec
+    q: float
+    pairing: np.ndarray
+    keep: np.ndarray
+    blocks: list
+    frobenius: np.ndarray | None
+
+
+def _draw(cases, qs, rngs, group) -> list[_Drawn]:
+    """The lanes of one ``packed_chunks`` group, drawn and paired with their cases' sections;
+    the chunks of cases that share a bundle and q form one ``_Drawn``."""
     batches = {}
     for k, size in group:
         batches.setdefault((cases[k][0].bundle, qs[k]), []).append((k, size))
-    stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
-                                                      for k, size in members])]
-              for (bundle, _), members in batches.items()]
-    duals = shared_lp_norms([(ys, bundle, q) for (bundle, q), ys in zip(batches, stacks)])
-    for ((bundle, q), members), ys, dual in zip(batches.items(), stacks, duals):
-        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+    out = []
+    for (bundle, q), members in batches.items():
+        ys = [np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
+                                                     for k, size in members])]
         sizes = [size for _, size in members]
-        # each lane pairs with the blocks of its own case, and its excess is over that case's norm
+        # each lane pairs with the blocks of its own case
         xs = section_stacks([cases[k][0] for k, _ in members])
-        pairing = np.zeros(dual.shape, dtype=np.complex128)
+        traces = np.zeros((len(ys[0]), bundle.space.size), dtype=np.complex128)
         for (i, c), x, y in zip(bundle.block_slots(), xs, ys):
-            pairing[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
-        norms = np.repeat(np.array([witnessed[k][0] for k, _ in members]), sizes, axis=0)
-        excess = np.abs(pairing) * scale - norms
-        yield from zip((k for k, _ in members), np.maximum.reduceat(excess, np.cumsum(sizes) - sizes))
+            traces[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
+        pairing = np.abs(traces)
+        if q == 2.0:
+            out.append(_Drawn(members, bundle, q, pairing, np.ones(pairing.shape, dtype=bool), [],
+                              stacked_lp_norms(ys, bundle, [q], ())[0]))
+        else:
+            keep = _contenders(ys, bundle, q, pairing, np.cumsum(sizes) - sizes)
+            blocks = [y[keep[:, i]] for (i, _), y in zip(bundle.block_slots(), ys)]
+            out.append(_Drawn(members, bundle, q, pairing, keep, blocks, None))
+    return out
+
+
+def _sampled_dual_norms(drawn) -> list[np.ndarray]:
+    """The ``(S, atoms)`` Lq norms of every ``_Drawn`` batch's lanes at its kept entries (any
+    value elsewhere).
+
+    The kept blocks of all batches go through one stacked solve per block size; a dropped
+    lane's spectrum is never computed.  A lane's solved bits do not depend on its stack, and
+    its norm at an atom reads only that atom's blocks, so every kept norm is the one a
+    solve of every lane gives.
+    """
+    solved = iter(solve_by_block_size([b for d in drawn for b in d.blocks], gram_eigenvalues_stack))
+    out = []
+    for d in drawn:
+        if d.q == 2.0:
+            out.append(d.frobenius)
+            continue
+        spectra = []
+        for (i, _), b in zip(d.bundle.block_slots(), d.blocks):
+            w = np.zeros((len(d.keep), b.shape[1]))
+            w[d.keep[:, i]] = next(solved)
+            spectra.append(w)
+        out.append(stacked_lp_norms(spectra, d.bundle, [d.q], spectra)[0])
+    return out
+
+
+def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
+    """Per case, its worst sampled ``|trace(x y)| - norm_p(x)`` per atom.
+
+    The lanes are drawn group by group (``packed_chunks``); ``|trace(x y)|`` comes first, for
+    every lane, and ``_draw`` keeps only the ``_contenders``.  The drawn batches are held over
+    groups and their dual norms taken together (``_sampled_dual_norms``) once they hold as
+    many lanes or kept blocks as one group of the largest bundle draws, or at the end, so
+    memory stays bounded for any count.  A dropped lane has the excess -inf at its atom.
+    """
+    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
+    room = DUALITY_CHUNK * max((len(x.bundle.block_slots()) for x, _, _ in cases), default=0)
+    groups, held = packed_chunks(len(cases), samples), []
+    for g, group in enumerate(groups, 1):
+        held += _draw(cases, qs, rngs, group)
+        size = max(sum(len(d.keep) for d in held), sum(len(b) for d in held for b in d.blocks))
+        if g < len(groups) and size < room:
+            continue
+        for d, dual in zip(held, _sampled_dual_norms(held)):
+            scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+            sizes = [size for _, size in d.members]
+            # each lane's excess is over its own case's norm
+            norms = np.repeat(np.array([witnessed[k][0] for k, _ in d.members]), sizes, axis=0)
+            excess = np.where(d.keep, d.pairing * scale - norms, -np.inf)
+            rows = np.maximum.reduceat(excess, np.cumsum(sizes) - sizes)
+            for (k, _), row in zip(d.members, rows):
+                worst[k] = np.maximum(worst[k], row)
+        held = []
+    return worst
 
 
 def duality_checks(cases, samples: int) -> list[DualityReport]:
     """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order.
 
-    The cases' chunks go through in groups (``packed_chunks``), each with one stacked solve
-    per block size for the spectra of its dual norms (none at q = 2); the chunks of a group
-    whose cases share a bundle and q are a batch, with one norm call and one pairing
-    contraction per block.  No step mixes samples or cases, so neither shows in a report.
+    The cases' chunks are drawn in groups (``packed_chunks``); the chunks of a group whose
+    cases share a bundle and q are a batch, with one pairing contraction per block.  At
+    q = 2 the dual norms are the Frobenius identity and need no solve.  Elsewhere a lane is
+    solved at an atom only if it can set its case's worst violation there: its ratio
+    ``|trace(x y)| / ||y||_q``, bracketed by majorization (``dual_norm_bracket``), reaches the
+    best lower bound of its case, or its dual norm may be at most ZERO_FIBER_TOL.  The kept
+    lanes of the held groups share one stacked solve per block size (``_worst_excess``).
+    The bracket is widened by BRACKET_MARGIN past the rounding of both sides, so a case's
+    worst lane is always kept, and a kept lane goes through the operations that solving
+    every lane gives it: every report is that of the all-lanes loop, bit for bit.  A dropped
+    lane's spectrum is never computed; the test suite's LAPACK and list-kernel oracles
+    still cover the kernel's accuracy.  No step mixes samples or cases, so neither shows
+    in a report.
     """
     if samples < 1:
         raise UsageError("need at least one sample")
     ps = [_exponent(p) for _, p, _ in cases]
     qs = [math.inf if p == 1.0 else p / (p - 1.0) for p in ps]
     witnessed = _witnesses([(x, p) for (x, _, _), p in zip(cases, ps)])
-    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
     rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
-    for group in packed_chunks(len(cases), samples):
-        for k, row in _group_excess(cases, qs, rngs, witnessed, group):
-            worst[k] = np.maximum(worst[k], row)
+    worst = _worst_excess(cases, qs, rngs, witnessed, samples)
     reports = []
     for (x, _, seed), p, (norm_p, _, attained), worst_k in zip(cases, ps, witnessed, worst):
         attain_res = np.abs(attained - norm_p)

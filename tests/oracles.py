@@ -31,6 +31,13 @@ The duality reference is the one-sample-at-a-time loop that
 per sample, rescaled fiber by fiber through ``spectral_norm_reference`` or
 ``lp_norm_reference``, and paired through ``center_trace``.
 
+The sampled-excess reference is the all-lanes loop that ``tracelp.duality_checks``
+ran before it solved only the samples that can set a case's worst violation: group
+by group, every sample lane's dual norm from one stacked solve per block size
+(``shared_lp_norms``), every lane's excess, and each case's maximum.  It uses the
+stacked kernels, so equal reports show, bit for bit, that the lanes left unsolved
+never held a maximum.
+
 The axiom reference is the one-trial-at-a-time loop that
 ``condexp.check_cond_exp_axioms`` ran before its trials were stacked: each
 trial draws its sections and subalgebra elements, applies
@@ -103,11 +110,16 @@ from tracebundle import (
     validate_subalgebra,
     zero_fiber,
 )
-from tracebundle.bundle import split_blocks
+from tracebundle.bundle import gaussian_stacks, split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE_COLUMN, PINV_CUTOFF
 from tracebundle.towers import _partition, level_generators
-from tracebundle.tracelp import ZERO_FIBER_TOL
+from tracebundle.tracelp import (
+    ZERO_FIBER_TOL,
+    packed_chunks,
+    section_stacks,
+    shared_lp_norms,
+)
 
 
 class QC:
@@ -508,6 +520,37 @@ def duality_worst_reference(x, p, samples, seed):
         y = _rescale_to_dual_ball(y, p)
         pairing = np.abs(center_trace(x * y).values)
         worst = np.maximum(worst, pairing - norms)
+    return worst
+
+
+def group_excess_reference(cases, qs, rngs, witnessed, group):
+    """``(case, row)`` per case of one ``packed_chunks`` group, ``row`` its worst sampled
+    ``|trace(x y)| - norm_p(x)`` per atom, from the dual norms of every lane."""
+    batches = {}
+    for k, size in group:
+        batches.setdefault((cases[k][0].bundle, qs[k]), []).append((k, size))
+    stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
+                                                      for k, size in members])]
+              for (bundle, _), members in batches.items()]
+    duals = shared_lp_norms([(ys, bundle, q) for (bundle, q), ys in zip(batches, stacks)])
+    for ((bundle, q), members), ys, dual in zip(batches.items(), stacks, duals):
+        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+        sizes = [size for _, size in members]
+        xs = section_stacks([cases[k][0] for k, _ in members])
+        pairing = np.zeros(dual.shape, dtype=np.complex128)
+        for (i, c), x, y in zip(bundle.block_slots(), xs, ys):
+            pairing[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
+        norms = np.repeat(np.array([witnessed[k][0] for k, _ in members]), sizes, axis=0)
+        excess = np.abs(pairing) * scale - norms
+        yield from zip((k for k, _ in members), np.maximum.reduceat(excess, np.cumsum(sizes) - sizes))
+
+
+def worst_excess_reference(cases, qs, rngs, witnessed, samples):
+    """``tracelp._worst_excess`` by ``group_excess_reference``, one group after another."""
+    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
+    for group in packed_chunks(len(cases), samples):
+        for k, row in group_excess_reference(cases, qs, rngs, witnessed, group):
+            worst[k] = np.maximum(worst[k], row)
     return worst
 
 

@@ -13,6 +13,7 @@ bench files are only read.
 """
 
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -54,11 +55,13 @@ def test_workload_passes_with_its_pinned_checks(config, tmp_path, capsys):
 
 
 def count_calls(real, monkeypatch) -> list:
-    """Patch ``real`` wherever a tracebundle module holds it; the list grows by one per call."""
+    """Patch ``real`` wherever a tracebundle module holds it; the list grows by one per call,
+    a dict of the arguments passed, by parameter name."""
     calls = []
+    signature = inspect.signature(real)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("tracebundle")]:
@@ -76,12 +79,12 @@ def run_workload(workload, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workload, least, most", [
-    ("duality", 15, 15), ("axioms-large-blocks", 4, 4), ("martingale-tail", 3, 3)])
+    ("duality", 6, 6), ("axioms-large-blocks", 4, 4), ("martingale-tail", 3, 3)])
 def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, capsys, monkeypatch):
-    # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500,
-    # times 3 block sizes, plus one solve with singular vectors per block size for the
-    # witnesses of all 25 cases; axioms: 4 levels of 30 trials, one group, 4 block
-    # sizes, the positivity and Gram stacks of a size solved together; martingale-tail:
+    # duality: 20 cases with a spectrum (p != 2) of 100 samples, in 4 groups of 500, whose
+    # kept samples share one solve per block size (3), plus one solve with singular vectors
+    # per block size for the witnesses of all 25 cases; axioms: 4 levels of 30 trials, one
+    # group, 4 block sizes, the positivity and Gram stacks of a size solved together; martingale-tail:
     # the L1 norms of the defects and limit reconstructions of both seeds, one solve per
     # block size (1, 2, 3), and none for the p = 2 norms.  The axiom solves are
     # Hermitian, all others one-sided.
@@ -93,11 +96,29 @@ def test_check_phase_shares_its_stacked_solves(workload, least, most, tmp_path, 
 
 
 def test_duality_phase_makes_no_single_block_solve(tmp_path, capsys, monkeypatch):
-    # the norms and witnesses of the checked sections come from the shared stacks, each of
-    # at least the 25 cases' blocks of one size, never from a solve of one block
+    # the norms and witnesses of the checked sections come from the shared stacks, each
+    # witness solve (with singular vectors) of the 25 cases' blocks of one size; each case
+    # keeps at least one sample per atom, so each sample solve holds at least one lane
+    # per case with a spectrum (p != 2): 20
     calls = count_calls(fiber.gram_eigenvalues_stack, monkeypatch)
     run_workload("duality", tmp_path, capsys)
-    assert calls and min(len(y) for y, *_ in calls) >= 25
+    witnesses = [len(call["y"]) for call in calls if call.get("vectors")]
+    samples = [len(call["y"]) for call in calls if not call.get("vectors")]
+    assert witnesses and min(witnesses) >= 25
+    assert samples and min(samples) >= 20
+
+
+def test_duality_phase_solves_only_the_samples_that_can_be_worst(tmp_path, capsys, monkeypatch):
+    # sample blocks solved per block size, where solving every sample took 2000, 6000 and
+    # 2000: the one 1x1 block (atom w4) gives every sample the same ratio
+    # |trace(x y)| / ||y||_q, so all of them stay
+    calls = count_calls(fiber.gram_eigenvalues_stack, monkeypatch)
+    run_workload("duality", tmp_path, capsys)
+    solved = {}
+    for call in calls:
+        if not call.get("vectors"):
+            solved[call["y"].shape[1]] = solved.get(call["y"].shape[1], 0) + len(call["y"])
+    assert solved == {1: 2000, 2: 475, 3: 245}
 
 
 def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):

@@ -129,9 +129,9 @@ def dual_q(p):
 def dual_norms_shrunk(p):
     """The sampled dual norms at p's conjugate exponent times 0.99."""
     def mutate(monkeypatch):
-        real = tracelp.shared_lp_norms
-        monkeypatch.setattr(tracelp, "shared_lp_norms", lambda cases: [
-            0.99 * n if q == dual_q(p) else n for (_, _, q), n in zip(cases, real(cases))])
+        real = tracelp._sampled_dual_norms
+        monkeypatch.setattr(tracelp, "_sampled_dual_norms", lambda drawn: [
+            0.99 * n if d.q == dual_q(p) else n for d, n in zip(drawn, real(drawn))])
     return mutate
 
 

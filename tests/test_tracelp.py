@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import warnings
 
@@ -30,6 +31,8 @@ from tracebundle import (
     spectral_norm,
     zero_section,
 )
+import oracles
+from tracebundle import bundle as bundle_module
 from tracebundle import fiber, tracelp
 from tracebundle.fiber import gram_eigenvalues_stack
 from tracebundle.tracelp import (
@@ -44,6 +47,7 @@ from tracebundle.tracelp import (
 from oracles import (
     dual_extremal_reference,
     duality_worst_reference,
+    worst_excess_reference,
     lp_norm_reference,
     spectral_norm_reference,
 )
@@ -596,6 +600,7 @@ def test_dual_extremal_keeps_its_bits(hetero_bundle, p):
 def test_duality_checks_need_a_sample(hetero_bundle):
     with pytest.raises(UsageError, match="at least one sample"):
         duality_checks([(random_section(hetero_bundle, 1, "general"), 2.0, 0)], 0)
+    assert duality_checks([], 5) == []  # no case, no report
 
 
 def test_dual_extremal_of_an_overflowing_section_raises(hetero_bundle):
@@ -636,3 +641,87 @@ def test_duality_chunking_is_invisible(hetero_bundle, monkeypatch):
         monkeypatch.setattr(tracelp, "DUALITY_CHUNK", chunk)
         for p, report in whole.items():
             assert duality_check(x, p, 40, 26).to_dict() == report
+
+
+# ------------------------------------ samples solved only where they can be the worst
+
+PRUNED_EXPONENTS = (1.0, 1.0000001, 1.5, 2.0, 3.0, 4.0, 300.0)
+
+
+def all_lanes_reports(monkeypatch, cases, samples) -> str:
+    """``duality_checks`` with the dual norm of every sample lane solved, as JSON text."""
+    with monkeypatch.context() as patched:
+        patched.setattr(tracelp, "_worst_excess", worst_excess_reference)
+        return json.dumps([rep.to_dict() for rep in duality_checks(cases, samples)])
+
+
+@pytest.mark.parametrize("samples", [1, 7, 600])
+def test_duality_reports_equal_the_all_lanes_loop(hetero_bundle, large_blocks_bundle,
+                                                  monkeypatch, samples):
+    # JSON text compares every float by its repr, the sign of zero included; 600 samples
+    # cross DUALITY_CHUNK, so a case's lanes fall in two groups
+    cases = [(random_section(b, 110 + k, "general"), p, 130 + k) for k, (b, p) in
+             enumerate(itertools.product((hetero_bundle, large_blocks_bundle), PRUNED_EXPONENTS))]
+    reports = duality_checks(cases, samples)
+    text = json.dumps([rep.to_dict() for rep in reports])
+    assert text == all_lanes_reports(monkeypatch, cases, samples)
+    if samples < 600:  # the per-sample oracle is a Python loop
+        for (x, p, seed), rep in zip(cases, reports):
+            got = np.array([f["worst_sample_violation"] for f in rep.per_fiber])
+            want = duality_worst_reference(x, p, samples, seed)
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def bracket_inputs(bundle) -> list[np.ndarray]:
+    """Gaussian, rank-1, graded ``D G D`` (``D = diag(1, 1e-6, 1e-12, ...)``), zeroed and
+    2**150- and 2**-150-scaled blocks, 6 lanes of each, stacked per block slot."""
+    rng = np.random.default_rng(140)
+    gauss = bundle_module.gaussian_stacks(bundle, rng, 6)
+    rank1 = [g[:, :, :1] @ g[:, :1, :] for g in bundle_module.gaussian_stacks(bundle, rng, 6)]
+    grade = [1e-6 ** np.arange(g.shape[1]) for g in gauss]
+    graded = [g * d[:, None] * d[None, :] for g, d in zip(gauss, grade)]
+    zeroed = [np.where((np.arange(6) % (j + 2) == 0)[:, None, None], 0.0, g)
+              for j, g in enumerate(gauss)]  # lane 0 all zero, others some zero blocks
+    scaled = [[2.0**e * g for g in gauss] for e in (150, -150)]
+    return [np.concatenate(parts) for parts in zip(gauss, rank1, graded, zeroed, *scaled)]
+
+
+@pytest.mark.parametrize("q", [math.inf, 4.0, 3.0, 2.0, 1.5, 4.0 / 3.0, 300.0 / 299.0, 1e7])
+def test_dual_norm_bracket_contains_the_solved_norms(hetero_bundle, large_blocks_bundle, q):
+    for bundle in (hetero_bundle, large_blocks_bundle):
+        stacks = bracket_inputs(bundle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = tracelp.dual_norm_bracket(stacks, bundle, q)
+            (solved,) = stacked_lp_norms(stacks, bundle, [q], gram_spectra(stacks))
+        assert np.all(lo <= solved) and np.all(solved <= hi)
+        # rank-1 blocks attain the spike, which is one end of the bracket
+        ends = np.minimum(solved - lo, hi - solved)[6:12]
+        assert np.all(ends <= 3e-9 * solved[6:12])
+
+
+def test_zero_samples_and_fibers_keep_every_worst_lane(hetero_bundle, monkeypatch):
+    # block slot j of every lane divisible by j + 2 is zero, so some samples are zero at an
+    # atom (dual norm 0) and lanes 0 and 60 are zero throughout; the sections have a zero
+    # fiber, a fiber below ZERO_FIBER_TOL, or are zero: no 0 / 0 may hide a worst lane
+    real = bundle_module.gaussian_stacks
+
+    def zeroed(bundle, rng, count):
+        stacks = real(bundle, rng, count)
+        for j, y in enumerate(stacks):
+            y[np.arange(count) % (j + 2) == 0] = 0.0
+        return stacks
+
+    monkeypatch.setattr(tracelp, "gaussian_stacks", zeroed)
+    monkeypatch.setattr(oracles, "gaussian_stacks", zeroed)
+    x = random_section(hetero_bundle, 150, "general")
+    tiny = Section(hetero_bundle, [1e-14 * f if i == 2 else f for i, f in enumerate(x.fibers)])
+    sections = [x, with_zero_fiber(x, 1), tiny, zero_section(hetero_bundle)]
+    pairs = itertools.product(sections, PRUNED_EXPONENTS)
+    cases = [(y, p, 160 + k) for k, (y, p) in enumerate(pairs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = duality_checks(cases, 70)
+    got = json.dumps([rep.to_dict() for rep in reports])
+    assert "NaN" not in got
+    assert got == all_lanes_reports(monkeypatch, cases, 70)
