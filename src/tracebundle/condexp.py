@@ -28,10 +28,6 @@ SPAN_RESIDUAL_TOL = 1e-10     # identity membership and Gram orthonormality
 CONTRACTION_EXPONENTS = (1.0, 2.0, 3.0, 4.0)
 
 
-def _lane(f: FiberElement) -> list[np.ndarray]:
-    return [b[None] for b in f.blocks]  # one element as a one-lane stack
-
-
 class _FiberProjector:
     """Orthogonal projection onto one fiber's subalgebra span.
 
@@ -64,7 +60,7 @@ class _FiberProjector:
 
     def try_extend(self, f: FiberElement) -> bool:
         """Add ``f`` to the span if independent; True when the rank grew."""
-        v = self.stack_coords(_lane(f))[0, 0]
+        v = np.concatenate([b.ravel() for b in f.blocks]) * self.sqrt_weights
         scale = np.linalg.norm(v)
         if scale <= ORTHO_PIVOT_TOL:
             return False
@@ -76,7 +72,7 @@ class _FiberProjector:
         return True
 
     def project_stack(self, blocks) -> list[np.ndarray]:
-        """``project`` of S stacked elements, each on its own."""
+        """The orthogonal projections of S stacked elements, each on its own."""
         return self.stack_from_basis(self.stack_coords(blocks) @ self.ortho.conj())
 
     def stack_from_basis(self, coeff: np.ndarray) -> list[np.ndarray]:
@@ -86,12 +82,6 @@ class _FiberProjector:
     def stack_residuals(self, blocks) -> np.ndarray:
         """Distances ``(S,)`` of S stacked elements to the span."""
         return np.linalg.norm(self.residual_coords(self.stack_coords(blocks)[:, 0].T), axis=0)
-
-    def project(self, f: FiberElement) -> FiberElement:
-        return FiberElement._raw([b[0] for b in self.project_stack(_lane(f))])
-
-    def membership_residual(self, f: FiberElement) -> float:
-        return float(self.stack_residuals(_lane(f))[0])
 
     @property
     def rank(self) -> int:
@@ -119,9 +109,8 @@ class SubalgebraBasis:
     def membership_residual(self, x: Section) -> float:
         if x.bundle is not self.bundle and x.bundle != self.bundle:
             raise ShapeMismatchError("section lives on a different bundle")
-        return max(
-            p.membership_residual(f) for p, f in zip(self.projectors, x.fibers)
-        )
+        return max(float(p.stack_residuals([b[None] for b in f.blocks])[0])
+                   for p, f in zip(self.projectors, x.fibers))
 
     def random_element(self, seed: int) -> Section:
         """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
@@ -188,7 +177,7 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
             raise ContractViolationError(
                 f"orthonormalization at {label!r} degenerated (Gram drift {gram_drift:.2e})"
             )
-        one_res = proj.membership_residual(identity_fiber(shape))
+        one_res = float(proj.stack_residuals([b[None] for b in identity_fiber(shape).blocks])[0])
         if one_res > SPAN_RESIDUAL_TOL:
             raise InconsistencyError(
                 f"identity escaped the span at {label!r} (residual {one_res:.2e})"
@@ -239,14 +228,13 @@ class ConditionalExpectation:
     def __call__(self, x: Section) -> Section:
         if x.bundle is not self.bundle and x.bundle != self.bundle:
             raise ShapeMismatchError("section lives on a different bundle")
-        return Section._raw(
-            self.bundle,
-            [p.project(f) for p, f in zip(self.target.projectors, x.fibers)],
-        )
+        return Section._raw(self.bundle, [self.apply_fiber(label, f) for label, f
+                                          in zip(self.bundle.space.labels, x.fibers)])
 
     def apply_fiber(self, label: str, f: FiberElement) -> FiberElement:
-        """Per-fiber factorization: the same projection applied to one fiber."""
-        return self.target.projectors[self.bundle.space.index_of(label)].project(f)
+        """Per-fiber factorization: the atom's projector applied to ``f`` as a one-lane stack."""
+        proj = self.target.projectors[self.bundle.space.index_of(label)]
+        return FiberElement._raw([b[0] for b in proj.project_stack([b[None] for b in f.blocks])])
 
     def __repr__(self):
         return f"ConditionalExpectation(dims={self.target.dims})"
@@ -315,7 +303,7 @@ def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
         for (k, size), (stacks, both) in zip(group, held):
             tallies[k].finish(size, [next(eigs) for _ in stacks], both)
     return [AxiomReport(trials=trials, seed=seed, residuals=t.res,
-                        per_fiber_worst=dict(zip(E.bundle.space.labels, t.per_fiber)))
+                        per_fiber_worst=dict(zip(E.bundle.space.labels, t.per_fiber.tolist())))
             for (E, seed), t in zip(cases, tallies)]
 
 
@@ -329,17 +317,19 @@ class _AxiomTally:
             "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
         ) + tuple(f"lp_contraction_p{p:g}" for p in CONTRACTION_EXPONENTS), 0.0)
         self.res["unitality"] = (E(identity_section(bundle)) - identity_section(bundle)).max_abs()
-        self.per_fiber = [0.0] * bundle.space.size
+        self.per_fiber = np.zeros(bundle.space.size)
         self.atom_ids = range(bundle.space.size)
         self.block_atoms = [i for i, _ in bundle.block_slots()]
+        self.first_blocks = [self.block_atoms.index(i) for i in self.atom_ids]
         self.rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
                      for tag in ("x", "pos", "a", "b", "y", "nu")}
 
-    def bump(self, name, values, owners=None):
-        """Fold nonnegative ``(S,)`` values, one per block (or per atom), into the report."""
-        for i, v in zip(self.block_atoms if owners is None else owners, values):
-            self.res[name] = max(self.res[name], float(v.max()))
-            self.per_fiber[i] = max(self.per_fiber[i], float(v.max()))
+    def bump(self, name, values, per_atom=False):
+        """Fold ``(S,)`` values, one per block (or per atom), in with NumPy, where a NaN propagates."""
+        worst = np.max(values, axis=1)
+        worst = worst if per_atom else np.maximum.reduceat(worst, self.first_blocks)
+        self.res[name] = float(np.max(worst, initial=self.res[name]))
+        self.per_fiber = np.maximum(self.per_fiber, worst)
 
     def draw(self, size: int):
         """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
@@ -359,12 +349,12 @@ class _AxiomTally:
         axb = _project(projectors, [u @ v @ w for u, v, w in zip(a, x, b)])
         self.bump("module_property", _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]))
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
-        self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, self.atom_ids)
+        self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, per_atom=True)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
-        self.bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, self.atom_ids)
+        self.bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, per_atom=True)
         nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
-        self.res["scalarized_trace"] = max(self.res["scalarized_trace"], float(d.max()))
+        self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))
         # locality: lane w * size + t holds x_t at atom w and the pos draw g_t elsewhere
         far = _project(projectors, [np.concatenate([u if i == w else v for w in self.atom_ids])
                                     for i, u, v in zip(self.block_atoms, x, g)])
@@ -380,7 +370,7 @@ class _AxiomTally:
         norms = stacked_lp_norms(both, self.E.bundle, CONTRACTION_EXPONENTS, spectra)
         for p, n in zip(CONTRACTION_EXPONENTS, norms):
             gain = np.maximum(n[:size] - n[size:], 0.0)
-            self.bump(f"lp_contraction_p{p:g}", gain.T, self.atom_ids)
+            self.bump(f"lp_contraction_p{p:g}", gain.T, per_atom=True)
 
 
 def _gap(us, vs):

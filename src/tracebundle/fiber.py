@@ -304,12 +304,12 @@ class HermEig:
         self.bases = tuple(bases)
 
     def apply(self, fn) -> FiberElement:
-        """Functional calculus: assemble ``u @ diag(fn(w)) @ u*`` blockwise."""
-        out = []
-        for w, u in zip(self.eigenvalues, self.bases):
-            fw = np.asarray(fn(w), dtype=np.float64)
-            out.append((u * fw) @ u.conj().T)
-        return FiberElement._raw(out)
+        """Functional calculus: assemble ``u @ diag(fn(w)) @ u*`` blockwise.  The result goes
+        through the public constructor, so a block with NaN or Inf entries (``fn(w)`` past the
+        float range) raises ContractViolationError."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the constructor
+            return FiberElement([(u * np.asarray(fn(w), dtype=np.float64)) @ u.conj().T
+                                 for w, u in zip(self.eigenvalues, self.bases)])
 
     def projection(self, threshold: float) -> FiberElement:
         """``spectral_projection`` at ``threshold`` of the element with this spectral data."""

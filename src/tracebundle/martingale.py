@@ -34,24 +34,32 @@ LIMIT_RECONSTRUCTION_TOL = 1e-9
 
 
 class Filtration:
-    """Verified tower of subalgebras with their conditional expectations."""
+    """Verified tower of subalgebras with their conditional expectations, all derived from the
+    levels: the constructor measures the tower residuals and refuses a tower past a build bound."""
 
-    __slots__ = (
-        "tower", "cond_exps", "terminal_is_full",
-        "inclusion_residual", "composition_residual",
-    )
+    __slots__ = ("tower", "cond_exps", "inclusion_residual", "composition_residual")
 
-    def __init__(self, tower, cond_exps, terminal_is_full,
-                 inclusion_residual, composition_residual):
+    def __init__(self, tower):
         self.tower = list(tower)
-        self.cond_exps = list(cond_exps)
-        self.terminal_is_full = terminal_is_full
-        self.inclusion_residual = inclusion_residual
-        self.composition_residual = composition_residual
+        inclusion, composition = _tower_residuals(self.tower)
+        if inclusion > INCLUSION_BUILD_TOL:
+            raise InconsistencyError(
+                f"tower inclusion residual {inclusion:.2e} exceeds {INCLUSION_BUILD_TOL:.0e}"
+            )
+        if composition > COMPOSITION_TOL:
+            raise InconsistencyError(
+                f"tower composition residual {composition:.2e} exceeds {COMPOSITION_TOL:.0e}"
+            )
+        self.inclusion_residual, self.composition_residual = inclusion, composition
+        self.cond_exps = [ConditionalExpectation(t) for t in self.tower]
 
     @property
     def bundle(self) -> BundleSpec:
         return self.tower[0].bundle
+
+    @property
+    def terminal_is_full(self) -> bool:
+        return self.tower[-1].is_full()
 
     @property
     def depth(self) -> int:
@@ -68,10 +76,10 @@ class Filtration:
         """
         sub = self.bundle.restrict(labels)
         idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
-        return _verified([SubalgebraBasis(sub, [level.generators[i] for i in idx],
-                                          [level.projectors[i] for i in idx],
-                                          max(level.projectors[i].closure for i in idx))
-                          for level in self.tower])
+        return Filtration([SubalgebraBasis(sub, [level.generators[i] for i in idx],
+                                           [level.projectors[i] for i in idx],
+                                           max(level.projectors[i].closure for i in idx))
+                           for level in self.tower])
 
     def __repr__(self):
         dims = [t.dims for t in self.tower]
@@ -93,28 +101,7 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
     for gens in levels:
         below = validate_subalgebra(below, gens)
         tower.append(below)
-    return _verified(tower)
-
-
-def _verified(tower) -> Filtration:
-    """The filtration of validated levels whose tower residuals are within the build bounds."""
-    inclusion, composition = _tower_residuals(tower)
-    if inclusion > INCLUSION_BUILD_TOL:
-        raise InconsistencyError(
-            f"tower inclusion residual {inclusion:.2e} exceeds {INCLUSION_BUILD_TOL:.0e}"
-        )
-    if composition > COMPOSITION_TOL:
-        raise InconsistencyError(
-            f"tower composition residual {composition:.2e} exceeds {COMPOSITION_TOL:.0e}"
-        )
-
-    return Filtration(
-        tower=tower,
-        cond_exps=[ConditionalExpectation(t) for t in tower],
-        terminal_is_full=tower[-1].is_full(),
-        inclusion_residual=inclusion,
-        composition_residual=composition,
-    )
+    return Filtration(tower)
 
 
 def _tower_residuals(tower) -> tuple[float, float]:

@@ -21,7 +21,8 @@ from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import gram_eigenvalues_stack, solve_by_block_size
 from .martingale import Filtration, build_filtration, martingale_checks
-from .tracelp import derive_seed, duality_checks, packed_chunks, section_stacks, stacked_traces
+from .tracelp import (derive_seed, duality_checks, packed_chunks, section_stacks, stacked_traces,
+                      top_scaled_sums)
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
 
@@ -67,16 +68,15 @@ def run_trace_checks(cfg: ExperimentConfig, bundle) -> list[CheckResult]:
         x, y = (gaussian_stacks(bundle, rng, size) for rng in rngs)
         xy, yx, gram = (stacked_traces([u @ v for u, v in zip(us, vs)], bundle) for us, vs in (
             (x, y), (y, x), ([u.conj().transpose(0, 2, 1) for u in x], x)))
-        traciality = max(traciality, float(np.abs(xy - yx).max()))
-        positivity = max(positivity, float(np.abs(gram.imag).max()), max(0.0, float(-gram.real.min())))
-        top = np.zeros(gram.shape)
-        for w, (i, _) in zip(solve_by_block_size(x, gram_eigenvalues_stack), bundle.block_slots()):
-            top[:, i] = np.maximum(top[:, i], w.max(axis=1))
-        faithfulness = max(faithfulness, float((c_min * top / gram.real - 1.0).max()))
+        # folded with NumPy, where a NaN residual propagates (the builtin max may drop it)
+        traciality = np.max([traciality, np.abs(xy - yx).max()])
+        positivity = np.max([positivity, np.abs(gram.imag).max(), -gram.real.min()])
+        top, _, _ = top_scaled_sums(solve_by_block_size(x, gram_eigenvalues_stack), bundle, ())
+        faithfulness = np.max([faithfulness, (c_min * top / gram.real - 1.0).max()])
     return [
-        CheckResult("trace/traciality", traciality, tol),
-        CheckResult("trace/positivity", positivity, tol),
-        CheckResult("trace/faithfulness", faithfulness, cfg.tolerances["faithfulness_norm"]),
+        CheckResult("trace/traciality", float(traciality), tol),
+        CheckResult("trace/positivity", float(positivity), tol),
+        CheckResult("trace/faithfulness", float(faithfulness), cfg.tolerances["faithfulness_norm"]),
     ]
 
 
@@ -94,7 +94,7 @@ def run_condexp_checks(cfg: ExperimentConfig, filtration: Filtration):
     for level, (E, rep) in enumerate(zip(levels, cond_exp_axiom_checks(cases, cfg.trials["axioms"]))):
         reports.append({"level": level, "dims": list(E.target.dims), **rep.to_dict()})
         for name, value in rep.residuals.items():
-            worst[name] = max(worst.get(name, 0.0), value)
+            worst[name] = float(np.max([worst.get(name, 0.0), value]))
     checks = [
         CheckResult(f"condexp/{name}", value, tol)
         for name, value in sorted(worst.items())
@@ -115,10 +115,10 @@ def run_duality_checks(cfg: ExperimentConfig, bundle):
     for k, p in enumerate(cfg.exponents):
         mine = reports[k * sections : (k + 1) * sections]
         checks.append(CheckResult(f"duality/p={p:g}/violation",
-                                  max(0.0, *(r.max_violation for r in mine)),
+                                  float(np.max([0.0, *(r.max_violation for r in mine)])),
                                   cfg.tolerances["duality_violation"]))
         checks.append(CheckResult(f"duality/p={p:g}/attainment",
-                                  max(0.0, *(r.attainment_residual for r in mine)),
+                                  float(np.max([0.0, *(r.attainment_residual for r in mine)])),
                                   cfg.tolerances["duality_attainment"]))
     return checks, [r.to_dict() for r in reports]
 
@@ -144,7 +144,8 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         CheckResult("martingale/terminal_residual", float(r.terminal.max()), tol["martingale_terminal"]),
         CheckResult("martingale/monotone_residuals", monotone, tol["martingale_defect"]),
         CheckResult("martingale/pythagoras_p2", float(r.pythagoras.max()), tol["pythagoras"]),
-        CheckResult("martingale/sup_gap", max(0.0, float((r.sup_sigma - r.sup_x).max())), tol["sup_gap"]),
+        CheckResult("martingale/sup_gap", float(np.max(r.sup_sigma - r.sup_x, initial=0.0)),
+                    tol["sup_gap"]),
         CheckResult("martingale/cesaro_both", _flag(bool((x_conv & s_conv).all())), 0.5),
         CheckResult("martingale/cesaro_never_one", _flag(bool((x_conv == s_conv).all())), 0.5),
     ]
@@ -208,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     Returns ``(summary_dict, all_pass)``.  The summary enumerates every check
     the config defines for the requested parts.  Every part is computed before
     ``out_dir`` is created, so a run that raises leaves no partial artifacts; a file
-    is renamed onto its name from a ``.tmp`` sibling once complete.
+    is renamed onto its name from a ``.tmp`` sibling once complete.  A check whose
+    worst residual is not finite raises NumericalFailureError.
     """
     unknown = [p for p in parts if p not in ALL_PARTS]
     if unknown:
@@ -246,6 +248,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         artifacts += [(write_trace_csv, "traces.csv", traces),
                       (write_section_csv, "limit_section.csv", limit_section)]
 
+    if bad := ", ".join(c.name for c in checks if not np.isfinite(c.worst_residual)):
+        raise NumericalFailureError(f"numerical failure: the worst residual of {bad} is not finite")
     summary = {
         "experiment_id": cfg.experiment_id,
         "seed": cfg.seed,

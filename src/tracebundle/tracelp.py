@@ -4,12 +4,14 @@ The trace of a section is the center element ``w -> sum_j c_j(w) tr(x(w)_j)``
 with the bundle's per-block weights ``c_j``.  Lp norms are the p-th roots of
 the trace of ``|x|**p``: at p = 2 through the weighted Frobenius identity
 ``trace(x* x) = sum_j c_j ||x_j||_F**2``, at other exponents from the
-per-block squared singular values (one-sided Jacobi), summed relative to the
-atom's largest so that no power leaves the float range; the norms of a family
+per-block squared singular values ``w`` (one-sided Jacobi) as ``sqrt(top) * S**(1/p)``, with
+``top`` the atom's largest ``w`` and the top-scaled sum ``S = sum_j c_j sum (w / top)**(p/2)``
+(``top_scaled_sums``), so that no power leaves the float range; the norms of a family
 of sections share one stacked solve per block size.  The duality checks
 build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
 the right singular vectors of every block of every case, one stacked solve per block
-size, and sample that ball for violations.  Only a case's worst sample reaches its
+size, its spectral weights ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the same
+sum, and sample that ball for violations.  Only a case's worst sample reaches its
 report, so a sample's dual norm is solved only where it can be that worst: the
 ratio ``|trace(x y)| / ||y||_q`` is bracketed from the blocks' Frobenius norms
 (majorization), and a lane whose upper bound is below the best lower bound of its
@@ -47,8 +49,7 @@ def derive_seed(master: int, *parts) -> int:
 
 def center_trace(x: Section) -> CenterElement:
     """The center-valued trace: weighted block traces per atom."""
-    blocks = [b[None] for f in x.fibers for b in f.blocks]
-    return CenterElement(x.bundle.space, stacked_traces(blocks, x.bundle)[0])
+    return CenterElement(x.bundle.space, stacked_traces(section_stacks([x]), x.bundle)[0])
 
 
 def normalize_trace(x: Section) -> CenterElement:
@@ -116,39 +117,53 @@ def _require_finite(norms, p):
         raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
 
 
+def top_scaled_sums(spectra, bundle, exponents) -> tuple[np.ndarray, list, list]:
+    """``(top, scaled, sums)`` of S sections' squared singular values ``spectra``, one ``(S, n)``
+    array per block slot: ``top`` the ``(S, atoms)`` largest ``w`` of each atom, ``scaled``
+    each slot's ``w / top`` (``w`` itself where ``top`` is 0 or inf, so no 0 / 0 or inf / inf)
+    and, per exponent, the top-scaled sum ``S = sum_j c_j sum (w / top)**(p/2)``.  Every scaled
+    ``w`` is at most 1, so no power overflows, and at p = inf the sum counts the ``w`` at ``top``.
+    """
+    slots = bundle.block_slots()
+    top = np.zeros((len(spectra[0]), bundle.space.size))
+    for w, (i, _) in zip(spectra, slots):
+        top[:, i] = np.maximum(top[:, i], w.max(axis=1))
+    divisor = np.where((top > 0.0) & (top < math.inf), top, 1.0)
+    scaled = [w / divisor[:, i, None] for w, (i, _) in zip(spectra, slots)]
+    sums = []
+    for p in exponents:
+        total = np.zeros_like(top)
+        with np.errstate(over="ignore"):  # beside an infinite top, w is not scaled down
+            for w, (i, c) in zip(scaled, slots):
+                total[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
+        sums.append(total)
+    return top, scaled, sums
+
+
 def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
     """Per exponent, the ``(S, atoms)`` Lp norms of S sections held as in ``stacked_traces``.
 
     p = 2 is the weighted Frobenius identity, each block's ``||y_s||_F**2`` one ``vecdot`` of
-    its flattened entries.  Every other exponent, p = inf included, is
-    ``sqrt(top) * (sum_j c_j sum (w / top)**(p/2))**(1/p)`` over the squared singular values
-    ``w`` of ``ys``, one ``(S, n)`` array per block as ``solve_by_block_size(ys,
-    gram_eigenvalues_stack)`` gives them (unused, so it may be empty, when every exponent is
-    2), where ``top`` is the atom's largest ``w``: no power overflows or underflows, and at
-    p = inf the sum's root is 1.  Away from p = 2, ``ys`` gives only the lane count.
+    its flattened entries.  Every other exponent, p = inf included, is ``sqrt(top) * S**(1/p)``
+    from the ``top_scaled_sums`` of the squared singular values of ``ys``, one ``(S, n)`` array
+    per block as ``solve_by_block_size(ys, gram_eigenvalues_stack)`` gives them (unused, so it
+    may be empty, when every exponent is 2).  ``ys`` is read only at p = 2.
     A norm that is not finite (squares past the float range) raises ContractViolationError.
     """
-    slots = bundle.block_slots()
-    top = np.zeros((len(ys[0]), bundle.space.size))
-    for w, (i, _) in zip(spectra, slots):
-        top[:, i] = np.maximum(top[:, i], w.max(axis=1))
-    divisor = np.where((top > 0.0) & (top < math.inf), top, 1.0)  # no 0 / 0 or inf / inf
-    scaled = [w / divisor[:, i, None] for w, (i, _) in zip(spectra, slots)]
+    others = [p for p in exponents if p != 2.0]
+    top, _, sums = top_scaled_sums(spectra, bundle, others) if others else (None, (), [])
     out = []
     for p in exponents:
-        norm = np.zeros_like(top)
         if p == 2.0:
+            norm = np.zeros((len(ys[0]), bundle.space.size))
             # an overflow, or inf - inf in an imaginary part, is reported below, naming p
             with np.errstate(over="ignore", invalid="ignore"):
-                for y, (i, c) in zip(ys, slots):
+                for y, (i, c) in zip(ys, bundle.block_slots()):
                     flat = y.reshape(len(y), y.shape[1] * y.shape[2])  # also with no lanes
                     norm[:, i] += c * np.vecdot(flat, flat).real
             norm = np.sqrt(norm)
         else:
-            with np.errstate(over="ignore"):  # beside an infinite top, w is not scaled down
-                for w, (i, c) in zip(scaled, slots):
-                    norm[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
-            norm = np.sqrt(top) * norm ** (1.0 / p)
+            norm = np.sqrt(top) * sums.pop(0) ** (1.0 / p)
         _require_finite(norm, p)
         out.append(norm)
     return out
@@ -192,7 +207,8 @@ def dual_extremal(x: Section, p: float) -> Section:
     ``w > PINV_CUTOFF**2``: ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
     hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
     (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  It is
-    formed from ``w / norm_p**2``, so no power overflows at large p.  Fibers whose
+    formed as ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the norm's top-scaled
+    sum S (``top_scaled_sums``), so no rounded norm is raised to a power.  Fibers whose
     Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
     return lane_section(x.bundle, _witnesses([(x, _exponent(p))])[0][1], 0)
@@ -214,21 +230,22 @@ def _witnesses(cases) -> list:
     stacks = [section_stacks([cases[k][0] for k in ks]) for ks in batches]
     solved = iter(solve_by_block_size([y for ys in stacks for y in ys],
                                       lambda y: gram_eigenvalues_stack(y, vectors=True)))
-    cut = PINV_CUTOFF**2
     out = [None] * len(cases)
     for ks, ys in zip(batches, stacks):
         bundle, p = cases[ks[0]][0].bundle, cases[ks[0]][1]
         eigs = [next(solved) for _ in ys]
-        (norms,) = stacked_lp_norms(ys, bundle, [p], [w for w, _ in eigs])
-        zero = norms < ZERO_FIBER_TOL
-        norms_or_one = np.where(zero, 1.0, norms)
+        spectra = [w for w, _ in eigs]
+        (norms,) = stacked_lp_norms(ys, bundle, [p], spectra)
+        top, scaled, (sums,) = top_scaled_sums(spectra, bundle, [p])
+        live = norms >= ZERO_FIBER_TOL  # elsewhere the witness is zero
+        gain = np.zeros_like(top)  # norm_p**(1-p) top**(p/2-1), with no rounded norm raised
+        gain[live] = sums[live] ** (1.0 / p - 1.0) / np.sqrt(top[live])
         witness = []
-        for y, (w, u), (i, _) in zip(ys, eigs, bundle.block_slots()):
-            # np.maximum keeps a negative power of 0 out of the discarded branch
-            scaled = np.maximum(w, cut) / norms_or_one[:, i, None] ** 2
-            fw = np.where((w > cut) & ~zero[:, i, None], scaled ** (p / 2 - 1), 0.0)
-            inner = (u * fw[:, None, :]) @ u.conj().transpose(0, 2, 1) @ y.conj().transpose(0, 2, 1)
-            witness.append((1.0 / norms_or_one[:, i, None, None]) * inner)
+        for y, (w, u), s, (i, _) in zip(ys, eigs, scaled, bundle.block_slots()):
+            # a power only on the support w > PINV_CUTOFF**2, none in a discarded branch
+            fw = np.power(s, p / 2 - 1, out=np.zeros_like(s), where=w > PINV_CUTOFF**2)
+            inner = (u * (fw * gain[:, i, None])[:, None, :]) @ u.conj().transpose(0, 2, 1)
+            witness.append(inner @ y.conj().transpose(0, 2, 1))
         attained = stacked_traces([y @ v for y, v in zip(ys, witness)], bundle)
         for j, k in enumerate(ks):
             out[k] = (norms[j], [v[j:j + 1] for v in witness], attained[j])

@@ -13,7 +13,7 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle import cli, runner, tracelp
+from tracebundle import cli, condexp, runner, tracelp
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.config import parse_config
 from tracebundle.fixtures import fixture_config, fixture_text
@@ -391,6 +391,61 @@ def test_large_exponents_pass(tmp_path, capsys, command, p):
         norms = [f["norm_p"] for r in json.loads(read(out / "duality.json"))["reports"]
                  for f in r["per_fiber"]]
         assert min(norms) > 0.05
+
+
+@pytest.mark.parametrize("name", ["mat2_tower", "hetero4_tower"])
+@pytest.mark.parametrize("p", [1e8, 1e12, 1e16, 1e20, 1e300])
+def test_very_large_exponents_attain_the_norm(tmp_path, capsys, name, p):
+    # the witness takes its spectral weights from the norm's top-scaled sum, so no rounded
+    # norm is raised to a power near p
+    doc = json.loads(fixture_text(name))
+    doc["exponents"] = [p]
+    cfg = tmp_path / "huge_p.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["check-duality", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+    (attainment,) = [c["worst_residual"] for c in json.loads(read(out / "summary.json"))["checks"]
+                     if c["name"].endswith("/attainment")]
+    assert attainment <= 1e-13
+
+
+def nan_attainment(monkeypatch):
+    """The attained value of the first duality case made NaN at its first atom."""
+    real = tracelp._witnesses
+
+    def witnesses(cases):
+        (norms, witness, attained), *rest = real(cases)
+        return [(norms, witness, np.concatenate([[np.nan], attained[1:]])), *rest]
+
+    monkeypatch.setattr(tracelp, "_witnesses", witnesses)
+
+
+def nan_gap(monkeypatch):
+    """The first lane of the first idempotence gap made NaN."""
+    real, calls = condexp._gap, []
+
+    def gap(us, vs):
+        gaps = real(us, vs)
+        if not calls:
+            gaps[0] = np.concatenate([[np.nan], gaps[0][1:]])
+        calls.append(None)
+        return gaps
+
+    monkeypatch.setattr(condexp, "_gap", gap)
+
+
+@pytest.mark.parametrize("command, inject", [("check-duality", nan_attainment),
+                                             ("check-axioms", nan_gap)])
+def test_a_nan_residual_exits_before_any_artifact(tmp_path, capsys, monkeypatch, command, inject):
+    # the builtin max(0.0, nan) is 0.0: folded with it, a NaN residual would pass
+    inject(monkeypatch)
+    good = tmp_path / "good.json"
+    good.write_text(fixture_text("hetero4_tower"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(good), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construction_failure_keeps_its_message(tmp_path, capsys, monkeypatch):

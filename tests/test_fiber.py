@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -140,6 +141,28 @@ def test_abs_square_trace_matches_direct_product():
         lhs = np.trace(abs_power(x, 2.0).blocks[0])
         rhs = np.trace(x.blocks[0].conj().T @ x.blocks[0])
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_functional_calculus_refuses_a_result_past_the_float_range():
+    # w = 100 raised to 200 is inf, and inf times the zero entries of the basis is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match="NaN or Inf"):
+            abs_power(FiberElement([10 * np.eye(2)]), 400)
+
+
+def digest(*elements) -> str:
+    return hashlib.sha256(b"".join(b.tobytes() for f in elements for b in f.blocks)).hexdigest()
+
+
+def test_functional_calculus_keeps_its_bits():
+    x = random_fiber(41, dims=(1, 2, 3))
+    h = x.adjoint() * x + x + x.adjoint()
+    assert digest(abs_power(x, 2.0)) == "d34c6b1028063fc8b4355817df3e7a0b2b881e61d312c2c70f090c1fb680df46"
+    assert digest(abs_power(x, 3.0)) == "932eeac0a86d8ba12729107e3080147880c8472f760c1590a1cd6102dcc8e26a"
+    assert digest(*polar(x)) == "6b11f071828abbd675df3293eff41b58ccc17c420beb1617c27e74a1d346be62"
+    assert digest(spectral_projection(h, 0.5)) == (
+        "9ed7c2e1355903db3ba493b31bd6ff294e09d8bcb3b887f8a7671eccc1604fb3")
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 3)])

@@ -582,11 +582,11 @@ def test_duality_checks_build_no_witness_section(hetero_bundle, monkeypatch):
 # sha256 of dual_extremal(random_section(hetero_bundle, 31, "general"), p), recorded before
 # the witnesses became block stacks that only dual_extremal turns into a section
 DUAL_EXTREMAL_DIGESTS = {
-    1: "4e3c36bc67898339cb7b6902fd2e0cc6369646dbe95afb58fe73e93bd3a1a9d3",
-    1.5: "7eeda1b5a7a2e06c8a6b5a48843f85dc333bcfa0f2d474b9d7b5f2fd0e3c8995",
-    2: "5f983403788a113d042a3a2c0ac077df150924e8aafaa049c0c35d95bc80e7b4",
-    3: "07119c5f4c019c401da6f1ed507a2beb38ef9b1e0d7c936487297e6dc4cf50e6",
-    4: "9049dca37ce66a112dbd2697b9feaa5fde8738e825ff521d4ae2281db3910f8c",
+    1: "d8740ce15c1b0ebe44dea56743ee36d63b2e0f3ca9854dc981e529adac0b6be7",
+    1.5: "5b275979f22e50582a613e2060dac2d38142a22003c8a651f4987a401b55baf5",
+    2: "a83390188326cace8ba40b9789a56d550508d3b76bed436962b784ff227e2fa7",
+    3: "5829be546932a615dd12d54716cb72230513e72ee32c052905b5bfe05cf1d0b4",
+    4: "141c55fb8a18eb569c8378db7fee5d240a27ac61ef5a923f19d70219391b4061",
 }
 
 
