@@ -10,13 +10,14 @@ per-block squared singular values ``w`` (one-sided Jacobi) as ``sqrt(top) * S**(
 of sections share one stacked solve per block size.  The duality checks
 build a witness attaining ``sup |trace(x y)|`` over the dual-norm unit ball from
 the right singular vectors of every block of every case, one stacked solve per block
-size, its spectral weights ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the same
-sum, and sample that ball for violations.  Only a case's worst sample reaches its
-report, so a sample's dual norm is solved only where it can be that worst: the
-ratio ``|trace(x y)| / ||y||_q`` is bracketed from the blocks' Frobenius norms
-(majorization), and a lane whose upper bound is below the best lower bound of its
-case is never solved.  The bracket is widened past the rounding of either side, so
-every report is the one that solving every sample gives, bit for bit.
+size, its norm and its spectral weights ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)``
+from one top-scaled sum, and sample that ball for violations.  Only a case's worst
+sample reaches its report, so a sample's dual norm is solved only where it can be that
+worst: the ratio ``|trace(x y)| / ||y||_q`` is bracketed from the blocks' Frobenius
+norms (majorization, one column per block through the same scaling), and a lane whose
+upper bound is below the best lower bound of its case is never solved.  The bracket is
+widened past the rounding of either side, so every report is the one that solving
+every sample gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -117,12 +118,13 @@ def _require_finite(norms, p):
         raise ContractViolationError(f"L{p:g} norm is not finite (floating-point overflow)")
 
 
-def top_scaled_sums(spectra, bundle, exponents) -> tuple[np.ndarray, list, list]:
+def top_scaled_sums(spectra, bundle, exponents, counts=None) -> tuple[np.ndarray, list, list]:
     """``(top, scaled, sums)`` of S sections' squared singular values ``spectra``, one ``(S, n)``
     array per block slot: ``top`` the ``(S, atoms)`` largest ``w`` of each atom, ``scaled``
     each slot's ``w / top`` (``w`` itself where ``top`` is 0 or inf, so no 0 / 0 or inf / inf)
     and, per exponent, the top-scaled sum ``S = sum_j c_j sum (w / top)**(p/2)``.  Every scaled
     ``w`` is at most 1, so no power overflows, and at p = inf the sum counts the ``w`` at ``top``.
+    ``counts``, one per slot, has each column of a slot's ``w`` stand for that many equal values.
     """
     slots = bundle.block_slots()
     top = np.zeros((len(spectra[0]), bundle.space.size))
@@ -134,10 +136,17 @@ def top_scaled_sums(spectra, bundle, exponents) -> tuple[np.ndarray, list, list]
     for p in exponents:
         total = np.zeros_like(top)
         with np.errstate(over="ignore"):  # beside an infinite top, w is not scaled down
-            for w, (i, c) in zip(scaled, slots):
-                total[:, i] += c * np.sum(w ** (p / 2.0), axis=1)
+            for w, (i, c), m in zip(scaled, slots, counts or [1] * len(slots)):
+                total[:, i] += c * (m * np.sum(w ** (p / 2.0), axis=1))
         sums.append(total)
     return top, scaled, sums
+
+
+def _top_scaled_norms(top, sums, p) -> np.ndarray:
+    """The Lp norms ``sqrt(top) * S**(1/p)`` of ``top_scaled_sums``, checked finite."""
+    norm = np.sqrt(top) * sums ** (1.0 / p)
+    _require_finite(norm, p)
+    return norm
 
 
 def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
@@ -162,9 +171,9 @@ def stacked_lp_norms(ys, bundle, exponents, spectra) -> list[np.ndarray]:
                     flat = y.reshape(len(y), y.shape[1] * y.shape[2])  # also with no lanes
                     norm[:, i] += c * np.vecdot(flat, flat).real
             norm = np.sqrt(norm)
+            _require_finite(norm, p)
         else:
-            norm = np.sqrt(top) * sums.pop(0) ** (1.0 / p)
-        _require_finite(norm, p)
+            norm = _top_scaled_norms(top, sums.pop(0), p)
         out.append(norm)
     return out
 
@@ -204,7 +213,8 @@ def dual_extremal(x: Section, p: float) -> Section:
 
     With ``x* x = V diag(w) V*`` from one eigendecomposition per block, the
     witness is ``norm_p**(1-p) V diag(w**(p/2-1)) V* x*`` on the support
-    ``w > PINV_CUTOFF**2``: ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
+    ``w > PINV_CUTOFF**2 * top``, ``top`` the atom's largest ``w`` (a cut that scales with
+    the fiber): ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
     hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
     (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  It is
     formed as ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the norm's top-scaled
@@ -220,8 +230,8 @@ def _witnesses(cases) -> list:
 
     The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  Every
     block of every batch goes through one stacked solve with singular vectors per block
-    size, and a batch's norms and witnesses come from the same spectra.  Every step treats
-    each case on its own, so the batching does not show.
+    size; a batch's norms ``sqrt(top) * S**(1/p)`` (at p = 2 the Frobenius identity) and its
+    witnesses come from one ``top_scaled_sums``.  No step mixes cases, so batching does not show.
     """
     batches = {}
     for k, (x, p) in enumerate(cases):
@@ -234,16 +244,16 @@ def _witnesses(cases) -> list:
     for ks, ys in zip(batches, stacks):
         bundle, p = cases[ks[0]][0].bundle, cases[ks[0]][1]
         eigs = [next(solved) for _ in ys]
-        spectra = [w for w, _ in eigs]
-        (norms,) = stacked_lp_norms(ys, bundle, [p], spectra)
-        top, scaled, (sums,) = top_scaled_sums(spectra, bundle, [p])
+        top, scaled, (sums,) = top_scaled_sums([w for w, _ in eigs], bundle, [p])
+        norms = (stacked_lp_norms(ys, bundle, [p], ())[0] if p == 2.0
+                 else _top_scaled_norms(top, sums, p))
         live = norms >= ZERO_FIBER_TOL  # elsewhere the witness is zero
         gain = np.zeros_like(top)  # norm_p**(1-p) top**(p/2-1), with no rounded norm raised
         gain[live] = sums[live] ** (1.0 / p - 1.0) / np.sqrt(top[live])
         witness = []
-        for y, (w, u), s, (i, _) in zip(ys, eigs, scaled, bundle.block_slots()):
-            # a power only on the support w > PINV_CUTOFF**2, none in a discarded branch
-            fw = np.power(s, p / 2 - 1, out=np.zeros_like(s), where=w > PINV_CUTOFF**2)
+        for y, (_, u), s, (i, _) in zip(ys, eigs, scaled, bundle.block_slots()):
+            # a power only on the support w / top > PINV_CUTOFF**2, none in a discarded branch
+            fw = np.power(s, p / 2 - 1, out=np.zeros_like(s), where=s > PINV_CUTOFF**2)
             inner = (u * (fw * gain[:, i, None])[:, None, :]) @ u.conj().transpose(0, 2, 1)
             witness.append(inner @ y.conj().transpose(0, 2, 1))
         attained = stacked_traces([y @ v for y, v in zip(ys, witness)], bundle)
@@ -291,24 +301,21 @@ def dual_norm_bracket(ys, bundle, q) -> tuple[np.ndarray, np.ndarray]:
 
     The squared singular values of an n x n block majorize the flat spectrum
     ``(F/n, ..., F/n)`` and are majorized by the spike ``(F, 0, ..., 0)`` (Bhatia, Matrix
-    Analysis, II and IV), so every Lq norm, q = inf included, lies between the
-    ``stacked_lp_norms`` of the two, one call on 2S lanes whose scaling keeps large q in
-    range (at q = 2 both are the Frobenius norm).  Widened by BRACKET_MARGIN, the bounds
-    hold for the rounded norms of solved spectra too.
+    Analysis, II and IV), so every Lq norm, q = inf included, lies between those of the
+    two.  Each end is one column per block slot through ``top_scaled_sums``, whose scaling
+    keeps large q in range: ``F/n`` counted n times, and ``F`` (the spike's zeros add
+    nothing).  At q = 2 both are the Frobenius norm.  Widened by BRACKET_MARGIN, the
+    bounds hold for the rounded norms of solved spectra too.
     """
     if q == 2.0:
         flat = spike = stacked_lp_norms(ys, bundle, [q], ())[0]
     else:
-        lanes = len(ys[0])
-        spectra = []
-        for y in ys:
-            entries = y.reshape(lanes, y.shape[1] * y.shape[2])
-            w = np.zeros((2 * lanes, y.shape[1]))
-            w[lanes:, 0] = np.vecdot(entries, entries).real  # lanes S to 2S hold the spikes
-            w[:lanes] = w[lanes:, :1] / y.shape[1]
-            spectra.append(w)
-        (norms,) = stacked_lp_norms(spectra, bundle, [q], spectra)
-        flat, spike = norms[:lanes], norms[lanes:]
+        f = [np.vecdot(e, e).real[:, None]  # one column per slot
+             for e in (y.reshape(len(y), y.shape[1] * y.shape[2]) for y in ys)]
+        n = [y.shape[1] for y in ys]
+        flat, spike = (_top_scaled_norms(top, sums, q) for top, _, (sums,) in (
+            top_scaled_sums([fj / nj for fj, nj in zip(f, n)], bundle, [q], n),
+            top_scaled_sums(f, bundle, [q])))
     return (np.minimum(flat, spike) * (1.0 - BRACKET_MARGIN),
             np.maximum(flat, spike) * (1.0 + BRACKET_MARGIN))
 

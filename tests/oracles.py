@@ -483,8 +483,8 @@ def dual_extremal_reference(x, p):
     """The Hoelder witness ``norm_p**(-p/q) |x|**(p-1) u*`` of ``dual_extremal``, block by block.
 
     With ``(w, v) = jacobi_singular(b)`` and ``s = sqrt(w)``: ``x = u |x|`` with
-    ``u = b v diag(1 / s) v*`` on ``s > PINV_CUTOFF`` and ``|x|**(p-1) = v diag(s**(p-1)) v*``;
-    ``u*`` at p = 1.
+    ``u = b v diag(1 / s) v*`` on ``s > PINV_CUTOFF * s_max``, ``s_max`` the largest ``s`` of
+    the atom's blocks, and ``|x|**(p-1) = v diag(s**(p-1)) v*``; ``u*`` at p = 1.
     """
     p = float(p)
     norms = lp_norm_reference(x, p)
@@ -493,11 +493,12 @@ def dual_extremal_reference(x, p):
         if norm_p < ZERO_FIBER_TOL:
             fibers.append(zero_fiber(shape))
             continue
+        singular = [jacobi_singular(b) for b in f.blocks]
+        cut = PINV_CUTOFF * np.sqrt(max(w.max() for w, _ in singular))  # relative to the atom
         blocks = []
-        for b in f.blocks:
-            w, v = jacobi_singular(b)
+        for b, (w, v) in zip(f.blocks, singular):
             s = np.sqrt(w)
-            inverse = np.where(s > PINV_CUTOFF, 1.0 / np.maximum(s, PINV_CUTOFF), 0.0)
+            inverse = np.where(s > cut, 1.0 / np.maximum(s, cut), 0.0)
             u = b @ (v * inverse) @ v.conj().T
             if p == 1.0:
                 blocks.append(u.conj().T)

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from tracebundle import condexp, fiber
+from tracebundle import condexp, fiber, tracelp
 from tracebundle.cli import EXIT_OK, main
+from tracebundle.tracelp import DUALITY_CHUNK
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -119,6 +120,27 @@ def test_duality_phase_solves_only_the_samples_that_can_be_worst(tmp_path, capsy
         if not call.get("vectors"):
             solved[call["y"].shape[1]] = solved.get(call["y"].shape[1], 0) + len(call["y"])
     assert solved == {1: 2000, 2: 475, 3: 245}
+
+
+def test_duality_phase_forms_no_doubled_lanes_or_sums(tmp_path, capsys, monkeypatch):
+    # the dual-norm brackets take their flat and spike ends as two calls of one column per
+    # block slot, not one Lq norm call on twice a group's lanes; and each of the witnesses'
+    # 5 batches (one bundle, 5 exponents) forms its top-scaled sums once, for its norms and
+    # its witness both
+    norms = count_calls(tracelp.stacked_lp_norms, monkeypatch)
+    sums = count_calls(tracelp.top_scaled_sums, monkeypatch)
+    witnessed, real = [], tracelp._witnesses
+
+    def counted(cases):
+        before = len(sums)
+        out = real(cases)
+        witnessed.append((len({(x.bundle, p) for x, p in cases}), len(sums) - before))
+        return out
+
+    monkeypatch.setattr(tracelp, "_witnesses", counted)
+    run_workload("duality", tmp_path, capsys)
+    assert norms and max(len(call["ys"][0]) for call in norms) <= DUALITY_CHUNK
+    assert witnessed == [(5, 5)]
 
 
 def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypatch):

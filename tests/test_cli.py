@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from tracebundle.fixtures import fixture_config, fixture_text
 from tracebundle.runner import read_section_csv, run_experiment
 
 from oracles import trace_phase_reference
+
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +118,41 @@ def test_martingale_artifacts_keep_their_bytes(name, tmp_path):
         assert hashlib.sha256(read(out / artifact)).hexdigest() == digest, artifact
 
 
+# sha256 of the reports of check-duality and check-axioms, recorded before the dual-norm
+# brackets and the witness norms stopped forming synthetic spectra: any change to the bits
+# of a duality or axiom report fails here
+REPORT_DIGESTS = {
+    ("check-duality", "duality"): {
+        "duality.json": "193098b3ea1f6a7ad7cd0f170955f2e843b69cb14e91f6fe995fc3f0083a6b07",
+        "summary.json": "8842d2b3a0e9f13404809b55d7503d79cb245513dfa64753e44b9726df15b0e9",
+    },
+    ("check-duality", "mat2_tower"): {
+        "duality.json": "9b15960f06cd41fcdfd3740d5215328d5c6d9041420e5a335b9fbf36cf4f6297",
+        "summary.json": "5d74fa947c162201bfd1edc6bb7027000da6fb4923260a3609f62d6b2891da02",
+    },
+    ("check-duality", "hetero4_tower"): {
+        "duality.json": "1978f25c8e42e565121717c84034db1441070773a7f6028d08363240f82797ec",
+        "summary.json": "2291243a89af57f7cec0800a894df26af5ec30f9a7ecc89669e6d287249e5f12",
+    },
+    ("check-axioms", "axioms-large-blocks"): {
+        "axioms.json": "9576a3c414b71ea942506634a85ef1e4519de91afae65a9f531d711f59582c2f",
+        "summary.json": "7e33b19e3c0bacf1aea9d280562fec1801be83532ab526fc8cf3b7554a916173",
+    },
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(REPORT_DIGESTS), ids="-".join)
+def test_reports_keep_their_bytes(command, name, tmp_path):
+    config = BENCH_WORKLOADS / f"{name}.json"
+    if not config.exists():  # a fixture
+        config = tmp_path / f"{name}.json"
+        config.write_text(fixture_text(name))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    for artifact, digest in REPORT_DIGESTS[command, name].items():
+        assert hashlib.sha256(read(out / artifact)).hexdigest() == digest, artifact
+
+
 def test_check_failure_exit_code(config_path, tmp_path):
     doc = json.loads(fixture_text("mat2_tower"))
     doc["tolerances"] = {"trace_axioms": 1e-30}  # unreachable by design
@@ -167,6 +205,22 @@ def test_tiny_trace_weights_fail_the_build_at_an_atom(tmp_path, capsys):
     assert main(["check-axioms", "--config", config, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert "model construction failed: the span at 'w1' is empty" in err
+    assert not out.exists()
+
+
+def test_a_level_that_lost_the_identity_fails_the_build(tmp_path, capsys):
+    # one Mat2 atom of trace weight 1e-24 generated by 1e8 e11: the span misses the
+    # identity by 1e-12, below SPAN_RESIDUAL_TOL absolute but 0.71 of the identity's norm
+    doc = {"experiment_id": "lost_identity", "exponents": [2], "seed": 1,
+           "bundle": {"atoms": ["a"], "mu": [1.0], "fiber_shapes": [[2]],
+                      "trace_weights": [[1e-24]]},
+           "tower": [{"explicit": {"a": [[[[[1e8, 0], [0, 0]], [[0, 0], [0, 0]]]]]}}, "full"]}
+    config = tmp_path / "lost.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["check-axioms", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "model construction failed: identity escaped the span at 'a' (residual 7.07e-01)" in err
     assert not out.exists()
 
 

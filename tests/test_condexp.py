@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -220,6 +221,19 @@ def test_identity_always_in_span(hetero_bundle):
     assert basis.membership_residual(identity_section(hetero_bundle)) < 1e-10
 
 
+def test_a_span_that_lost_the_identity_is_refused_at_any_weight_unit():
+    # at trace weight 1e-24 the identity (weighted norm 1.4e-12) is below the pivot and the
+    # span of 1e8 e11 misses it by 1e-12 absolute, its whole norm times 0.71
+    bundle = BundleSpec(MeasureSpace(["a"], [1.0]), [[2]], [[1e-24]])
+    spike = FiberElement([np.array([[1e8, 0.0], [0.0, 0.0]])])
+    escaped = r"identity escaped the span at 'a' \(residual 7.07e-01\)"
+    with pytest.raises(InconsistencyError, match=escaped):
+        validate_subalgebra(bundle, [[spike]])
+    # the diagonal, which holds the identity, passes at that unit
+    other = FiberElement([np.array([[0.0, 0.0], [0.0, 1e8]])])
+    assert validate_subalgebra(bundle, [[spike, other]]).dims == (2,)
+
+
 # ------------------------------------------------------------ construction
 
 def test_full_subalgebra_gives_identity_map(hetero_bundle):
@@ -401,6 +415,14 @@ def test_axiom_report_deterministic(hetero_diag_exp):
     a = check_cond_exp_axioms(hetero_diag_exp, 15, 3)
     b = check_cond_exp_axioms(hetero_diag_exp, 15, 3)
     assert a.to_dict() == b.to_dict()
+
+
+def test_axiom_report_dict_is_the_dataclass_dict_and_its_own(hetero_diag_exp):
+    rep = check_cond_exp_axioms(hetero_diag_exp, 5, 3)
+    payload = rep.to_dict()
+    assert payload == dataclasses.asdict(rep)
+    payload["residuals"]["idempotence"] = payload["per_fiber_worst"]["w1"] = -1.0
+    assert rep.residuals["idempotence"] >= 0.0 and rep.per_fiber_worst["w1"] >= 0.0
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -490,6 +490,21 @@ def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatc
         assert min(f.max_abs() for f in y.fibers[:2] + y.fibers[3:]) > 0.0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 1e8])
+def test_dual_extremal_of_a_tiny_fiber_attains(hetero_bundle, p):
+    # the w1 block at max-abs 1e-11 has squared singular values below PINV_CUTOFF**2 but an
+    # Lp norm above ZERO_FIBER_TOL; with the support cut absolute its witness was zero and
+    # its attainment residual its whole norm (7.6e-12 to 1.1e-11)
+    x = random_section(hetero_bundle, 5, "general")
+    tiny = Section(hetero_bundle, [x.fibers[0] * (1e-11 / x.fibers[0].max_abs()), *x.fibers[1:]])
+    y = dual_extremal(tiny, p)
+    norm = lp_norm(tiny, p).values
+    assert norm[0] > tracelp.ZERO_FIBER_TOL and y.fibers[0].max_abs() > 0.0
+    assert np.all(np.abs(center_trace(tiny * y).values - norm) <= 1e-13 * norm)
+    if p < 1e8:  # the reference raises norm_p to the power 1 - p
+        assert (y - dual_extremal_reference(tiny, p)).max_abs() <= 1e-13 * y.max_abs()
+
+
 def test_dual_extremal_zero_section(hetero_bundle):
     y = dual_extremal(zero_section(hetero_bundle), 3)
     assert y.max_abs() == 0.0
