@@ -7,13 +7,12 @@ error, 5 usage error (bad flags or subcommand).
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 
 from .config import parse_config
 from .errors import (ConfigError, NumericalFailureError, TraceBundleError,
                      UnsupportedConfigurationError, UsageError)
-from .fixtures import FIXTURES, fixture_config, fixture_text
 from .runner import run_experiment
 
 EXIT_OK = 0
@@ -28,28 +27,39 @@ _PARTS_BY_COMMAND = {
     "check-duality": ("duality",),
     "run-martingale": ("martingale",),
 }
+_USAGE = ("usage: tracebundle {run,check-axioms,check-duality,run-martingale} --config CFG.json"
+          " --out DIR [--seed-override N]\n       tracebundle emit-fixtures --out DIR\n")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors, which collides with the check-failure
-    # code; remap to the dedicated usage exit code.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _parse_args(argv) -> tuple:
+    """``(command, config, out, seed_override)`` from ``argv``, a flag written ``--flag VALUE`` or
+    ``--flag=VALUE``.  ``-h``/``--help`` prints the usage and exits 0, any other misuse exits 5."""
+    def fail(what):
+        sys.stderr.write(f"{_USAGE}tracebundle: error: {what}\n")
+        raise SystemExit(EXIT_USAGE)
 
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="tracebundle", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command in _PARTS_BY_COMMAND:
-        p = sub.add_parser(command, help=f"{command} checks from a config file")
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", required=True, help="directory for artifacts")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the config seed for this run")
-    p = sub.add_parser("emit-fixtures", help="write golden configs and their expected artifacts")
-    p.add_argument("--out", required=True, help="directory for fixture files")
-    return parser
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(f"{_USAGE}\n{__doc__}")
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in (*_PARTS_BY_COMMAND, "emit-fixtures"):
+        fail(f"unknown command {argv[0]!r}" if argv else "a command is required")
+    command, rest, flags = argv[0], iter(argv[1:]), {}
+    known = ("--out",) if command == "emit-fixtures" else ("--config", "--out", "--seed-override")
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in known:
+            fail(f"unrecognized argument {arg!r} for {command}")
+        flags[name] = value if eq else next(rest, "--")
+        if not eq and flags[name].startswith("--"):
+            fail(f"argument {name}: expected one value")
+    missing = [name for name in known if name not in flags and name != "--seed-override"]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    try:
+        seed = int(flags["--seed-override"]) if "--seed-override" in flags else None
+    except ValueError:
+        fail(f"argument --seed-override: invalid int value: {flags['--seed-override']!r}")
+    return command, flags.get("--config"), flags["--out"], seed
 
 
 def _run_from_config(path: str, out_dir: str, seed_override, parts) -> int:
@@ -66,7 +76,7 @@ def _run_from_config(path: str, out_dir: str, seed_override, parts) -> int:
             print(f"tracebundle: config error at {field_path}: {message}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if seed_override is not None:
-        cfg.seed = int(seed_override)
+        cfg.seed = seed_override
     try:
         summary, all_pass = run_experiment(cfg, out_dir, parts=parts)
     except UsageError as exc:
@@ -92,15 +102,14 @@ def _run_from_config(path: str, out_dir: str, seed_override, parts) -> int:
 
 
 def _emit_fixtures(out_dir: str) -> int:
-    import os
+    from .fixtures import FIXTURES, fixture_config, fixture_text
 
     try:
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(FIXTURES):
             with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
                 fh.write(fixture_text(name))
-            cfg = fixture_config(name)
-            summary, all_pass = run_experiment(cfg, os.path.join(out_dir, name))
+            summary, all_pass = run_experiment(fixture_config(name), os.path.join(out_dir, name))
             status = "pass" if all_pass else "FAIL"
             print(f"[{status}] fixture {name}: {len(summary['checks'])} checks")
     except OSError as exc:
@@ -110,12 +119,10 @@ def _emit_fixtures(out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "emit-fixtures":
-        return _emit_fixtures(args.out)
-    return _run_from_config(
-        args.config, args.out, args.seed_override, _PARTS_BY_COMMAND[args.command]
-    )
+    command, config, out, seed_override = _parse_args(sys.argv[1:] if argv is None else argv)
+    if command == "emit-fixtures":
+        return _emit_fixtures(out)
+    return _run_from_config(config, out, seed_override, _PARTS_BY_COMMAND[command])
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ HERMITIAN_INPUT_TOL = 1e-10   # max-abs tolerance on ``a - a*`` for Hermitian-on
 JACOBI_OFFDIAG_TOL = 1e-14    # Jacobi stop: off-diagonal / ||a||_F, or |y_p* y_q| / ||y_p|| ||y_q||
 JACOBI_MAX_SWEEPS = 100
 NEGLIGIBLE_COLUMN = 2.0**-52  # a column at most this times ||y||_F settles its one-sided pairs
-PINV_CUTOFF = 1e-10           # singular values at or below this count as kernel directions
+PINV_CUTOFF = 1e-10           # singular values <= this times the largest count as kernel directions
 EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
 
 
@@ -384,13 +384,14 @@ def abs_power(x: FiberElement, p: float) -> FiberElement:
 def polar(x: FiberElement) -> tuple[FiberElement, FiberElement]:
     """Polar decomposition ``x = u h`` with ``h = |x| = v diag(s) v*`` positive.
 
-    ``u = U v*`` with ``U = x v / s`` on ``s > PINV_CUTOFF``, formed as ``x (v diag(1 / s) v*)``,
-    is a partial isometry that vanishes on the kernel of ``h``.
+    ``u = U v*`` with ``U = x v / s`` on ``s > PINV_CUTOFF * max(s)``, a cut relative to each block,
+    formed as ``x (v diag(1 / s) v*)``, is a partial isometry that vanishes on the kernel of ``h``.
     """
     eig = _singular_eig(x)
     singulars = HermEig([np.sqrt(w) for w in eig.eigenvalues], eig.bases)
     h = singulars.apply(lambda s: s)
-    return x * singulars.apply(lambda s: np.where(s > PINV_CUTOFF, 1 / np.maximum(s, PINV_CUTOFF), 0)), h
+    return x * singulars.apply(lambda s: np.divide(1, s, out=np.zeros_like(s),
+                                                   where=s > PINV_CUTOFF * s.max())), h
 
 
 def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:

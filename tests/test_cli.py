@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -302,14 +304,82 @@ def test_missing_config_exit_code(tmp_path):
     assert code == EXIT_IO_ERROR
 
 
-def test_usage_error_exit_codes(capsys):
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["no-such-subcommand", "--config", "x", "--out", "y"],
+    "missing-flags": ["run"],
+    "missing-config": ["check-duality", "--out", "y"],
+    "missing-out": ["run-martingale", "--config", "x"],
+    "flag-without-value": ["run", "--config", "x", "--out"],
+    "flag-as-value": ["run", "--config", "--out", "y"],
+    "unknown-flag": ["run", "--config", "x", "--out", "y", "--verbose", "1"],
+    "abbreviated-flag": ["check-axioms", "--conf", "x", "--out", "y"],
+    "stray-argument": ["run", "x", "--config", "x", "--out", "y"],
+    "emit-fixtures-config": ["emit-fixtures", "--config", "x", "--out", "y"],
+    "emit-fixtures-seed": ["emit-fixtures", "--out", "y", "--seed-override", "3"],
+    "non-integer-seed": ["run", "--config", "x", "--out", "y", "--seed-override", "1.5"],
+    "non-integer-seed-joined": ["run", "--config=x", "--out=y", "--seed-override=seven"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_exit_codes(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
-        main(["no-such-subcommand", "--config", "x", "--out", "y"])
+        main(argv)
     assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tracebundle") and "tracebundle: error: " in captured.err
+    assert list(tmp_path.iterdir()) == []  # no --out directory was created
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--help"], ["emit-fixtures", "-h"]])
+def test_help_prints_the_usage_and_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["run"])  # missing required flags
-    assert err.value.code == EXIT_USAGE
-    capsys.readouterr()
+        main(argv)
+    assert err.value.code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tracebundle") and captured.err == ""
+
+
+def test_joined_flags_write_the_same_summary(config_path, tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    argv = ["--config", config_path, "--out", str(spaced), "--seed-override", "7"]
+    assert main(["check-duality", *argv]) == EXIT_OK
+    argv = [f"--config={config_path}", f"--out={joined}", "--seed-override=7"]
+    assert main(["check-duality", *argv]) == EXIT_OK
+    assert read(spaced / "summary.json") == read(joined / "summary.json")
+
+
+def python_with_the_package(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_a_check_command_loads_neither_argparse_nor_the_fixtures(config_path, tmp_path):
+    argv = ["check-duality", "--config", config_path, "--out", str(tmp_path / "out")]
+    script = ("import sys\n"
+              "from tracebundle import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, sorted({'argparse', 'tracebundle.fixtures'} & set(sys.modules)))")
+    done = python_with_the_package("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
+def test_the_module_entry_point_reads_its_command_line(config_path, tmp_path):
+    out = tmp_path / "out"
+    done = python_with_the_package("-m", "tracebundle.cli", "check-duality", "--config", config_path,
+                                   "--out", str(out))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (out / "summary.json").exists()
+    bare = python_with_the_package("-m", "tracebundle.cli")
+    assert bare.returncode == EXIT_USAGE
+    assert bare.stderr.startswith("usage: tracebundle")
 
 
 def test_golden_section_roundtrip(config_path, tmp_path):

@@ -203,6 +203,24 @@ def test_polar_of_nilpotent_shift():
     assert np.abs(support.blocks[0] - np.diag([0.0, 1.0])).max() < 1e-12
 
 
+def test_polar_cut_is_relative_to_the_block():
+    # every singular value lies below PINV_CUTOFF, yet none is a kernel direction of the block
+    x = 1e-11 * random_fiber(5, dims=(3,))
+    u, h = polar(x)
+    assert max_diff(u * h, x) < 1e-13 * x.max_abs()
+    support = u.adjoint() * u
+    assert max_diff(support * support, support) < 1e-12
+    assert max_diff(support.adjoint(), support) < 1e-12
+    assert max_diff(support, identity_fiber((3,))) < 1e-12
+
+
+def test_polar_of_a_zero_block_is_zero():
+    x = FiberElement([np.zeros((2, 2)), random_fiber(6, dims=(3,)).blocks[0]])
+    u, h = polar(x)
+    assert np.abs(u.blocks[0]).max() == 0.0 and np.abs(h.blocks[0]).max() == 0.0
+    assert max_diff(u * h, x) < 1e-12
+
+
 def test_polar_roundtrip_1000_seeds():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
