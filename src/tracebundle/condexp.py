@@ -11,9 +11,6 @@ contraction bound and locality are verifiable consequences, collected by
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tracelp
@@ -47,6 +44,14 @@ class _FiberProjector:
         self.sqrt_weights = np.concatenate(parts)
         self.ortho = np.zeros((self.sqrt_weights.size, 0), dtype=np.complex128)
         self.accepted, self.tried, self.closure = [], set(), 0.0
+
+    def copy(self) -> _FiberProjector:
+        """A copy with its own ``accepted`` list and ``tried`` set, to extend on its own."""
+        new = object.__new__(_FiberProjector)
+        new.shape, new.sqrt_weights, new.ortho, new.closure = (self.shape, self.sqrt_weights,
+                                                               self.ortho, self.closure)
+        new.accepted, new.tried = list(self.accepted), set(self.tried)
+        return new
 
     def stack_coords(self, blocks) -> np.ndarray:
         """Weighted coordinates ``(S, 1, dim)`` of S stacked elements."""
@@ -156,8 +161,7 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
                 raise ShapeMismatchError(
                     f"generator at {label!r} has dims {g.dims}, expected {shape}"
                 )
-        proj = copy.copy(below.projectors[i]) if below else _FiberProjector(shape, weights)
-        proj.accepted, proj.tried = list(proj.accepted), set(proj.tried)  # the copy's own
+        proj = below.projectors[i].copy() if below else _FiberProjector(shape, weights)
         cap, tried, closure = sum(n * n for n in shape), proj.tried, proj.closure
         frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
         while fresh := [f for f in frontier if proj.rank < cap and _first_try(f, tried)
@@ -245,19 +249,19 @@ def build_cond_exp(target: SubalgebraBasis) -> ConditionalExpectation:
     return ConditionalExpectation(target)
 
 
-@dataclass
 class AxiomReport:
     """Worst residuals of every conditional-expectation axiom over random trials."""
 
-    trials: int
-    seed: int
-    residuals: dict = field(default_factory=dict)
-    per_fiber_worst: dict = field(default_factory=dict)
+    def __init__(self, trials: int, seed: int, residuals: dict = None,
+                 per_fiber_worst: dict = None):
+        self.trials, self.seed = trials, seed
+        self.residuals = {} if residuals is None else residuals
+        self.per_fiber_worst = {} if per_fiber_worst is None else per_fiber_worst
 
     def worst(self) -> float:
         return max(self.residuals.values())
 
-    def to_dict(self) -> dict:  # not asdict, whose deep copy costs 40 times as much here
+    def to_dict(self) -> dict:
         return dict(vars(self), residuals=dict(self.residuals),
                     per_fiber_worst=dict(self.per_fiber_worst))
 

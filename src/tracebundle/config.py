@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
 
 from .bundle import BundleSpec
 from .center import MeasureSpace
@@ -105,20 +104,21 @@ _OVERRIDES = {
 }
 
 
-@dataclass
 class ExperimentConfig:
-    experiment_id: str
-    atoms: list
-    mu: list
-    fiber_shapes: list
-    trace_weights: list
-    tower: list
-    exponents: list
-    weights: object            # "uniform" | "linear" | explicit list
-    seed: int
-    trials: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    extension: int = 0
+    def __init__(self, experiment_id: str, atoms: list, mu: list, fiber_shapes: list,
+                 trace_weights: list, tower: list, exponents: list, weights, seed: int,
+                 trials: dict = None, tolerances: dict = None, extension: int = 0):
+        self.experiment_id, self.atoms, self.mu = experiment_id, atoms, mu
+        self.fiber_shapes, self.trace_weights = fiber_shapes, trace_weights
+        self.tower, self.exponents = tower, exponents
+        self.weights = weights  # "uniform" | "linear" | explicit list
+        self.seed = seed
+        self.trials = {} if trials is None else trials
+        self.tolerances = {} if tolerances is None else tolerances
+        self.extension = extension
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is ExperimentConfig else NotImplemented
 
     def build_bundle(self) -> BundleSpec:
         space = MeasureSpace(self.atoms, self.mu)
@@ -154,12 +154,13 @@ class ExperimentConfig:
         return w[:length]
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
+        """The config document; its lists and objects are the config's own, not copies."""
+        doc = dict(vars(self))
         doc["bundle"] = {key: doc.pop(key) for key in _BUNDLE}
         return doc
 
 
-_TOP_KEYS = {f.name for f in fields(ExperimentConfig)} - set(_BUNDLE) | {"bundle"}
+_TOP_KEYS = {*_REQUIRED, *_OVERRIDES, "weights", "extension"}
 
 
 def _is_square(block) -> bool:

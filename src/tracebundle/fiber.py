@@ -76,10 +76,7 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
     if vectors:
         a[0, n + diag, diag] = 1.0
         u_out = np.empty((lanes, n, n), dtype=np.complex128)
-    norm = np.zeros(lanes)
-    for i in range(n):
-        for j in range(n):
-            norm = np.hypot(norm, np.hypot(a[0, i, j], a[1, i, j]))
+    norm = np.hypot.reduce(np.hypot(a[0, :n], a[1, :n]).reshape(n * n, lanes))
     tol = JACOBI_OFFDIAG_TOL * norm
     rows, cols = np.triu_indices(n, 1)  # the (p, q) pairs in row-major order
     out = np.empty((lanes, n))

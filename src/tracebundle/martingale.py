@@ -12,8 +12,6 @@ at once, held as block stacks (``martingale_checks``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .bundle import BundleSpec, Section, lane_section
@@ -124,18 +122,19 @@ def _tower_residuals(tower) -> tuple[float, float]:
     return float(inclusion), float(composition)
 
 
-@dataclass
 class MartingaleChecks:
     """Per-lane results of ``martingale_checks``; a part it was not asked for is None."""
 
-    defect: np.ndarray             # (S,) worst L1 norm of E_n(x_{n+1}) - x_n
-    recon: np.ndarray = None       # (S,) worst L1 norm of E_n(y) - x_n, y the last step
-    xa: np.ndarray = None          # (S, steps, atoms) ||x_n - y||_p, 0 on held steps
-    sa: np.ndarray = None          # (S, steps, atoms) ||sigma_n - y||_p
-    sup_x: np.ndarray = None       # (S, atoms) max over n of ||x_n||_p
-    sup_sigma: np.ndarray = None   # (S, atoms) the same over the means and the held end
-    terminal: np.ndarray = None    # (S,) max over atoms of ||y - x||_p, x the target
-    pythagoras: np.ndarray = None  # (S,) worst |(||x||^2 - ||x_n||^2 - ||x - x_n||^2)|, p = 2
+    def __init__(self, defect, recon=None, xa=None, sa=None, sup_x=None, sup_sigma=None,
+                 terminal=None, pythagoras=None):
+        self.defect = defect          # (S,) worst L1 norm of E_n(x_{n+1}) - x_n
+        self.recon = recon            # (S,) worst L1 norm of E_n(y) - x_n, y the last step
+        self.xa = xa                  # (S, steps, atoms) ||x_n - y||_p, 0 on held steps
+        self.sa = sa                  # (S, steps, atoms) ||sigma_n - y||_p
+        self.sup_x = sup_x            # (S, atoms) max over n of ||x_n||_p
+        self.sup_sigma = sup_sigma    # (S, atoms) the same over the means and the held end
+        self.terminal = terminal      # (S,) max over atoms of ||y - x||_p, x the target
+        self.pythagoras = pythagoras  # (S,) worst |(||x||^2 - ||x_n||^2 - ||x - x_n||^2)|, p = 2
 
 
 def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = False,
@@ -273,13 +272,12 @@ def martingale_from_target(x: Section, filtration: Filtration, p: float = 2.0) -
     return MartingaleSeq(filtration, elements, p=p)
 
 
-@dataclass
 class MartingaleLimit:
     """Terminal element of a full tower together with its consistency data."""
 
-    limit: Section
-    reconstruction_residual: float
-    residual_trace: list  # max over atoms of ||x_n - limit||_p, per level
+    def __init__(self, limit: Section, reconstruction_residual: float, residual_trace: list):
+        self.limit, self.reconstruction_residual = limit, reconstruction_residual
+        self.residual_trace = residual_trace  # max over atoms of ||x_n - limit||_p, per level
 
     def to_dict(self) -> dict:
         return {
@@ -307,22 +305,24 @@ def _limit(seq: MartingaleSeq, checks: MartingaleChecks) -> MartingaleLimit:
                            residual_trace=checks.xa[0, :len(seq)].max(axis=1).tolist())
 
 
-@dataclass
 class DoubleSequenceReport:
     """Grid diagnostics for projecting a convergent sequence through a tower."""
 
-    p: float
-    grid: list                 # grid[n][m] = max_w ||E(x_n | M_m) - x||_p
-    sequence_residuals: list   # max_w ||x_n - x||_p
-    tower_residuals: list      # max_w ||E(x | M_m) - x||_p
-    corner: float
-    corner_bound: float
-    corner_ok: bool
-    triangle_violation: float  # max of grid - (seq + tower) bound
-    bound_monotone_ok: bool
+    def __init__(self, p: float, grid: list, sequence_residuals: list, tower_residuals: list,
+                 corner: float, corner_bound: float, corner_ok: bool, triangle_violation: float,
+                 bound_monotone_ok: bool):
+        self.p = p
+        self.grid = grid                              # grid[n][m] = max_w ||E(x_n | M_m) - x||_p
+        self.sequence_residuals = sequence_residuals  # max_w ||x_n - x||_p
+        self.tower_residuals = tower_residuals        # max_w ||E(x | M_m) - x||_p
+        self.corner, self.corner_bound, self.corner_ok = corner, corner_bound, corner_ok
+        self.triangle_violation = triangle_violation  # max of grid - (seq + tower) bound
+        self.bound_monotone_ok = bound_monotone_ok
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self), grid=[list(row) for row in self.grid],
+                    sequence_residuals=list(self.sequence_residuals),
+                    tower_residuals=list(self.tower_residuals))
 
 
 def double_sequence_check(xs, x: Section, filtration: Filtration, p: float,
@@ -394,19 +394,21 @@ def _sup(seq: MartingaleSeq, checks: MartingaleChecks):
     return sup_x, sup_sigma, sup_x - sup_sigma
 
 
-@dataclass
 class CesaroReport:
     """Joint convergence verdict for a martingale and its weighted averages."""
 
-    p: float
-    tol: float
-    verdict: str                 # "both" | "neither" | "exactly-one"
-    element_trace: list          # max over atoms of ||x_n - y||_p
-    average_trace: list          # max over atoms of ||sigma_n - y||_p
-    element_trace_per_atom: np.ndarray = None  # (steps, atoms)
-    average_trace_per_atom: np.ndarray = None  # (steps, atoms)
-    limit: MartingaleLimit = None  # the verified limit y
-    sup_comparison: tuple = None   # sup_norm_comparison on the same weights and extension
+    def __init__(self, p: float, tol: float, verdict: str, element_trace: list,
+                 average_trace: list, element_trace_per_atom: np.ndarray = None,
+                 average_trace_per_atom: np.ndarray = None, limit: MartingaleLimit = None,
+                 sup_comparison: tuple = None):
+        self.p, self.tol = p, tol
+        self.verdict = verdict                # "both" | "neither" | "exactly-one"
+        self.element_trace = element_trace    # max over atoms of ||x_n - y||_p
+        self.average_trace = average_trace    # max over atoms of ||sigma_n - y||_p
+        self.element_trace_per_atom = element_trace_per_atom  # (steps, atoms)
+        self.average_trace_per_atom = average_trace_per_atom  # (steps, atoms)
+        self.limit = limit                    # the verified limit y
+        self.sup_comparison = sup_comparison  # sup_norm_comparison, same weights and extension
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +26,9 @@ from .tracelp import (derive_seed, duality_checks, packed_chunks, section_stacks
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
 
 
-@dataclass
 class CheckResult:
-    name: str
-    worst_residual: float
-    tolerance: float
+    def __init__(self, name: str, worst_residual: float, tolerance: float):
+        self.name, self.worst_residual, self.tolerance = name, worst_residual, tolerance
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,18 +261,16 @@ def _witnesses(cases) -> list:
     return out
 
 
-@dataclass
 class DualityReport:
     """Outcome of a sampled duality check for one section and one exponent."""
 
-    p: float
-    samples: int
-    seed: int
-    max_violation: float
-    attainment_residual: float
-    per_fiber: list = field(default_factory=list)
+    def __init__(self, p: float, samples: int, seed: int, max_violation: float,
+                 attainment_residual: float, per_fiber: list = None):
+        self.p, self.samples, self.seed = p, samples, seed
+        self.max_violation, self.attainment_residual = max_violation, attainment_residual
+        self.per_fiber = [] if per_fiber is None else per_fiber
 
-    def to_dict(self) -> dict:  # not asdict, whose deep copy costs 50 times as much here
+    def to_dict(self) -> dict:
         return dict(vars(self), per_fiber=[dict(row) for row in self.per_fiber])
 
 
@@ -337,7 +334,6 @@ def _contenders(ys, bundle, q, pairing, starts) -> np.ndarray:
     return most >= np.repeat(best, np.diff(starts, append=len(pairing)), axis=0)
 
 
-@dataclass
 class _Drawn:
     """The sample lanes of one bundle and q in one group: the chunks ``members``, each
     ``(case, size)``, in order; ``pairing`` the ``(S, atoms)`` ``|trace(x y)|``; ``keep`` the
@@ -345,13 +341,10 @@ class _Drawn:
     the dual norms; elsewhere ``blocks`` holds each block slot's kept lanes, those kept at
     its atom."""
 
-    members: list
-    bundle: BundleSpec
-    q: float
-    pairing: np.ndarray
-    keep: np.ndarray
-    blocks: list
-    frobenius: np.ndarray | None
+    def __init__(self, members: list, bundle: BundleSpec, q: float, pairing: np.ndarray,
+                 keep: np.ndarray, blocks: list, frobenius: np.ndarray | None):
+        self.members, self.bundle, self.q, self.pairing = members, bundle, q, pairing
+        self.keep, self.blocks, self.frobenius = keep, blocks, frobenius
 
 
 def _draw(cases, qs, rngs, group) -> list[_Drawn]:

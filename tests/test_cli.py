@@ -122,7 +122,8 @@ def test_martingale_artifacts_keep_their_bytes(name, tmp_path):
 
 # sha256 of the reports of check-duality and check-axioms, recorded before the dual-norm
 # brackets and the witness norms stopped forming synthetic spectra: any change to the bits
-# of a duality or axiom report fails here
+# of a duality or axiom report fails here.  The run rows, recorded before the report and
+# config classes stopped being dataclasses, also pin run's config_hash over the full config
 REPORT_DIGESTS = {
     ("check-duality", "duality"): {
         "duality.json": "193098b3ea1f6a7ad7cd0f170955f2e843b69cb14e91f6fe995fc3f0083a6b07",
@@ -139,6 +140,16 @@ REPORT_DIGESTS = {
     ("check-axioms", "axioms-large-blocks"): {
         "axioms.json": "9576a3c414b71ea942506634a85ef1e4519de91afae65a9f531d711f59582c2f",
         "summary.json": "7e33b19e3c0bacf1aea9d280562fec1801be83532ab526fc8cf3b7554a916173",
+    },
+    ("run", "mat2_tower"): {
+        "axioms.json": "e873c9181114c24f29c52c5f5d18f1c9a3cad598204915d418cea8131950a23c",
+        "duality.json": "9b15960f06cd41fcdfd3740d5215328d5c6d9041420e5a335b9fbf36cf4f6297",
+        "summary.json": "69145ba9a7493b4ca8f92ece5503a1fffd96390020093d5e1a96ed65207e0f31",
+    },
+    ("run", "hetero4_tower"): {
+        "axioms.json": "b40f3a8fd4c81fb48634ad66f84fc65d91421d84e7d07389deeb1beeb61021b0",
+        "duality.json": "1978f25c8e42e565121717c84034db1441070773a7f6028d08363240f82797ec",
+        "summary.json": "318e46f341681b318b2eb6408fe5499edb339373074fee2e24273850af87a69f",
     },
 }
 
@@ -360,12 +371,13 @@ def python_with_the_package(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def test_a_check_command_loads_neither_argparse_nor_the_fixtures(config_path, tmp_path):
+def test_a_check_command_loads_no_argparse_dataclasses_copy_or_fixtures(config_path, tmp_path):
     argv = ["check-duality", "--config", config_path, "--out", str(tmp_path / "out")]
     script = ("import sys\n"
               "from tracebundle import cli\n"
               f"code = cli.main({argv!r})\n"
-              "print(code, sorted({'argparse', 'tracebundle.fixtures'} & set(sys.modules)))")
+              "print(code, sorted({'argparse', 'copy', 'dataclasses', 'tracebundle.fixtures'}"
+              " & set(sys.modules)))")
     done = python_with_the_package("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"

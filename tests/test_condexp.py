@@ -1,5 +1,3 @@
-import copy
-import dataclasses
 import json
 from pathlib import Path
 
@@ -172,7 +170,7 @@ def test_chunked_closure_matches_the_per_product_reference(request, mat2_bundle,
     rng = np.random.default_rng(5)
     for bundle, generators in cases:
         for proj in validate_subalgebra(bundle, generators).projectors:
-            pushed = copy.copy(proj)
+            pushed = proj.copy()
             pushed.ortho = proj.ortho + 0.1 * rng.standard_normal(proj.ortho.shape)
             for p in (proj, pushed):
                 assert abs(condexp._closure_residual(p) - closure_residual_reference(p)) <= 1e-14
@@ -417,10 +415,11 @@ def test_axiom_report_deterministic(hetero_diag_exp):
     assert a.to_dict() == b.to_dict()
 
 
-def test_axiom_report_dict_is_the_dataclass_dict_and_its_own(hetero_diag_exp):
+def test_axiom_report_dict_holds_its_fields_and_is_its_own(hetero_diag_exp):
     rep = check_cond_exp_axioms(hetero_diag_exp, 5, 3)
     payload = rep.to_dict()
-    assert payload == dataclasses.asdict(rep)
+    assert payload == {"trials": 5, "seed": 3, "residuals": rep.residuals,
+                       "per_fiber_worst": rep.per_fiber_worst}
     payload["residuals"]["idempotence"] = payload["per_fiber_worst"]["w1"] = -1.0
     assert rep.residuals["idempotence"] >= 0.0 and rep.per_fiber_worst["w1"] >= 0.0
 

@@ -120,7 +120,7 @@ def push_off_span(basis, column=-1, seed=9):
     rng = np.random.default_rng(seed)
     projectors = []
     for p in basis.projectors:
-        q = copy.copy(p)
+        q = p.copy()
         q.ortho = p.ortho.copy()
         d = len(q.ortho)
         q.ortho[:, column] += 0.1 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
@@ -149,6 +149,18 @@ def test_tower_levels_equal_from_scratch_validation(name, request):
                    for p, q in zip(level.projectors, scratch.projectors))
         assert level.closure_residual == scratch.closure_residual
         assert generator_bits(level) == generator_bits(scratch)
+
+
+def test_extending_a_level_leaves_the_level_below_as_it_was(hetero_bundle):
+    # the extension goes on from copies of the projectors below: their spans, accepted
+    # elements and tried candidates stay the level's own
+    below = condexp.validate_subalgebra(hetero_bundle, level_generators(hetero_bundle, "diagonal"))
+    state = [(p.ortho.tobytes(), len(p.accepted), set(p.tried), p.closure)
+             for p in below.projectors]
+    above = condexp.validate_subalgebra(below, level_generators(hetero_bundle, "full"))
+    assert above.dims == hetero_bundle.algebra_dims() != below.dims
+    assert [(p.ortho.tobytes(), len(p.accepted), p.tried, p.closure)
+            for p in below.projectors] == state
 
 
 def test_explicit_tower_matches_from_scratch_projectors():

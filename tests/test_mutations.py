@@ -302,7 +302,7 @@ def onto_a_larger_subalgebra(monkeypatch):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="no condexp check ties E to its target subalgebra "
-                   "(ROADMAP item 3, status)")
+                   "(ROADMAP item 9)")
 def test_an_expectation_onto_a_larger_subalgebra_fails_a_check(tmp_path):
     # E onto N, N containing M, is idempotent, unital, positive, M-bimodular, trace-preserving,
     # contractive and local: it passes all 12 condexp checks of M
