@@ -21,7 +21,7 @@ from .tracelp import derive_seed, packed_chunks, stacked_lp_norms, stacked_trace
 
 ORTHO_PIVOT_TOL = 1e-10       # Gram-Schmidt rank decision on unit-norm candidates
 CLOSURE_RESIDUAL_TOL = 1e-9   # *-and-product closure of the validated span
-SPAN_RESIDUAL_TOL = 1e-10     # Gram orthonormality, and identity membership relative to its norm
+SPAN_RESIDUAL_TOL = 1e-10     # Gram orthonormality; relative membership of 1 and dropped generators
 CONTRACTION_EXPONENTS = (1.0, 2.0, 3.0, 4.0)
 
 
@@ -33,24 +33,25 @@ class _FiberProjector:
     plain Euclidean one.  Elements go through as stacks of S, one ``(S, n, n)``
     array per block; a single element is a one-lane stack.  It keeps the closure
     state of ``validate_subalgebra``: the accepted elements, the bytes of every
-    candidate tried, and the closure residual.
+    candidate tried, the candidates the pivot dropped since it was made or copied,
+    and the closure residual.
     """
 
-    __slots__ = ("shape", "sqrt_weights", "ortho", "accepted", "tried", "closure")
+    __slots__ = ("shape", "sqrt_weights", "ortho", "accepted", "tried", "dropped", "closure")
 
     def __init__(self, shape, weights):
         self.shape = tuple(shape)
         parts = [np.full(n * n, np.sqrt(c)) for n, c in zip(shape, weights)]
         self.sqrt_weights = np.concatenate(parts)
         self.ortho = np.zeros((self.sqrt_weights.size, 0), dtype=np.complex128)
-        self.accepted, self.tried, self.closure = [], set(), 0.0
+        self.accepted, self.tried, self.dropped, self.closure = [], set(), [], 0.0
 
     def copy(self) -> _FiberProjector:
         """A copy with its own ``accepted`` list and ``tried`` set, to extend on its own."""
         new = object.__new__(_FiberProjector)
         new.shape, new.sqrt_weights, new.ortho, new.closure = (self.shape, self.sqrt_weights,
                                                                self.ortho, self.closure)
-        new.accepted, new.tried = list(self.accepted), set(self.tried)
+        new.accepted, new.tried, new.dropped = list(self.accepted), set(self.tried), []
         return new
 
     def stack_coords(self, blocks) -> np.ndarray:
@@ -64,10 +65,16 @@ class _FiberProjector:
         return r - self.ortho @ (self.ortho.conj().T @ r)
 
     def try_extend(self, f: FiberElement) -> bool:
-        """Add ``f`` to the span if independent; True when the rank grew."""
+        """Add ``f`` to the span if independent; True when the rank grew.  A candidate whose
+        squares overflow (under ``np.errstate(over="ignore")``) is normed at unit scale, which
+        keeps the bits of ``v / ||v||``; one below the pivot goes to ``dropped`` unmeasured."""
         v = np.concatenate([b.ravel() for b in f.blocks]) * self.sqrt_weights
         scale = np.linalg.norm(v)
+        if scale == np.inf:
+            v = np.concatenate([b.ravel() for b in _unit_scaled(f).blocks]) * self.sqrt_weights
+            scale = np.linalg.norm(v)
         if scale <= ORTHO_PIVOT_TOL:
+            self.dropped.append(f)
             return False
         r = self.residual_coords(v / scale)
         rnorm = np.linalg.norm(r)
@@ -94,15 +101,20 @@ class _FiberProjector:
 
 
 class SubalgebraBasis:
-    """Validated per-fiber spanning data of a unital *-subalgebra."""
+    """Validated per-fiber spanning data of a unital *-subalgebra: the generators and
+    one projector per atom, whose ``closure`` gives ``closure_residual``."""
 
-    __slots__ = ("bundle", "generators", "projectors", "closure_residual")
+    __slots__ = ("bundle", "generators", "projectors")
 
-    def __init__(self, bundle, generators, projectors, closure_residual):
+    def __init__(self, bundle, generators, projectors):
         self.bundle = bundle
         self.generators = generators
         self.projectors = projectors
-        self.closure_residual = closure_residual
+
+    @property
+    def closure_residual(self) -> float:
+        """The worst closure residual over the atoms, folded with NumPy: a NaN propagates."""
+        return float(np.max([p.closure for p in self.projectors]))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -138,11 +150,14 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
 
     Round 1 tries the identity (always accepted), the generators and their
     adjoints; each later round, the new elements' adjoints and their products
-    with all accepted ones.  A candidate bit-equal to one tried before at the
-    atom is skipped, as the span only grew since.  The loop stops once the
-    closure residual (0.0 for a span of full rank, the fiber algebra; else
+    with all accepted ones, each factor at unit scale (``_unit_scaled``), so the
+    span is the same, bit for bit, at every power-of-two magnitude of the
+    generators.  A candidate bit-equal to one tried before at the atom is
+    skipped, as the span only grew since.  The loop stops once the closure
+    residual (0.0 for a span of full rank, the fiber algebra; else
     ``_closure_residual``) is within CLOSURE_RESIDUAL_TOL, and fails closure
-    when a round grows nothing.  ``bundle`` may be a validated SubalgebraBasis
+    when a round grows nothing.  A generator the pivot dropped must lie in the
+    span, relative to its own norm.  ``bundle`` may be a validated SubalgebraBasis
     instead: the loop goes on from its span and closure state, trying only the
     candidates it did not, and the generators are its own followed by ``generators``.
     """
@@ -152,7 +167,6 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
     if len(generators) != bundle.space.size:
         raise ShapeMismatchError("need one generator list per atom")
     projectors = []
-    worst_closure = 0.0
     for i, (label, shape, weights, gens) in enumerate(zip(
         bundle.space.labels, bundle.fiber_shapes, bundle.trace_weights, generators
     )):
@@ -164,14 +178,16 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
         proj = below.projectors[i].copy() if below else _FiberProjector(shape, weights)
         cap, tried, closure = sum(n * n for n in shape), proj.tried, proj.closure
         frontier = [identity_fiber(shape), *gens, *(g.adjoint() for g in gens)]
-        while fresh := [f for f in frontier if proj.rank < cap and _first_try(f, tried)
-                        and proj.try_extend(f)]:
-            proj.accepted += fresh
-            closure = 0.0 if proj.rank == cap else _closure_residual(proj)
-            if closure <= CLOSURE_RESIDUAL_TOL:
-                break
-            frontier = [f.adjoint() for f in fresh] + [
-                h for f in fresh for g in proj.accepted for h in (f * g, g * f)]
+        with np.errstate(over="ignore"):  # a candidate's overflowing norm is taken at unit scale
+            while fresh := [f for f in frontier if proj.rank < cap and _first_try(f, tried)
+                            and proj.try_extend(f)]:
+                proj.accepted += fresh
+                closure = 0.0 if proj.rank == cap else _closure_residual(proj)
+                if closure <= CLOSURE_RESIDUAL_TOL:
+                    break
+                unit = [_unit_scaled(g) for g in proj.accepted]  # no product overflows or vanishes
+                frontier = [f.adjoint() for f in fresh] + [
+                    h for f in unit[-len(fresh):] for g in unit for h in (f * g, g * f)]
         if not proj.rank:
             raise InconsistencyError(f"the span at {label!r} is empty: its identity has weighted "
                                      f"norm below ORTHO_PIVOT_TOL ({ORTHO_PIVOT_TOL:.0e})")
@@ -192,12 +208,29 @@ def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> Sub
                 f"span at {label!r} is not closed under * and products "
                 f"(residual {closure:.2e})"
             )
+        if lost := [j for j, g in enumerate(gens) if any(g is f for f in proj.dropped)
+                    and _relative_distance(proj, g) > SPAN_RESIDUAL_TOL]:
+            raise InconsistencyError(
+                f"generator {lost[0]} at {label!r} has weighted norm below ORTHO_PIVOT_TOL "
+                f"({ORTHO_PIVOT_TOL:.0e}) and is not in the span")
         proj.closure = closure
-        worst_closure = max(worst_closure, closure)
         projectors.append(proj)
     if below:
         generators = [old + new for old, new in zip(below.generators, generators)]
-    return SubalgebraBasis(bundle, generators, projectors, worst_closure)
+    return SubalgebraBasis(bundle, generators, projectors)
+
+
+def _unit_scaled(f: FiberElement) -> FiberElement:
+    """``f`` times the power of two that brings its largest entry into [0.5, 1) (short of it
+    when subnormal): exact, so ``v / ||v||`` of its weighted coordinates keeps its bits."""
+    return f * 2.0 ** min(-int(np.frexp(f.max_abs())[1]), 1022)
+
+
+def _relative_distance(proj: _FiberProjector, f: FiberElement) -> float:
+    """The distance of ``f`` to the span over its weighted norm, at unit scale (0.0 for 0)."""
+    blocks = [b[None] for b in _unit_scaled(f).blocks]
+    norm = np.linalg.norm(proj.stack_coords(blocks))
+    return float(proj.stack_residuals(blocks)[0] / norm) if norm else 0.0
 
 
 def _first_try(f: FiberElement, tried: set) -> bool:
@@ -297,8 +330,9 @@ def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
     """``check_cond_exp_axioms(E, trials, seed)`` for every ``(E, seed)`` case, in order.
 
     The cases' chunks go through in groups (``packed_chunks``), each with one stacked
-    solve per block size for its positivity eigenvalues and Gram spectra together.
-    No step mixes trials or cases, so the grouping does not show in a report.
+    solve per block size for its positivity eigenvalues and Gram spectra together.  Each
+    case projects a chunk in two stacked calls (``_AxiomTally.draw``).  No step mixes
+    trials or cases, so neither the grouping nor the stacking shows in a report.
     """
     if trials < 1:
         raise UsageError("need at least one trial")
@@ -340,19 +374,25 @@ class _AxiomTally:
     def draw(self, size: int):
         """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
 
-        Returns the stacks whose eigenvalues ``finish`` needs, one per block the Hermitian
-        ones it checks for positivity and then the Gram matrices of ``both``; and ``both``,
+        One stacked ``_project`` call takes ``x``, ``g* g``, ``a x b`` and the locality
+        lanes together; ``E(E(x))`` is the second, as it needs ``E(x)``.  Returns the
+        stacks whose eigenvalues ``finish`` needs, one per block the Hermitian ones it
+        checks for positivity and then the Gram matrices of ``both``; and ``both``,
         ``E(x)`` (rows < size) stacked on ``x``, whose Lp norms ``finish`` compares.
         """
         E, rngs = self.E, self.rngs
         bundle, projectors = E.bundle, E.target.projectors
         x, g = (gaussian_stacks(bundle, rngs[tag], size) for tag in ("x", "pos"))
         a, b, y = (E.target.random_stacks(rngs[tag], size) for tag in "aby")
-        ex = _project(projectors, x)
+        # per block, lanes of x, g* g and a x b, then the locality lanes: lane (3 + w) * size + t
+        # holds x_t at atom w and the pos draw g_t elsewhere
+        images = _project(projectors, [
+            np.concatenate([xi, gi.conj().transpose(0, 2, 1) @ gi, ai @ xi @ bi,
+                            *(xi if i == w else gi for w in self.atom_ids)])
+            for i, xi, gi, ai, bi in zip(self.block_atoms, x, g, a, b)])
+        ex, epos, axb = ([e[k * size:(k + 1) * size] for e in images] for k in range(3))
         self.bump("idempotence", _gap(_project(projectors, ex), ex))
-        epos = _project(projectors, [v.conj().transpose(0, 2, 1) @ v for v in g])
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
-        axb = _project(projectors, [u @ v @ w for u, v, w in zip(a, x, b)])
         self.bump("module_property", _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]))
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
         self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, per_atom=True)
@@ -361,10 +401,7 @@ class _AxiomTally:
         nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
         self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))
-        # locality: lane w * size + t holds x_t at atom w and the pos draw g_t elsewhere
-        far = _project(projectors, [np.concatenate([u if i == w else v for w in self.atom_ids])
-                                    for i, u, v in zip(self.block_atoms, x, g)])
-        own = [f[i * size:(i + 1) * size] for i, f in zip(self.block_atoms, far)]
+        own = [e[(3 + i) * size:(4 + i) * size] for i, e in zip(self.block_atoms, images)]
         self.bump("fiberwise_agreement", _gap(own, ex))
         both = [np.concatenate(pair) for pair in zip(ex, x)]
         return hs + [np.einsum("ski,skj->sij", z.conj(), z) for z in both], both

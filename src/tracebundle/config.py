@@ -15,7 +15,7 @@ from .bundle import BundleSpec
 from .center import MeasureSpace
 from .errors import ConfigError, TraceBundleError, UsageError
 from .fiber import FiberElement
-from .towers import fiber_level_generators
+from .towers import level_generators
 
 DEFAULT_TOLERANCES = {
     "trace_axioms": 1e-10,
@@ -129,9 +129,7 @@ class ExperimentConfig:
         levels = []
         for spec in self.tower:
             if isinstance(spec, str):
-                levels.append(
-                    [fiber_level_generators(shape, spec) for shape in bundle.fiber_shapes]
-                )
+                levels.append(level_generators(bundle, spec))
                 continue
             explicit = spec["explicit"]
             unknown = sorted(set(explicit) - set(bundle.space.labels))

@@ -69,14 +69,13 @@ class Filtration:
     def restrict(self, labels) -> "Filtration":
         """The same tower on a sub-bundle, from the chosen atoms' validated per-atom data.
 
-        Validation works atom by atom, so each level keeps its generators, projectors and
-        closure residuals at those atoms; only the tower residuals are measured again.
+        Validation works atom by atom, so each level keeps its generators and projectors (its
+        closure residual follows) at those atoms; only the tower residuals are measured again.
         """
         sub = self.bundle.restrict(labels)
         idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
         return Filtration([SubalgebraBasis(sub, [level.generators[i] for i in idx],
-                                           [level.projectors[i] for i in idx],
-                                           max(level.projectors[i].closure for i in idx))
+                                           [level.projectors[i] for i in idx])
                            for level in self.tower])
 
     def __repr__(self):

@@ -213,6 +213,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     if unknown:
         raise UsageError(f"unknown experiment parts: {unknown}")
     bundle = cfg.build_bundle()
+    header = {"experiment_id": cfg.experiment_id, "seed": cfg.seed}  # of every JSON artifact
 
     checks: list[CheckResult] = []
     artifacts = []  # (writer, file name, payload), in writing order
@@ -225,19 +226,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     if "condexp" in parts:
         cx_checks, cx_reports = _run_part("condexp", run_condexp_checks, cfg, filtration)
         checks.extend(cx_checks)
-        artifacts.append((write_json, "axioms.json", {
-            "experiment_id": cfg.experiment_id,
-            "seed": cfg.seed,
-            "levels": cx_reports,
-        }))
+        artifacts.append((write_json, "axioms.json", {**header, "levels": cx_reports}))
     if "duality" in parts:
         du_checks, du_reports = _run_part("duality", run_duality_checks, cfg, bundle)
         checks.extend(du_checks)
-        artifacts.append((write_json, "duality.json", {
-            "experiment_id": cfg.experiment_id,
-            "seed": cfg.seed,
-            "reports": du_reports,
-        }))
+        artifacts.append((write_json, "duality.json", {**header, "reports": du_reports}))
     if "martingale" in parts:
         ma_checks, traces, limit_section = _run_part(
             "martingale", run_martingale_checks, cfg, filtration)
@@ -247,12 +240,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
 
     if bad := ", ".join(c.name for c in checks if not np.isfinite(c.worst_residual)):
         raise NumericalFailureError(f"numerical failure: the worst residual of {bad} is not finite")
-    summary = {
-        "experiment_id": cfg.experiment_id,
-        "seed": cfg.seed,
-        "config_hash": config_hash(cfg),
-        "checks": [c.to_dict() for c in checks],
-    }
+    summary = {**header, "config_hash": config_hash(cfg), "checks": [c.to_dict() for c in checks]}
     artifacts.append((write_json, "summary.json", summary))
     os.makedirs(out_dir, exist_ok=True)
     for write, name, payload in artifacts:  # each through a .tmp sibling, renamed when complete

@@ -301,18 +301,16 @@ def dual_norm_bracket(ys, bundle, q) -> tuple[np.ndarray, np.ndarray]:
     Analysis, II and IV), so every Lq norm, q = inf included, lies between those of the
     two.  Each end is one column per block slot through ``top_scaled_sums``, whose scaling
     keeps large q in range: ``F/n`` counted n times, and ``F`` (the spike's zeros add
-    nothing).  At q = 2 both are the Frobenius norm.  Widened by BRACKET_MARGIN, the
-    bounds hold for the rounded norms of solved spectra too.
+    nothing).  At q = 2 both ends are the Frobenius norm up to rounding, well inside
+    BRACKET_MARGIN; ``_contenders`` never asks for q = 2, where the norm needs no solve.
+    Widened by BRACKET_MARGIN, the bounds hold for the rounded norms of solved spectra too.
     """
-    if q == 2.0:
-        flat = spike = stacked_lp_norms(ys, bundle, [q], ())[0]
-    else:
-        f = [np.vecdot(e, e).real[:, None]  # one column per slot
-             for e in (y.reshape(len(y), y.shape[1] * y.shape[2]) for y in ys)]
-        n = [y.shape[1] for y in ys]
-        flat, spike = (_top_scaled_norms(top, sums, q) for top, _, (sums,) in (
-            top_scaled_sums([fj / nj for fj, nj in zip(f, n)], bundle, [q], n),
-            top_scaled_sums(f, bundle, [q])))
+    f = [np.vecdot(e, e).real[:, None]  # one column per slot
+         for e in (y.reshape(len(y), y.shape[1] * y.shape[2]) for y in ys)]
+    n = [y.shape[1] for y in ys]
+    flat, spike = (_top_scaled_norms(top, sums, q) for top, _, (sums,) in (
+        top_scaled_sums([fj / nj for fj, nj in zip(f, n)], bundle, [q], n),
+        top_scaled_sums(f, bundle, [q])))
     return (np.minimum(flat, spike) * (1.0 - BRACKET_MARGIN),
             np.maximum(flat, spike) * (1.0 + BRACKET_MARGIN))
 

@@ -5,8 +5,8 @@
 dropped or renamed check fails here first.  The stacked eigensolver calls of
 every workload are pinned too, so a refactor that splits a phase's shared
 solves again fails here, and so are the single-block solves of the duality
-workload (none), and the subalgebra validations, span extensions and closure
-residuals of the axiom workload.  Each workload also runs once through
+workload (none), and the subalgebra validations, span extensions, closure
+residuals and projections of the axiom workload.  Each workload also runs once through
 ``bench/child.py`` with tracing on, which wraps the package's public functions
 by name, so a rename that breaks ``bench/run.py --trace 1`` fails here.  The
 bench files are only read.
@@ -148,6 +148,15 @@ def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypat
     calls = count_calls(condexp.validate_subalgebra, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
     assert len(calls) == 4
+
+
+def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch):
+    # 4 levels of 30 trials, one chunk each: one projection of x, g* g, a x b and the 3 atoms'
+    # locality lanes together (180 lanes), then one of E(x) (30 lanes); projecting those
+    # inputs one by one took 20 calls
+    calls = count_calls(condexp._project, monkeypatch)
+    run_workload("axioms-large-blocks", tmp_path, capsys)
+    assert sorted(len(call["blocks"][0]) for call in calls) == [30] * 4 + [180] * 4
 
 
 def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):

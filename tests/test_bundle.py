@@ -8,6 +8,7 @@ from tracebundle import (
     CenterElement,
     ContractViolationError,
     MeasureSpace,
+    Section,
     ShapeMismatchError,
     UsageError,
     center_scale,
@@ -36,6 +37,15 @@ def test_bundle_validation():
         BundleSpec(space, [[2, 2]], [[1.0]])
     with pytest.raises(ShapeMismatchError):
         BundleSpec(space, [[2], [2]], [[1.0], [1.0]])
+
+
+def test_section_needs_one_fiber_of_the_atom_shape_per_atom(hetero_bundle):
+    fibers = identity_section(hetero_bundle).fibers
+    with pytest.raises(ShapeMismatchError, match="need one fiber element per atom"):
+        Section(hetero_bundle, fibers[:-1])
+    with pytest.raises(ShapeMismatchError,
+                       match=r"fiber at 'w1' has dims \(3,\), bundle expects \(2,\)"):
+        Section(hetero_bundle, fibers[1:2] + fibers[1:])
 
 
 def test_identity_is_two_sided_unit(hetero_bundle):

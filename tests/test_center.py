@@ -59,6 +59,13 @@ def test_mismatched_spaces_rejected(space):
         CenterElement(space, [1, 2, 3]) + CenterElement(other, [1, 2, 3])
 
 
+def test_center_element_needs_one_finite_value_per_atom(space):
+    with pytest.raises(ShapeMismatchError, match=r"expected 3 values, got shape \(2,\)"):
+        CenterElement(space, [1.0, 2.0])
+    with pytest.raises(ContractViolationError, match="center element has non-finite entries"):
+        CenterElement(space, [1.0, np.inf, 2.0])
+
+
 def test_leq_partial_order(space):
     rng = np.random.default_rng(1)
     fs = [CenterElement(space, rng.standard_normal(3)) for _ in range(8)]

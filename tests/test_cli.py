@@ -237,6 +237,37 @@ def test_a_level_that_lost_the_identity_fails_the_build(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("v", [1e-11, 1e-6, 1e160])
+def test_an_explicit_shift_level_closes_at_any_magnitude(v, tmp_path, capsys):
+    # span{1, v e12} closes to all of Mat2: before, its products fell below the pivot at
+    # v = 1e-6 (exit 3), and at 1e160 its norm overflowed, so the level read as the scalars;
+    # at 1e-11 the generator itself is below the pivot and now refused, where it was dropped
+    shift = [[[[0, 0], [v, 0]], [[0, 0], [0, 0]]]]  # one block, entries as [re, im]
+    doc = {"experiment_id": "shift", "exponents": [2], "seed": 1,
+           "bundle": {"atoms": ["a"], "mu": [1.0], "fiber_shapes": [[2]], "trace_weights": [[1.0]]},
+           "tower": ["scalars", {"explicit": {"a": [shift]}}, "full"]}
+    config = tmp_path / "shift.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["check-axioms", "--config", str(config), "--out", str(out)])
+    if v < 1e-10:
+        assert code == EXIT_CONFIG_ERROR
+        assert ("model construction failed: generator 0 at 'a' has weighted norm below "
+                "ORTHO_PIVOT_TOL (1e-10) and is not in the span") in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK
+        levels = json.loads((out / "axioms.json").read_text(encoding="utf-8"))["levels"]
+        assert [level["dims"] for level in levels] == [[1], [4], [4]]
+
+
+def test_emit_fixtures_into_an_unwritable_directory_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["emit-fixtures", "--out", str(blocker / "out")]) == EXIT_IO_ERROR
+    assert "tracebundle: I/O failure:" in capsys.readouterr().err
+
+
 def test_usage_error_inside_a_run_exits_5(config_path, tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._PARTS_BY_COMMAND, "run", ("trace", "bogus"))
     out = tmp_path / "out"

@@ -203,6 +203,20 @@ def test_generator_shape_mismatch(mat2_bundle):
         validate_subalgebra(mat2_bundle, [[identity_fiber((3,))]])
 
 
+def test_validation_needs_one_generator_list_per_atom(hetero_bundle):
+    with pytest.raises(ShapeMismatchError, match="need one generator list per atom"):
+        validate_subalgebra(hetero_bundle, [[identity_fiber((2,))]])
+
+
+def test_a_basis_and_its_expectation_refuse_a_section_of_another_bundle(mat2_bundle, hetero_bundle):
+    basis = validate_subalgebra(mat2_bundle, [diagonal_units((2,))])
+    x = identity_section(hetero_bundle)
+    with pytest.raises(ShapeMismatchError, match="section lives on a different bundle"):
+        basis.membership_residual(x)
+    with pytest.raises(ShapeMismatchError, match="section lives on a different bundle"):
+        build_cond_exp(basis)(x)
+
+
 def test_orthonormal_basis_gram(hetero_bundle):
     basis = validate_subalgebra(
         hetero_bundle, [diagonal_units(s) for s in hetero_bundle.fiber_shapes]
@@ -230,6 +244,43 @@ def test_a_span_that_lost_the_identity_is_refused_at_any_weight_unit():
     # the diagonal, which holds the identity, passes at that unit
     other = FiberElement([np.array([[0.0, 0.0], [0.0, 1e8]])])
     assert validate_subalgebra(bundle, [[spike, other]]).dims == (2,)
+
+
+def power_of_two_cases():
+    """A Mat2 shift and a Hermitian Mat3 element, each on one atom of trace weight 1."""
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return {"shift": ((2,), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)),
+            "hermitian": ((3,), g + g.conj().T)}
+
+
+@pytest.mark.parametrize("name", ["shift", "hermitian"])
+def test_the_closure_is_the_same_at_any_power_of_two(name):
+    # 2**k m is m up to an exact scaling, so every k gives the k = 0 basis bit for bit, or,
+    # where the weighted norm is at most the pivot, refuses the generator.  Before, norms
+    # whose squares overflow read as dependent, and products as dependent or below the pivot:
+    # dims (1,) or "not closed" at all but 272 of the 2001 exponents
+    shape, m = power_of_two_cases()[name]
+    bundle = BundleSpec(MeasureSpace(["a"], [1.0]), [list(shape)], [[1.0]])
+    want = validate_subalgebra(bundle, [[FiberElement([m])]]).projectors[0].ortho
+    for k in range(-1000, 1001):
+        if np.linalg.norm(m) * 2.0**k > condexp.ORTHO_PIVOT_TOL:
+            got = validate_subalgebra(bundle, [[FiberElement([m * 2.0**k])]]).projectors[0].ortho
+            assert got.shape == want.shape and np.array_equal(got, want), k
+        else:
+            with pytest.raises(InconsistencyError, match="generator 0 at 'a' has weighted norm "
+                               "below ORTHO_PIVOT_TOL \\(1e-10\\) and is not in the span"):
+                validate_subalgebra(bundle, [[FiberElement([m * 2.0**k])]])
+
+
+def test_a_generator_below_the_pivot_in_the_span_is_kept(mat2_bundle):
+    # 1e-11 * 1 is dropped by the pivot, but the identity spans it; so does 1e-11 * e11
+    # once e11 itself is a generator, whatever their order
+    tiny, unit = FiberElement([1e-11 * np.eye(2)]), FiberElement([np.diag([1.0, 0.0])])
+    assert validate_subalgebra(mat2_bundle, [[tiny]]).dims == (1,)
+    assert validate_subalgebra(mat2_bundle, [[1e-11 * unit, unit]]).dims == (2,)
+    with pytest.raises(InconsistencyError, match="generator 1 at 'w'"):
+        validate_subalgebra(mat2_bundle, [[tiny, 1e-11 * unit]])
 
 
 # ------------------------------------------------------------ construction

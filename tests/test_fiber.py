@@ -70,6 +70,11 @@ def test_shape_mismatch_rejected():
         FiberElement([np.zeros((2, 3))])
 
 
+def test_a_fiber_element_needs_a_block():
+    with pytest.raises(ShapeMismatchError, match="a fiber element needs at least one block"):
+        FiberElement([])
+
+
 def test_nonfinite_entries_rejected():
     with pytest.raises(ContractViolationError):
         FiberElement([np.array([[np.nan, 0.0], [0.0, 1.0]])])

@@ -10,6 +10,7 @@ from tracebundle import (
     InconsistencyError,
     MartingaleSeq,
     MeasureSpace,
+    ShapeMismatchError,
     UnsupportedConfigurationError,
     UsageError,
     build_filtration,
@@ -106,6 +107,12 @@ def test_empty_tower_rejected(mat2_bundle):
         build_filtration(mat2_bundle, [])
 
 
+def test_a_one_sequence_call_refuses_a_section_of_another_bundle(mat2_tower, hetero_bundle):
+    x = identity_section(hetero_bundle)
+    with pytest.raises(ShapeMismatchError, match="section lives on a different bundle"):
+        martingale_defect([x, x], mat2_tower)
+
+
 # ------------------------------------ tower checks against the per-element loops
 
 TOWER_SPECS = {
@@ -125,7 +132,7 @@ def push_off_span(basis, column=-1, seed=9):
         d = len(q.ortho)
         q.ortho[:, column] += 0.1 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         projectors.append(q)
-    return SubalgebraBasis(basis.bundle, basis.generators, projectors, basis.closure_residual)
+    return SubalgebraBasis(basis.bundle, basis.generators, projectors)
 
 
 # ------------------------------------------- levels extended from the one below
