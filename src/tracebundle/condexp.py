@@ -136,10 +136,13 @@ class SubalgebraBasis:
 
     def random_stacks(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """``count`` elements as ``(S, n, n)`` stacks; lane s is the next ``2 * sum(dims)`` draws."""
-        widths = [w for p in self.projectors for w in (p.rank, p.rank)]  # real, then imaginary
-        parts = np.split(rng.standard_normal((count, sum(widths))), np.cumsum(widths)[:-1], axis=1)
-        return [block for p, re, im in zip(self.projectors, parts[::2], parts[1::2])
-                for block in p.stack_from_basis((re + 1j * im)[:, None])]
+        draws = rng.standard_normal((count, 2 * sum(self.dims)))
+        stacks, start = [], 0
+        for p in self.projectors:  # plain slicing: np.split costs ~40 us per call at these sizes
+            re, im = draws[:, start:start + p.rank], draws[:, start + p.rank:start + 2 * p.rank]
+            stacks.extend(p.stack_from_basis((re + 1j * im)[:, None]))
+            start += 2 * p.rank
+        return stacks
 
     def __repr__(self):
         return f"SubalgebraBasis(dims={self.dims})"

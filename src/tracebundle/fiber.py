@@ -19,26 +19,25 @@ import numpy as np
 
 from .errors import ContractViolationError, ShapeMismatchError
 
-HERMITIAN_INPUT_TOL = 1e-10   # max-abs tolerance on ``a - a*`` for Hermitian-only kernels
+HERMITIAN_INPUT_TOL = 1e-10   # max-abs tolerance on ``a - a*``, relative to max |a|, in ``herm_eig``
 JACOBI_OFFDIAG_TOL = 1e-14    # Jacobi stop: off-diagonal / ||a||_F, or |y_p* y_q| / ||y_p|| ||y_q||
 JACOBI_MAX_SWEEPS = 100
-NEGLIGIBLE_COLUMN = 2.0**-52  # a column at most this times ||y||_F settles its one-sided pairs
+NEGLIGIBLE = 2.0**-52         # a (p, q) entry, or a one-sided column, at most this times ||a||_F
 PINV_CUTOFF = 1e-10           # singular values <= this times the largest count as kernel directions
 EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
 
 
-_SWAP_SIGNS = (np.array([-1.0, 1.0]).reshape(2, 1, 1), np.array([1.0, -1.0]).reshape(2, 1, 1))
+_SWAP_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def _plane_turn(x, y, c, s, w, conj, out_x=None, out_y=None):
-    """``c x - s w y`` and ``s x + c w y``, written to ``out_x`` and ``out_y`` when given.
+def _plane_turn(x, y, c, s, w, out_x=None, out_y=None):
+    """``c x - s conj(w) y`` and ``s x + c conj(w) y``, written to ``out_x`` and ``out_y`` when given.
 
     ``x``, ``y``: contiguous ``(2, n, lanes)`` copies of two planes, real part
-    first; ``w = (s wr, s wi, c wr, c wi)`` per lane, shared by a step's turns.
-    ``conj`` turns by ``conj(w)``: the swapped parts of ``y`` change sign, which
-    is exact.  Each complex product is formed from its real and imaginary parts.
+    first; ``w = (s wr, s wi, c wr, c wi)`` per lane.  Each complex product is
+    formed from its real and imaginary parts.
     """
-    y_swapped = y[::-1] * _SWAP_SIGNS[conj]  # (-yi, yr), or (yi, -yr) for conj(w)
+    y_swapped = y[::-1] * _SWAP_SIGNS  # (yi, -yr): times wi, the part conj(w) adds
     wy = w[0] * y
     wy += w[1] * y_swapped
     new_x = np.subtract(c * x, wy, out=out_x)
@@ -52,20 +51,24 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
 
     Returns a ``(B, n)`` array, unordered per block; with ``vectors`` it
     returns ``(w, u)``, ``u`` a ``(B, n, n)`` stack of unitaries with
-    ``h[b] = u[b] @ diag(w[b]) @ u[b]*``.  Each block (a lane) runs cyclic
-    Jacobi sweeps in a fixed row-major (p, q) rotation order: a unimodular
-    phase ``w`` turns the (p, q) plane into a real symmetric one, which a
-    classical rotation annihilates, so the combined plane transform is
-    ``[[c, s], [-s conj(w), c conj(w)]]``; ``u`` takes the column turns of
-    ``h``.  The sweeps stop at ``off <= JACOBI_OFFDIAG_TOL * ||a||_F`` (the
-    off-diagonal Frobenius norm against that of the input, which rotations
-    preserve), so the accuracy does not depend on the scale of ``h``.  All
-    unconverged lanes rotate together, one numpy operation per step, each
-    turn on contiguous copies of its two planes, and a lane leaves the stack
-    at the first sweep that finds it converged.  Every operation is
-    elementwise across lanes, so a lane's output does not depend on the other
-    lanes or on its position in the stack.  A stack with a lane still
-    unconverged after JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
+    ``h[b] = u[b] @ diag(w[b]) @ u[b]*``; ``h`` must be exactly Hermitian.
+    Each block (a lane) runs cyclic Jacobi sweeps in a fixed row-major (p, q)
+    order: a unimodular phase ``w`` makes the (p, q) plane real symmetric,
+    which a classical rotation annihilates, by ``j = [[c, s], [-s conj(w),
+    c conj(w)]]``.  A step forms ``j* h j`` with one plane turn (Rutishauser
+    1966; Golub & Van Loan §8.5): the columns p and q of ``h`` and ``u`` turn,
+    rows p and q become their conjugates, and the (p, q) block is set to
+    ``h_pp - t |h_pq|`` and ``h_qq + t |h_pq|`` (``t = s / c``) with zeros
+    beside them.  An entry at most NEGLIGIBLE ``||h||_F`` takes the identity
+    turn (t = 0): its angle would come from the rounding of ``h_qq - h_pp``,
+    which stalled the sweeps on repeated eigenvalues.  The sweeps stop at
+    ``off <= JACOBI_OFFDIAG_TOL * ||h||_F`` (the off-diagonal Frobenius norm,
+    against that of the input), so the accuracy does not depend on the scale
+    of ``h``.  All unconverged lanes rotate together, one numpy operation per
+    step, and a lane leaves the stack at the first sweep that finds it
+    converged; every operation is elementwise across lanes, so a lane's output
+    does not depend on the stack.  A lane still unconverged after
+    JACOBI_MAX_SWEEPS sweeps raises ContractViolationError.
     """
     lanes, n = h.shape[0], h.shape[-1]
     diag = np.arange(n)
@@ -77,51 +80,60 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
         a[0, n + diag, diag] = 1.0
         u_out = np.empty((lanes, n, n), dtype=np.complex128)
     norm = np.hypot.reduce(np.hypot(a[0, :n], a[1, :n]).reshape(n * n, lanes))
-    tol = JACOBI_OFFDIAG_TOL * norm
+    tol, floor = JACOBI_OFFDIAG_TOL * norm, NEGLIGIBLE * norm
     rows, cols = np.triu_indices(n, 1)  # the (p, q) pairs in row-major order
     out = np.empty((lanes, n))
     lane = np.arange(lanes)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        offdiag = a[:, rows, cols]
-        with np.errstate(over="ignore"):  # huge entries square to inf: not yet converged
+    # huge entries square to inf: not yet converged; and tau * tau overflows only
+    # for a (p, q) entry tiny next to h_qq - h_pp, whose t is then 0
+    with np.errstate(over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            offdiag = a[:, rows, cols]
             squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
             off = 0.0
             for sq in squares:
                 off = off + sq
-        done = np.sqrt(off) <= tol
-        if done.any():
-            out[lane[done]] = a[0, diag, diag][:, done].T
-            if vectors:
-                u_out.real[lane[done]] = a[0, n:][..., done].transpose(2, 0, 1)
-                u_out.imag[lane[done]] = a[1, n:][..., done].transpose(2, 0, 1)
-            keep = ~done
-            a, tol, lane = a[..., keep], tol[keep], lane[keep]
-        if not lane.size:  # every lane is done; an empty stack, at once
-            break
-        for p, q in zip(rows.tolist(), cols.tolist()):
-            re, im = a[0, p, q], a[1, p, q]
-            r = np.hypot(re, im)
-            skip = r == 0.0
-            any_skip = skip.any()
-            if any_skip:
-                r[skip] = 1.0
-            # tau * tau overflows only for a negligible (p, q) entry; t is then 0
-            with np.errstate(over="ignore"):
-                tau = (a[0, q, q] - a[0, p, p]) / (2.0 * r)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            wr = re / r
-            wi = im / r
-            if any_skip:  # a zero (p, q) entry takes the identity turn: c = 1, s = 0, w = 1
-                c[skip], s[skip], wr[skip] = 1.0, 0.0, 1.0
-            w = (s * wr, s * wi, c * wr, c * wi)
-            _plane_turn(a[:, :, p].copy(), a[:, :, q].copy(), c, s, w, True, a[:, :, p], a[:, :, q])
-            _plane_turn(a[:, p].copy(), a[:, q].copy(), c, s, w, False, a[:, p], a[:, q])
-    else:
-        raise ContractViolationError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
+            done = np.sqrt(off) <= tol
+            if done.any():
+                out[lane[done]] = a[0, diag, diag][:, done].T
+                if vectors:
+                    u_out.real[lane[done]] = a[0, n:][..., done].transpose(2, 0, 1)
+                    u_out.imag[lane[done]] = a[1, n:][..., done].transpose(2, 0, 1)
+                keep = ~done
+                a, tol, floor, lane = a[..., keep], tol[keep], floor[keep], lane[keep]
+            if not lane.size:  # every lane is done; an empty stack, at once
+                break
+            for p, q in zip(rows.tolist(), cols.tolist()):
+                re, im = a[0, p, q], a[1, p, q]
+                app, aqq = a[0, p, p], a[0, q, q]
+                r = np.hypot(re, im)
+                skip = r <= floor
+                any_skip = np.count_nonzero(skip)
+                if any_skip:
+                    r[skip] = 1.0
+                tau = (aqq - app) / (2.0 * r)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                wr = re / r
+                wi = im / r
+                if any_skip:  # a negligible (p, q) entry is zeroed by the identity turn: t = 0, w = 1
+                    t[skip], wr[skip], wi[skip] = 0.0, 1.0, 0.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                tr = t * r
+                new_pp, new_qq = app - tr, aqq + tr
+                w = (s * wr, s * wi, c * wr, c * wi)
+                _plane_turn(a[:, :, p].copy(), a[:, :, q].copy(), c, s, w, a[:, :, p], a[:, :, q])
+                a[0, p], a[0, q] = a[0, :n, p], a[0, :n, q]
+                np.negative(a[1, :n, p], out=a[1, p])
+                np.negative(a[1, :n, q], out=a[1, q])
+                plane = slice(p, q + 1, q - p)  # p and q
+                block = a[:, plane, plane]
+                block[...] = 0.0
+                block[0, 0, 0], block[0, 1, 1] = new_pp, new_qq
+        else:
+            raise ContractViolationError(
+                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+            )
     return (out, u_out) if vectors else out
 
 
@@ -160,7 +172,7 @@ def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
     of ``y* y``, from ``||y_p||**2``, ``||y_q||**2`` and ``y_p* y_q`` summed afresh from the
     columns (carried norms would cancel on a nearly dependent pair).  A pair is settled, and
     not turned, when ``|y_p* y_q| <= JACOBI_OFFDIAG_TOL ||y_p|| ||y_q||`` or a column is at
-    most NEGLIGIBLE_COLUMN ``||y_s||_F``; a lane leaves after a sweep that turns nothing.
+    most NEGLIGIBLE ``||y_s||_F``; a lane leaves after a sweep that turns nothing.
     Sums add in a fixed row order and all else is elementwise across lanes, so a lane's bits
     do not depend on the stack.  A lane still turning after JACOBI_MAX_SWEEPS sweeps raises
     ContractViolationError.
@@ -175,7 +187,7 @@ def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
     if vectors:
         a[np.arange(n), 0, np.arange(n, 2 * n)] = 1.0
         v_out = np.empty((lanes, n, n), dtype=np.complex128)
-    floor = NEGLIGIBLE_COLUMN * np.sqrt(_row_sums(_column_squares(a, n)))  # ||y_s||_F
+    floor = NEGLIGIBLE * np.sqrt(_row_sums(_column_squares(a, n)))  # ||y_s||_F
     out = np.empty((lanes, n))
     lane = np.arange(lanes)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -197,7 +209,7 @@ def gram_eigenvalues_stack(y: np.ndarray, vectors=False):
             s = t * c
             phase = sums[2:] / r
             w = (s * phase[0], s * phase[1], c * phase[0], c * phase[1])
-            new_p, new_q = _plane_turn(a[p], a[q], c, s, w, True)
+            new_p, new_q = _plane_turn(a[p], a[q], c, s, w)
             np.copyto(a[p], new_p, where=turn)  # settled lanes keep their columns bit for bit
             np.copyto(a[q], new_q, where=turn)
         done = ~turned
@@ -327,13 +339,11 @@ def solve_by_block_size(stacks, solve) -> list:
     for n in sorted({s.shape[1] for s in stacks}):
         members = [k for k, s in enumerate(stacks) if s.shape[1] == n]
         rows = solve(np.concatenate([stacks[k] for k in members]))
-        ends = np.cumsum([len(stacks[k]) for k in members])[:-1]
-        if isinstance(rows, tuple):
-            parts = zip(*[np.split(r, ends) for r in rows])
-        else:
-            parts = np.split(rows, ends)
-        for k, part in zip(members, parts):
-            out[k] = part
+        start = 0
+        for k in members:  # plain slicing: np.split costs ~40 us per call at these sizes
+            end = start + len(stacks[k])
+            out[k] = tuple(r[start:end] for r in rows) if isinstance(rows, tuple) else rows[start:end]
+            start = end
     return out
 
 
@@ -345,19 +355,25 @@ def _solve_blocks(x: FiberElement, solve) -> list:
 def herm_eig(a: FiberElement) -> HermEig:
     """Deterministic Hermitian eigendecomposition of every block of ``a``.
 
-    One stacked solve with eigenvectors per block size of ``a``.  Raises
-    ContractViolationError when ``a`` is not Hermitian to within
-    HERMITIAN_INPUT_TOL (max-abs entrywise).
+    One stacked solve with eigenvectors per block size, of each block's
+    Hermitian part ``(b + b*) / 2``.  Raises ContractViolationError when a
+    block ``b`` is not Hermitian to within HERMITIAN_INPUT_TOL times its
+    largest entry (max-abs entrywise), so the test does not depend on the
+    scale of ``a``.
     """
+    hermitian = []
+    for k, b in enumerate(a.blocks):
+        adjoint = b.conj().T
+        drift, size = float(np.abs(b - adjoint).max()), float(np.abs(b).max())
+        if drift > HERMITIAN_INPUT_TOL * size:
+            raise ContractViolationError(
+                f"block {k} is not Hermitian: max |a - a*| = {drift:.3e} against max |a| = {size:.3e}"
+            )
+        hermitian.append(0.5 * (b + adjoint))
     eigenvalues = []
     bases = []
-    for k, b in enumerate(a.blocks):
-        drift = float(np.abs(b - b.conj().T).max())
-        if drift > HERMITIAN_INPUT_TOL:
-            raise ContractViolationError(
-                f"block {k} is not Hermitian: max |a - a*| = {drift:.3e}"
-            )
-    for w, u in _solve_blocks(a, lambda h: _jacobi_eigenvalues_stack(h, vectors=True)):
+    for w, u in _solve_blocks(FiberElement._raw(hermitian),
+                              lambda h: _jacobi_eigenvalues_stack(h, vectors=True)):
         order = np.argsort(-w[0], kind="stable")
         eigenvalues.append(w[0, order])
         bases.append(np.ascontiguousarray(u[0][:, order]))

@@ -90,6 +90,7 @@ The closed-form conditional expectations are those of the preset levels, built f
 which keeps the entries inside the parts of its partition and zeroes the rest.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -112,7 +113,7 @@ from tracebundle import (
 )
 from tracebundle.bundle import gaussian_stacks, split_blocks
 from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
-from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE_COLUMN, PINV_CUTOFF
+from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE, PINV_CUTOFF
 from tracebundle.towers import _partition, level_generators
 from tracebundle.tracelp import (
     ZERO_FIBER_TOL,
@@ -250,7 +251,10 @@ def jacobi_hermitian(a, vectors=True):
 
     Returns ``(w, u)`` with ``a = u @ diag(w) @ u*`` and ``w`` unordered; ``u`` is None
     when ``vectors`` is false.  Rotations run in the fixed row-major (p, q) order of the
-    stacked kernel, and the sweeps stop once the off-diagonal Frobenius norm is at most
+    stacked kernel, each as its one plane turn: the columns p and q of ``h`` and ``u``,
+    rows p and q of ``h`` as the conjugated columns, and the (p, q) block in closed form; a
+    plane whose entry is zero, or negligible next to both diagonal entries, turns by the
+    identity.  The sweeps stop once the off-diagonal Frobenius norm is at most
     JACOBI_OFFDIAG_TOL times that of ``a``; a block still above it after
     JACOBI_MAX_SWEEPS sweeps raises.  A real factor multiplies the real and imaginary
     parts on their own: Python's ``c * z`` for a float ``c`` would promote ``c`` to
@@ -264,7 +268,10 @@ def jacobi_hermitian(a, vectors=True):
     h = a.tolist()
     u = np.eye(n, dtype=np.complex128).tolist() if vectors else []
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    tol = JACOBI_OFFDIAG_TOL * math.hypot(*[abs(v) for row in h for v in row])
+    # ||a||_F by two-argument hypots in row-major order, as np.hypot.reduce forms it (the
+    # libm hypot of abs(complex); math.hypot of many arguments rounds differently)
+    norm = functools.reduce(lambda acc, v: abs(complex(acc, v)), [abs(v) for row in h for v in row])
+    tol, floor = JACOBI_OFFDIAG_TOL * norm, NEGLIGIBLE * norm
     for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p, q in pairs:
@@ -277,21 +284,20 @@ def jacobi_hermitian(a, vectors=True):
             hq = h[q]
             hpq = hp[q]
             r = abs(hpq)
-            if r == 0.0:
-                # a zero plane takes the identity turn, as in the stacked kernel, where
-                # every lane turns; its value is unchanged, the sign of a zero may not be
-                c, s, w = 1.0, 0.0, complex(1.0, hpq.imag)
+            app, aqq = hp[p].real, hq[q].real
+            if r <= floor:
+                # a negligible plane is zeroed by the identity turn, as in the stacked kernel,
+                # where every lane turns; its values are unchanged, the sign of a zero may not be
+                r, t, w = 1.0, 0.0, complex(1.0, 0.0)
             else:
                 # the phase w makes the (p, q) plane real symmetric, a rotation
                 # annihilates it: the transform is j = [[c, s], [-s*conj(w), c*conj(w)]]
                 w = complex(hpq.real / r, hpq.imag / r)
-                tau = (hq[q].real - hp[p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
+                tau = (aqq - app) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            new_pp, new_qq = app - t * r, aqq + t * r
             wc = w.conjugate()
             swc = scaled(s, wc)
             cwc = scaled(c, wc)
@@ -300,13 +306,12 @@ def jacobi_hermitian(a, vectors=True):
                 y = row[q]
                 row[p] = scaled(c, x) - swc * y
                 row[q] = scaled(s, x) + cwc * y
-            sw = scaled(s, w)
-            cw = scaled(c, w)
-            for i in range(n):  # rows p, q of h: j* h
-                x = hp[i]
-                y = hq[i]
-                hp[i] = scaled(c, x) - sw * y
-                hq[i] = scaled(s, x) + cw * y
+            for i in range(n):  # rows p, q of j* h j, by Hermitian symmetry
+                hp[i] = h[i][p].conjugate()
+                hq[i] = h[i][q].conjugate()
+            # the (p, q) block of j* h j in closed form
+            hp[p], hp[q] = complex(new_pp, 0.0), complex(0.0, 0.0)
+            hq[p], hq[q] = complex(0.0, 0.0), complex(new_qq, 0.0)
     else:
         raise ContractViolationError(
             f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
@@ -325,7 +330,7 @@ def jacobi_singular(y, vectors=True):
     part into [0.5, 1) and ``w`` scaled back; column pairs turn in row-major order; the
     sums ``||y_p||**2``, ``||y_q||**2`` and ``y_p* y_q`` are added row by row; a pair with
     ``|y_p* y_q| <= JACOBI_OFFDIAG_TOL ||y_p|| ||y_q||``, or with a column at most
-    NEGLIGIBLE_COLUMN times ``||y||_F``, is not turned; the block is done after a sweep
+    NEGLIGIBLE times ``||y||_F``, is not turned; the block is done after a sweep
     that turns nothing, and one still turning after JACOBI_MAX_SWEEPS sweeps raises.
     """
     n = y.shape[0]
@@ -351,7 +356,7 @@ def jacobi_singular(y, vectors=True):
         re, im = col
         return row_sum([re[k] * re[k] + im[k] * im[k] for k in range(n)])
 
-    floor = NEGLIGIBLE_COLUMN * math.sqrt(row_sum([squares(col) for col in cols]))
+    floor = NEGLIGIBLE * math.sqrt(row_sum([squares(col) for col in cols]))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     for _ in range(JACOBI_MAX_SWEEPS):
         turned = False

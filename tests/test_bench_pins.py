@@ -6,10 +6,10 @@ dropped or renamed check fails here first.  The stacked eigensolver calls of
 every workload are pinned too, so a refactor that splits a phase's shared
 solves again fails here, and so are the single-block solves of the duality
 workload (none), and the subalgebra validations, span extensions, closure
-residuals and projections of the axiom workload.  Each workload also runs once through
-``bench/child.py`` with tracing on, which wraps the package's public functions
-by name, so a rename that breaks ``bench/run.py --trace 1`` fails here.  The
-bench files are only read.
+residuals, projections and plane turns of the axiom workload.  Each workload
+also runs once through ``bench/child.py`` with tracing on, which wraps the
+package's public functions by name, so a rename that breaks
+``bench/run.py --trace 1`` fails here.  The bench files are only read.
 """
 
 import importlib.util
@@ -157,6 +157,16 @@ def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch):
     calls = count_calls(condexp._project, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
     assert sorted(len(call["blocks"][0]) for call in calls) == [30] * 4 + [180] * 4
+
+
+def test_axiom_phase_turns_each_rotation_step_once(tmp_path, capsys, monkeypatch):
+    # a Hermitian Jacobi step turns the columns p and q over all rows (the eigenvector rows
+    # too), and takes rows p and q by Hermitian symmetry: one plane turn per step, each step
+    # with its own c; turning the rows as well took two.  The workload makes no one-sided
+    # solve, so every turn is a Hermitian step's
+    calls = count_calls(fiber._plane_turn, monkeypatch)
+    run_workload("axioms-large-blocks", tmp_path, capsys)
+    assert calls and len({id(call["c"]) for call in calls}) == len(calls)
 
 
 def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):

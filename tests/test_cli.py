@@ -138,8 +138,8 @@ REPORT_DIGESTS = {
         "summary.json": "2291243a89af57f7cec0800a894df26af5ec30f9a7ecc89669e6d287249e5f12",
     },
     ("check-axioms", "axioms-large-blocks"): {
-        "axioms.json": "9576a3c414b71ea942506634a85ef1e4519de91afae65a9f531d711f59582c2f",
-        "summary.json": "7e33b19e3c0bacf1aea9d280562fec1801be83532ab526fc8cf3b7554a916173",
+        "axioms.json": "33e366967917b85a390aa6f5f3f0cbe38ac1a23b38e71c0ec5f3a2ea135a8c0c",
+        "summary.json": "e662aeeeae9cc1bc7a8c6b2cc00ae338b671c897f56200a998fe649af99e286b",
     },
     ("run", "mat2_tower"): {
         "axioms.json": "e873c9181114c24f29c52c5f5d18f1c9a3cad598204915d418cea8131950a23c",
@@ -147,9 +147,9 @@ REPORT_DIGESTS = {
         "summary.json": "69145ba9a7493b4ca8f92ece5503a1fffd96390020093d5e1a96ed65207e0f31",
     },
     ("run", "hetero4_tower"): {
-        "axioms.json": "b40f3a8fd4c81fb48634ad66f84fc65d91421d84e7d07389deeb1beeb61021b0",
+        "axioms.json": "80d509afa7e5c9e3fcb4980e158ffef4b80ee72354f120580df75ab39b4fb94c",
         "duality.json": "1978f25c8e42e565121717c84034db1441070773a7f6028d08363240f82797ec",
-        "summary.json": "318e46f341681b318b2eb6408fe5499edb339373074fee2e24273850af87a69f",
+        "summary.json": "a769615287ab624ed4edbc3f57adb0ee4025e07737b5c54448c40eee4284ce3e",
     },
 }
 

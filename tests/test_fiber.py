@@ -118,6 +118,22 @@ def test_eig_rejects_non_hermitian():
         herm_eig(FiberElement([np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
+@pytest.mark.parametrize("k", [-20, 0, 20, 40, 100, 400])
+def test_hermitian_test_is_relative_to_the_block(k):
+    # |x| from the one-sided kernel is Hermitian to rounding relative to its own entries;
+    # an absolute tolerance refused it from about 2^20 up.  Every step scales by 2^k
+    # exactly, so the projection keeps its bits
+    scale = 2.0**k
+    for seed in range(10):
+        x = random_fiber(seed, dims=(4,))
+        want = spectral_projection(abs_power(x, 1), 2.0)
+        got = spectral_projection(abs_power(scale * x, 1), 2.0 * scale)
+        assert np.array_equal(bits(got.blocks[0].view(np.float64)), bits(want.blocks[0].view(np.float64)))
+    # and a block far from Hermitian is refused at every scale, below 1 too
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        herm_eig(FiberElement([scale * np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+
 def test_eig_deterministic_bits():
     x = random_hermitian_fiber(7, dims=(6,))
     a = herm_eig(x)
@@ -167,7 +183,7 @@ def test_functional_calculus_keeps_its_bits():
     assert digest(abs_power(x, 3.0)) == "932eeac0a86d8ba12729107e3080147880c8472f760c1590a1cd6102dcc8e26a"
     assert digest(*polar(x)) == "6b11f071828abbd675df3293eff41b58ccc17c420beb1617c27e74a1d346be62"
     assert digest(spectral_projection(h, 0.5)) == (
-        "9ed7c2e1355903db3ba493b31bd6ff294e09d8bcb3b887f8a7671eccc1604fb3")
+        "f59ccc05e0443d8e451abd87f10352e9d72b48452bd295389f4c4b8bea3e1084")
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 3)])
@@ -383,6 +399,11 @@ def hermitian_stack(seed, n, scales, spectra, patterns):
     return np.array(out)
 
 
+# a lane's eigenvalue error against eigvalsh, relative to its largest eigenvalue: the worst
+# over 18000 draws of ``lane_specs`` (about 99000 lanes) was 1.65e-15, a margin of 6
+LAPACK_EIGENVALUE_BOUND = 1e-14
+
+
 lane_specs = st.lists(
     st.tuples(st.sampled_from(SCALES), st.sampled_from(SPECTRA), st.sampled_from(PATTERNS)),
     min_size=1, max_size=10)
@@ -396,7 +417,7 @@ def test_stacked_eigenvalues_match_lapack(seed, n, lanes):
     assert w.shape == (len(lanes), n)
     for block, lane in zip(h, w):
         oracle = np.linalg.eigvalsh(block)
-        assert np.abs(np.sort(lane) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert np.abs(np.sort(lane) - oracle).max() <= LAPACK_EIGENVALUE_BOUND * np.abs(oracle).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -409,6 +430,21 @@ def test_stacked_lane_bits_do_not_depend_on_the_stack(seed, n, lanes):
     assert np.array_equal(bits(fiber._jacobi_eigenvalues_stack(h[order])), bits(w[order]))
     for block, lane in zip(h, w):
         assert np.array_equal(bits(fiber._jacobi_eigenvalues_stack(block[None])[0]), bits(lane))
+
+
+def test_a_repeated_eigenvalue_does_not_stall_the_sweeps(monkeypatch):
+    # a triple and a double eigenvalue: the diagonal entries of a cluster settle on equal
+    # floats while the entries between them are still about 1e-21, whose angle would then
+    # come from the rounding of their difference alone; turned at 45 degrees in every
+    # sweep, they shuffled the couplings between the clusters and the block took 12 sweeps.
+    # Zeroed by the identity turn, as at most NEGLIGIBLE ||h||_F, it takes 2 (a cap of 3:
+    # the stop test runs before each sweep)
+    h = hermitian_stack(340, 5, [1e-3], ["degenerate"], ["dense"])
+    monkeypatch.setattr(fiber, "JACOBI_MAX_SWEEPS", 3)
+    w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
+    oracle = np.linalg.eigvalsh(h[0])
+    assert np.abs(np.sort(w[0]) - oracle).max() <= LAPACK_EIGENVALUE_BOUND * np.abs(oracle).max()
+    assert np.abs(u[0].conj().T @ u[0] - np.eye(5)).max() <= 1e-14
 
 
 def hermitian_or_gram_stack(seed, n, lanes, gram):
@@ -485,7 +521,7 @@ def test_stacked_vectors_reconstruct_against_lapack(seed, n, lanes):
     for block, lane_w, lane_u in zip(h, w, u):
         oracle = np.linalg.eigvalsh(block)
         scale = np.abs(oracle).max()
-        assert np.abs(np.sort(lane_w) - oracle).max() <= 1e-13 * scale
+        assert np.abs(np.sort(lane_w) - oracle).max() <= LAPACK_EIGENVALUE_BOUND * scale
         rebuilt = (lane_u * lane_w) @ lane_u.conj().T
         assert np.abs(rebuilt - block).max() <= 1e-13 * scale
         assert np.abs(lane_u.conj().T @ lane_u - np.eye(n)).max() <= 1e-13
