@@ -24,7 +24,7 @@ JACOBI_OFFDIAG_TOL = 1e-14    # Jacobi stop: off-diagonal / ||a||_F, or |y_p* y_
 JACOBI_MAX_SWEEPS = 100
 NEGLIGIBLE = 2.0**-52         # a (p, q) entry, or a one-sided column, at most this times ||a||_F
 PINV_CUTOFF = 1e-10           # singular values <= this times the largest count as kernel directions
-EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a spectral cut snap onto it
+EIGENVALUE_CLAMP = 1e-12      # eigenvalues this close to a cut, times a block's top |w|, snap to it
 
 
 _SWAP_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
@@ -87,7 +87,7 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
     # huge entries square to inf: not yet converged; and tau * tau overflows only
     # for a (p, q) entry tiny next to h_qq - h_pp, whose t is then 0
     with np.errstate(over="ignore"):
-        for _ in range(JACOBI_MAX_SWEEPS):
+        for sweeps in range(JACOBI_MAX_SWEEPS + 1):  # the stop test runs after the last sweep too
             offdiag = a[:, rows, cols]
             squares = 2.0 * (offdiag[0] * offdiag[0] + offdiag[1] * offdiag[1])
             off = 0.0
@@ -103,6 +103,10 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
                 a, tol, floor, lane = a[..., keep], tol[keep], floor[keep], lane[keep]
             if not lane.size:  # every lane is done; an empty stack, at once
                 break
+            if sweeps == JACOBI_MAX_SWEEPS:
+                raise ContractViolationError(
+                    f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+                )
             for p, q in zip(rows.tolist(), cols.tolist()):
                 re, im = a[0, p, q], a[1, p, q]
                 app, aqq = a[0, p, p], a[0, q, q]
@@ -130,10 +134,6 @@ def _jacobi_eigenvalues_stack(h, vectors=False):
                 block = a[:, plane, plane]
                 block[...] = 0.0
                 block[0, 0, 0], block[0, 1, 1] = new_pp, new_qq
-        else:
-            raise ContractViolationError(
-                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
     return (out, u_out) if vectors else out
 
 
@@ -322,9 +322,9 @@ class HermEig:
 
     def projection(self, threshold: float) -> FiberElement:
         """``spectral_projection`` at ``threshold`` of the element with this spectral data."""
-        def indicator(w):
-            snapped = np.where(np.abs(w - threshold) <= EIGENVALUE_CLAMP, threshold, w)
-            return (snapped > threshold).astype(np.float64)
+        def indicator(w):  # above the cut and not snapped onto it
+            near = np.abs(w - threshold) <= EIGENVALUE_CLAMP * np.abs(w).max()
+            return ((w > threshold) & ~near).astype(np.float64)
 
         return self.apply(indicator)
 
@@ -410,9 +410,9 @@ def polar(x: FiberElement) -> tuple[FiberElement, FiberElement]:
 def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
     """Projection onto the eigenspaces of Hermitian ``x`` strictly above ``threshold``.
 
-    Eigenvalues within EIGENVALUE_CLAMP of the threshold snap down onto it and
-    are excluded, which keeps the projection stable for spectra numerically at
-    the cut.
+    Eigenvalues within EIGENVALUE_CLAMP times the block's largest |eigenvalue| of the
+    threshold snap down onto it and are excluded, which keeps the projection stable for
+    spectra numerically at the cut, at every scale of ``x``.
     """
     return herm_eig(x).projection(threshold)
 

@@ -112,7 +112,8 @@ from tracebundle import (
     zero_fiber,
 )
 from tracebundle.bundle import gaussian_stacks, split_blocks
-from tracebundle.condexp import CONTRACTION_EXPONENTS, _closure_residual, _FiberProjector
+from tracebundle.condexp import (CONTRACTION_EXPONENTS, ORTHO_PIVOT_TOL, _closure_residual,
+                                 _FiberProjector)
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE, PINV_CUTOFF
 from tracebundle.towers import _partition, level_generators
 from tracebundle.tracelp import (
@@ -272,13 +273,17 @@ def jacobi_hermitian(a, vectors=True):
     # libm hypot of abs(complex); math.hypot of many arguments rounds differently)
     norm = functools.reduce(lambda acc, v: abs(complex(acc, v)), [abs(v) for row in h for v in row])
     tol, floor = JACOBI_OFFDIAG_TOL * norm, NEGLIGIBLE * norm
-    for _ in range(JACOBI_MAX_SWEEPS):
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):  # the stop test runs after the last sweep too
         off = 0.0
         for p, q in pairs:
             hpq = h[p][q]
             off += 2.0 * (hpq.real * hpq.real + hpq.imag * hpq.imag)
         if math.sqrt(off) <= tol:
             break
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise ContractViolationError(
+                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+            )
         for p, q in pairs:
             hp = h[p]
             hq = h[q]
@@ -312,10 +317,6 @@ def jacobi_hermitian(a, vectors=True):
             # the (p, q) block of j* h j in closed form
             hp[p], hp[q] = complex(new_pp, 0.0), complex(0.0, 0.0)
             hq[p], hq[q] = complex(0.0, 0.0), complex(new_qq, 0.0)
-    else:
-        raise ContractViolationError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
     w = np.array([h[i][i].real for i in range(n)], dtype=np.float64)
     return w, (np.array(u, dtype=np.complex128) if vectors else None)
 
@@ -669,12 +670,13 @@ def _basis_one(proj):
 
 
 def closure_residual_reference(proj):
-    """Closure of one fiber's span, one basis adjoint and one basis product at a time."""
+    """Closure of one fiber's span, one basis adjoint and one basis product at a time, each
+    product's distance divided by the largest entry of its left factor."""
     basis = _basis_one(proj)
     closure = max(_membership_one(proj, e.adjoint()) for e in basis)
     for a in basis:
         for b in basis:
-            closure = max(closure, _membership_one(proj, a * b))
+            closure = max(closure, _membership_one(proj, a * b) / a.max_abs())
     return closure
 
 
@@ -705,7 +707,8 @@ def composition_residual_reference(tower):
 
 
 def closure_loop_reference(bundle, generators):
-    """Every atom's ``ortho`` and closure residual, by the old closure loop."""
+    """Every atom's ``ortho`` and closure residual, by the old closure loop: a product whose
+    largest entry is at most ORTHO_PIVOT_TOL times those of its factors has vanished."""
     orthos, closures = [], []
     for shape, weights, gens in zip(bundle.fiber_shapes, bundle.trace_weights, generators):
         proj = _FiberProjector(shape, weights)
@@ -716,7 +719,8 @@ def closure_loop_reference(bundle, generators):
             fresh = [f for f in frontier if proj.rank < cap and proj.try_extend(f)]
             accepted += fresh
             frontier = [] if proj.rank == cap else [f.adjoint() for f in fresh] + [
-                h for f in fresh for g in accepted for h in (f * g, g * f)]
+                h for f in fresh for g in accepted for h in (f * g, g * f)
+                if h.max_abs() > ORTHO_PIVOT_TOL * f.max_abs() * g.max_abs()]
         orthos.append(proj.ortho)
         closures.append(_closure_residual(proj))
     return orthos, closures

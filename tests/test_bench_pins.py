@@ -172,7 +172,8 @@ def test_axiom_phase_turns_each_rotation_step_once(tmp_path, capsys, monkeypatch
 def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):
     # 221 span extensions and 12 closure residuals before duplicate candidates were
     # skipped and full spans closed by dimension, 151 and 9 before each level went on
-    # from the validated level below
+    # from the validated level below, 84 and 9 before candidates equal but for the sign
+    # of a zero ((e_ij)* and e_ji) counted as one
     extend, tries = condexp._FiberProjector.try_extend, []
 
     def counted(proj, f):
@@ -182,7 +183,7 @@ def test_tower_build_tries_each_candidate_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(condexp._FiberProjector, "try_extend", counted)
     closures = count_calls(condexp._closure_residual, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
-    assert (len(tries), len(closures)) == (84, 9)
+    assert (len(tries), len(closures)) == (57, 9)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

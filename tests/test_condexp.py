@@ -14,6 +14,7 @@ from tracebundle import (
     ShapeMismatchError,
     UsageError,
     build_cond_exp,
+    build_filtration,
     center_trace,
     check_cond_exp_axioms,
     cond_exp_axiom_checks,
@@ -125,11 +126,16 @@ def explicit_generating_sets(mat2_bundle):
     diag_ab = np.zeros((3, 3), dtype=np.complex128)
     diag_ab[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     diag_ab[2, 2] = 0.7 - 0.2j
+    # e11 and e12 in a random unitary frame: e12 e12 = 0 comes out as rounding
+    frame, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    units = [FiberElement([frame @ np.eye(3)[:, [i]] @ np.eye(3)[[j]] @ frame.conj().T])
+             for i, j in [(0, 0), (0, 1)]]
     return {
         "shift": (mat2_bundle, [[FiberElement([np.array([[0.0, 1.0], [0.0, 0.0]])])]]),
         "hermitian": (mat3_bundle(), [[FiberElement([g + g.conj().T])]]),
         "flip": (mat2_bundle, [[FiberElement([np.array([[0.0, 1.0], [1.0, 0.0]])])]]),
         "diag_ab": (mat3_bundle(), [[FiberElement([diag_ab])]]),
+        "frame_units": (mat3_bundle(), [units]),
     }
 
 
@@ -151,11 +157,12 @@ def test_preset_towers_match_closure_loop_reference(name, request):
         assert_matches_closure_loop_reference(bundle, generators)
 
 
-@pytest.mark.parametrize("name", ["shift", "hermitian", "flip", "diag_ab"])
+@pytest.mark.parametrize("name", ["shift", "hermitian", "flip", "diag_ab", "frame_units"])
 def test_explicit_sets_match_closure_loop_reference(name, mat2_bundle):
     bundle, generators = explicit_generating_sets(mat2_bundle)[name]
     basis = assert_matches_closure_loop_reference(bundle, generators)
-    assert basis.dims == {"shift": (4,), "hermitian": (3,), "flip": (2,), "diag_ab": (5,)}[name]
+    assert basis.dims == {"shift": (4,), "hermitian": (3,), "flip": (2,), "diag_ab": (5,),
+                          "frame_units": (5,)}[name]
 
 
 def test_chunked_closure_matches_the_per_product_reference(request, mat2_bundle, monkeypatch):
@@ -233,17 +240,20 @@ def test_identity_always_in_span(hetero_bundle):
     assert basis.membership_residual(identity_section(hetero_bundle)) < 1e-10
 
 
-def test_a_span_that_lost_the_identity_is_refused_at_any_weight_unit():
-    # at trace weight 1e-24 the identity (weighted norm 1.4e-12) is below the pivot and the
-    # span of 1e8 e11 misses it by 1e-12 absolute, its whole norm times 0.71
-    bundle = BundleSpec(MeasureSpace(["a"], [1.0]), [[2]], [[1e-24]])
+def test_a_span_at_a_tiny_weight_unit_holds_the_identity():
+    # at trace weight 1e-24 the identity has weighted norm 1.4e-12, below the rank tolerance:
+    # an absolute pivot dropped it, and the span of 1e8 e11 missed it by 0.71 of its norm.
+    # The rank decision is on the direction, so the identity is the first basis element and
+    # 1e8 e11 spans the diagonal with it, as at weight 1
     spike = FiberElement([np.array([[1e8, 0.0], [0.0, 0.0]])])
-    escaped = r"identity escaped the span at 'a' \(residual 7.07e-01\)"
-    with pytest.raises(InconsistencyError, match=escaped):
-        validate_subalgebra(bundle, [[spike]])
-    # the diagonal, which holds the identity, passes at that unit
     other = FiberElement([np.array([[0.0, 0.0], [0.0, 1e8]])])
-    assert validate_subalgebra(bundle, [[spike, other]]).dims == (2,)
+    for weight in (1.0, 1e-24):
+        bundle = BundleSpec(MeasureSpace(["a"], [1.0]), [[2]], [[weight]])
+        basis = validate_subalgebra(bundle, [[spike]])
+        assert basis.dims == (2,)
+        # the identity's distance to the span, relative to its weighted norm sqrt(2 c)
+        assert basis.membership_residual(identity_section(bundle)) <= 1e-15 * np.sqrt(2.0 * weight)
+        assert validate_subalgebra(bundle, [[spike, other]]).dims == (2,)
 
 
 def power_of_two_cases():
@@ -256,31 +266,68 @@ def power_of_two_cases():
 
 @pytest.mark.parametrize("name", ["shift", "hermitian"])
 def test_the_closure_is_the_same_at_any_power_of_two(name):
-    # 2**k m is m up to an exact scaling, so every k gives the k = 0 basis bit for bit, or,
-    # where the weighted norm is at most the pivot, refuses the generator.  Before, norms
-    # whose squares overflow read as dependent, and products as dependent or below the pivot:
-    # dims (1,) or "not closed" at all but 272 of the 2001 exponents
+    # 2**k m is m up to an exact scaling, and the rank decision reads only the direction of
+    # a candidate, normed at a power of two in range where its squares leave the float range:
+    # every k gives the k = 0 basis bit for bit.  With the absolute pivot, k below about -34
+    # refused the generator: the k = 0 bits came at 1,034 and 1,037 of the 2,001 exponents
     shape, m = power_of_two_cases()[name]
     bundle = BundleSpec(MeasureSpace(["a"], [1.0]), [list(shape)], [[1.0]])
     want = validate_subalgebra(bundle, [[FiberElement([m])]]).projectors[0].ortho
     for k in range(-1000, 1001):
-        if np.linalg.norm(m) * 2.0**k > condexp.ORTHO_PIVOT_TOL:
-            got = validate_subalgebra(bundle, [[FiberElement([m * 2.0**k])]]).projectors[0].ortho
-            assert got.shape == want.shape and np.array_equal(got, want), k
-        else:
-            with pytest.raises(InconsistencyError, match="generator 0 at 'a' has weighted norm "
-                               "below ORTHO_PIVOT_TOL \\(1e-10\\) and is not in the span"):
-                validate_subalgebra(bundle, [[FiberElement([m * 2.0**k])]])
+        got = validate_subalgebra(bundle, [[FiberElement([m * 2.0**k])]]).projectors[0].ortho
+        assert got.shape == want.shape and np.array_equal(got, want), k
 
 
 def test_a_generator_below_the_pivot_in_the_span_is_kept(mat2_bundle):
-    # 1e-11 * 1 is dropped by the pivot, but the identity spans it; so does 1e-11 * e11
-    # once e11 itself is a generator, whatever their order
+    # a generator counts by its direction, whatever its norm: 1e-11 * 1 is the identity's,
+    # and 1e-11 * e11 is e11's, whatever their order (an absolute pivot refused the last set)
     tiny, unit = FiberElement([1e-11 * np.eye(2)]), FiberElement([np.diag([1.0, 0.0])])
     assert validate_subalgebra(mat2_bundle, [[tiny]]).dims == (1,)
     assert validate_subalgebra(mat2_bundle, [[1e-11 * unit, unit]]).dims == (2,)
-    with pytest.raises(InconsistencyError, match="generator 1 at 'w'"):
-        validate_subalgebra(mat2_bundle, [[tiny, 1e-11 * unit]])
+    assert validate_subalgebra(mat2_bundle, [[tiny, 1e-11 * unit]]).dims == (2,)
+    # only the exact zero is in every span
+    assert validate_subalgebra(mat2_bundle, [[0.0 * unit, 1e-300 * unit]]).dims == (2,)
+
+
+def test_a_vanished_product_is_not_tried(mat2_bundle):
+    # e11 and e12 of Mat3 in a random unitary frame generate M2 + C (dims 5); their product
+    # e12 e12 = 0 comes out as rounding, whose direction is arbitrary: tried, it grew the
+    # span to all of Mat3.  It is skipped at every weight unit
+    _, (units,) = explicit_generating_sets(mat2_bundle)["frame_units"]
+    assert 0.0 < (units[1] * units[1]).max_abs() < 1e-15
+    for weight in (1.0, 1e-24, 4.0**-300):
+        bundle = BundleSpec(MeasureSpace(["m"], [1.0]), [[3]], [[weight]])
+        assert validate_subalgebra(bundle, [units]).dims == (5,)
+
+
+def test_the_preset_tower_is_the_same_at_any_weight_unit(hetero_bundle):
+    # every trace weight times 4**k scales the weighted coordinates by exactly 2**k: the
+    # rank decision and the closure test read directions and ratios, so every level keeps
+    # its k = 0 basis bit for bit.  With the absolute pivot and closure test, every k <= -25
+    # refused the tower: 'w3' not closed, and from k = -34 on an empty span at 'w1'
+    specs = PRESET_TOWERS["hetero"]
+
+    def tower_at(unit):
+        bundle = BundleSpec(hetero_bundle.space, hetero_bundle.fiber_shapes,
+                            [[c * unit for c in cs] for cs in hetero_bundle.trace_weights])
+        return build_filtration(bundle, [level_generators(bundle, s) for s in specs]).tower
+
+    want = tower_at(1.0)
+    for k in range(-300, 301):
+        got = tower_at(4.0**k)
+        assert [level.dims for level in got] == [level.dims for level in want], k
+        assert all(np.array_equal(p.ortho, q.ortho) for a, b in zip(got, want)
+                   for p, q in zip(a.projectors, b.projectors)), k
+
+
+def test_a_block_of_tiny_trace_weight_closes_to_its_levels():
+    # one atom Mat2 + Mat2 with block weights [1, 1e-24]: the second block's generators have
+    # weighted norms near 1e-12, which an absolute pivot dropped (the full level was refused)
+    bundle = BundleSpec(MeasureSpace(["w"], [1.0]), [[2, 2]], [[1.0, 1e-24]])
+    specs = PRESET_TOWERS["hetero"]
+    tower = build_filtration(bundle, [level_generators(bundle, s) for s in specs]).tower
+    assert [level.dims for level in tower] == [(1,), (4,), (6,), (8,)]
+    assert tower[-1].is_full()
 
 
 # ------------------------------------------------------------ construction

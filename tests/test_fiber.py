@@ -23,6 +23,7 @@ from tracebundle import (
 from tracebundle import fiber
 from tracebundle.fiber import gram_eigenvalues, gram_eigenvalues_stack
 
+import oracles
 from oracles import eigh_oracle, gram_eigenvalues_reference, jacobi_hermitian, jacobi_singular
 
 
@@ -132,6 +133,18 @@ def test_hermitian_test_is_relative_to_the_block(k):
     # and a block far from Hermitian is refused at every scale, below 1 too
     with pytest.raises(ContractViolationError, match="not Hermitian"):
         herm_eig(FiberElement([scale * np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+
+def test_the_projection_snap_is_relative_to_the_block():
+    # eigenvalues snap onto the cut within EIGENVALUE_CLAMP times the block's largest
+    # |eigenvalue|, so scaling x and the cut by 2^k keeps the projection's bits.  The 20
+    # random 4x4 blocks of one fiber are solved in one stack (a lane's bits are its own); an
+    # absolute snap moved 16 of their projections at k = -40 and all 20 at k = -80
+    x = random_fiber(5, dims=(4,) * 20)
+    want = [bits(b.view(np.float64)) for b in spectral_projection(abs_power(x, 1), 2.0).blocks]
+    for k in range(-80, 401):
+        got = spectral_projection(abs_power(2.0**k * x, 1), 2.0 * 2.0**k)
+        assert all(np.array_equal(bits(b.view(np.float64)), w) for b, w in zip(got.blocks, want)), k
 
 
 def test_eig_deterministic_bits():
@@ -437,14 +450,19 @@ def test_a_repeated_eigenvalue_does_not_stall_the_sweeps(monkeypatch):
     # floats while the entries between them are still about 1e-21, whose angle would then
     # come from the rounding of their difference alone; turned at 45 degrees in every
     # sweep, they shuffled the couplings between the clusters and the block took 12 sweeps.
-    # Zeroed by the identity turn, as at most NEGLIGIBLE ||h||_F, it takes 2 (a cap of 3:
-    # the stop test runs before each sweep)
+    # Zeroed by the identity turn, as at most NEGLIGIBLE ||h||_F, it takes 2, and a cap of 2
+    # holds it: the stop test runs once more after the last sweep (a cap of 3 was needed when
+    # it ran only before each sweep)
     h = hermitian_stack(340, 5, [1e-3], ["degenerate"], ["dense"])
-    monkeypatch.setattr(fiber, "JACOBI_MAX_SWEEPS", 3)
+    monkeypatch.setattr(fiber, "JACOBI_MAX_SWEEPS", 2)
     w, u = fiber._jacobi_eigenvalues_stack(h, vectors=True)
     oracle = np.linalg.eigvalsh(h[0])
     assert np.abs(np.sort(w[0]) - oracle).max() <= LAPACK_EIGENVALUE_BOUND * np.abs(oracle).max()
     assert np.abs(u[0].conj().T @ u[0] - np.eye(5)).max() <= 1e-14
+    # the list kernel runs the same stop test under the same cap
+    monkeypatch.setattr(oracles, "JACOBI_MAX_SWEEPS", 2)
+    want_w, want_u = jacobi_hermitian(h[0])
+    assert np.array_equal(bits(w[0]), bits(want_w)) and np.array_equal(bits(u[0]), bits(want_u))
 
 
 def hermitian_or_gram_stack(seed, n, lanes, gram):
