@@ -20,21 +20,16 @@ from .bundle import (
     section_from_records,
     section_to_records,
     uniform_norm,
-    zero_section,
 )
 from .center import (
     CenterElement,
     MeasureSpace,
-    center_ones,
     center_sup,
-    center_zeros,
-    o_converges,
 )
 from .condexp import (
     AxiomReport,
     ConditionalExpectation,
     SubalgebraBasis,
-    build_cond_exp,
     check_cond_exp_axioms,
     cond_exp_axiom_checks,
     validate_subalgebra,
@@ -58,7 +53,6 @@ from .fiber import (
     polar,
     spectral_norm,
     spectral_projection,
-    zero_fiber,
 )
 from .martingale import (
     CesaroReport,
@@ -68,7 +62,6 @@ from .martingale import (
     build_filtration,
     cesaro_equivalence,
     double_sequence_check,
-    is_martingale,
     martingale_defect,
     martingale_from_target,
     martingale_limit,
@@ -86,8 +79,6 @@ from .tracelp import (
     duality_checks,
     lp_norm,
     lp_norms,
-    normalize_trace,
-    scalarize,
 )
 
 __version__ = "0.1.0"

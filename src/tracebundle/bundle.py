@@ -19,7 +19,6 @@ from .fiber import (
     identity_fiber,
     polar,
     spectral_norm,
-    zero_fiber,
 )
 
 SECTION_KINDS = ("general", "hermitian", "positive", "unitary", "projection")
@@ -82,11 +81,6 @@ class BundleSpec:
     def __hash__(self):
         return hash((self.space, self.fiber_shapes, self.trace_weights))
 
-    def __repr__(self):
-        return (
-            f"BundleSpec(atoms={self.space.labels}, shapes={self.fiber_shapes})"
-        )
-
 
 class Section:
     """Element of the bundle algebra: one fiber element per atom."""
@@ -128,20 +122,13 @@ class Section:
         self._require_same_bundle(other)
         return Section._raw(self.bundle, [a - b for a, b in zip(self.fibers, other.fibers)])
 
-    def __mul__(self, other):
-        """Algebra product for a Section argument, scaling for a scalar."""
-        if isinstance(other, Section):
-            self._require_same_bundle(other)
-            return Section._raw(
-                self.bundle, [a * b for a, b in zip(self.fibers, other.fibers)]
-            )
-        return Section._raw(self.bundle, [f * other for f in self.fibers])
+    def __mul__(self, other: "Section") -> "Section":
+        """Algebra product; a scalar scales from the left (``__rmul__``)."""
+        self._require_same_bundle(other)
+        return Section._raw(self.bundle, [a * b for a, b in zip(self.fibers, other.fibers)])
 
     def __rmul__(self, scalar):
         return Section._raw(self.bundle, [scalar * f for f in self.fibers])
-
-    def __neg__(self):
-        return Section._raw(self.bundle, [-f for f in self.fibers])
 
     def adjoint(self) -> "Section":
         return Section._raw(self.bundle, [f.adjoint() for f in self.fibers])
@@ -153,16 +140,9 @@ class Section:
         sub = self.bundle.restrict(labels)
         return Section._raw(sub, [self.fiber(l) for l in sub.space.labels])
 
-    def __repr__(self):
-        return f"Section(atoms={self.bundle.space.labels})"
-
 
 def identity_section(bundle: BundleSpec) -> Section:
     return Section._raw(bundle, [identity_fiber(s) for s in bundle.fiber_shapes])
-
-
-def zero_section(bundle: BundleSpec) -> Section:
-    return Section._raw(bundle, [zero_fiber(s) for s in bundle.fiber_shapes])
 
 
 def center_scale(z: CenterElement, x: Section) -> Section:
@@ -206,20 +186,28 @@ def gaussian_stacks(bundle: BundleSpec, rng: np.random.Generator, count: int) ->
     return split_blocks((draw[:, :total] + 1j * draw[:, total:]) / np.sqrt(2.0), dims)
 
 
+def seeded_stacks(bundle: BundleSpec, seeds, kind: str = "general") -> list[np.ndarray]:
+    """The Gaussian draws of ``random_section(bundle, seed, kind)`` for every seed, lane s that
+    of ``seeds[s]``, one ``(S, n, n)`` stack per block: one ``gaussian_stacks`` lane each from
+    the generator seeded ``[kind code, seed]``.  A ``general`` section is its draw."""
+    if kind not in _KIND_CODE:
+        raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
+    draws = [gaussian_stacks(bundle, np.random.default_rng(
+        [_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF]), 1) for seed in seeds]
+    return [np.concatenate(slot) for slot in zip(*draws)]
+
+
 def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Section:
     """Seed-deterministic random section.
 
-    Entries are standard complex Gaussians; ``hermitian`` symmetrizes,
+    Entries are standard complex Gaussians (``seeded_stacks``); ``hermitian`` symmetrizes,
     ``positive`` forms ``g* g``, ``unitary`` takes the polar isometry of a
     general draw, and ``projection`` cuts a random Hermitian at its median
     eigenvalue per block.  Identical ``(bundle, seed, kind)`` give bitwise
     identical sections.
     """
-    if kind not in _KIND_CODE:
-        raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
-    rng = np.random.default_rng([_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF])
     fibers = []
-    for g in lane_section(bundle, gaussian_stacks(bundle, rng, 1), 0).fibers:
+    for g in lane_section(bundle, seeded_stacks(bundle, [seed], kind), 0).fibers:
         if kind == "general":
             fibers.append(g)
         elif kind == "hermitian":
@@ -235,17 +223,23 @@ def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Sect
     return Section._raw(bundle, fibers)
 
 
-def section_to_records(x: Section):
-    """Flatten a section to ``(atom label, block index, row, col, re, im)`` rows."""
-    rows = []
-    for label, f in zip(x.bundle.space.labels, x.fibers):
-        for k, b in enumerate(f.blocks):
-            n = b.shape[0]
+def block_records(bundle: BundleSpec, blocks):
+    """``(atom label, block index, row, col, re, im)`` rows of the element of ``bundle`` whose
+    ``n x n`` blocks are ``blocks``, in atom and block order."""
+    rows, blocks = [], iter(blocks)
+    for label, shape in zip(bundle.space.labels, bundle.fiber_shapes):
+        for k, n in enumerate(shape):
+            b = next(blocks)
             for i in range(n):
                 for j in range(n):
                     v = b[i, j]
                     rows.append((label, k, i, j, float(v.real), float(v.imag)))
     return rows
+
+
+def section_to_records(x: Section):
+    """Flatten a section to ``(atom label, block index, row, col, re, im)`` rows."""
+    return block_records(x.bundle, [b for f in x.fibers for b in f.blocks])
 
 
 def section_from_records(bundle: BundleSpec, rows) -> Section:

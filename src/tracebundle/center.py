@@ -1,9 +1,7 @@
 """The finite atomic measure space and the center as scalar functions on it.
 
 The center of a bundle algebra is identified with functions from the atoms to
-scalars; arithmetic and order are pointwise.  Order convergence of a sequence
-degenerates, on a finite atomic space, to pointwise convergence, which is what
-``o_converges`` measures.
+scalars; arithmetic and order are pointwise.
 """
 
 from __future__ import annotations
@@ -53,9 +51,6 @@ class MeasureSpace:
 
     def __hash__(self):
         return hash((self.labels, self.weights.tobytes()))
-
-    def __repr__(self):
-        return f"MeasureSpace(labels={self.labels}, weights={self.weights.tolist()})"
 
 
 class CenterElement:
@@ -116,28 +111,13 @@ class CenterElement:
     def __pow__(self, exponent):
         return CenterElement(self.space, self.values ** exponent)
 
-    def leq(self, other, tol: float = LEQ_TOL) -> bool:
+    def leq(self, other: "CenterElement", tol: float = LEQ_TOL) -> bool:
         """Pointwise order: true iff self <= other + tol on every atom."""
-        if isinstance(other, CenterElement):
-            self._require_same_space(other)
-            rhs = other.real_values()
-        else:
-            rhs = np.asarray(other, dtype=np.float64)
-        return bool(np.all(self.real_values() <= rhs + tol))
+        self._require_same_space(other)
+        return bool(np.all(self.real_values() <= other.real_values() + tol))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def __repr__(self):
-        return f"CenterElement({self.values.tolist()})"
-
-
-def center_ones(space: MeasureSpace) -> CenterElement:
-    return CenterElement(space, np.ones(space.size))
-
-
-def center_zeros(space: MeasureSpace) -> CenterElement:
-    return CenterElement(space, np.zeros(space.size))
 
 
 def center_sup(elements) -> CenterElement:
@@ -152,18 +132,3 @@ def center_sup(elements) -> CenterElement:
         acc = np.maximum(acc, f.real_values())
     return CenterElement(space, acc)
 
-
-def o_converges(sequence, target: CenterElement, tol: float):
-    """Order convergence diagnostic on a finite atomic space.
-
-    Returns ``(flag, residuals)`` where ``residuals[n]`` is the max over atoms
-    of ``|f_n - target|`` and the flag is true iff the final residual is at
-    most ``tol``.  On an atomic space with finitely many atoms this pointwise
-    criterion coincides with order convergence of the sequence.
-    """
-    residuals = []
-    for f in sequence:
-        f._require_same_space(target)
-        residuals.append(float(np.abs(f.values - target.values).max()))
-    flag = bool(residuals) and residuals[-1] <= tol
-    return flag, residuals

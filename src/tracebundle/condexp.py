@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import tracelp
-from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, lane_section, split_blocks
+from .bundle import BundleSpec, Section, gaussian_stacks, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
 from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber, solve_by_block_size
 from .tracelp import derive_seed, packed_chunks, stacked_lp_norms, stacked_traces
@@ -126,17 +126,6 @@ class SubalgebraBasis:
     def is_full(self) -> bool:
         return self.dims == self.bundle.algebra_dims()
 
-    def membership_residual(self, x: Section) -> float:
-        if x.bundle is not self.bundle and x.bundle != self.bundle:
-            raise ShapeMismatchError("section lives on a different bundle")
-        return max(float(p.stack_residuals([b[None] for b in f.blocks])[0])
-                   for p, f in zip(self.projectors, x.fibers))
-
-    def random_element(self, seed: int) -> Section:
-        """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
-        rng = np.random.default_rng([7, int(seed) & 0xFFFFFFFFFFFFFFFF])
-        return lane_section(self.bundle, self.random_stacks(rng, 1), 0)
-
     def random_stacks(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
         """``count`` elements as ``(S, n, n)`` stacks; lane s is the next ``2 * sum(dims)`` draws."""
         draws = rng.standard_normal((count, 2 * sum(self.dims)))
@@ -146,9 +135,6 @@ class SubalgebraBasis:
             stacks.extend(p.stack_from_basis((re + 1j * im)[:, None]))
             start += 2 * p.rank
         return stacks
-
-    def __repr__(self):
-        return f"SubalgebraBasis(dims={self.dims})"
 
 
 def validate_subalgebra(bundle: BundleSpec | SubalgebraBasis, generators) -> SubalgebraBasis:
@@ -266,13 +252,6 @@ class ConditionalExpectation:
         proj = self.target.projectors[self.bundle.space.index_of(label)]
         return FiberElement._raw([b[0] for b in proj.project_stack([b[None] for b in f.blocks])])
 
-    def __repr__(self):
-        return f"ConditionalExpectation(dims={self.target.dims})"
-
-
-def build_cond_exp(target: SubalgebraBasis) -> ConditionalExpectation:
-    return ConditionalExpectation(target)
-
 
 class AxiomReport:
     """Worst residuals of every conditional-expectation axiom over random trials."""
@@ -348,7 +327,9 @@ class _AxiomTally:
             "idempotence", "unitality", "positivity", "module_property", "trace_preservation",
             "bimodule_pairing", "scalarized_trace", "fiberwise_agreement",
         ) + tuple(f"lp_contraction_p{p:g}" for p in CONTRACTION_EXPONENTS), 0.0)
-        self.res["unitality"] = (E(identity_section(bundle)) - identity_section(bundle)).max_abs()
+        ones = [np.eye(n, dtype=np.complex128)[None]
+                for shape in bundle.fiber_shapes for n in shape]
+        self.res["unitality"] = float(np.max(_gap(_project(E.target.projectors, ones), ones)))
         self.per_fiber = np.zeros(bundle.space.size)
         self.atom_ids = range(bundle.space.size)
         self.block_atoms = [i for i, _ in bundle.block_slots()]

@@ -278,25 +278,15 @@ class FiberElement:
     def __rmul__(self, scalar):
         return FiberElement._raw([complex(scalar) * b for b in self.blocks])
 
-    def __neg__(self):
-        return FiberElement._raw([-b for b in self.blocks])
-
     def adjoint(self) -> "FiberElement":
         return FiberElement._raw([b.conj().T for b in self.blocks])
 
     def max_abs(self) -> float:
         return max(float(np.abs(b).max()) for b in self.blocks)
 
-    def __repr__(self):
-        return f"FiberElement(dims={self.dims})"
-
 
 def identity_fiber(dims) -> FiberElement:
     return FiberElement._raw([np.eye(n, dtype=np.complex128) for n in dims])
-
-
-def zero_fiber(dims) -> FiberElement:
-    return FiberElement._raw([np.zeros((n, n), dtype=np.complex128) for n in dims])
 
 
 class HermEig:

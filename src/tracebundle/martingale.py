@@ -63,9 +63,6 @@ class Filtration:
     def depth(self) -> int:
         return len(self.tower)
 
-    def expectation(self, level: int) -> ConditionalExpectation:
-        return self.cond_exps[level]
-
     def restrict(self, labels) -> "Filtration":
         """The same tower on a sub-bundle, from the chosen atoms' validated per-atom data.
 
@@ -77,10 +74,6 @@ class Filtration:
         return Filtration([SubalgebraBasis(sub, [level.generators[i] for i in idx],
                                            [level.projectors[i] for i in idx])
                            for level in self.tower])
-
-    def __repr__(self):
-        dims = [t.dims for t in self.tower]
-        return f"Filtration(depth={self.depth}, dims={dims})"
 
 
 def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
@@ -237,11 +230,6 @@ def martingale_defect(elements, filtration: Filtration) -> float:
     """
     elements = list(elements)
     return float(_one_sequence(filtration, elements).defect[0]) if elements else 0.0
-
-
-def is_martingale(elements, filtration: Filtration, tol: float = MARTINGALE_TOL) -> bool:
-    """True iff projecting each element one level down reproduces its predecessor."""
-    return martingale_defect(elements, filtration) <= tol
 
 
 class MartingaleSeq:

@@ -13,14 +13,13 @@ import os
 
 import numpy as np
 
-from .bundle import (gaussian_stacks, lane_section, random_section, section_from_records,
-                     section_to_records)
+from .bundle import block_records, gaussian_stacks, seeded_stacks, section_from_records
 from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import gram_eigenvalues_stack, solve_by_block_size
 from .martingale import Filtration, build_filtration, martingale_checks
-from .tracelp import (derive_seed, duality_checks, packed_chunks, section_stacks, stacked_traces,
+from .tracelp import (derive_seed, packed_chunks, stacked_traces, target_duality_checks,
                       top_scaled_sums)
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
@@ -100,14 +99,14 @@ def run_condexp_checks(cfg: ExperimentConfig, filtration: Filtration):
 
 
 def run_duality_checks(cfg: ExperimentConfig, bundle):
-    """Sampled dual-ball violations and extremal attainment for every exponent."""
+    """Sampled dual-ball violations and extremal attainment for every exponent; the target of
+    case ``(p, s)`` is lane ``(p, s)`` of the ``seeded_stacks`` of its ``duality-x`` seeds."""
     sections = cfg.trials["duality_sections"]
-    cases = [
-        (random_section(bundle, derive_seed(cfg.seed, "duality-x", p, s), "general"), p,
-         derive_seed(cfg.seed, "duality", p, s))
-        for p in cfg.exponents for s in range(sections)
-    ]
-    reports = duality_checks(cases, cfg.trials["duality_samples"])
+    pairs = [(p, s) for p in cfg.exponents for s in range(sections)]
+    x = seeded_stacks(bundle, [derive_seed(cfg.seed, "duality-x", p, s) for p, s in pairs])
+    cases = [((bundle, [b[k:k + 1] for b in x]), p, derive_seed(cfg.seed, "duality", p, s))
+             for k, (p, s) in enumerate(pairs)]
+    reports = target_duality_checks(cases, cfg.trials["duality_samples"])
     checks = []
     for k, p in enumerate(cfg.exponents):
         mine = reports[k * sections : (k + 1) * sections]
@@ -123,13 +122,12 @@ def run_duality_checks(cfg: ExperimentConfig, bundle):
 def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     """Tower-projection martingales: convergence, averaging, and traces.
 
-    Each seed's target is one lane of block stacks, and the checks of all seeds are
-    one ``martingale_checks`` pass.
+    Each seed's target is one lane of ``seeded_stacks``, and the checks of all seeds are
+    one ``martingale_checks`` pass.  The limit is the last step of seed 0, as its blocks.
     """
     bundle, seeds, tol = filtration.bundle, range(cfg.trials["martingale_seeds"]), cfg.tolerances
     mart_p = 2.0 if 2.0 in cfg.exponents else cfg.exponents[0]
-    x = section_stacks([random_section(bundle, derive_seed(cfg.seed, "mart-x", s), "general")
-                        for s in seeds])
+    x = seeded_stacks(bundle, [derive_seed(cfg.seed, "mart-x", s) for s in seeds])
     xs = [_project(E.target.projectors, x) for E in filtration.cond_exps]
     r = martingale_checks(filtration, xs, mart_p, limit=True, target=x,
                           w=cfg.weight_list(len(xs) + cfg.extension), extend_by=cfg.extension)
@@ -147,7 +145,7 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         CheckResult("martingale/cesaro_never_one", _flag(bool((x_conv == s_conv).all())), 0.5),
     ]
     traces = [(f"{cfg.experiment_id}:seed={s}", bundle.space.labels, r.xa[s], r.sa[s]) for s in seeds]
-    return checks, traces, lane_section(bundle, xs[-1], 0)
+    return checks, traces, [b[0] for b in xs[-1]]
 
 
 def _run_part(part: str, run, *args):
@@ -175,10 +173,11 @@ def write_trace_csv(path: str, traces):
             ]))
 
 
-def write_section_csv(path: str, section):
+def write_section_csv(path: str, records):
+    """A section file from ``(atom label, block index, row, col, re, im)`` records."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("omega,block,row,col,re,im\n")
-        for label, k, i, j, re, im in section_to_records(section):
+        for label, k, i, j, re, im in records:
             fh.write(f"{label},{k},{i},{j},{re!r},{im!r}\n")
 
 
@@ -232,11 +231,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
         checks.extend(du_checks)
         artifacts.append((write_json, "duality.json", {**header, "reports": du_reports}))
     if "martingale" in parts:
-        ma_checks, traces, limit_section = _run_part(
-            "martingale", run_martingale_checks, cfg, filtration)
+        ma_checks, traces, limit = _run_part("martingale", run_martingale_checks, cfg, filtration)
         checks.extend(ma_checks)
         artifacts += [(write_trace_csv, "traces.csv", traces),
-                      (write_section_csv, "limit_section.csv", limit_section)]
+                      (write_section_csv, "limit_section.csv", block_records(bundle, limit))]
 
     if bad := ", ".join(c.name for c in checks if not np.isfinite(c.worst_residual)):
         raise NumericalFailureError(f"numerical failure: the worst residual of {bad} is not finite")

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .bundle import BundleSpec, Section, gaussian_stacks, identity_section, lane_section
+from .bundle import BundleSpec, Section, gaussian_stacks, lane_section
 from .center import CenterElement
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
@@ -52,31 +52,6 @@ def center_trace(x: Section) -> CenterElement:
     return CenterElement(x.bundle.space, stacked_traces(section_stacks([x]), x.bundle)[0])
 
 
-def normalize_trace(x: Section) -> CenterElement:
-    """Trace renormalized so the identity has value strictly below one.
-
-    Pointwise ``trace(x) / (1 + trace(1))``; handy when a subunital trace is
-    required.
-    """
-    phi_x = center_trace(x).values
-    phi_one = center_trace(identity_section(x.bundle)).values.real
-    return CenterElement(x.bundle.space, phi_x / (1.0 + phi_one))
-
-
-def scalarize(nu, x: Section) -> complex:
-    """Numerical trace obtained by integrating the center-valued trace.
-
-    ``nu`` is a strictly positive weight per atom (a faithful functional on
-    the center); the result is ``sum_w nu(w) * trace(x)(w)``.
-    """
-    nu = np.asarray(nu, dtype=np.float64)
-    if nu.shape != (x.bundle.space.size,):
-        raise UsageError("need one scalarization weight per atom")
-    if np.any(nu <= 0.0) or not np.all(np.isfinite(nu)):
-        raise UsageError("scalarization weights must be finite and strictly positive")
-    return complex(np.sum(nu * center_trace(x).values))
-
-
 def _exponent(p) -> float:
     if not 1.0 <= float(p) < math.inf:  # also refuses NaN
         raise UsageError(f"p must be a finite number >= 1, got {p}")
@@ -98,10 +73,19 @@ def packed_chunks(cases: int, count: int) -> list[list[tuple[int, int]]]:
     return groups
 
 
+def _target(x: Section) -> tuple:
+    """Section ``x`` as a target ``(bundle, blocks)``, one one-lane stack per block slot."""
+    return x.bundle, [b[None] for f in x.fibers for b in f.blocks]
+
+
+def _target_stacks(targets) -> list[np.ndarray]:
+    """The blocks of S targets of one bundle, one ``(S, n, n)`` stack per block slot."""
+    return [np.concatenate(slot) for slot in zip(*[blocks for _, blocks in targets])]
+
+
 def section_stacks(sections) -> list[np.ndarray]:
     """The blocks of S sections of one bundle, one ``(S, n, n)`` stack per block slot."""
-    return [np.stack(slot) for slot in zip(*[[b for f in x.fibers for b in f.blocks]
-                                             for x in sections])]
+    return _target_stacks([_target(x) for x in sections])
 
 
 def stacked_traces(ys, bundle) -> np.ndarray:
@@ -220,12 +204,12 @@ def dual_extremal(x: Section, p: float) -> Section:
     sum S (``top_scaled_sums``), so no rounded norm is raised to a power.  Fibers whose
     Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
     """
-    return lane_section(x.bundle, _witnesses([(x, _exponent(p))])[0][1], 0)
+    return lane_section(x.bundle, _witnesses([(_target(x), _exponent(p))])[0][1], 0)
 
 
 def _witnesses(cases) -> list:
-    """``(norm_p, v, trace(x v))`` for ``(x, p)`` cases, v the witness ``dual_extremal(x, p)``
-    as one-lane block stacks.
+    """``(norm_p, v, trace(x v))`` for ``(x, p)`` cases, ``x`` a target (``_target``), v the
+    witness ``dual_extremal(x, p)`` as one-lane block stacks.
 
     The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  Every
     block of every batch goes through one stacked solve with singular vectors per block
@@ -233,15 +217,15 @@ def _witnesses(cases) -> list:
     witnesses come from one ``top_scaled_sums``.  No step mixes cases, so batching does not show.
     """
     batches = {}
-    for k, (x, p) in enumerate(cases):
-        batches.setdefault((x.bundle, p), []).append(k)
+    for k, ((bundle, _), p) in enumerate(cases):
+        batches.setdefault((bundle, p), []).append(k)
     batches = list(batches.values())
-    stacks = [section_stacks([cases[k][0] for k in ks]) for ks in batches]
+    stacks = [_target_stacks([cases[k][0] for k in ks]) for ks in batches]
     solved = iter(solve_by_block_size([y for ys in stacks for y in ys],
                                       lambda y: gram_eigenvalues_stack(y, vectors=True)))
     out = [None] * len(cases)
     for ks, ys in zip(batches, stacks):
-        bundle, p = cases[ks[0]][0].bundle, cases[ks[0]][1]
+        (bundle, _), p = cases[ks[0]]
         eigs = [next(solved) for _ in ys]
         top, scaled, (sums,) = top_scaled_sums([w for w, _ in eigs], bundle, [p])
         norms = (stacked_lp_norms(ys, bundle, [p], ())[0] if p == 2.0
@@ -350,14 +334,14 @@ def _draw(cases, qs, rngs, group) -> list[_Drawn]:
     the chunks of cases that share a bundle and q form one ``_Drawn``."""
     batches = {}
     for k, size in group:
-        batches.setdefault((cases[k][0].bundle, qs[k]), []).append((k, size))
+        batches.setdefault((cases[k][0][0], qs[k]), []).append((k, size))
     out = []
     for (bundle, q), members in batches.items():
         ys = [np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
                                                      for k, size in members])]
         sizes = [size for _, size in members]
         # each lane pairs with the blocks of its own case
-        xs = section_stacks([cases[k][0] for k, _ in members])
+        xs = _target_stacks([cases[k][0] for k, _ in members])
         traces = np.zeros((len(ys[0]), bundle.space.size), dtype=np.complex128)
         for (i, c), x, y in zip(bundle.block_slots(), xs, ys):
             traces[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
@@ -405,8 +389,8 @@ def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
     many lanes or kept blocks as one group of the largest bundle draws, or at the end, so
     memory stays bounded for any count.  A dropped lane has the excess -inf at its atom.
     """
-    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
-    room = DUALITY_CHUNK * max((len(x.bundle.block_slots()) for x, _, _ in cases), default=0)
+    worst = [np.full(bundle.space.size, -np.inf) for (bundle, _), _, _ in cases]
+    room = DUALITY_CHUNK * max((len(blocks) for (_, blocks), _, _ in cases), default=0)
     groups, held = packed_chunks(len(cases), samples), []
     for g, group in enumerate(groups, 1):
         held += _draw(cases, qs, rngs, group)
@@ -427,7 +411,14 @@ def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
 
 
 def duality_checks(cases, samples: int) -> list[DualityReport]:
-    """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order.
+    """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order: the
+    ``target_duality_checks`` of the sections' blocks."""
+    return target_duality_checks([(_target(x), p, seed) for x, p, seed in cases], samples)
+
+
+def target_duality_checks(cases, samples: int) -> list[DualityReport]:
+    """The duality reports of ``(x, p, seed)`` cases whose ``x`` is a target ``(bundle,
+    blocks)``, one one-lane stack per block slot (``_target``), in order.
 
     The cases' chunks are drawn in groups (``packed_chunks``); the chunks of a group whose
     cases share a bundle and q are a batch, with one pairing contraction per block.  At
@@ -451,7 +442,8 @@ def duality_checks(cases, samples: int) -> list[DualityReport]:
     rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
     worst = _worst_excess(cases, qs, rngs, witnessed, samples)
     reports = []
-    for (x, _, seed), p, (norm_p, _, attained), worst_k in zip(cases, ps, witnessed, worst):
+    for ((bundle, _), _, seed), p, (norm_p, _, attained), worst_k in zip(
+            cases, ps, witnessed, worst):
         attain_res = np.abs(attained - norm_p)
         per_fiber = [
             {
@@ -461,7 +453,7 @@ def duality_checks(cases, samples: int) -> list[DualityReport]:
                 "attainment_residual": float(attain_res[i]),
                 "worst_sample_violation": float(worst_k[i]),
             }
-            for i, label in enumerate(x.bundle.space.labels)
+            for i, label in enumerate(bundle.space.labels)
         ]
         reports.append(DualityReport(
             p=p,

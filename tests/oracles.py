@@ -84,6 +84,10 @@ trial from each of the ``trace-x`` and ``trace-y`` generators, products as ``Sec
 arithmetic, traces through ``center_trace``, and each fiber's squared spectral norm from
 ``gram_eigenvalues_reference``.
 
+The library views that only the tests use live here too: ``zero_fiber`` and ``zero_section``,
+``scalarize`` (the numerical trace ``sum_w nu(w) trace(x)(w)``), and a subalgebra's
+``membership_residual`` and seed-deterministic ``random_element``.
+
 The closed-form conditional expectations are those of the preset levels, built from
 ``towers._partition`` alone: ``scalars`` maps a fiber to
 ``(sum_j c_j tr x_j / sum_j c_j n_j) 1``, and every other preset level is a pinching,
@@ -101,27 +105,64 @@ from tracebundle import (
     ContractViolationError,
     FiberElement,
     Section,
+    ShapeMismatchError,
+    UsageError,
     center_trace,
     derive_seed,
     identity_fiber,
     identity_section,
     lp_norms,
     random_section,
-    scalarize,
     validate_subalgebra,
-    zero_fiber,
 )
-from tracebundle.bundle import gaussian_stacks, split_blocks
+from tracebundle.bundle import gaussian_stacks, lane_section, split_blocks
 from tracebundle.condexp import (CONTRACTION_EXPONENTS, ORTHO_PIVOT_TOL, _closure_residual,
                                  _FiberProjector)
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE, PINV_CUTOFF
 from tracebundle.towers import _partition, level_generators
 from tracebundle.tracelp import (
     ZERO_FIBER_TOL,
+    _target_stacks,
     packed_chunks,
     section_stacks,
     shared_lp_norms,
 )
+
+
+def zero_fiber(dims) -> FiberElement:
+    return FiberElement._raw([np.zeros((n, n), dtype=np.complex128) for n in dims])
+
+
+def zero_section(bundle) -> Section:
+    return Section._raw(bundle, [zero_fiber(s) for s in bundle.fiber_shapes])
+
+
+def scalarize(nu, x: Section) -> complex:
+    """Numerical trace obtained by integrating the center-valued trace.
+
+    ``nu`` is a strictly positive weight per atom (a faithful functional on
+    the center); the result is ``sum_w nu(w) * trace(x)(w)``.
+    """
+    nu = np.asarray(nu, dtype=np.float64)
+    if nu.shape != (x.bundle.space.size,):
+        raise UsageError("need one scalarization weight per atom")
+    if np.any(nu <= 0.0) or not np.all(np.isfinite(nu)):
+        raise UsageError("scalarization weights must be finite and strictly positive")
+    return complex(np.sum(nu * center_trace(x).values))
+
+
+def membership_residual(basis, x: Section) -> float:
+    """The largest distance of a fiber of ``x`` to the span of ``basis`` at its atom."""
+    if x.bundle is not basis.bundle and x.bundle != basis.bundle:
+        raise ShapeMismatchError("section lives on a different bundle")
+    return max(float(p.stack_residuals([b[None] for b in f.blocks])[0])
+               for p, f in zip(basis.projectors, x.fibers))
+
+
+def random_element(basis, seed: int) -> Section:
+    """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
+    rng = np.random.default_rng([7, int(seed) & 0xFFFFFFFFFFFFFFFF])
+    return lane_section(basis.bundle, basis.random_stacks(rng, 1), 0)
 
 
 class QC:
@@ -535,7 +576,7 @@ def group_excess_reference(cases, qs, rngs, witnessed, group):
     ``|trace(x y)| - norm_p(x)`` per atom, from the dual norms of every lane."""
     batches = {}
     for k, size in group:
-        batches.setdefault((cases[k][0].bundle, qs[k]), []).append((k, size))
+        batches.setdefault((cases[k][0][0], qs[k]), []).append((k, size))
     stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
                                                       for k, size in members])]
               for (bundle, _), members in batches.items()]
@@ -543,7 +584,7 @@ def group_excess_reference(cases, qs, rngs, witnessed, group):
     for ((bundle, q), members), ys, dual in zip(batches.items(), stacks, duals):
         scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
         sizes = [size for _, size in members]
-        xs = section_stacks([cases[k][0] for k, _ in members])
+        xs = _target_stacks([cases[k][0] for k, _ in members])
         pairing = np.zeros(dual.shape, dtype=np.complex128)
         for (i, c), x, y in zip(bundle.block_slots(), xs, ys):
             pairing[:, i] += c * np.einsum("sab,sba->s", np.repeat(x, sizes, axis=0), y)
@@ -554,7 +595,7 @@ def group_excess_reference(cases, qs, rngs, witnessed, group):
 
 def worst_excess_reference(cases, qs, rngs, witnessed, samples):
     """``tracelp._worst_excess`` by ``group_excess_reference``, one group after another."""
-    worst = [np.full(x.bundle.space.size, -np.inf) for x, _, _ in cases]
+    worst = [np.full(bundle.space.size, -np.inf) for (bundle, _), _, _ in cases]
     for group in packed_chunks(len(cases), samples):
         for k, row in group_excess_reference(cases, qs, rngs, witnessed, group):
             worst[k] = np.maximum(worst[k], row)

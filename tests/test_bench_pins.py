@@ -134,7 +134,7 @@ def test_duality_phase_forms_no_doubled_lanes_or_sums(tmp_path, capsys, monkeypa
     def counted(cases):
         before = len(sums)
         out = real(cases)
-        witnessed.append((len({(x.bundle, p) for x, p in cases}), len(sums) - before))
+        witnessed.append((len({(bundle, p) for (bundle, _), p in cases}), len(sums) - before))
         return out
 
     monkeypatch.setattr(tracelp, "_witnesses", counted)
@@ -153,10 +153,10 @@ def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypat
 def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch):
     # 4 levels of 30 trials, one chunk each: one projection of x, g* g, a x b and the 3 atoms'
     # locality lanes together (180 lanes), then one of E(x) (30 lanes); projecting those
-    # inputs one by one took 20 calls
+    # inputs one by one took 20 calls.  Each level's unitality projects the identity (1 lane)
     calls = count_calls(condexp._project, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
-    assert sorted(len(call["blocks"][0]) for call in calls) == [30] * 4 + [180] * 4
+    assert sorted(len(call["blocks"][0]) for call in calls) == [1] * 4 + [30] * 4 + [180] * 4
 
 
 def test_axiom_phase_turns_each_rotation_step_once(tmp_path, capsys, monkeypatch):

@@ -7,10 +7,7 @@ from tracebundle import (
     MeasureSpace,
     ShapeMismatchError,
     UsageError,
-    center_ones,
     center_sup,
-    center_zeros,
-    o_converges,
 )
 
 
@@ -36,13 +33,13 @@ def test_unknown_atom(space):
 
 
 def test_abs_of_minus_one(space):
-    minus_one = -center_ones(space)
+    minus_one = -CenterElement(space, np.ones(3))
     assert np.array_equal(abs(minus_one).values, np.ones(3))
 
 
 def test_mul_by_zero(space):
     f = CenterElement(space, [1.0, -2.0, 3.0])
-    assert np.array_equal((f * center_zeros(space)).values, np.zeros(3))
+    assert np.array_equal((f * CenterElement(space, np.zeros(3))).values, np.zeros(3))
 
 
 def test_power_roundtrip_is_abs(space):
@@ -118,24 +115,9 @@ def test_sup_rejects_complex(space):
         center_sup([f])
 
 
-def test_o_converges_constant(space):
-    f = CenterElement(space, [1.0, 2.0, 3.0])
-    flag, residuals = o_converges([f, f, f], f, tol=0.0)
-    assert flag
-    assert residuals == [0.0, 0.0, 0.0]
+def test_a_complex_element_with_a_negligible_imaginary_part_reads_as_real(space):
+    # a center-valued trace is complex; within REAL_PART_TOL of the reals it orders as its real part
+    f = CenterElement(space, np.array([1 + 1e-12j, -2, 0]))
+    assert np.array_equal(center_sup([f]).values, [1.0, -2.0, 0.0])
+    assert f.leq(CenterElement(space, [1.0, -2.0, 0.0]), tol=0.0)
 
-
-def test_o_converges_harmonic(space):
-    one = center_ones(space)
-    seq = [(1.0 / n) * one for n in range(1, 10001)]
-    flag, residuals = o_converges(seq, center_zeros(space), tol=1e-3)
-    assert flag
-    assert residuals[0] == 1.0
-    assert residuals[-1] <= 1e-3
-    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
-
-
-def test_o_converges_empty_sequence(space):
-    flag, residuals = o_converges([], center_zeros(space), tol=1.0)
-    assert not flag
-    assert residuals == []

@@ -17,6 +17,7 @@ from tracebundle.cli import (
     main,
 )
 from tracebundle import cli, condexp, runner, tracelp
+from tracebundle.bundle import section_to_records
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.config import parse_config
 from tracebundle.fixtures import fixture_config, fixture_text
@@ -446,7 +447,7 @@ def test_golden_section_roundtrip(config_path, tmp_path):
     # write -> read -> write is byte-stable
     from tracebundle.runner import write_section_csv
 
-    write_section_csv(str(tmp_path / "again.csv"), section)
+    write_section_csv(str(tmp_path / "again.csv"), section_to_records(section))
     assert read(out / "limit_section.csv") == read(tmp_path / "again.csv")
     assert section.bundle == bundle
     assert all(np.isfinite(b).all() for f in section.fibers for b in f.blocks)

@@ -7,13 +7,13 @@ import pytest
 from tracebundle import (
     BundleSpec,
     ConditionalExpectation,
+    ContractViolationError,
     FiberElement,
     InconsistencyError,
     MeasureSpace,
     Section,
     ShapeMismatchError,
     UsageError,
-    build_cond_exp,
     build_filtration,
     center_trace,
     check_cond_exp_axioms,
@@ -38,7 +38,9 @@ from oracles import (
     closure_residual_reference,
     closed_form_expectation,
     matrix_unit_blocks,
+    membership_residual,
     pinching_basis,
+    random_element,
     restricted_basis,
 )
 
@@ -215,13 +217,23 @@ def test_validation_needs_one_generator_list_per_atom(hetero_bundle):
         validate_subalgebra(hetero_bundle, [[identity_fiber((2,))]])
 
 
+def test_a_basis_that_drifted_from_orthonormal_is_refused(mat2_bundle):
+    # a level goes on from the basis below it; one whose columns lost their unit norm is
+    # refused by the Gram-drift test, naming the atom, before any projection reads it
+    basis = validate_subalgebra(mat2_bundle, [diagonal_units((2,))])
+    basis.projectors[0].ortho = basis.projectors[0].ortho * np.array([1.0, 1.01])
+    with pytest.raises(ContractViolationError,
+                       match=r"orthonormalization at 'w' degenerated \(Gram drift 2\.01e-02\)"):
+        validate_subalgebra(basis, [[]])
+
+
 def test_a_basis_and_its_expectation_refuse_a_section_of_another_bundle(mat2_bundle, hetero_bundle):
     basis = validate_subalgebra(mat2_bundle, [diagonal_units((2,))])
     x = identity_section(hetero_bundle)
     with pytest.raises(ShapeMismatchError, match="section lives on a different bundle"):
-        basis.membership_residual(x)
+        membership_residual(basis, x)
     with pytest.raises(ShapeMismatchError, match="section lives on a different bundle"):
-        build_cond_exp(basis)(x)
+        ConditionalExpectation(basis)(x)
 
 
 def test_orthonormal_basis_gram(hetero_bundle):
@@ -237,7 +249,7 @@ def test_orthonormal_basis_gram(hetero_bundle):
 def test_identity_always_in_span(hetero_bundle):
     gens = [[fiber_level_generators(s, "diagonal")[0]] for s in hetero_bundle.fiber_shapes]
     basis = validate_subalgebra(hetero_bundle, gens)
-    assert basis.membership_residual(identity_section(hetero_bundle)) < 1e-10
+    assert membership_residual(basis, identity_section(hetero_bundle)) < 1e-10
 
 
 def test_a_span_at_a_tiny_weight_unit_holds_the_identity():
@@ -252,7 +264,7 @@ def test_a_span_at_a_tiny_weight_unit_holds_the_identity():
         basis = validate_subalgebra(bundle, [[spike]])
         assert basis.dims == (2,)
         # the identity's distance to the span, relative to its weighted norm sqrt(2 c)
-        assert basis.membership_residual(identity_section(bundle)) <= 1e-15 * np.sqrt(2.0 * weight)
+        assert membership_residual(basis, identity_section(bundle)) <= 1e-15 * np.sqrt(2.0 * weight)
         assert validate_subalgebra(bundle, [[spike, other]]).dims == (2,)
 
 
@@ -336,7 +348,7 @@ def test_full_subalgebra_gives_identity_map(hetero_bundle):
     basis = validate_subalgebra(
         hetero_bundle, [full_units(s) for s in hetero_bundle.fiber_shapes]
     )
-    E = build_cond_exp(basis)
+    E = ConditionalExpectation(basis)
     x = random_section(hetero_bundle, 1, "general")
     assert (E(x) - x).max_abs() < 1e-12
 
@@ -366,21 +378,21 @@ def test_scalar_projection_is_normalized_trace(hetero_bundle):
 def test_expectation_fixes_identity_and_subalgebra(hetero_diag_exp, hetero_bundle):
     one = identity_section(hetero_bundle)
     assert (hetero_diag_exp(one) - one).max_abs() < 1e-12
-    y = hetero_diag_exp.target.random_element(5)
+    y = random_element(hetero_diag_exp.target, 5)
     assert (hetero_diag_exp(y) - y).max_abs() < 1e-12
 
 
 def test_image_lies_in_target_subalgebra(hetero_diag_exp, hetero_bundle):
     for seed in range(10):
         x = random_section(hetero_bundle, seed, "general")
-        assert hetero_diag_exp.target.membership_residual(hetero_diag_exp(x)) <= 1e-10
+        assert membership_residual(hetero_diag_exp.target, hetero_diag_exp(x)) <= 1e-10
 
 
 def test_module_property(hetero_diag_exp, hetero_bundle):
     for seed in range(10):
         x = random_section(hetero_bundle, seed, "general")
-        a = hetero_diag_exp.target.random_element(100 + seed)
-        b = hetero_diag_exp.target.random_element(200 + seed)
+        a = random_element(hetero_diag_exp.target, 100 + seed)
+        b = random_element(hetero_diag_exp.target, 200 + seed)
         lhs = hetero_diag_exp(a * x * b)
         rhs = a * hetero_diag_exp(x) * b
         assert (lhs - rhs).max_abs() < 1e-9
@@ -677,8 +689,8 @@ def test_expectation_commutes_with_adjoint(hetero_diag_exp, hetero_bundle):
 
 
 def test_random_subalgebra_element_lies_in_span(hetero_diag_exp):
-    y = hetero_diag_exp.target.random_element(123)
-    assert hetero_diag_exp.target.membership_residual(y) < 1e-10
+    y = random_element(hetero_diag_exp.target, 123)
+    assert membership_residual(hetero_diag_exp.target, y) < 1e-10
 
 
 def test_projection_invariant_under_trace_rescaling(hetero_bundle):

@@ -241,7 +241,7 @@ ROWS = {
     "condexp/scalarized_trace": (dropped_atom_image,
                                  cx("unitality", "trace_preservation", "bimodule_pairing")),
     "condexp/fiberwise_agreement": (atom_leak, cx(
-        "idempotence", "module_property", "trace_preservation", "bimodule_pairing",
+        "idempotence", "unitality", "module_property", "trace_preservation", "bimodule_pairing",
         "scalarized_trace", "lp_contraction_p1", "lp_contraction_p2", "lp_contraction_p3",
         "lp_contraction_p4")),
     "condexp/lp_contraction_p1": (reflection, cx(

