@@ -366,7 +366,12 @@ class _AxiomTally:
         ex, epos, axb = ([e[k * size:(k + 1) * size] for e in images] for k in range(3))
         self.bump("idempotence", _gap(_project(projectors, ex), ex))
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
-        self.bump("module_property", _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]))
+        # relative to |a| |x| |b| per trial and atom, Frobenius norms over the atom's blocks:
+        # it bounds every entry of a x b, so the round-off of either side is eps times it
+        scale = np.prod([np.sqrt(np.add.reduceat([np.sum(np.abs(z) ** 2, axis=(1, 2)) for z in f],
+                                                self.first_blocks)) for f in (a, x, b)], axis=0)
+        self.bump("module_property", [g / scale[i] for g, i in zip(
+            _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]), self.block_atoms)])
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
         self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, per_atom=True)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))

@@ -5,9 +5,11 @@ projection-composition law are verified numerically at construction.  Towers
 are finite; the infinite-index regime of the averaging statements is emulated
 by holding the terminal element fixed for extra steps, which drives the
 cumulative weight to infinity while every limit stays exact.  Held steps are
-evaluated in closed form as array operations: the whole tail costs O(1) norm
-evaluations, and no Python runs once per held step.  Many sequences are checked
-at once, held as block stacks (``martingale_checks``).
+kept in closed form, as their ratios ``W_K/W_n``: the tail costs O(1) norm
+evaluations, no Python runs once per held step, and peak memory does not depend
+on its length; its per-step traces are formed a slice at a time, on demand
+(``step_residuals``), so ``traces.csv`` is the only output that grows with it.
+Many sequences are checked at once, held as block stacks (``martingale_checks``).
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ class MartingaleChecks:
     """Per-lane results of ``martingale_checks``; a part it was not asked for is None."""
 
     def __init__(self, defect, recon=None, xa=None, sa=None, sup_x=None, sup_sigma=None,
-                 terminal=None, pythagoras=None):
+                 terminal=None, pythagoras=None, held=None):
         self.defect = defect          # (S,) worst L1 norm of E_n(x_{n+1}) - x_n
         self.recon = recon            # (S,) worst L1 norm of E_n(y) - x_n, y the last step
-        self.xa = xa                  # (S, steps, atoms) ||x_n - y||_p, 0 on held steps
-        self.sa = sa                  # (S, steps, atoms) ||sigma_n - y||_p
+        self.xa = xa                  # (S, K, atoms) ||x_n - y||_p over the K tower steps
+        self.sa = sa                  # (S, K, atoms) ||sigma_n - y||_p over the K tower steps
+        self.held = held              # (extension,) W_K/W_n of the held steps n > K
         self.sup_x = sup_x            # (S, atoms) max over n of ||x_n||_p
         self.sup_sigma = sup_sigma    # (S, atoms) the same over the means and the held end
         self.terminal = terminal      # (S,) max over atoms of ||y - x||_p, x the target
@@ -135,8 +138,9 @@ def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = 
     ``(S, n, n)`` stack per block (``section_stacks``).
 
     Always the defect.  With ``limit`` (a full tower, one step per level) the reconstruction
-    residual and the traces toward the last step y; with weights ``w`` the running means
-    held for ``extend_by`` steps, their traces and the sup comparison; with the ``target`` x
+    residual and the traces toward the last step y; with weights ``w`` the running means,
+    their traces, the ratios of the ``extend_by`` held steps and the sup comparison (the
+    held steps' traces follow from these, ``step_residuals``); with the ``target`` x
     of the steps, ``||y - x||_p`` and Pythagoras.  None is refused here.  Each level's E
     applies once per fiber, to the next step and y together; the L1 norms and those at p
     take their spectra from one stacked solve per block size, and each exponent's norms come
@@ -170,16 +174,26 @@ def martingale_checks(filtration: Filtration, xs, p: float = 2.0, limit: bool = 
     if limit:
         out.recon = l1[len(defects):].max(axis=(0, 2))
     if limit or w is not None:
-        out.xa = np.concatenate((lp[:k], np.zeros((ratios.size,) + lp.shape[1:]))).transpose(1, 0, 2)
+        out.xa = lp[:k].transpose(1, 0, 2)
     if w is not None:
-        sa = lp[k:2 * k].transpose(1, 0, 2)
-        out.sa = np.concatenate((sa, ratios[None, :, None] * sa[:, -1:]), axis=1)
+        out.sa, out.held = lp[k:2 * k].transpose(1, 0, 2), ratios
         out.sup_x, out.sup_sigma = lp[2 * k:3 * k].max(axis=0), lp[3 * k:4 * k + len(held)].max(axis=0)
     if target is not None:
         sq = l2 ** 2
         out.terminal = lp[-1].max(axis=1)
         out.pythagoras = np.abs(sq[0] - sq[1:k + 1] - sq[k + 1:]).max(axis=(0, 2))
     return out
+
+
+def step_residuals(xa, sa, held, start: int = 0, stop: int = None):
+    """Steps ``start`` to ``stop - 1`` (all by default) of the traces ``||x_n - y||_p`` and
+    ``||sigma_n - y||_p``, from those of the K tower steps (``xa``, ``sa``, steps on axis -2)
+    and the held ratios ``W_K/W_n``: a held step's element residual is 0.0 and its mean
+    residual ``(W_K/W_n) ||sigma_K - y||_p``, one multiply per entry."""
+    k = xa.shape[-2]
+    tail = held[max(start - k, 0):None if stop is None else max(stop - k, 0), None] * sa[..., -1:, :]
+    return (np.concatenate((xa[..., start:stop, :], np.zeros_like(tail)), axis=-2),
+            np.concatenate((sa[..., start:stop, :], tail), axis=-2))
 
 
 def _cat(entries, like):
@@ -289,7 +303,7 @@ def _limit(seq: MartingaleSeq, checks: MartingaleChecks) -> MartingaleLimit:
         raise InconsistencyError(f"limit reconstruction residual {recon:.2e} "
                                  f"exceeds {LIMIT_RECONSTRUCTION_TOL:.0e}")
     return MartingaleLimit(limit=seq.elements[-1], reconstruction_residual=recon,
-                           residual_trace=checks.xa[0, :len(seq)].max(axis=1).tolist())
+                           residual_trace=checks.xa[0].max(axis=1).tolist())
 
 
 class DoubleSequenceReport:
@@ -422,7 +436,7 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
     if seq.defect > MARTINGALE_TOL:
         raise UsageError("input sequence is not a martingale to tolerance")
     checks = _one_sequence(seq.filtration, seq.elements, p, limit=True, w=w, extend_by=extend_by)
-    xa, sa = checks.xa[0], checks.sa[0]
+    xa, sa = (a[0] for a in step_residuals(checks.xa, checks.sa, checks.held))
     xt = xa.max(axis=1).tolist()
     st = sa.max(axis=1).tolist()
 

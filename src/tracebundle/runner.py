@@ -18,11 +18,14 @@ from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
 from .fiber import gram_eigenvalues_stack, solve_by_block_size
-from .martingale import Filtration, build_filtration, martingale_checks
+from .martingale import Filtration, build_filtration, martingale_checks, step_residuals
 from .tracelp import (derive_seed, packed_chunks, stacked_traces, target_duality_checks,
                       top_scaled_sums)
 
 ALL_PARTS = ("trace", "condexp", "duality", "martingale")
+# rows of traces.csv formatted per write: a seed's rows (100 000 held steps make 100 000 rows
+# per atom) are never all held at once, so the writer's memory does not grow with the run
+_TRACE_ROWS = 1000
 
 
 class CheckResult:
@@ -123,7 +126,9 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     """Tower-projection martingales: convergence, averaging, and traces.
 
     Each seed's target is one lane of ``seeded_stacks``, and the checks of all seeds are
-    one ``martingale_checks`` pass.  The limit is the last step of seed 0, as its blocks.
+    one ``martingale_checks`` pass.  Each seed's traces are its tower steps' residuals and
+    the held ratios, which ``write_trace_csv`` expands.  The limit is the last step of
+    seed 0, as its blocks.
     """
     bundle, seeds, tol = filtration.bundle, range(cfg.trials["martingale_seeds"]), cfg.tolerances
     mart_p = 2.0 if 2.0 in cfg.exponents else cfg.exponents[0]
@@ -131,8 +136,9 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
     xs = [_project(E.target.projectors, x) for E in filtration.cond_exps]
     r = martingale_checks(filtration, xs, mart_p, limit=True, target=x,
                           w=cfg.weight_list(len(xs) + cfg.extension), extend_by=cfg.extension)
-    x_conv, s_conv = (a[:, -1].max(axis=1) <= tol["cesaro"] for a in (r.xa, r.sa))
-    monotone = float(np.max(np.diff(r.xa[:, :len(xs)].max(axis=2)), initial=0.0))
+    x_conv, s_conv = (a[:, -1].max(axis=1) <= tol["cesaro"]  # the last step, held or not
+                      for a in step_residuals(r.xa, r.sa, r.held[-1:]))
+    monotone = float(np.max(np.diff(r.xa.max(axis=2)), initial=0.0))
     checks = [
         CheckResult("martingale/defect", float(r.defect.max()), tol["martingale_defect"]),
         CheckResult("martingale/limit_reconstruction", float(r.recon.max()), tol["martingale_defect"]),
@@ -144,7 +150,8 @@ def run_martingale_checks(cfg: ExperimentConfig, filtration: Filtration):
         CheckResult("martingale/cesaro_both", _flag(bool((x_conv & s_conv).all())), 0.5),
         CheckResult("martingale/cesaro_never_one", _flag(bool((x_conv == s_conv).all())), 0.5),
     ]
-    traces = [(f"{cfg.experiment_id}:seed={s}", bundle.space.labels, r.xa[s], r.sa[s]) for s in seeds]
+    traces = [(f"{cfg.experiment_id}:seed={s}", bundle.space.labels, r.xa[s], r.sa[s], r.held)
+              for s in seeds]
     return checks, traces, [b[0] for b in xs[-1]]
 
 
@@ -162,15 +169,21 @@ def write_json(path: str, payload: dict):
 
 
 def write_trace_csv(path: str, traces):
-    """``traces.csv`` from one ``(tag, labels, xa, sa)`` per seed, one ``write`` per seed."""
+    """``traces.csv`` from one ``(tag, labels, xa, sa, held)`` per seed, its tower steps'
+    residuals and held ratios as ``step_residuals`` takes them, one ``write`` per chunk of
+    whole steps of at most ``_TRACE_ROWS`` rows (one step where a step has more)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("experiment_id,n,omega,residual_xp,residual_sigma\n")
-        for tag, labels, xa, sa in traces:  # rows run over atoms within each step
-            steps = [n for n in range(1, len(xa) + 1) for _ in labels]
-            fh.write("".join([
-                f"{tag},{n},{label},{rx!r},{rs!r}\n" for n, label, rx, rs
-                in zip(steps, labels * len(xa), xa.ravel().tolist(), sa.ravel().tolist())
-            ]))
+        for tag, labels, xa, sa, held in traces:  # rows run over atoms within each step
+            steps, per = len(xa) + len(held), max(1, _TRACE_ROWS // len(labels))
+            for start in range(0, steps, per):
+                stop = min(start + per, steps)
+                rx, rs = step_residuals(xa, sa, held, start, stop)
+                fh.write("".join([
+                    f"{tag},{n},{label},{a!r},{b!r}\n" for n, label, a, b
+                    in zip([n for n in range(start + 1, stop + 1) for _ in labels],
+                           labels * (stop - start), rx.ravel().tolist(), rs.ravel().tolist())
+                ]))
 
 
 def write_section_csv(path: str, records):

@@ -647,7 +647,9 @@ def axiom_report_reference(E, trials, seed):
 
         a = subalgebra_element(E.target, rngs["a"])
         b = subalgebra_element(E.target, rngs["b"])
-        d = _per_atom_max_abs(E(a * x * b) - a * ex * b)
+        d = _per_atom_max_abs(E(a * x * b) - a * ex * b) / np.prod(
+            [[np.sqrt(sum(np.sum(np.abs(z) ** 2) for z in f.blocks)) for f in s.fibers]
+             for s in (a, x, b)], axis=0)
         bump("module_property", d.max(), d)
 
         d = np.abs(center_trace(ex).values - center_trace(x).values)

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tracebundle import (
     weighted_averages,
 )
 from tracebundle import condexp, martingale, runner
+from tracebundle.cli import main
 from tracebundle.condexp import SubalgebraBasis
 from tracebundle.config import parse_config
 from tracebundle.fixtures import FIXTURES, fixture_config
@@ -640,15 +642,40 @@ def _held_tail_config(name, weights, extension):
     return parse_config(json.dumps(doc))
 
 
+def trace_rows(traces):
+    """``(tag, n, label, rx, rs)`` rows of ``(tag, labels, xa, sa)`` traces with every step."""
+    return [(tag, n, label, rx, rs) for tag, labels, xa, sa in traces
+            for n, (xv, sv) in enumerate(zip(xa.tolist(), sa.tolist()), start=1)
+            for label, rx, rs in zip(labels, xv, sv)]
+
+
+def assert_chunked_file_is_the_reference(traces, rows, steps, tmp_path, monkeypatch):
+    # chunks that end on the tower/held seam, one step before and after it, of one step,
+    # and of the default size (its boundaries mid-tail once the tail is long enough)
+    write_trace_csv_reference(str(tmp_path / "reference.csv"), rows)
+    want = (tmp_path / "reference.csv").read_bytes()
+    atoms = len(traces[0][1])
+    for chunk in (steps - 1, steps, steps + 1, 1, None):
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(runner, "_TRACE_ROWS", chunk * atoms)
+            runner.write_trace_csv(str(tmp_path / "traces.csv"), traces)
+        assert (tmp_path / "traces.csv").read_bytes() == want, chunk
+
+
 @pytest.mark.parametrize("extension", [0, 1000])
 @pytest.mark.parametrize("weights", ["uniform", "linear", "explicit"])
 @pytest.mark.parametrize("name", ["hetero4_tower", "mat2_tower"])
-def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp_path):
+def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp_path,
+                                                   monkeypatch):
     cfg = _held_tail_config(name, weights, extension)
     f = runner.build_tower(cfg, cfg.build_bundle())
     _, traces, _ = runner.run_martingale_checks(cfg, f)
     rows = []
-    for s, (tag, labels, xa, sa) in enumerate(traces):
+    for s, (tag, labels, tower_xa, tower_sa, held) in enumerate(traces):
+        assert tower_xa.shape == tower_sa.shape == (len(f.tower), f.bundle.space.size)
+        assert held.shape == (extension,)
+        xa, sa = martingale.step_residuals(tower_xa, tower_sa, held)
         x = random_section(f.bundle, derive_seed(cfg.seed, "mart-x", s), "general")
         seq = martingale_from_target(x, f, p=2.0)
         y = seq.elements[-1]
@@ -674,9 +701,7 @@ def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp
                  for n, (xv, sv) in enumerate(zip(ref_xa, ref_sa), start=1)
                  for label, rx, rs in zip(labels, xv, sv)]
     assert len(rows) == len(traces) * (len(f.tower) + extension) * f.bundle.space.size
-    runner.write_trace_csv(str(tmp_path / "traces.csv"), traces)
-    write_trace_csv_reference(str(tmp_path / "reference.csv"), rows)
-    assert (tmp_path / "traces.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert_chunked_file_is_the_reference(traces, rows, len(f.tower), tmp_path, monkeypatch)
 
 
 def bits(values) -> bytes:
@@ -687,7 +712,8 @@ def bits(values) -> bytes:
 @pytest.mark.parametrize("extension", [0, 1000])
 @pytest.mark.parametrize("weights", ["uniform", "linear", "explicit"])
 @pytest.mark.parametrize("name", ["hetero4_tower", "mat2_tower"])
-def test_stacked_phase_equals_the_per_seed_reference(name, weights, extension, exponents):
+def test_stacked_phase_equals_the_per_seed_reference(name, weights, extension, exponents,
+                                                    tmp_path, monkeypatch):
     doc = copy.deepcopy(FIXTURES[name])
     doc["exponents"] = exponents
     cfg = _held_tail_config(doc, weights, extension)
@@ -697,9 +723,12 @@ def test_stacked_phase_equals_the_per_seed_reference(name, weights, extension, e
     assert [c.name for c in checks] == list(worst)
     assert bits([c.worst_residual for c in checks]) == bits(list(worst.values()))
     assert len(traces) == len(ref_traces) == cfg.trials["martingale_seeds"]
-    for (tag, labels, xa, sa), (ref_tag, ref_labels, ref_xa, ref_sa) in zip(traces, ref_traces):
+    for (tag, labels, *parts), (ref_tag, ref_labels, ref_xa, ref_sa) in zip(traces, ref_traces):
         assert (tag, labels) == (ref_tag, ref_labels)
+        xa, sa = martingale.step_residuals(*parts)
         assert bits(xa) == bits(ref_xa) and bits(sa) == bits(ref_sa)
+    assert_chunked_file_is_the_reference(traces, trace_rows(ref_traces), len(f.tower),
+                                         tmp_path, monkeypatch)
     ref_blocks = [b for f_b in ref_limit.fibers for b in f_b.blocks]
     assert len(limit) == len(ref_blocks)
     assert all(bits(a) == bits(b) for a, b in zip(limit, ref_blocks))
@@ -712,7 +741,9 @@ def test_depth_one_tower_has_no_defect_differences(mat2_bundle):
     checks = martingale.martingale_checks(f, [x], 1.5, limit=True, w=[1.0] * 4, extend_by=3,
                                           target=x)
     assert bits(checks.defect) == bits(np.zeros(3))
-    assert checks.xa.shape == checks.sa.shape == (3, 4, 1)
+    assert checks.xa.shape == checks.sa.shape == (3, 1, 1) and checks.held.shape == (3,)
+    xa, sa = martingale.step_residuals(checks.xa, checks.sa, checks.held)
+    assert xa.shape == sa.shape == (3, 4, 1)
     assert checks.recon.max() <= 1e-12 and checks.terminal.max() <= 1e-12
 
 
@@ -740,6 +771,29 @@ def test_one_defect_and_one_limit_per_seed(monkeypatch, tmp_path):
                      "cesaro_equivalence": 0, "sup_norm_comparison": 0}
     (r,) = results
     assert r.defect.shape == r.recon.shape == r.terminal.shape == (seeds,)
+
+
+def test_a_long_held_tail_keeps_a_small_peak(tmp_path, capsys):
+    # 100 000 held steps of 2 seeds on one atom: traces.csv has 200 004 rows (9.3 MB), but
+    # the run holds the tail as its ratios and writes the rows in chunks.  Its traced peak
+    # was 3.2 MB, the weights and the held ratios; a per-seed list of rows alone takes more
+    # than 8 MB (it was 24.7 MB with the per-step arrays)
+    doc = {"experiment_id": "held", "seed": 1, "exponents": [2], "extension": 0,
+           "bundle": {"atoms": ["w"], "mu": [1.0], "fiber_shapes": [[2]], "trace_weights": [[1.0]]},
+           "tower": ["scalars", "full"], "trials": {"martingale_seeds": 2}}
+    config = tmp_path / "held.json"
+    config.write_text(json.dumps(doc))
+    main(["run-martingale", "--config", str(config), "--out", str(tmp_path / "warm")])
+    config.write_text(json.dumps(dict(doc, extension=100_000)))
+    tracemalloc.start()
+    try:
+        code = main(["run-martingale", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "out" / "traces.csv").read_bytes().count(b"\n") == 1 + 2 * 100_002
+    assert peak < 8e6, peak
 
 
 def test_one_running_means_pass_per_seed(monkeypatch, tmp_path):
