@@ -4,9 +4,9 @@ A subalgebra is given by per-atom generator lists; validation closes the span
 under adjoints and products, adjoins the identity, and orthonormalizes it in
 the trace inner product ``<a, b> = trace_w(b* a)``.  The conditional
 expectation is the orthogonal projection onto that span, applied fiber by
-fiber; trace preservation, the bimodule property, positivity, the Lp
-contraction bound and locality are verifiable consequences, collected by
-``check_cond_exp_axioms`` with one stacked eigensolve per block size.
+fiber; trace preservation, the bimodule property, positivity, the Lp contraction
+bound and locality (``E(z x) = z E(x)`` for central z) are verifiable consequences,
+collected by ``check_cond_exp_axioms`` with one stacked eigensolve per block size.
 """
 
 from __future__ import annotations
@@ -286,13 +286,14 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     ``E(a x b) = a E(x) b`` for subalgebra a, b, trace preservation, the
     pairing identity ``trace(E(x) y) = trace(x y)`` for subalgebra y, the Lp
     contraction bound for p in {1, 2, 3, 4}, scalarized-trace preservation for
-    random positive center weights, and locality (fiberwise_agreement): ``E(x)``
-    at an atom must not change when x takes the trial's ``pos`` draw at every
-    other atom.  Never raises on a residual; the caller compares against
-    tolerances.  Each tag (x, pos, a, b, y, nu) draws from one generator seeded
-    from ``derive_seed(seed, f"axiom-{tag}")``, trial ``t`` its lane ``t``.  The
-    trials are stacked per block in chunks of DUALITY_CHUNK; no step mixes
-    trials, so the chunking does not show.
+    random positive center weights, and locality (fiberwise_agreement), the center-module
+    law read as ``|E(z x) / z - E(x)|`` at each atom for the central z that is a distinct
+    power of two at any 1024 consecutive atoms: a map that acts fiber by fiber reads
+    exactly 0.0, one that adds ``c x`` from atom v into atom w reads ``(z_v / z_w - 1) c x``.
+    Never raises on a residual; the caller compares against tolerances.  Each tag (x, pos,
+    a, b, y, nu) draws from one generator seeded from ``derive_seed(seed, f"axiom-{tag}")``,
+    trial ``t`` its lane ``t``.  The trials are stacked per block in chunks of
+    DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
     """
     return cond_exp_axiom_checks([(E, seed)], trials)[0]
 
@@ -331,9 +332,10 @@ class _AxiomTally:
                 for shape in bundle.fiber_shapes for n in shape]
         self.res["unitality"] = float(np.max(_gap(_project(E.target.projectors, ones), ones)))
         self.per_fiber = np.zeros(bundle.space.size)
-        self.atom_ids = range(bundle.space.size)
         self.block_atoms = [i for i, _ in bundle.block_slots()]
-        self.first_blocks = [self.block_atoms.index(i) for i in self.atom_ids]
+        self.first_blocks = np.cumsum([0, *map(len, bundle.fiber_shapes[:-1])])
+        k = np.arange(bundle.space.size) % 1024  # the z of fiberwise_agreement, per block
+        self.z = (2.0 ** (k - min(bundle.space.size, 1024) // 2))[self.block_atoms]
         self.rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
                      for tag in ("x", "pos", "a", "b", "y", "nu")}
 
@@ -347,23 +349,20 @@ class _AxiomTally:
     def draw(self, size: int):
         """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
 
-        One stacked ``_project`` call takes ``x``, ``g* g``, ``a x b`` and the locality
-        lanes together; ``E(E(x))`` is the second, as it needs ``E(x)``.  Returns the
-        stacks whose eigenvalues ``finish`` needs, one per block the Hermitian ones it
-        checks for positivity and then the Gram matrices of ``both``; and ``both``,
+        One stacked ``_project`` call takes ``x``, ``g* g``, ``a x b`` and ``z x`` together,
+        ``4 * size`` lanes per block; ``E(E(x))`` is the second, as it needs ``E(x)``.
+        Returns the stacks whose eigenvalues ``finish`` needs, one per block the Hermitian
+        ones it checks for positivity and then the Gram matrices of ``both``; and ``both``,
         ``E(x)`` (rows < size) stacked on ``x``, whose Lp norms ``finish`` compares.
         """
         E, rngs = self.E, self.rngs
         bundle, projectors = E.bundle, E.target.projectors
         x, g = (gaussian_stacks(bundle, rngs[tag], size) for tag in ("x", "pos"))
         a, b, y = (E.target.random_stacks(rngs[tag], size) for tag in "aby")
-        # per block, lanes of x, g* g and a x b, then the locality lanes: lane (3 + w) * size + t
-        # holds x_t at atom w and the pos draw g_t elsewhere
         images = _project(projectors, [
-            np.concatenate([xi, gi.conj().transpose(0, 2, 1) @ gi, ai @ xi @ bi,
-                            *(xi if i == w else gi for w in self.atom_ids)])
-            for i, xi, gi, ai, bi in zip(self.block_atoms, x, g, a, b)])
-        ex, epos, axb = ([e[k * size:(k + 1) * size] for e in images] for k in range(3))
+            np.concatenate([xi, gi.conj().transpose(0, 2, 1) @ gi, ai @ xi @ bi, zi * xi])
+            for zi, xi, gi, ai, bi in zip(self.z, x, g, a, b)])
+        ex, epos, axb, ezx = ([e[k * size:(k + 1) * size] for e in images] for k in range(4))
         self.bump("idempotence", _gap(_project(projectors, ex), ex))
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
         # relative to |a| |x| |b| per trial and atom, Frobenius norms over the atom's blocks:
@@ -379,8 +378,7 @@ class _AxiomTally:
         nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
         self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))
-        own = [e[(3 + i) * size:(4 + i) * size] for i, e in zip(self.block_atoms, images)]
-        self.bump("fiberwise_agreement", _gap(own, ex))
+        self.bump("fiberwise_agreement", _gap([e / zi for zi, e in zip(self.z, ezx)], ex))
         both = [np.concatenate(pair) for pair in zip(ex, x)]
         return hs + [np.einsum("ski,skj->sij", z.conj(), z) for z in both], both
 

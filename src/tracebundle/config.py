@@ -11,6 +11,8 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 from .bundle import BundleSpec
 from .center import MeasureSpace
 from .errors import ConfigError, TraceBundleError, UsageError
@@ -141,12 +143,12 @@ class ExperimentConfig:
             )
         return levels
 
-    def weight_list(self, length: int) -> list:
+    def weight_list(self, length: int) -> np.ndarray:
         if self.weights == "uniform":
-            return [1.0] * length
+            return np.ones(length)
         if self.weights == "linear":
-            return [float(k + 1) for k in range(length)]
-        w = [float(v) for v in self.weights]
+            return np.arange(1.0, length + 1.0)
+        w = np.array(self.weights, dtype=np.float64)
         if len(w) < length:
             raise UsageError(f"explicit weights cover {len(w)} steps, run needs {length}")
         return w[:length]

@@ -28,6 +28,22 @@ def large_blocks_bundle():
     return BundleSpec(space, [[4], [3, 2], [5]], [[1.0], [0.5, 2.0], [0.25]])
 
 
+def mat2_atoms(count):
+    """``count`` atoms with fiber Mat(2), trace weights 1 to ``count``."""
+    space = MeasureSpace([f"v{k}" for k in range(count)], [1.0] * count)
+    return BundleSpec(space, [[2]] * count, [[1.0 + k] for k in range(count)])
+
+
+@pytest.fixture(scope="session")
+def mat2x8_bundle():
+    return mat2_atoms(8)
+
+
+@pytest.fixture(scope="session")
+def mat2x64_bundle():
+    return mat2_atoms(64)
+
+
 @pytest.fixture
 def rng_log(monkeypatch):
     """Every generator made through ``np.random.default_rng``, each with the count of values drawn."""

@@ -607,7 +607,12 @@ def _per_atom_max_abs(x):
 
 
 def axiom_report_reference(E, trials, seed):
-    """``check_cond_exp_axioms`` computed one trial at a time."""
+    """``check_cond_exp_axioms`` computed one trial at a time.
+
+    Locality is measured here in its per-atom form, an independent reference for the
+    center-module law that the checker reads: ``E(x)`` at each atom against the image of
+    the mixed section that keeps ``x`` at that atom and takes the ``pos`` draw elsewhere.
+    """
     bundle = E.bundle
     labels = bundle.space.labels
     one = identity_section(bundle)

@@ -23,6 +23,7 @@ import pytest
 
 from tracebundle import condexp, fiber, tracelp
 from tracebundle.cli import EXIT_OK, main
+from tracebundle.towers import level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -150,13 +151,20 @@ def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypat
     assert len(calls) == 4
 
 
-def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch):
-    # 4 levels of 30 trials, one chunk each: one projection of x, g* g, a x b and the 3 atoms'
-    # locality lanes together (180 lanes), then one of E(x) (30 lanes); projecting those
-    # inputs one by one took 20 calls.  Each level's unitality projects the identity (1 lane)
+def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch, mat2x8_bundle):
+    # 4 levels of 30 trials, one chunk each: one projection of x, g* g, a x b and z x together
+    # (120 lanes), then one of E(x) (30 lanes); projecting those inputs one by one took 20
+    # calls, and with one locality lane group per atom (x at the atom, the pos draw elsewhere)
+    # the first took 180 lanes.  Each level's unitality projects the identity (1 lane)
     calls = count_calls(condexp._project, monkeypatch)
     run_workload("axioms-large-blocks", tmp_path, capsys)
-    assert sorted(len(call["blocks"][0]) for call in calls) == [1] * 4 + [30] * 4 + [180] * 4
+    assert sorted(len(call["blocks"][0]) for call in calls) == [1] * 4 + [30] * 4 + [120] * 4
+    # 4 lanes per trial at any atom count: 8 atoms took 11 per trial with the per-atom groups
+    calls.clear()
+    E = condexp.ConditionalExpectation(condexp.validate_subalgebra(
+        mat2x8_bundle, level_generators(mat2x8_bundle, "diagonal")))
+    condexp.check_cond_exp_axioms(E, 30, 1)
+    assert [len(call["blocks"][0]) for call in calls] == [1, 4 * 30, 30]
 
 
 def test_axiom_phase_turns_each_rotation_step_once(tmp_path, capsys, monkeypatch):

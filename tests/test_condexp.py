@@ -591,10 +591,11 @@ def perturbed_expectation(bundle):
 
 
 @pytest.fixture(scope="module")
-def axiom_cases(hetero_bundle, large_blocks_bundle):
+def axiom_cases(hetero_bundle, large_blocks_bundle, mat2x8_bundle):
     """Per (bundle, level): E, its 20-trial reference and unchunked stacked reports."""
     cases = {}
-    for name, bundle in (("hetero", hetero_bundle), ("large", large_blocks_bundle)):
+    for name, bundle in (("hetero", hetero_bundle), ("large", large_blocks_bundle),
+                         ("mat2x8", mat2x8_bundle)):
         maps = {level: preset_expectation(bundle, level) for level in PRESET_LEVELS}
         maps["perturbed"] = perturbed_expectation(bundle)
         for level, E in maps.items():
@@ -653,29 +654,42 @@ def test_axiom_report_reference_above_chunk_size(hetero_bundle):
                              axiom_report_reference(E, trials, 32))
 
 
-def test_fiberwise_agreement_is_zero_on_every_local_map(axiom_cases):
+@pytest.mark.parametrize("bundle", ["hetero", "large", "mat2x8"])
+def test_fiberwise_agreement_is_zero_on_every_local_map(axiom_cases, bundle):
     # every map here acts fiber by fiber, the perturbed one too: that one is flagged
-    # by idempotence, not by locality
+    # by idempotence, not by locality.  Scaling by a power of two is exact, so E(z x) / z
+    # is E(x) bit for bit, at all 8 powers of two of the mat2x8 bundle too
     for (name, level), (E, want, whole) in axiom_cases.items():
+        if name != bundle:
+            continue
         assert whole["residuals"]["fiberwise_agreement"] == 0.0
         assert want.residuals["fiberwise_agreement"] == 0.0
         if level == "perturbed":
             assert whole["residuals"]["idempotence"] > 1.0
 
 
-def test_fiberwise_agreement_catches_a_map_that_mixes_atoms(hetero_bundle, monkeypatch):
-    # the leak adds 1e-3 of the projected Mat2 block of w1 to the first Mat2 block of w3
+@pytest.mark.parametrize("bundle, source, target", [("hetero_bundle", 0, 3),
+                                                    ("mat2x8_bundle", 6, 7),
+                                                    ("mat2x64_bundle", 0, 1)],
+                         ids=["hetero", "mat2x8", "mat2x64"])
+def test_fiberwise_agreement_catches_a_map_that_mixes_atoms(request, monkeypatch, bundle,
+                                                            source, target):
+    # the leak adds 1e-3 of the projected block ``source`` to block ``target``: on hetero the
+    # Mat2 block of w1 to the first Mat2 block of w3, on mat2x8 atom v6 to atom v7 only, where
+    # it reads z_6 / z_7 - 1 = -1/2 times it.  On mat2x64, atom v0 to v1 reads z_0 / z_1 - 1
+    # too; read as E(z x) - z E(x), without the division by z_1 = 2**-31, it passed at 5e-13
+    bundle = request.getfixturevalue(bundle)
     real = condexp._project
 
     def leaky(projectors, blocks):
         out = real(projectors, blocks)
-        assert [p.shape for p in projectors] == list(hetero_bundle.fiber_shapes)
-        out[3] = out[3] + 1e-3 * out[0]
+        assert [p.shape for p in projectors] == list(bundle.fiber_shapes)
+        out[target] = out[target] + 1e-3 * out[source]
         return out
 
     monkeypatch.setattr(condexp, "_project", leaky)
     for level in PRESET_LEVELS:  # each reads exactly 0.0 unpatched (the test above)
-        E = preset_expectation(hetero_bundle, level)
+        E = preset_expectation(bundle, level)
         residual = check_cond_exp_axioms(E, 20, 31).residuals["fiberwise_agreement"]
         assert residual > DEFAULT_TOLERANCES["condexp_axioms"]
 

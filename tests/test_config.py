@@ -123,9 +123,9 @@ def test_fixture_configs_roundtrip():
 
 def test_weight_patterns():
     cfg = parse_config(as_text(dict(MINIMAL, weights="linear")))
-    assert cfg.weight_list(4) == [1.0, 2.0, 3.0, 4.0]
+    assert cfg.weight_list(4).tolist() == [1.0, 2.0, 3.0, 4.0]
     cfg = parse_config(as_text(dict(MINIMAL, weights=[2.0, 3.0, 4.0])))
-    assert cfg.weight_list(2) == [2.0, 3.0]
+    assert cfg.weight_list(2).tolist() == [2.0, 3.0]
     with pytest.raises(Exception):
         cfg.weight_list(5)
 
