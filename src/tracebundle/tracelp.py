@@ -32,7 +32,6 @@ from .center import CenterElement
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
-ZERO_FIBER_TOL = 1e-12  # fibers with smaller Lp norm get a zero duality witness
 DUALITY_CHUNK = 512     # samples or trials stacked at once; bounds memory for any count
 BRACKET_MARGIN = 1e-9   # relative widening of the no-solve bounds on a sample's dual norm
 
@@ -201,8 +200,8 @@ def dual_extremal(x: Section, p: float) -> Section:
     hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
     (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  It is
     formed as ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the norm's top-scaled
-    sum S (``top_scaled_sums``), so no rounded norm is raised to a power.  Fibers whose
-    Lp norm is below ZERO_FIBER_TOL get a zero witness (no division by zero).
+    sum S (``top_scaled_sums``), so no rounded norm is raised to a power.  Only a zero
+    fiber gets the zero witness, so the witness of ``2**k x`` is that of ``x``, bit for bit.
     """
     return lane_section(x.bundle, _witnesses([(_target(x), _exponent(p))])[0][1], 0)
 
@@ -230,7 +229,7 @@ def _witnesses(cases) -> list:
         top, scaled, (sums,) = top_scaled_sums([w for w, _ in eigs], bundle, [p])
         norms = (stacked_lp_norms(ys, bundle, [p], ())[0] if p == 2.0
                  else _top_scaled_norms(top, sums, p))
-        live = norms >= ZERO_FIBER_TOL  # elsewhere the witness is zero
+        live = top > 0.0  # elsewhere the fiber, and its witness, is zero
         gain = np.zeros_like(top)  # norm_p**(1-p) top**(p/2-1), with no rounded norm raised
         gain[live] = sums[live] ** (1.0 / p - 1.0) / np.sqrt(top[live])
         witness = []
@@ -305,11 +304,10 @@ def _contenders(ys, bundle, q, pairing, starts) -> np.ndarray:
 
     A lane is dropped where its ratio's upper bound, from ``dual_norm_bracket``, is below
     its case's best lower bound, so every lane attaining a maximum stays.  A lane whose
-    lower bracket is at most ZERO_FIBER_TOL stays too, with the lower bound 0 (its dual
-    norm may be taken as 1), so no 0 / 0 is formed.
+    lower bracket is 0 stays too (its dual norm may be taken as 1), so no 0 / 0 is formed.
     """
     lo, hi = dual_norm_bracket(ys, bundle, q)
-    small = lo <= ZERO_FIBER_TOL
+    small = lo == 0.0
     least = np.divide(pairing, hi, out=np.zeros_like(hi), where=~small)
     most = np.divide(pairing, lo, out=np.full_like(lo, np.inf), where=~small)
     best = np.maximum.reduceat(least, starts)
@@ -398,7 +396,7 @@ def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
         if g < len(groups) and size < room:
             continue
         for d, dual in zip(held, _sampled_dual_norms(held)):
-            scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+            scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > 0.0)
             sizes = [size for _, size in d.members]
             # each lane's excess is over its own case's norm
             norms = np.repeat(np.array([witnessed[k][0] for k, _ in d.members]), sizes, axis=0)
@@ -425,8 +423,8 @@ def target_duality_checks(cases, samples: int) -> list[DualityReport]:
     q = 2 the dual norms are the Frobenius identity and need no solve.  Elsewhere a lane is
     solved at an atom only if it can set its case's worst violation there: its ratio
     ``|trace(x y)| / ||y||_q``, bracketed by majorization (``dual_norm_bracket``), reaches the
-    best lower bound of its case, or its dual norm may be at most ZERO_FIBER_TOL.  The kept
-    lanes of the held groups share one stacked solve per block size (``_worst_excess``).
+    best lower bound of its case, or its lower bound is 0.  The kept lanes of the held
+    groups share one stacked solve per block size (``_worst_excess``).
     The bracket is widened by BRACKET_MARGIN past the rounding of both sides, so a case's
     worst lane is always kept, and a kept lane goes through the operations that solving
     every lane gives it: every report is that of the all-lanes loop, bit for bit.  A dropped

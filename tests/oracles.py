@@ -121,7 +121,6 @@ from tracebundle.condexp import (CONTRACTION_EXPONENTS, ORTHO_PIVOT_TOL, _closur
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE, PINV_CUTOFF
 from tracebundle.towers import _partition, level_generators
 from tracebundle.tracelp import (
-    ZERO_FIBER_TOL,
     _target_stacks,
     packed_chunks,
     section_stacks,
@@ -494,17 +493,17 @@ def eigh_oracle(block):
 
 
 def _rescale_to_dual_ball(y, p):
-    """Divide each fiber by its uniform norm (p = 1) or Lq norm; near-zero fibers stay."""
+    """Divide each fiber by its uniform norm (p = 1) or Lq norm; zero fibers stay."""
     fibers = []
     if p == 1.0:
         for f in y.fibers:
             scale = spectral_norm_reference(f)
-            fibers.append((1.0 / scale) * f if scale > ZERO_FIBER_TOL else f)
+            fibers.append((1.0 / scale) * f if scale > 0.0 else f)
     else:
         q = p / (p - 1.0)
         norms = lp_norm_reference(y, q)
         for f, nq in zip(y.fibers, norms):
-            fibers.append((1.0 / float(nq)) * f if nq > ZERO_FIBER_TOL else f)
+            fibers.append((1.0 / float(nq)) * f if nq > 0.0 else f)
     return Section(y.bundle, fibers)
 
 
@@ -537,7 +536,7 @@ def dual_extremal_reference(x, p):
     norms = lp_norm_reference(x, p)
     fibers = []
     for f, norm_p, shape in zip(x.fibers, norms, x.bundle.fiber_shapes):
-        if norm_p < ZERO_FIBER_TOL:
+        if norm_p == 0.0:
             fibers.append(zero_fiber(shape))
             continue
         singular = [jacobi_singular(b) for b in f.blocks]
@@ -582,7 +581,7 @@ def group_excess_reference(cases, qs, rngs, witnessed, group):
               for (bundle, _), members in batches.items()]
     duals = shared_lp_norms([(ys, bundle, q) for (bundle, q), ys in zip(batches, stacks)])
     for ((bundle, q), members), ys, dual in zip(batches.items(), stacks, duals):
-        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > ZERO_FIBER_TOL)
+        scale = np.divide(1.0, dual, out=np.ones_like(dual), where=dual > 0.0)
         sizes = [size for _, size in members]
         xs = _target_stacks([cases[k][0] for k, _ in members])
         pairing = np.zeros(dual.shape, dtype=np.complex128)

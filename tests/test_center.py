@@ -40,6 +40,7 @@ def test_abs_of_minus_one(space):
 def test_mul_by_zero(space):
     f = CenterElement(space, [1.0, -2.0, 3.0])
     assert np.array_equal((f * CenterElement(space, np.zeros(3))).values, np.zeros(3))
+    assert np.array_equal((0.0 * f).values, np.zeros(3))  # a plain number is a constant
 
 
 def test_power_roundtrip_is_abs(space):

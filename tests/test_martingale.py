@@ -387,6 +387,26 @@ def test_limit_refuses_a_broken_reconstruction(mat2_tower, mat2_bundle):
     assert checks.recon[0] > 1e-5 and checks.defect[0] > 1e-5
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the martingale library's refusals compare absolute residuals with "
+                   "MARTINGALE_TOL and LIMIT_RECONSTRUCTION_TOL (ROADMAP item 2)")
+def test_the_martingale_refusals_are_the_same_at_any_power_of_two(hetero_tower, hetero_bundle):
+    # the canonical martingale of a target is exact at any scale, but its rounded defect and
+    # reconstruction residual grow with the target: 1.9e-15 at unit scale, 2.0e-9 at 2**20,
+    # past both tolerances (1e-9), so all three calls refuse the scaled target
+    x = 2.0**20 * random_section(hetero_bundle, 2, "general")
+    seq = MartingaleSeq(hetero_tower, [E(x) for E in hetero_tower.cond_exps], check=False)
+    refused = []
+    for name, call in [("martingale_from_target", lambda: martingale_from_target(x, hetero_tower)),
+                       ("cesaro_equivalence", lambda: cesaro_equivalence(seq, [1.0] * 4, 2, 1e-2)),
+                       ("martingale_limit", lambda: martingale_limit(seq))]:
+        try:
+            call()
+        except (UsageError, InconsistencyError):
+            refused.append(name)
+    assert refused == []
+
+
 def test_limit_requires_full_terminal(mat2_bundle):
     shallow = tower(mat2_bundle, "scalars", "diagonal")
     assert not shallow.terminal_is_full

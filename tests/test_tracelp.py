@@ -469,17 +469,38 @@ def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatc
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 1e8])
 def test_dual_extremal_of_a_tiny_fiber_attains(hetero_bundle, p):
-    # the w1 block at max-abs 1e-11 has squared singular values below PINV_CUTOFF**2 but an
-    # Lp norm above ZERO_FIBER_TOL; with the support cut absolute its witness was zero and
-    # its attainment residual its whole norm (7.6e-12 to 1.1e-11)
+    # the w1 block at max-abs 1e-11 has squared singular values below PINV_CUTOFF**2; with
+    # the support cut absolute its witness was zero and its attainment residual its whole
+    # norm (7.6e-12 to 1.1e-11); at max-abs 1e-14 its Lp norm is below the absolute 1e-12
+    # under which every fiber once got the zero witness; only a zero fiber gets it now
     x = random_section(hetero_bundle, 5, "general")
-    tiny = Section(hetero_bundle, [x.fibers[0] * (1e-11 / x.fibers[0].max_abs()), *x.fibers[1:]])
-    y = dual_extremal(tiny, p)
-    norm = lp_norm(tiny, p).values
-    assert norm[0] > tracelp.ZERO_FIBER_TOL and y.fibers[0].max_abs() > 0.0
-    assert np.all(np.abs(center_trace(tiny * y).values - norm) <= 1e-13 * norm)
-    if p < 1e8:  # the reference raises norm_p to the power 1 - p
-        assert (y - dual_extremal_reference(tiny, p)).max_abs() <= 1e-13 * y.max_abs()
+    for size in (1e-11, 1e-14):
+        tiny = Section(hetero_bundle, [x.fibers[0] * (size / x.fibers[0].max_abs()), *x.fibers[1:]])
+        y = dual_extremal(tiny, p)
+        norm = lp_norm(tiny, p).values
+        assert y.fibers[0].max_abs() > 0.0
+        assert np.all(np.abs(center_trace(tiny * y).values - norm) <= 1e-13 * norm)
+        if p < 1e8:  # the reference raises norm_p to the power 1 - p
+            assert (y - dual_extremal_reference(tiny, p)).max_abs() <= 1e-13 * y.max_abs()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 1e8])
+def test_the_duality_phase_is_the_same_at_any_power_of_two(hetero_bundle, p):
+    # the Lp norm is homogeneous and 2**k scaling is exact, so the witness of 2**k x is
+    # that of x bit for bit, and every per-fiber field of its report is 2**k times it;
+    # with an absolute zero-fiber threshold the witness was zero from k = -40 downward
+    x = random_section(hetero_bundle, 7, "general")
+    ks = range(-500, 501, 20)
+    blocks = {k: b"".join(b.tobytes() for f in dual_extremal(2.0**k * x, p).fibers
+                          for b in f.blocks)
+              for k in ks}
+    assert all(blocks[k] == blocks[0] for k in ks)
+    reports = duality_checks([(2.0**k * x, p, 3) for k in ks], 40)
+    fields = ("norm_p", "attained", "attainment_residual", "worst_sample_violation")
+    base = reports[list(ks).index(0)].per_fiber
+    for k, rep in zip(ks, reports):
+        for row, row0 in zip(rep.per_fiber, base):
+            assert [row[f] for f in fields] == [2.0**k * row0[f] for f in fields]
 
 
 def test_dual_extremal_zero_section(hetero_bundle):
@@ -698,7 +719,7 @@ def test_dual_norm_bracket_contains_the_solved_norms(hetero_bundle, large_blocks
 def test_zero_samples_and_fibers_keep_every_worst_lane(hetero_bundle, monkeypatch):
     # block slot j of every lane divisible by j + 2 is zero, so some samples are zero at an
     # atom (dual norm 0) and lanes 0 and 60 are zero throughout; the sections have a zero
-    # fiber, a fiber below ZERO_FIBER_TOL, or are zero: no 0 / 0 may hide a worst lane
+    # fiber, a fiber scaled by 1e-14, or are zero: no 0 / 0 may hide a worst lane
     real = bundle_module.gaussian_stacks
 
     def zeroed(bundle, rng, count):
