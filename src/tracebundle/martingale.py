@@ -1,7 +1,8 @@
 """Filtrations, martingales, and their convergence diagnostics.
 
-A filtration is a nested tower of validated subalgebras whose inclusions and
-projection-composition law are verified numerically at construction.  Towers
+A filtration is a nested tower of validated subalgebras on one bundle: each
+level's orthonormal basis extends the one below, bit for bit, so the inclusions
+and the composition law ``E_m E_n = E_min(m,n)`` hold by construction.  Towers
 are finite; the infinite-index regime of the averaging statements is emulated
 by holding the terminal element fixed for extra steps, which drives the
 cumulative weight to infinity while every limit stays exact.  Held steps are
@@ -27,30 +28,34 @@ from .errors import (
 )
 from .tracelp import _exponent, lp_norms, section_stacks, shared_lp_norms
 
-INCLUSION_BUILD_TOL = 1e-8      # hard failure bound on tower inclusions
-COMPOSITION_TOL = 1e-9          # E_m . E_n = E_min(m,n) on every matrix unit
 MARTINGALE_TOL = 1e-9           # defining property of a martingale sequence
 LIMIT_RECONSTRUCTION_TOL = 1e-9
 
 
 class Filtration:
-    """Verified tower of subalgebras with their conditional expectations, all derived from the
-    levels: the constructor measures the tower residuals and refuses a tower past a build bound."""
+    """Nested tower of subalgebras with their conditional expectations, all derived from the
+    levels.  The constructor checks the nesting exactly: all levels share one bundle, and at every
+    atom a level's ``ortho`` columns begin with those of the level below.  With orthonormal
+    columns (``validate_subalgebra`` bounds their Gram drift) the inclusions and the composition
+    law ``E_m E_n = E_min(m,n)`` follow, with no tolerance."""
 
-    __slots__ = ("tower", "cond_exps", "inclusion_residual", "composition_residual")
+    __slots__ = ("tower", "cond_exps")
 
     def __init__(self, tower):
         self.tower = list(tower)
-        inclusion, composition = _tower_residuals(self.tower)
-        if inclusion > INCLUSION_BUILD_TOL:
-            raise InconsistencyError(
-                f"tower inclusion residual {inclusion:.2e} exceeds {INCLUSION_BUILD_TOL:.0e}"
-            )
-        if composition > COMPOSITION_TOL:
-            raise InconsistencyError(
-                f"tower composition residual {composition:.2e} exceeds {COMPOSITION_TOL:.0e}"
-            )
-        self.inclusion_residual, self.composition_residual = inclusion, composition
+        if not self.tower:
+            raise UsageError("a filtration needs at least one level")
+        for k, (low, up) in enumerate(zip(self.tower, self.tower[1:]), start=1):
+            if up.bundle is not low.bundle and up.bundle != low.bundle:
+                raise ShapeMismatchError(
+                    f"tower level {k} lives on a different bundle than level {k - 1}"
+                )
+            for label, low_proj, up_proj in zip(low.bundle.space.labels, low.projectors,
+                                                up.projectors):
+                if not np.array_equal(up_proj.ortho[:, :low_proj.rank], low_proj.ortho):
+                    raise InconsistencyError(
+                        f"tower level {k} does not extend level {k - 1} at {label!r}"
+                    )
         self.cond_exps = [ConditionalExpectation(t) for t in self.tower]
 
     @property
@@ -69,7 +74,7 @@ class Filtration:
         """The same tower on a sub-bundle, from the chosen atoms' validated per-atom data.
 
         Validation works atom by atom, so each level keeps its generators and projectors (its
-        closure residual follows) at those atoms; only the tower residuals are measured again.
+        closure residual follows) at those atoms, and the sub-tower is nested as this one is.
         """
         sub = self.bundle.restrict(labels)
         idx = [self.bundle.space.index_of(l) for l in sub.space.labels]
@@ -82,38 +87,14 @@ def build_filtration(bundle: BundleSpec, level_generator_lists) -> Filtration:
     """Validate a tower from per-level, per-atom generator lists.
 
     Each level is validated on top of the one below (``validate_subalgebra`` from
-    the lower basis), so it contains the lower generators and tries only its own;
-    the inclusions, and the composition law of the projections, are then verified
-    numerically as matrix identities on the projector bases (``_tower_residuals``).
+    the lower basis), so it contains the lower generators, tries only its own, and
+    extends the lower basis: the tower is nested by construction.
     """
-    levels = [list(map(tuple, gens)) for gens in level_generator_lists]
-    if not levels:
-        raise UsageError("a filtration needs at least one level")
     tower, below = [], bundle
-    for gens in levels:
+    for gens in level_generator_lists:
         below = validate_subalgebra(below, gens)
         tower.append(below)
     return Filtration(tower)
-
-
-def _tower_residuals(tower) -> tuple[float, float]:
-    """Worst inclusion and composition residuals of a tower, from its projector bases.
-
-    Inclusion is the distance of each lower ``ortho`` column to the upper span.
-    With ``P = ortho ortho*``, entry (row, col) of ``P_m P_n - P_min(m,n)`` times
-    ``sqrt_weights[col] / sqrt_weights[row]`` is entry row of ``E_m E_n u - E_min(m,n) u``
-    for the matrix unit u of column col.
-    """
-    inclusion = composition = 0.0
-    for atom in zip(*(level.projectors for level in tower)):
-        for low, up in zip(atom, atom[1:]):
-            inclusion = max(inclusion, np.linalg.norm(up.residual_coords(low.ortho), axis=0).max())
-        scale = atom[0].sqrt_weights[None, :] / atom[0].sqrt_weights[:, None]
-        ps = [p.ortho @ p.ortho.conj().T for p in atom]
-        for m, pm in enumerate(ps):
-            for n, pn in enumerate(ps):
-                composition = max(composition, (np.abs(pm @ pn - ps[min(m, n)]) * scale).max())
-    return float(inclusion), float(composition)
 
 
 class MartingaleChecks:

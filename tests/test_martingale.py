@@ -77,8 +77,8 @@ def mat4_tower():
 def test_mat2_tower_dimension_ladder(mat2_tower):
     assert [t.dims for t in mat2_tower.tower] == [(1,), (2,), (4,)]
     assert mat2_tower.terminal_is_full
-    assert mat2_tower.inclusion_residual <= 1e-10
-    assert mat2_tower.composition_residual <= 1e-9
+    assert inclusion_residual_reference(mat2_tower.tower) <= 1e-10
+    assert composition_residual_reference(mat2_tower.tower) <= 1e-9
 
 
 def test_trivial_single_level_tower(mat2_bundle):
@@ -91,8 +91,8 @@ def test_depth5_refinement_tower():
     bundle = BundleSpec(MeasureSpace(["w"], [1.0]), [[4]], [[0.25]])
     f = tower(bundle, "scalars", "diagonal", "block(1,1,2)", "block(2,2)", "full")
     assert [t.dims for t in f.tower] == [(1,), (4,), (6,), (8,), (16,)]
-    assert f.inclusion_residual <= 1e-10
-    assert f.composition_residual <= 1e-9
+    assert inclusion_residual_reference(f.tower) <= 1e-10
+    assert composition_residual_reference(f.tower) <= 1e-9
     assert f.terminal_is_full
 
 
@@ -104,8 +104,10 @@ def test_hetero_tower_is_nested(hetero_tower):
 
 
 def test_empty_tower_rejected(mat2_bundle):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="a filtration needs at least one level"):
         build_filtration(mat2_bundle, [])
+    with pytest.raises(UsageError, match="a filtration needs at least one level"):
+        Filtration([])
 
 
 def test_a_one_sequence_call_refuses_a_section_of_another_bundle(mat2_tower, hetero_bundle):
@@ -225,33 +227,59 @@ def test_tower_checks_match_per_element_loops(name, broken, request):
     projectors = [p for basis in bases for p in basis.projectors]
     if broken:
         levels[1] = push_off_span(levels[1])
-    inclusion, composition = martingale._tower_residuals(levels)
+    inclusion = inclusion_residual_reference(levels)
+    composition = composition_residual_reference(levels)
     closures = np.array([condexp._closure_residual(p) for p in projectors])
-    assert abs(inclusion - inclusion_residual_reference(levels)) <= 1e-14
-    assert abs(composition - composition_residual_reference(levels)) <= 1e-14
     assert np.abs(closures - [closure_residual_reference(p) for p in projectors]).max() <= 1e-14
-    if broken:  # residuals of O(1) that the build tolerances reject
+    if broken:  # residuals of O(1), and the pushed level 1 is not extended as built
         assert min(inclusion, composition, closures.max()) > 1e-2
+        with pytest.raises(InconsistencyError, match="tower level [12] does not extend level"):
+            Filtration(levels)
     else:
         assert inclusion <= 1e-10 and composition <= 1e-9 and closures.max() <= 1e-9
+        assert Filtration(levels).depth == len(levels)
 
 
-@pytest.mark.parametrize("specs, broken_call, message", [
-    (("scalars", "diagonal", "full"), 2, "tower inclusion residual"),
-    (("diagonal",), 1, "tower composition residual"),  # one level: E E = E fails
-])
-def test_build_filtration_rejects_broken_tower(hetero_bundle, monkeypatch, specs, broken_call,
-                                               message):
-    # level broken_call is measured with a column pushed off its span; each level is
-    # extended from the validated one below, so the push goes into the measurement only
-    real = martingale._tower_residuals
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_each_fixture_tower_reads_the_oracle_bounds(name):
+    # the towers the CLI builds, whole and at each atom, against the independent oracles
+    cfg = fixture_config(name)
+    full = runner.build_tower(cfg, cfg.build_bundle())
+    for f in [full, *(full.restrict([label]) for label in full.bundle.space.labels)]:
+        assert inclusion_residual_reference(f.tower) <= 1e-10
+        assert composition_residual_reference(f.tower) <= 1e-9
 
-    def measure(levels):
-        return real([push_off_span(t) if k + 1 == broken_call else t for k, t in enumerate(levels)])
 
-    monkeypatch.setattr(martingale, "_tower_residuals", measure)
-    with pytest.raises(InconsistencyError, match=message):
-        tower(hetero_bundle, *specs)
+def test_the_constructor_refuses_a_level_that_does_not_extend_the_one_below(mat2_tower):
+    levels = mat2_tower.tower
+    # a pushed column: the level above was extended from the unpushed one
+    with pytest.raises(InconsistencyError, match="level 2 does not extend level 1 at 'w'"):
+        Filtration([levels[0], push_off_span(levels[1]), levels[2]])
+    # levels out of order: the larger basis cannot begin a smaller one
+    with pytest.raises(InconsistencyError, match="level 1 does not extend level 0 at 'w'"):
+        Filtration([levels[1], levels[0]])
+
+
+def validated(bundle, spec):
+    return condexp.validate_subalgebra(bundle, level_generators(bundle, spec))
+
+
+def one_atom(shape, weight):
+    return BundleSpec(MeasureSpace(["w"], [1.0]), [[shape]], [[weight]])
+
+
+# another shape; or the same shape at another trace weight, where the expectations disagree
+@pytest.mark.parametrize("upper", [one_atom(3, 1.0), one_atom(2, 4.0)], ids=["mat3", "weight4"])
+def test_the_constructor_refuses_levels_on_different_bundles(upper):
+    with pytest.raises(ShapeMismatchError, match="level 1 lives on a different bundle"):
+        Filtration([validated(one_atom(2, 1.0), "scalars"), validated(upper, "full")])
+
+
+def test_a_bundle_equal_by_value_is_the_same_bundle():
+    low = validated(one_atom(2, 1.0), "scalars")
+    up = condexp.validate_subalgebra(low, level_generators(low.bundle, "full"))
+    twin = SubalgebraBasis(one_atom(2, 1.0), up.generators, up.projectors)
+    assert Filtration([low, twin]).depth == 2
 
 
 # ----------------------------------------------------- canonical martingales
@@ -903,8 +931,6 @@ def test_restricted_tower_reuses_the_validated_levels(name, monkeypatch):
             patch.setattr(martingale, "validate_subalgebra", None)
             sub = full.restrict([label])
         assert sub.bundle == built.bundle and sub.terminal_is_full == built.terminal_is_full
-        assert (sub.inclusion_residual, sub.composition_residual) == (
-            built.inclusion_residual, built.composition_residual)
         for level, want in zip(sub.tower, built.tower, strict=True):
             assert level.closure_residual == want.closure_residual
             assert [len(g) for g in level.generators] == [len(g) for g in want.generators]
