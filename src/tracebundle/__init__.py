@@ -21,11 +21,7 @@ from .bundle import (
     section_to_records,
     uniform_norm,
 )
-from .center import (
-    CenterElement,
-    MeasureSpace,
-    center_sup,
-)
+from .center import MeasureSpace
 from .condexp import (
     AxiomReport,
     ConditionalExpectation,

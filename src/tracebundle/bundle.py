@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .center import CenterElement, MeasureSpace
+from .center import MeasureSpace
 from .errors import ContractViolationError, ShapeMismatchError, UsageError
 from .fiber import (
     FiberElement,
@@ -145,13 +145,14 @@ def identity_section(bundle: BundleSpec) -> Section:
     return Section._raw(bundle, [identity_fiber(s) for s in bundle.fiber_shapes])
 
 
-def center_scale(z: CenterElement, x: Section) -> Section:
-    """Module action of the center: atom ``w`` gets ``z(w) * x(w)``."""
-    if z.space is not x.bundle.space and z.space != x.bundle.space:
-        raise ShapeMismatchError("center element and section live on different spaces")
-    return Section._raw(
-        x.bundle, [complex(v) * f for v, f in zip(z.values, x.fibers)]
-    )
+def center_scale(z, x: Section) -> Section:
+    """Module action of the center: atom ``w`` gets ``z(w) * x(w)``, ``z`` real or complex."""
+    z = np.asarray(z)
+    if z.shape != (x.bundle.space.size,):
+        raise ShapeMismatchError(f"expected {x.bundle.space.size} center values, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ContractViolationError("center element has non-finite entries")
+    return Section._raw(x.bundle, [complex(v) * f for v, f in zip(z, x.fibers)])
 
 
 def uniform_norm(x: Section) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 from . import tracelp
 from .bundle import BundleSpec, Section, gaussian_stacks, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
-from .fiber import FiberElement, _jacobi_eigenvalues_stack, identity_fiber, solve_by_block_size
+from .fiber import (FiberElement, _jacobi_eigenvalues_stack, gram_eigenvalues_stack, identity_fiber,
+                    solve_by_block_size)
 from .tracelp import derive_seed, packed_chunks, stacked_lp_norms, stacked_traces
 
 ORTHO_PIVOT_TOL = 1e-10       # rank decision on unit-norm candidates; a vanished unit product
@@ -386,6 +387,12 @@ class _AxiomTally:
         """Fold in the positivity and Lp contraction residuals of the trials ``draw`` left."""
         self.bump("positivity", [np.maximum(0.0, -w.min(axis=1)) for w in eigenvalues[:len(both)]])
         spectra = [np.maximum(w, 0.0) for w in eigenvalues[len(both):]]
+        # the Gram route errs by about n eps max(w) per eigenvalue, so a lane with an
+        # eigenvalue near that floor (rank-deficient or graded) is solved one-sided instead
+        for w, y in zip(spectra, both):
+            bad = w.min(axis=1) <= 2.0**-26 * w.max(axis=1)
+            if bad.any():
+                w[bad] = gram_eigenvalues_stack(y[bad])
         norms = stacked_lp_norms(both, self.E.bundle, CONTRACTION_EXPONENTS, spectra)
         for p, n in zip(CONTRACTION_EXPONENTS, norms):
             gain = np.maximum(n[:size] - n[size:], 0.0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bundle import BundleSpec, Section, lane_section
-from .center import CenterElement
 from .condexp import ConditionalExpectation, SubalgebraBasis, _project, validate_subalgebra
 from .errors import (
     InconsistencyError,
@@ -360,19 +359,18 @@ def weighted_averages(seq: MartingaleSeq, w) -> list:
 def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
     """Pointwise sup of element norms against sup of averaged norms.
 
-    Returns ``(sup_x, sup_sigma, gap)`` as center elements with
+    Returns ``(sup_x, sup_sigma, gap)``, one float per atom each, with
     ``gap = sup_x - sup_sigma``.  Convexity forces ``sup_sigma <= sup_x`` up
     to roundoff on any finite range; the two sups meet only asymptotically,
     which the ``extend_by`` holding scheme emulates.  The held means lie on one
     segment, so by convexity only its far end sigma_N joins the sup.  The
     one-sequence ``martingale_checks`` with weights.
     """
-    return _sup(seq, _one_sequence(seq.filtration, seq.elements, p, w=w, extend_by=extend_by))
+    return _sup(_one_sequence(seq.filtration, seq.elements, p, w=w, extend_by=extend_by))
 
 
-def _sup(seq: MartingaleSeq, checks: MartingaleChecks):
-    space = seq.filtration.bundle.space
-    sup_x, sup_sigma = CenterElement(space, checks.sup_x[0]), CenterElement(space, checks.sup_sigma[0])
+def _sup(checks: MartingaleChecks):
+    sup_x, sup_sigma = checks.sup_x[0], checks.sup_sigma[0]
     return sup_x, sup_sigma, sup_x - sup_sigma
 
 
@@ -433,5 +431,5 @@ def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
         element_trace_per_atom=xa,
         average_trace_per_atom=sa,
         limit=_limit(seq, checks),
-        sup_comparison=_sup(seq, checks),
+        sup_comparison=_sup(checks),
     )

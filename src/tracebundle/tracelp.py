@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .bundle import BundleSpec, Section, gaussian_stacks, lane_section
-from .center import CenterElement
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
@@ -46,9 +45,9 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little")
 
 
-def center_trace(x: Section) -> CenterElement:
-    """The center-valued trace: weighted block traces per atom."""
-    return CenterElement(x.bundle.space, stacked_traces(section_stacks([x]), x.bundle)[0])
+def center_trace(x: Section) -> np.ndarray:
+    """The center-valued trace: weighted block traces per atom, one ``stacked_traces`` row."""
+    return stacked_traces(section_stacks([x]), x.bundle)[0]
 
 
 def _exponent(p) -> float:
@@ -185,9 +184,9 @@ def lp_norms(sections, p: float) -> np.ndarray:
     return shared_lp_norms([(section_stacks(sections), sections[0].bundle, p)])[0]
 
 
-def lp_norm(x: Section, p: float) -> CenterElement:
+def lp_norm(x: Section, p: float) -> np.ndarray:
     """Center-valued Lp norm: ``(trace(|x|**p))**(1/p)`` per atom, the one-section ``lp_norms``."""
-    return CenterElement(x.bundle.space, lp_norms([x], p)[0])
+    return lp_norms([x], p)[0]
 
 
 def dual_extremal(x: Section, p: float) -> Section:

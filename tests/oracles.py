@@ -147,7 +147,7 @@ def scalarize(nu, x: Section) -> complex:
         raise UsageError("need one scalarization weight per atom")
     if np.any(nu <= 0.0) or not np.all(np.isfinite(nu)):
         raise UsageError("scalarization weights must be finite and strictly positive")
-    return complex(np.sum(nu * center_trace(x).values))
+    return complex(np.sum(nu * center_trace(x)))
 
 
 def membership_residual(basis, x: Section) -> float:
@@ -565,7 +565,7 @@ def duality_worst_reference(x, p, samples, seed):
     for _ in range(samples):
         y = gaussian_section(x.bundle, rng)
         y = _rescale_to_dual_ball(y, p)
-        pairing = np.abs(center_trace(x * y).values)
+        pairing = np.abs(center_trace(x * y))
         worst = np.maximum(worst, pairing - norms)
     return worst
 
@@ -656,11 +656,11 @@ def axiom_report_reference(E, trials, seed):
              for s in (a, x, b)], axis=0)
         bump("module_property", d.max(), d)
 
-        d = np.abs(center_trace(ex).values - center_trace(x).values)
+        d = np.abs(center_trace(ex) - center_trace(x))
         bump("trace_preservation", d.max(), d)
 
         y = subalgebra_element(E.target, rngs["y"])
-        d = np.abs(center_trace(ex * y).values - center_trace(x * y).values)
+        d = np.abs(center_trace(ex * y) - center_trace(x * y))
         bump("bimodule_pairing", d.max(), d)
 
         for p in CONTRACTION_EXPONENTS:
@@ -863,9 +863,9 @@ def trace_phase_reference(cfg, bundle):
     traciality = positivity = faithfulness = 0.0
     for _ in range(cfg.trials["trace_sections"]):
         x, y = gaussian_section(bundle, rx), gaussian_section(bundle, ry)
-        d = np.abs(center_trace(x * y).values - center_trace(y * x).values)
+        d = np.abs(center_trace(x * y) - center_trace(y * x))
         traciality = max(traciality, float(d.max()))
-        gram = center_trace(x.adjoint() * x).values
+        gram = center_trace(x.adjoint() * x)
         positivity = max(
             positivity, float(np.abs(gram.imag).max()), max(0.0, float(-gram.real.min()))
         )

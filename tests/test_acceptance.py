@@ -14,7 +14,6 @@ from tracebundle import (
     BundleSpec,
     ConditionalExpectation,
     MeasureSpace,
-    center_sup,
     center_trace,
     cesaro_equivalence,
     check_cond_exp_axioms,
@@ -68,16 +67,16 @@ def test_criterion_1_trace_axioms(bundle):
     for t in range(1000):
         x = random_section(bundle, derive_seed(MASTER_SEED, "c1-x", t), "general")
         y = random_section(bundle, derive_seed(MASTER_SEED, "c1-y", t), "general")
-        d = np.abs(center_trace(x * y).values - center_trace(y * x).values)
+        d = np.abs(center_trace(x * y) - center_trace(y * x))
         traciality = max(traciality, float(d.max()))
-        gram = center_trace(x.adjoint() * x).values
+        gram = center_trace(x.adjoint() * x)
         positivity = max(
             positivity, float(np.abs(gram.imag).max()), max(0.0, float(-gram.real.min()))
         )
         if t < 100:
             # faithfulness contrapositive on sections tiny enough to trigger it
             tiny = 1e-9 * x
-            tiny_gram = center_trace(tiny.adjoint() * tiny).values.real
+            tiny_gram = center_trace(tiny.adjoint() * tiny).real
             for i, label in enumerate(bundle.space.labels):
                 if tiny_gram[i] < 1e-12:
                     assert spectral_norm(tiny.fiber(label)) < 1e-5
@@ -193,16 +192,16 @@ def test_criterion_5_martingale_convergence(bundle, mat2_bundle):
             worst_recon = max(worst_recon, lim.reconstruction_residual)
             for p in (1.0, 2.0, 3.0, 4.0):
                 worst_terminal = max(
-                    worst_terminal, float(lp_norm(seq.elements[-1] - x, p).values.max())
+                    worst_terminal, float(lp_norm(seq.elements[-1] - x, p).max())
                 )
             # pointwise nonincreasing residuals: a theorem at p = 2 (Pythagoras);
             # measured counterexamples exist at p = 1 and p = 4, see the ledger
-            res = [lp_norm(x_n - x, 2).values for x_n in seq.elements]
+            res = [lp_norm(x_n - x, 2) for x_n in seq.elements]
             for a, b in zip(res, res[1:]):
                 worst_increase = max(worst_increase, float((b - a).max()))
-            nx = lp_norm(x, 2).values ** 2
+            nx = lp_norm(x, 2) ** 2
             for x_n, r in zip(seq.elements, res):
-                drift = np.abs(nx - lp_norm(x_n, 2).values ** 2 - r**2)
+                drift = np.abs(nx - lp_norm(x_n, 2) ** 2 - r**2)
                 worst_pyth = max(worst_pyth, float(drift.max()))
     assert worst_increase <= 1e-12
     assert worst_terminal <= 1e-10
@@ -252,7 +251,7 @@ def test_criterion_7_weighted_averages(bundle, mat2_bundle):
         w = [1.0] * (len(seq) + n_ext)
         sup_x, sup_sigma, _ = sup_norm_comparison(seq, w, p=2, extend_by=n_ext)
         worst_sup_excess = max(
-            worst_sup_excess, float((sup_sigma.values - sup_x.values).max())
+            worst_sup_excess, float((sup_sigma - sup_x).max())
         )
         tol = 1e-2 if tower.depth <= 3 else 5e-2
         rep = cesaro_equivalence(seq, w, p=2, tol=tol, extend_by=n_ext)
@@ -266,8 +265,8 @@ def test_criterion_7_weighted_averages(bundle, mat2_bundle):
         seq = martingale_from_target(x, towers[0], p=2)
         w = [1.0] * (len(seq) + n_ext)
         sup_x, sup_sigma, gap = sup_norm_comparison(seq, w, p=2, extend_by=n_ext)
-        assert np.all(gap.values <= 1e-3 * sup_x.values)
-        worst_rel_gap = max(worst_rel_gap, float((gap.values / sup_x.values).max()))
+        assert np.all(gap <= 1e-3 * sup_x)
+        worst_rel_gap = max(worst_rel_gap, float((gap / sup_x).max()))
     assert worst_sup_excess <= 1e-9
     assert verdicts_ok
     assert never_one

@@ -5,7 +5,6 @@ import pytest
 
 from tracebundle import (
     BundleSpec,
-    CenterElement,
     ContractViolationError,
     MeasureSpace,
     Section,
@@ -117,30 +116,37 @@ def test_fiber_eval_unknown_atom(hetero_bundle):
 def test_center_scale_identity_and_zero(hetero_bundle):
     space = hetero_bundle.space
     x = random_section(hetero_bundle, 12, "general")
-    same = center_scale(CenterElement(space, np.ones(space.size)), x)
+    same = center_scale(np.ones(space.size), x)
     for f, g in zip(x.fibers, same.fibers):
         for a, b in zip(f.blocks, g.blocks):
             assert np.array_equal(a, b)
-    zero = center_scale(CenterElement(space, np.zeros(space.size)), x)
+    zero = center_scale(np.zeros(space.size), x)
     assert zero.max_abs() == 0.0
+    turned = center_scale(np.full(space.size, 1j), x)  # a complex center value
+    for f, g in zip((1j * x).fibers, turned.fibers):
+        for a, b in zip(f.blocks, g.blocks):
+            assert np.array_equal(a, b)
 
 
 def test_center_scale_commutes_with_evaluation(hetero_bundle):
     space = hetero_bundle.space
     rng = np.random.default_rng(0)
-    z = CenterElement(space, rng.standard_normal(space.size))
+    z = rng.standard_normal(space.size)
     x = random_section(hetero_bundle, 13, "general")
     zx = center_scale(z, x)
     for i, label in enumerate(space.labels):
-        direct = complex(z.values[i]) * x.fiber(label)
+        direct = complex(z[i]) * x.fiber(label)
         for a, b in zip(zx.fiber(label).blocks, direct.blocks):
             assert np.array_equal(a, b)
 
 
 def test_center_scale_space_mismatch(hetero_bundle, mat2_bundle):
-    z = CenterElement(mat2_bundle.space, [1.0])
+    z = [1.0]
     with pytest.raises(ShapeMismatchError):
         center_scale(z, identity_section(hetero_bundle))
+    for bad in (np.inf, np.nan, complex(1.0, np.nan)):
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            center_scale([1.0, bad, 1.0, 1.0], identity_section(hetero_bundle))
 
 
 def test_uniform_norm_of_identity_and_unitary(hetero_bundle):
@@ -274,10 +280,10 @@ def test_homogeneity_of_lp_norm_under_center_scale(hetero_bundle):
     rng = np.random.default_rng(4)
     space = hetero_bundle.space
     for p in (1.0, 2.0, 3.0):
-        z = CenterElement(space, rng.standard_normal(space.size))
+        z = rng.standard_normal(space.size)
         x = random_section(hetero_bundle, 30, "general")
-        lhs = lp_norm(center_scale(z, x), p).values
-        rhs = abs(z).values * lp_norm(x, p).values
+        lhs = lp_norm(center_scale(z, x), p)
+        rhs = abs(z) * lp_norm(x, p)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 

@@ -157,7 +157,8 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command, name", sorted(REPORT_DIGESTS), ids="-".join)
+@pytest.mark.parametrize("command, name", sorted(REPORT_DIGESTS),
+                         ids=["-".join(case) for case in sorted(REPORT_DIGESTS)])
 def test_reports_keep_their_bytes(command, name, tmp_path):
     config = BENCH_WORKLOADS / f"{name}.json"
     if not config.exists():  # a fixture

@@ -15,7 +15,6 @@ from tracebundle import (
     UnsupportedConfigurationError,
     UsageError,
     build_filtration,
-    center_sup,
     cesaro_equivalence,
     derive_seed,
     double_sequence_check,
@@ -302,14 +301,14 @@ def test_residuals_decrease_and_vanish(mat2_tower, mat2_bundle):
     for seed in range(20):
         x = random_section(mat2_bundle, seed, "general")
         seq = martingale_from_target(x, mat2_tower, p=2)
-        res = [lp_norm(x_n - x, 2).values for x_n in seq.elements]
+        res = [lp_norm(x_n - x, 2) for x_n in seq.elements]
         for a, b in zip(res, res[1:]):
             assert np.all(b <= a + 1e-12)
         assert res[-1].max() <= 1e-10
         # nested-projection Pythagoras oracle at p = 2
-        nx = lp_norm(x, 2).values ** 2
+        nx = lp_norm(x, 2) ** 2
         for x_n, r in zip(seq.elements, res):
-            drift = np.abs(nx - lp_norm(x_n, 2).values ** 2 - r**2)
+            drift = np.abs(nx - lp_norm(x_n, 2) ** 2 - r**2)
             assert drift.max() < 1e-8
 
 
@@ -318,9 +317,9 @@ def test_martingale_norms_bounded_by_target(hetero_tower, hetero_bundle):
         x = random_section(hetero_bundle, seed, "general")
         seq = martingale_from_target(x, hetero_tower, p=3)
         for p in (1.0, 2.0, 3.0, 4.0):
-            bound = lp_norm(x, p).values
-            sup = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
-            assert np.all(sup.values <= bound + 1e-9)
+            bound = lp_norm(x, p)
+            sup = np.max([lp_norm(x_n, p) for x_n in seq.elements], axis=0)
+            assert np.all(sup <= bound + 1e-9)
 
 
 def test_norm_monotone_along_tower(hetero_tower, hetero_bundle):
@@ -328,7 +327,7 @@ def test_norm_monotone_along_tower(hetero_tower, hetero_bundle):
         x = random_section(hetero_bundle, seed, "general")
         seq = martingale_from_target(x, hetero_tower)
         for p in (1.0, 2.0, 3.0, 4.0):
-            norms = [lp_norm(x_n, p).values for x_n in seq.elements]
+            norms = [lp_norm(x_n, p) for x_n in seq.elements]
             for a, b in zip(norms, norms[1:]):
                 assert np.all(a <= b + 1e-9)
 
@@ -552,9 +551,9 @@ def test_sigma_domination(hetero_tower, hetero_bundle):
         seq = martingale_from_target(x, hetero_tower)
         sigmas = weighted_averages(seq, [1.0] * len(seq))
         for p in (1.0, 2.0, 3.0):
-            bound = center_sup([lp_norm(x_n, p) for x_n in seq.elements])
+            bound = np.max([lp_norm(x_n, p) for x_n in seq.elements], axis=0)
             for sigma in sigmas:
-                assert np.all(lp_norm(sigma, p).values <= bound.values + 1e-9)
+                assert np.all(lp_norm(sigma, p) <= bound + 1e-9)
 
 
 # ------------------------------------------------------------- sup equality
@@ -563,7 +562,7 @@ def test_sup_comparison_constant(mat2_tower, mat2_bundle):
     one = identity_section(mat2_bundle)
     seq = MartingaleSeq(mat2_tower, [one, one, one])
     sup_x, sup_sigma, gap = sup_norm_comparison(seq, [1.0] * 3, p=2)
-    assert np.abs(gap.values).max() < 1e-14
+    assert np.abs(gap).max() < 1e-14
 
 
 def test_sup_comparison_heavy_tail_weight(mat2_bundle):
@@ -571,9 +570,9 @@ def test_sup_comparison_heavy_tail_weight(mat2_bundle):
     x = random_section(mat2_bundle, 71, "general")
     seq = martingale_from_target(x, two_level, p=2)
     sup_x, sup_sigma, gap = sup_norm_comparison(seq, [1.0, 1e6], p=2)
-    scale = lp_norm(x, 2).values
-    assert np.all(gap.values <= 1e-5 * scale)
-    assert np.all(sup_sigma.values <= sup_x.values + 1e-9)
+    scale = lp_norm(x, 2)
+    assert np.all(gap <= 1e-5 * scale)
+    assert np.all(sup_sigma <= sup_x + 1e-9)
 
 
 def test_sup_gap_vanishes_under_extension(mat2_bundle):
@@ -583,8 +582,22 @@ def test_sup_gap_vanishes_under_extension(mat2_bundle):
         seq = martingale_from_target(x, two_level, p=2)
         w = [1.0] * (len(seq) + 1000)
         sup_x, sup_sigma, gap = sup_norm_comparison(seq, w, p=2, extend_by=1000)
-        assert np.all(sup_sigma.values <= sup_x.values + 1e-9)
-        assert np.all(gap.values <= 1e-3 * sup_x.values)
+        assert np.all(sup_sigma <= sup_x + 1e-9)
+        assert np.all(gap <= 1e-3 * sup_x)
+
+
+def test_sup_comparison_is_the_rows_of_the_checks(hetero_tower, hetero_bundle):
+    x = random_section(hetero_bundle, 23, "general")
+    seq = martingale_from_target(x, hetero_tower)
+    w = [1.0, 2.0, 0.5, 3.0] + [1.0] * 5
+    checks = martingale.martingale_checks(hetero_tower, [section_stacks([e]) for e in seq.elements],
+                                          3.0, w=w, extend_by=5)
+    sup_x, sup_sigma, gap = sup_norm_comparison(seq, w, 3.0, extend_by=5)
+    assert type(sup_x) is np.ndarray and sup_x.shape == (hetero_bundle.space.size,)
+    assert np.array_equal(sup_x, checks.sup_x[0]) and np.array_equal(sup_sigma, checks.sup_sigma[0])
+    assert np.array_equal(gap, checks.sup_x[0] - checks.sup_sigma[0])
+    rep = cesaro_equivalence(seq, w, 3.0, tol=1.0, extend_by=5)
+    assert all(np.array_equal(a, b) for a, b in zip(rep.sup_comparison, (sup_x, sup_sigma, gap)))
 
 
 # ---------------------------------------------------------------- the cesaro
@@ -672,12 +685,12 @@ def test_held_tail_closed_form_matches_explicit_means(which, weights, request):
         want = lp_norms(offsets, p)
         assert got.shape == want.shape == (steps, f.bundle.space.size)
         assert np.array_equal(got[:k], want[:k])
-        assert np.all(np.abs(got[k:] - want[k:]) <= 1e-12 * lp_norm(x, p).values)
+        assert np.all(np.abs(got[k:] - want[k:]) <= 1e-12 * lp_norm(x, p))
         assert rep.element_trace[k - 1:] == [0.0] * (n_ext + 1)
         assert np.array_equal(rep.element_trace_per_atom[k:], np.zeros((n_ext, f.bundle.space.size)))
         _, sup_sigma, _ = sup_norm_comparison(seq, w, p, extend_by=n_ext)
         ref_sup = lp_norms(sigmas, p).max(axis=0)
-        assert np.all(np.abs(sup_sigma.values - ref_sup) <= 1e-13 * ref_sup)
+        assert np.all(np.abs(sup_sigma - ref_sup) <= 1e-13 * ref_sup)
 
 
 def _held_tail_config(name, weights, extension):
@@ -740,9 +753,8 @@ def test_held_tail_arrays_match_per_step_reference(name, weights, extension, tmp
             assert rep.average_trace == [max(r) for r in ref_sa]
             ends = ref_sigmas + [y + r * (ref_sigmas[-1] - y) for r in ref_ratios[-1:]]
             sup = sup_norm_comparison(seq, w, p, extend_by=extension)
-            assert np.array_equal(sup[1].values,
-                                  center_sup([lp_norm(e, p) for e in ends]).values)
-            assert all(np.array_equal(a.values, b.values) for a, b in zip(rep.sup_comparison, sup))
+            assert np.array_equal(sup[1], np.max([lp_norm(e, p) for e in ends], axis=0))
+            assert all(np.array_equal(a, b) for a, b in zip(rep.sup_comparison, sup))
         ref_xa, ref_sa = cesaro_traces_reference(seq, w, 2.0, extension)
         assert xa.tolist() == ref_xa and sa.tolist() == ref_sa
         rows += [(tag, n, label, rx, rs)
@@ -874,7 +886,7 @@ def test_terminal_residual_measures_the_target(monkeypatch):
     checks, _, _ = runner.run_martingale_checks(cfg, f)
     worst = {c.name: c.worst_residual for c in checks}
     assert worst["martingale/defect"] <= 1e-12
-    want = float(lp_norm(d, 2).values.max())
+    want = float(lp_norm(d, 2).max())
     assert want > 1.0
     assert abs(worst["martingale/terminal_residual"] - want) <= 1e-12 * want
 
@@ -883,7 +895,7 @@ def test_residual_traces_feed_order_convergence(mat2_tower, mat2_bundle):
     # on finitely many atoms order convergence is pointwise: the worst atom's residual
     x = random_section(mat2_bundle, 85, "general")
     seq = martingale_from_target(x, mat2_tower, p=2)
-    residuals = [lp_norm(x_n - x, 2).max_abs() for x_n in seq.elements]
+    residuals = [np.abs(lp_norm(x_n - x, 2)).max() for x_n in seq.elements]
     # strictly decreasing until the tower saturates at the full algebra
     assert all(b < a for a, b in zip(residuals, residuals[1:]) if a > 1e-10)
     assert residuals[-1] <= 1e-10

@@ -3,7 +3,7 @@
 Every subcommand runs under ``sys.setprofile``: ``run`` on both fixtures, the three
 ``bench/workloads`` configs and one config with an explicit generator that is not closed
 under products, each other subcommand once, one usage error and one config error.  The
-referee works on block stacks, so no call builds a ``Section`` or a ``CenterElement``.  The
+referee works on block stacks, so no call builds a ``Section``.  The
 functions that no call reaches are exactly ``UNREACHED``, each with the reason it stays:
 ``bench/child.py`` wraps or imports it, the README describes it, the acceptance suite calls
 it, or it is a view of the library.  A function that the CLI stops reaching, or a new
@@ -43,7 +43,7 @@ EXPLICIT = {
     "tower": ["scalars", {"explicit": {"a": [[[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]]}}, "full"],
 }
 
-NO_VIEW = ("bundle.Section.__init__", "bundle.Section._raw", "center.CenterElement.__init__")
+NO_VIEW = ("bundle.Section.__init__", "bundle.Section._raw")
 
 CHILD, README, ACCEPTANCE, VIEW = "bench/child.py", "README", "acceptance", "library view"
 UNREACHED = {
@@ -68,21 +68,8 @@ UNREACHED = {
     "bundle.section_from_records": f"{README}: a section file read back",
     "bundle.section_to_records": f"{README}: the section record format",
     "bundle.uniform_norm": f"{VIEW}: the C*-norm",
-    "center.CenterElement.__abs__": f"{VIEW}: center arithmetic",
-    "center.CenterElement.__add__": f"{VIEW}: center arithmetic",
-    "center.CenterElement.__init__": f"{CHILD}: lp_norm and center_trace return one",
-    "center.CenterElement.__mul__": f"{VIEW}: center arithmetic",
-    "center.CenterElement.__neg__": f"{VIEW}: center arithmetic",
-    "center.CenterElement.__pow__": f"{VIEW}: center arithmetic",
-    "center.CenterElement.__sub__": f"{CHILD}: sup_norm_comparison's gap",
-    "center.CenterElement._coerce": f"{VIEW}: center arithmetic",
-    "center.CenterElement._require_same_space": f"{VIEW}: center arithmetic",
-    "center.CenterElement.leq": f"{VIEW}: the pointwise order of the center",
-    "center.CenterElement.max_abs": f"{VIEW}: the largest value",
-    "center.CenterElement.real_values": f"{ACCEPTANCE}: center_sup",
     "center.MeasureSpace.__eq__": f"{VIEW}: spaces compare by value",
     "center.MeasureSpace.index_of": f"{ACCEPTANCE}: Section.fiber and restrict",
-    "center.center_sup": f"{ACCEPTANCE}: criterion 7",
     "condexp.AxiomReport.worst": f"{ACCEPTANCE}: criterion 3",
     "condexp.ConditionalExpectation.__call__": f"{CHILD}; {README} example",
     "condexp.ConditionalExpectation.apply_fiber": f"{VIEW}: E at one atom",

@@ -9,7 +9,6 @@ import pytest
 
 from tracebundle import (
     BundleSpec,
-    CenterElement,
     ContractViolationError,
     FiberElement,
     MeasureSpace,
@@ -38,6 +37,7 @@ from tracebundle.tracelp import (
     section_stacks,
     solve_by_block_size,
     stacked_lp_norms,
+    stacked_traces,
 )
 
 from oracles import (
@@ -66,7 +66,7 @@ def with_zero_fiber(x, k):
 # -------------------------------------------------------------- center trace
 
 def test_trace_of_identity(hetero_bundle):
-    phi = center_trace(identity_section(hetero_bundle)).values.real
+    phi = center_trace(identity_section(hetero_bundle)).real
     expected = [
         sum(c * n for c, n in zip(cs, shape))
         for cs, shape in zip(hetero_bundle.trace_weights, hetero_bundle.fiber_shapes)
@@ -78,32 +78,45 @@ def test_trace_cyclicity(hetero_bundle):
     for seed in range(20):
         x = random_section(hetero_bundle, seed, "general")
         y = random_section(hetero_bundle, 300 + seed, "general")
-        d = center_trace(x * y).values - center_trace(y * x).values
+        d = center_trace(x * y) - center_trace(y * x)
         assert np.abs(d).max() < 1e-10
 
 
 def test_trace_positivity_and_faithfulness(hetero_bundle):
     for seed in range(20):
         x = random_section(hetero_bundle, seed, "general")
-        gram = center_trace(x.adjoint() * x).values
+        gram = center_trace(x.adjoint() * x)
         assert np.abs(gram.imag).max() < 1e-12
         assert gram.real.min() >= -1e-12
     # contrapositive: a trace of x*x below 1e-12 forces a tiny fiber norm
     tiny = 1e-9 * random_section(hetero_bundle, 5, "general")
-    gram = center_trace(tiny.adjoint() * tiny).values.real
+    gram = center_trace(tiny.adjoint() * tiny).real
     for i, label in enumerate(hetero_bundle.space.labels):
         assert gram[i] < 1e-12
         assert spectral_norm(tiny.fiber(label)) < 1e-5
-    assert center_trace(zero_section(hetero_bundle)).max_abs() == 0.0
+    assert np.abs(center_trace(zero_section(hetero_bundle))).max() == 0.0
 
 
 def test_trace_is_center_linear(hetero_bundle):
     rng = np.random.default_rng(1)
-    z = CenterElement(hetero_bundle.space, rng.standard_normal(4))
+    z = rng.standard_normal(4)
     x = random_section(hetero_bundle, 9, "general")
-    lhs = center_trace(center_scale(z, x)).values
-    rhs = z.values * center_trace(x).values
+    lhs = center_trace(center_scale(z, x))
+    rhs = z * center_trace(x)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_center_views_are_the_stacked_rows(hetero_bundle):
+    # a center value is a plain array, one entry per atom in space.labels order
+    x = random_section(hetero_bundle, 17, "general")
+    trace = center_trace(x)
+    assert type(trace) is np.ndarray and trace.dtype == np.complex128
+    assert np.array_equal(trace, stacked_traces(section_stacks([x]), hetero_bundle)[0])
+    for p in (1.0, 2.0, 3.5):
+        norm = lp_norm(x, p)
+        assert type(norm) is np.ndarray and norm.dtype == np.float64
+        assert norm.shape == (hetero_bundle.space.size,)
+        assert np.array_equal(norm.view(np.uint64), lp_norms([x], p)[0].view(np.uint64))
 
 
 # ------------------------------------------------------------- scalarization
@@ -111,7 +124,7 @@ def test_trace_is_center_linear(hetero_bundle):
 def test_scalarize_identity(hetero_bundle):
     nu = np.array([0.3, 0.5, 0.1, 1.2])
     tau = scalarize(nu, identity_section(hetero_bundle))
-    expected = float(np.sum(nu * center_trace(identity_section(hetero_bundle)).values.real))
+    expected = float(np.sum(nu * center_trace(identity_section(hetero_bundle)).real))
     assert abs(tau - expected) < 1e-12
 
 
@@ -136,14 +149,14 @@ def test_scalarize_validates_weights(hetero_bundle):
 
 def test_lp_norm_hand_value(mat2_bundle):
     x = Section(mat2_bundle, [FiberElement([np.diag([1.0, 2.0])])])
-    got = lp_norm(x, 2).values[0]
+    got = lp_norm(x, 2)[0]
     assert abs(got - np.sqrt(2.5)) < 1e-12
 
 
 def test_lp_norm_of_identity(hetero_bundle):
-    phi_one = center_trace(identity_section(hetero_bundle)).values.real
+    phi_one = center_trace(identity_section(hetero_bundle)).real
     for p in (1.0, 1.5, 2.0, 3.0, 4.0):
-        got = lp_norm(identity_section(hetero_bundle), p).values
+        got = lp_norm(identity_section(hetero_bundle), p)
         assert np.abs(got - phi_one ** (1.0 / p)).max() < 1e-12
 
 
@@ -151,9 +164,9 @@ def test_lp_norm_invariances(hetero_bundle):
     for seed in range(10):
         x = random_section(hetero_bundle, seed, "general")
         for p in (1.0, 2.0, 3.0):
-            base = lp_norm(x, p).values
-            assert np.abs(lp_norm(x.adjoint(), p).values - base).max() < 1e-10
-            assert np.abs(lp_norm(abs_section(x), p).values - base).max() < 1e-10
+            base = lp_norm(x, p)
+            assert np.abs(lp_norm(x.adjoint(), p) - base).max() < 1e-10
+            assert np.abs(lp_norm(abs_section(x), p) - base).max() < 1e-10
 
 
 def test_lp_norm_matches_svd_oracle(hetero_bundle):
@@ -161,7 +174,7 @@ def test_lp_norm_matches_svd_oracle(hetero_bundle):
     for seed in range(10):
         x = random_section(hetero_bundle, seed, "general")
         for p in (1.0, 1.5, 2.0, 3.0, 4.0):
-            got = lp_norm(x, p).values
+            got = lp_norm(x, p)
             want = []
             for f, cs in zip(x.fibers, hetero_bundle.trace_weights):
                 total = 0.0
@@ -203,7 +216,7 @@ def test_stacked_lp_norms_match_per_section(hetero_bundle, large_blocks_bundle, 
             want = np.array([lp_norm_reference(x, p) for x in xs])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(lp_norms(xs, p), got)
-            assert all(np.array_equal(lp_norm(x, p).values, row) for x, row in zip(xs, got))
+            assert all(np.array_equal(lp_norm(x, p), row) for x, row in zip(xs, got))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
@@ -273,7 +286,7 @@ def test_huge_entries_keep_the_norm(hetero_bundle):
     huge, x = constant_section(hetero_bundle, 1e32)
     want = svd_lp_norms(x, 10.0)
     (stacked,) = stacked_lp_norms(huge, hetero_bundle, [10.0], gram_spectra(huge))
-    for got in (lp_norm(x, 10.0).values, stacked[0], stacked[1]):
+    for got in (lp_norm(x, 10.0), stacked[0], stacked[1]):
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
@@ -291,7 +304,7 @@ def test_underflowing_power_sums_keep_the_norm(hetero_bundle, p):
     lost, over = sums < np.finfo(np.float64).tiny, sums == math.inf
     assert lost.any() and not lost.all()
     assert over.any() == (p >= 300)
-    got = np.array([lp_norm(x, p).values for x in xs])
+    got = np.array([lp_norm(x, p) for x in xs])
     want = np.array([svd_lp_norms(x, p) for x in xs])
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     stacks = [np.stack(bs) for bs in zip(*[[b for f in x.fibers for b in f.blocks] for x in xs])]
@@ -302,9 +315,9 @@ def test_underflowing_power_sums_keep_the_norm(hetero_bundle, p):
 
 
 def test_lp_norm_zero_iff_zero(hetero_bundle):
-    assert lp_norm(zero_section(hetero_bundle), 2).max_abs() == 0.0
+    assert np.abs(lp_norm(zero_section(hetero_bundle), 2)).max() == 0.0
     x = random_section(hetero_bundle, 8, "general")
-    assert lp_norm(x, 2).values.min() > 1e-6
+    assert lp_norm(x, 2).min() > 1e-6
 
 
 def test_lp_norm_monotone_in_p_on_normalized_bundle():
@@ -315,7 +328,7 @@ def test_lp_norm_monotone_in_p_on_normalized_bundle():
         x = random_section(bundle, seed, "general")
         previous = None
         for p in (1.0, 1.5, 2.0, 3.0, 4.0):
-            current = lp_norm(x, p).values
+            current = lp_norm(x, p)
             if previous is not None:
                 assert np.all(previous <= current + 1e-10)
             previous = current
@@ -326,8 +339,8 @@ def test_triangle_inequality(hetero_bundle):
         x = random_section(hetero_bundle, seed, "general")
         y = random_section(hetero_bundle, 99 + seed, "general")
         for p in (1.0, 2.0, 3.0, 4.0):
-            lhs = lp_norm(x + y, p).values
-            rhs = lp_norm(x, p).values + lp_norm(y, p).values
+            lhs = lp_norm(x + y, p)
+            rhs = lp_norm(x, p) + lp_norm(y, p)
             assert np.all(lhs <= rhs + 1e-9)
 
 
@@ -335,13 +348,13 @@ def test_hoelder_inequality(hetero_bundle):
     for seed in range(10):
         x = random_section(hetero_bundle, seed, "general")
         y = random_section(hetero_bundle, 151 + seed, "general")
-        pairing = np.abs(center_trace(x * y).values)
+        pairing = np.abs(center_trace(x * y))
         for p in (1.0, 2.0, 3.0, 4.0):
-            nx = lp_norm(x, p).values
+            nx = lp_norm(x, p)
             if p == 1.0:
                 ny = np.array([spectral_norm(f) for f in y.fibers])
             else:
-                ny = lp_norm(y, p / (p - 1.0)).values
+                ny = lp_norm(y, p / (p - 1.0))
             assert np.all(pairing <= nx * ny + 1e-9)
 
 
@@ -352,8 +365,8 @@ def test_dual_extremal_p1_positive(hetero_bundle):
     y = dual_extremal(pos, 1)
     # witness is the support projection of a positive element
     assert (y * y - y).max_abs() < 1e-9
-    attained = center_trace(pos * y).values
-    target = lp_norm(pos, 1).values
+    attained = center_trace(pos * y)
+    target = lp_norm(pos, 1)
     assert np.abs(attained - target).max() < 1e-9
 
 
@@ -361,7 +374,7 @@ def test_dual_extremal_hand_value(mat2_bundle):
     x = Section(mat2_bundle, [FiberElement([np.diag([3.0, 4.0])])])
     y = dual_extremal(x, 1)
     assert np.abs(y.fibers[0].blocks[0] - np.eye(2)).max() < 1e-12
-    assert abs(center_trace(x * y).values[0] - 3.5) < 1e-12
+    assert abs(center_trace(x * y)[0] - 3.5) < 1e-12
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -370,10 +383,10 @@ def test_dual_extremal_attains_on_unit_sphere(hetero_bundle, p):
     for seed in range(8):
         x = random_section(hetero_bundle, seed, "general")
         y = dual_extremal(x, p)
-        attained = center_trace(x * y).values
-        target = lp_norm(x, p).values
+        attained = center_trace(x * y)
+        target = lp_norm(x, p)
         assert np.abs(attained - target).max() < 1e-9
-        assert np.abs(lp_norm(y, q).values - 1.0).max() < 1e-8
+        assert np.abs(lp_norm(y, q) - 1.0).max() < 1e-8
 
 
 def rank_deficient_section():
@@ -399,8 +412,8 @@ def test_dual_extremal_matches_polar_reference(hetero_bundle, large_blocks_bundl
     for x in xs + [rank_deficient_section()]:
         got = dual_extremal(x, p)
         assert (got - dual_extremal_reference(x, p)).max_abs() <= 1e-13
-        attained = center_trace(x * got).values
-        assert np.abs(attained - lp_norm(x, p).values).max() <= 1e-12
+        attained = center_trace(x * got)
+        assert np.abs(attained - lp_norm(x, p)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p, bound", [(1.0, 1e-12), (1.5, 1e-10), (2.0, 1e-12), (3.0, 1e-12),
@@ -413,8 +426,8 @@ def test_dual_extremal_attains_on_generic_rank_one_block(p, bound):
     rng = np.random.default_rng(0)
     a, c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x = Section(bundle, [FiberElement([np.outer(a, c.conj())])])
-    attained = center_trace(x * dual_extremal(x, p)).values
-    assert np.abs(attained - lp_norm(x, p).values).max() <= bound
+    attained = center_trace(x * dual_extremal(x, p))
+    assert np.abs(attained - lp_norm(x, p)).max() <= bound
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
@@ -442,12 +455,12 @@ def test_dual_extremal_stays_finite_at_large_p(hetero_bundle, p, scale):
     q = p / (p - 1.0)
     for seed in range(4):
         x = scale * random_section(hetero_bundle, seed, "general")
-        target = lp_norm(x, p).values
+        target = lp_norm(x, p)
         assert target.min() < 10.0 ** (-308.0 / (p - 1.0))
         y = dual_extremal(x, p)
-        attained = center_trace(x * y).values
+        attained = center_trace(x * y)
         assert np.all(np.abs(attained - target) <= 1e-12 * target)
-        assert np.abs(lp_norm(y, q).values - 1.0).max() < 1e-8
+        assert np.abs(lp_norm(y, q) - 1.0).max() < 1e-8
 
 
 def test_dual_extremal_solves_one_stack_per_block_size(hetero_bundle, monkeypatch):
@@ -477,9 +490,9 @@ def test_dual_extremal_of_a_tiny_fiber_attains(hetero_bundle, p):
     for size in (1e-11, 1e-14):
         tiny = Section(hetero_bundle, [x.fibers[0] * (size / x.fibers[0].max_abs()), *x.fibers[1:]])
         y = dual_extremal(tiny, p)
-        norm = lp_norm(tiny, p).values
+        norm = lp_norm(tiny, p)
         assert y.fibers[0].max_abs() > 0.0
-        assert np.all(np.abs(center_trace(tiny * y).values - norm) <= 1e-13 * norm)
+        assert np.all(np.abs(center_trace(tiny * y) - norm) <= 1e-13 * norm)
         if p < 1e8:  # the reference raises norm_p to the power 1 - p
             assert (y - dual_extremal_reference(tiny, p)).max_abs() <= 1e-13 * y.max_abs()
 
@@ -579,11 +592,11 @@ def test_duality_checks_norms_and_attainment_match_the_references(hetero_bundle,
     xs += [with_zero_fiber(xs[0], 1), rank_deficient_section()]
     cases = [(x, p, 90 + k) for k, (x, p) in enumerate(itertools.product(xs, (1.0, 1.5, 2.0, 3.0, 4.0)))]
     for (x, p, _), rep in zip(cases, duality_checks(cases, 5)):
-        want = lp_norm(x, p).values
+        want = lp_norm(x, p)
         norms = np.array([f["norm_p"] for f in rep.per_fiber])
         assert np.all(np.abs(norms - want) <= 1e-13 * want)
         attained = np.array([f["attained"] for f in rep.per_fiber])
-        want_attained = center_trace(x * dual_extremal_reference(x, p)).values.real
+        want_attained = center_trace(x * dual_extremal_reference(x, p)).real
         assert np.all(np.abs(attained - want_attained) <= 1e-13 * want)
 
 
