@@ -10,6 +10,9 @@ fired on one of its own lines: for a compound statement, the lines of its header
 its first child.  Work done in subprocesses is not traced.  Not part of tier-1::
 
     python tests/linetrace.py
+
+Its exit status is pytest's when that is not 0, else 1 when a statement never ran, else 0,
+so it can gate a change.
 """
 
 import ast
@@ -100,3 +103,4 @@ if __name__ == "__main__":
         print(f"{path}:{line}: {text}")
     print(f"{len(missed)} of {total} statements in function bodies of {PACKAGE.name}/ never ran "
           f"(pytest exit code {status})")
+    sys.exit(status or int(bool(missed)))

@@ -92,12 +92,9 @@ UNREACHED = {
     "fiber.spectral_norm": f"{ACCEPTANCE}: criterion 1",
     "fiber.spectral_projection": README,
     "martingale.CesaroReport.__init__": f"{CHILD}: cesaro_equivalence",
-    "martingale.CesaroReport.to_dict": f"{CHILD}: cesaro_equivalence",
     "martingale.DoubleSequenceReport.__init__": f"{ACCEPTANCE}: criterion 6",
-    "martingale.DoubleSequenceReport.to_dict": f"{ACCEPTANCE}: criterion 6",
     "martingale.Filtration.restrict": README,
     "martingale.MartingaleLimit.__init__": f"{CHILD}: martingale_limit",
-    "martingale.MartingaleLimit.to_dict": f"{CHILD}: martingale_limit",
     "martingale.MartingaleSeq.__init__": f"{README} example: martingale_from_target",
     "martingale.MartingaleSeq.__len__": f"{VIEW}: the length of a martingale",
     "martingale._limit": f"{CHILD}: martingale_limit and cesaro_equivalence",
