@@ -9,72 +9,38 @@ config-driven experiment harness.
 In finite dimension every fiber algebra already coincides with each of its Lp
 completions as a set; the norms differ, the elements do not.  Sections
 therefore serve as elements of the algebra and of every Lp space at once.
+
+Each name loads its module on first use: ``import tracebundle`` imports no submodule.
 """
 
-from .bundle import (
-    BundleSpec,
-    Section,
-    center_scale,
-    identity_section,
-    random_section,
-    section_from_records,
-    section_to_records,
-    uniform_norm,
-)
-from .center import MeasureSpace
-from .condexp import (
-    AxiomReport,
-    ConditionalExpectation,
-    SubalgebraBasis,
-    check_cond_exp_axioms,
-    cond_exp_axiom_checks,
-    validate_subalgebra,
-)
-from .config import ExperimentConfig, config_hash, parse_config, serialize_config
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    InconsistencyError,
-    ShapeMismatchError,
-    TraceBundleError,
-    UnsupportedConfigurationError,
-    UsageError,
-)
-from .fiber import (
-    FiberElement,
-    HermEig,
-    abs_power,
-    herm_eig,
-    identity_fiber,
-    polar,
-    spectral_norm,
-    spectral_projection,
-)
-from .martingale import (
-    CesaroReport,
-    DoubleSequenceReport,
-    Filtration,
-    MartingaleSeq,
-    build_filtration,
-    cesaro_equivalence,
-    double_sequence_check,
-    martingale_defect,
-    martingale_from_target,
-    martingale_limit,
-    sup_norm_comparison,
-    weighted_averages,
-)
-from .runner import run_experiment
-from .towers import fiber_level_generators, level_generators
-from .tracelp import (
-    DualityReport,
-    center_trace,
-    derive_seed,
-    dual_extremal,
-    duality_check,
-    duality_checks,
-    lp_norm,
-    lp_norms,
-)
+import importlib
+
+_HOMES = {
+    "bundle": "BundleSpec",
+    "center": "MeasureSpace",
+    "condexp": "AxiomReport ConditionalExpectation SubalgebraBasis cond_exp_axiom_checks "
+               "validate_subalgebra",
+    "config": "ExperimentConfig config_hash parse_config serialize_config",
+    "errors": "ConfigError ContractViolationError InconsistencyError ShapeMismatchError "
+              "TraceBundleError UnsupportedConfigurationError UsageError",
+    "fiber": "FiberElement identity_fiber",
+    "martingale": "Filtration build_filtration",
+    "runner": "run_experiment",
+    "towers": "fiber_level_generators level_generators",
+    "tracelp": "DualityReport derive_seed",
+    "views": "Section center_scale identity_section random_section section_from_records "
+             "section_to_records uniform_norm check_cond_exp_axioms HermEig abs_power herm_eig "
+             "polar spectral_norm spectral_projection CesaroReport DoubleSequenceReport "
+             "MartingaleSeq cesaro_equivalence double_sequence_check martingale_defect "
+             "martingale_from_target martingale_limit sup_norm_comparison weighted_averages "
+             "center_trace dual_extremal duality_check duality_checks lp_norm lp_norms",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

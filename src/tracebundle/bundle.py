@@ -1,10 +1,11 @@
 """The global algebra as a bundle of matrix fibers over a finite atom space.
 
 A bundle spec fixes, per atom, the fiber shape (block dimensions) and strictly
-positive per-block trace weights; a section assigns a fiber element to every
-atom.  All section arithmetic is fiberwise with no cross-fiber data flow, so
-evaluating at an atom commutes with every operation by construction (same
-arithmetic path, bit for bit).
+positive per-block trace weights; the referee holds elements as block stacks
+(``gaussian_stacks``, ``seeded_stacks``) and a section (``views.Section``)
+assigns a fiber element to every atom.  All arithmetic is fiberwise with no
+cross-fiber data flow, so evaluating at an atom commutes with every operation by
+construction (same arithmetic path, bit for bit).
 """
 
 from __future__ import annotations
@@ -13,13 +14,6 @@ import numpy as np
 
 from .center import MeasureSpace
 from .errors import ContractViolationError, ShapeMismatchError, UsageError
-from .fiber import (
-    FiberElement,
-    herm_eig,
-    identity_fiber,
-    polar,
-    spectral_norm,
-)
 
 SECTION_KINDS = ("general", "hermitian", "positive", "unitary", "projection")
 _KIND_CODE = {kind: i for i, kind in enumerate(SECTION_KINDS)}
@@ -82,84 +76,6 @@ class BundleSpec:
         return hash((self.space, self.fiber_shapes, self.trace_weights))
 
 
-class Section:
-    """Element of the bundle algebra: one fiber element per atom."""
-
-    __slots__ = ("bundle", "fibers")
-
-    def __init__(self, bundle: BundleSpec, fibers):
-        fibers = tuple(fibers)
-        if len(fibers) != bundle.space.size:
-            raise ShapeMismatchError("need one fiber element per atom")
-        for label, shape, f in zip(bundle.space.labels, bundle.fiber_shapes, fibers):
-            if f.dims != shape:
-                raise ShapeMismatchError(
-                    f"fiber at {label!r} has dims {f.dims}, bundle expects {shape}"
-                )
-        self.bundle = bundle
-        self.fibers = fibers
-
-    @classmethod
-    def _raw(cls, bundle, fibers):
-        self = object.__new__(cls)
-        self.bundle = bundle
-        self.fibers = tuple(fibers)
-        return self
-
-    def _require_same_bundle(self, other: "Section"):
-        if self.bundle is not other.bundle and self.bundle != other.bundle:
-            raise ShapeMismatchError("sections live on different bundles")
-
-    def fiber(self, label: str) -> FiberElement:
-        """Evaluate the section at an atom (the lifting realized as storage)."""
-        return self.fibers[self.bundle.space.index_of(label)]
-
-    def __add__(self, other: "Section") -> "Section":
-        self._require_same_bundle(other)
-        return Section._raw(self.bundle, [a + b for a, b in zip(self.fibers, other.fibers)])
-
-    def __sub__(self, other: "Section") -> "Section":
-        self._require_same_bundle(other)
-        return Section._raw(self.bundle, [a - b for a, b in zip(self.fibers, other.fibers)])
-
-    def __mul__(self, other: "Section") -> "Section":
-        """Algebra product; a scalar scales from the left (``__rmul__``)."""
-        self._require_same_bundle(other)
-        return Section._raw(self.bundle, [a * b for a, b in zip(self.fibers, other.fibers)])
-
-    def __rmul__(self, scalar):
-        return Section._raw(self.bundle, [scalar * f for f in self.fibers])
-
-    def adjoint(self) -> "Section":
-        return Section._raw(self.bundle, [f.adjoint() for f in self.fibers])
-
-    def max_abs(self) -> float:
-        return max(f.max_abs() for f in self.fibers)
-
-    def restrict(self, labels) -> "Section":
-        sub = self.bundle.restrict(labels)
-        return Section._raw(sub, [self.fiber(l) for l in sub.space.labels])
-
-
-def identity_section(bundle: BundleSpec) -> Section:
-    return Section._raw(bundle, [identity_fiber(s) for s in bundle.fiber_shapes])
-
-
-def center_scale(z, x: Section) -> Section:
-    """Module action of the center: atom ``w`` gets ``z(w) * x(w)``, ``z`` real or complex."""
-    z = np.asarray(z)
-    if z.shape != (x.bundle.space.size,):
-        raise ShapeMismatchError(f"expected {x.bundle.space.size} center values, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ContractViolationError("center element has non-finite entries")
-    return Section._raw(x.bundle, [complex(v) * f for v, f in zip(z, x.fibers)])
-
-
-def uniform_norm(x: Section) -> float:
-    """The C*-norm: max over atoms of the largest singular value of the fiber."""
-    return max(spectral_norm(f) for f in x.fibers)
-
-
 def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
     """Cut the last axis of ``flat``, row-major blocks one after another, into ``n x n`` blocks."""
     out, offset = [], 0
@@ -167,13 +83,6 @@ def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
         out.append(flat[..., offset : offset + n * n].reshape(flat.shape[:-1] + (n, n)))
         offset += n * n
     return out
-
-
-def lane_section(bundle: BundleSpec, stacks, lane: int) -> Section:
-    """Lane ``lane`` of sections held as one ``(S, n, n)`` stack per block, as a section."""
-    blocks = iter(s[lane] for s in stacks)
-    return Section._raw(bundle, [FiberElement._raw([next(blocks) for _ in shape])
-                                 for shape in bundle.fiber_shapes])
 
 
 def gaussian_stacks(bundle: BundleSpec, rng: np.random.Generator, count: int) -> list[np.ndarray]:
@@ -198,32 +107,6 @@ def seeded_stacks(bundle: BundleSpec, seeds, kind: str = "general") -> list[np.n
     return [np.concatenate(slot) for slot in zip(*draws)]
 
 
-def random_section(bundle: BundleSpec, seed: int, kind: str = "general") -> Section:
-    """Seed-deterministic random section.
-
-    Entries are standard complex Gaussians (``seeded_stacks``); ``hermitian`` symmetrizes,
-    ``positive`` forms ``g* g``, ``unitary`` takes the polar isometry of a
-    general draw, and ``projection`` cuts a random Hermitian at its median
-    eigenvalue per block.  Identical ``(bundle, seed, kind)`` give bitwise
-    identical sections.
-    """
-    fibers = []
-    for g in lane_section(bundle, seeded_stacks(bundle, [seed], kind), 0).fibers:
-        if kind == "general":
-            fibers.append(g)
-        elif kind == "hermitian":
-            fibers.append(0.5 * (g + g.adjoint()))
-        elif kind == "positive":
-            fibers.append(g.adjoint() * g)
-        elif kind == "unitary":
-            u, _ = polar(g)
-            fibers.append(u)
-        else:  # projection
-            eig = herm_eig(0.5 * (g + g.adjoint()))
-            fibers.append(eig.projection(float(np.median(np.concatenate(eig.eigenvalues)))))
-    return Section._raw(bundle, fibers)
-
-
 def block_records(bundle: BundleSpec, blocks):
     """``(atom label, block index, row, col, re, im)`` rows of the element of ``bundle`` whose
     ``n x n`` blocks are ``blocks``, in atom and block order."""
@@ -238,44 +121,9 @@ def block_records(bundle: BundleSpec, blocks):
     return rows
 
 
-def section_to_records(x: Section):
-    """Flatten a section to ``(atom label, block index, row, col, re, im)`` rows."""
-    return block_records(x.bundle, [b for f in x.fibers for b in f.blocks])
-
-
-def section_from_records(bundle: BundleSpec, rows) -> Section:
-    """Rebuild a section from the flat record format of ``section_to_records``.
-
-    Every matrix entry needs exactly one record; a missing or repeated entry
-    raises ``UsageError`` naming it, so a truncated file is never read back
-    as a different section.
-    """
-    blocks = {
-        label: [np.zeros((n, n), dtype=np.complex128) for n in shape]
-        for label, shape in zip(bundle.space.labels, bundle.fiber_shapes)
-    }
-    seen = set()
-    for label, k, i, j, re, im in rows:
-        label = str(label)
-        if label not in blocks:
-            raise UsageError(f"record references unknown atom {label!r}")
-        shape = bundle.shape_at(label)
-        k, i, j = int(k), int(i), int(j)
-        if not (0 <= k < len(shape) and 0 <= i < shape[k] and 0 <= j < shape[k]):
-            raise ShapeMismatchError(
-                f"record ({label}, {k}, {i}, {j}) is outside the fiber shape {shape}"
-            )
-        if (label, k, i, j) in seen:
-            raise UsageError(f"duplicate record for entry ({label}, {k}, {i}, {j})")
-        seen.add((label, k, i, j))
-        blocks[label][k][i, j] = complex(float(re), float(im))
-    for label, shape in zip(bundle.space.labels, bundle.fiber_shapes):
-        for k, n in enumerate(shape):
-            for i in range(n):
-                for j in range(n):
-                    if (label, k, i, j) not in seen:
-                        raise UsageError(f"missing record for entry ({label}, {k}, {i}, {j})")
-    return Section(
-        bundle,
-        [FiberElement(blocks[label]) for label in bundle.space.labels],
-    )
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("center_scale", "identity_section", "lane_section", "random_section", "Section",
+                "section_from_records", "section_to_records", "uniform_norm"):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,7 @@ the trace inner product ``<a, b> = trace_w(b* a)``.  The conditional
 expectation is the orthogonal projection onto that span, applied fiber by
 fiber; trace preservation, the bimodule property, positivity, the Lp contraction
 bound and locality (``E(z x) = z E(x)`` for central z) are verifiable consequences,
-collected by ``check_cond_exp_axioms`` with one stacked eigensolve per block size.
+collected by ``cond_exp_axiom_checks`` with one stacked eigensolve per block size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import tracelp
-from .bundle import BundleSpec, Section, gaussian_stacks, split_blocks
+from .bundle import BundleSpec, gaussian_stacks, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
 from .fiber import (FiberElement, _jacobi_eigenvalues_stack, gram_eigenvalues_stack, identity_fiber,
                     solve_by_block_size)
@@ -242,7 +242,8 @@ class ConditionalExpectation:
     def bundle(self) -> BundleSpec:
         return self.target.bundle
 
-    def __call__(self, x: Section) -> Section:
+    def __call__(self, x):
+        from .views import Section  # E of a section, fiber by fiber: a view of ``_project``
         if x.bundle is not self.bundle and x.bundle != self.bundle:
             raise ShapeMismatchError("section lives on a different bundle")
         return Section._raw(self.bundle, [self.apply_fiber(label, f) for label, f
@@ -277,26 +278,6 @@ def _project(projectors, blocks) -> list[np.ndarray]:
     for p in projectors:
         out.extend(p.project_stack(blocks[len(out) : len(out) + len(p.shape)]))
     return out
-
-
-def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> AxiomReport:
-    """Measure every defining property of the conditional expectation.
-
-    Residuals reported: idempotence, unitality, positivity (most negative
-    eigenvalue of the image of a positive element), the bimodule property
-    ``E(a x b) = a E(x) b`` for subalgebra a, b, trace preservation, the
-    pairing identity ``trace(E(x) y) = trace(x y)`` for subalgebra y, the Lp
-    contraction bound for p in {1, 2, 3, 4}, scalarized-trace preservation for
-    random positive center weights, and locality (fiberwise_agreement), the center-module
-    law read as ``|E(z x) / z - E(x)|`` at each atom for the central z that is a distinct
-    power of two at any 1024 consecutive atoms: a map that acts fiber by fiber reads
-    exactly 0.0, one that adds ``c x`` from atom v into atom w reads ``(z_v / z_w - 1) c x``.
-    Never raises on a residual; the caller compares against tolerances.  Each tag (x, pos,
-    a, b, y, nu) draws from one generator seeded from ``derive_seed(seed, f"axiom-{tag}")``,
-    trial ``t`` its lane ``t``.  The trials are stacked per block in chunks of
-    DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
-    """
-    return cond_exp_axiom_checks([(E, seed)], trials)[0]
 
 
 def cond_exp_axiom_checks(cases, trials: int) -> list[AxiomReport]:
@@ -401,3 +382,10 @@ class _AxiomTally:
 
 def _gap(us, vs):
     return [np.abs(u - v).max(axis=(1, 2)) for u, v in zip(us, vs)]
+
+
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("check_cond_exp_axioms",):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,14 +6,13 @@ big matrix, so the cost of a product is the sum of the per-block costs).
 Everything here is a pure function of its inputs: arithmetic, two
 self-contained cyclic Jacobi kernels on stacks of same-size blocks (Hermitian
 eigenvalues, and one-sided for singular values; fixed sweep orders, hence
-bit-deterministic), functional calculus, polar decomposition, and spectral
-projections built on them.  Every solve takes all the same-size blocks its
-caller has at once: one stacked solve per block size.
+bit-deterministic).  Every solve takes all the same-size blocks its caller has
+at once: one stacked solve per block size.  The functional calculus, polar
+decomposition and spectral projections of one fiber built on them are views
+(``views.herm_eig`` and its kin).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -289,36 +288,6 @@ def identity_fiber(dims) -> FiberElement:
     return FiberElement._raw([np.eye(n, dtype=np.complex128) for n in dims])
 
 
-class HermEig:
-    """Spectral data of a Hermitian fiber element.
-
-    Per block: real eigenvalues in descending order and the matching unitary
-    basis, satisfying ``block = basis @ diag(eigenvalues) @ basis*``.
-    """
-
-    __slots__ = ("eigenvalues", "bases")
-
-    def __init__(self, eigenvalues, bases):
-        self.eigenvalues = tuple(eigenvalues)
-        self.bases = tuple(bases)
-
-    def apply(self, fn) -> FiberElement:
-        """Functional calculus: assemble ``u @ diag(fn(w)) @ u*`` blockwise.  The result goes
-        through the public constructor, so a block with NaN or Inf entries (``fn(w)`` past the
-        float range) raises ContractViolationError."""
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by the constructor
-            return FiberElement([(u * np.asarray(fn(w), dtype=np.float64)) @ u.conj().T
-                                 for w, u in zip(self.eigenvalues, self.bases)])
-
-    def projection(self, threshold: float) -> FiberElement:
-        """``spectral_projection`` at ``threshold`` of the element with this spectral data."""
-        def indicator(w):  # above the cut and not snapped onto it
-            near = np.abs(w - threshold) <= EIGENVALUE_CLAMP * np.abs(w).max()
-            return ((w > threshold) & ~near).astype(np.float64)
-
-        return self.apply(indicator)
-
-
 def solve_by_block_size(stacks, solve) -> list:
     """``solve`` ``(S_k, n, n)`` stacks of any lengths with one call per block size ``n``.
 
@@ -337,86 +306,9 @@ def solve_by_block_size(stacks, solve) -> list:
     return out
 
 
-def _solve_blocks(x: FiberElement, solve) -> list:
-    """``solve`` the blocks of one fiber as B = 1 stacks, one call per block size."""
-    return solve_by_block_size([b[None] for b in x.blocks], solve)
-
-
-def herm_eig(a: FiberElement) -> HermEig:
-    """Deterministic Hermitian eigendecomposition of every block of ``a``.
-
-    One stacked solve with eigenvectors per block size, of each block's
-    Hermitian part ``(b + b*) / 2``.  Raises ContractViolationError when a
-    block ``b`` is not Hermitian to within HERMITIAN_INPUT_TOL times its
-    largest entry (max-abs entrywise), so the test does not depend on the
-    scale of ``a``.
-    """
-    hermitian = []
-    for k, b in enumerate(a.blocks):
-        adjoint = b.conj().T
-        drift, size = float(np.abs(b - adjoint).max()), float(np.abs(b).max())
-        if drift > HERMITIAN_INPUT_TOL * size:
-            raise ContractViolationError(
-                f"block {k} is not Hermitian: max |a - a*| = {drift:.3e} against max |a| = {size:.3e}"
-            )
-        hermitian.append(0.5 * (b + adjoint))
-    eigenvalues = []
-    bases = []
-    for w, u in _solve_blocks(FiberElement._raw(hermitian),
-                              lambda h: _jacobi_eigenvalues_stack(h, vectors=True)):
-        order = np.argsort(-w[0], kind="stable")
-        eigenvalues.append(w[0, order])
-        bases.append(np.ascontiguousarray(u[0][:, order]))
-    return HermEig(eigenvalues, bases)
-
-
-def _singular_eig(x: FiberElement) -> HermEig:
-    """The spectral data of ``x* x`` from one ``gram_eigenvalues_stack`` solve per block size."""
-    solved = _solve_blocks(x, lambda y: gram_eigenvalues_stack(y, vectors=True))
-    return HermEig([w[0] for w, _ in solved], [v[0] for _, v in solved])
-
-
-def abs_power(x: FiberElement, p: float) -> FiberElement:
-    """``|x|**p = v diag(w**(p/2)) v*`` from the squared singular values ``w`` of each block.
-
-    Intended for p >= 1 (the Lp norms); any nonnegative power works the same way.
-    """
-    return _singular_eig(x).apply(lambda w: w ** (p / 2.0))
-
-
-def polar(x: FiberElement) -> tuple[FiberElement, FiberElement]:
-    """Polar decomposition ``x = u h`` with ``h = |x| = v diag(s) v*`` positive.
-
-    ``u = U v*`` with ``U = x v / s`` on ``s > PINV_CUTOFF * max(s)``, a cut relative to each block,
-    formed as ``x (v diag(1 / s) v*)``, is a partial isometry that vanishes on the kernel of ``h``.
-    """
-    eig = _singular_eig(x)
-    singulars = HermEig([np.sqrt(w) for w in eig.eigenvalues], eig.bases)
-    h = singulars.apply(lambda s: s)
-    return x * singulars.apply(lambda s: np.divide(1, s, out=np.zeros_like(s),
-                                                   where=s > PINV_CUTOFF * s.max())), h
-
-
-def spectral_projection(x: FiberElement, threshold: float) -> FiberElement:
-    """Projection onto the eigenspaces of Hermitian ``x`` strictly above ``threshold``.
-
-    Eigenvalues within EIGENVALUE_CLAMP times the block's largest |eigenvalue| of the
-    threshold snap down onto it and are excluded, which keeps the projection stable for
-    spectra numerically at the cut, at every scale of ``x``.
-    """
-    return herm_eig(x).projection(threshold)
-
-
-def gram_eigenvalues(x: FiberElement) -> list[np.ndarray]:
-    """Eigenvalues of ``x* x`` (squared singular values) per block, nonnegative, unordered.
-
-    Lean path for norm computations that need only the spectrum: one
-    ``gram_eigenvalues_stack`` call per block size of ``x``, with no descending
-    sort and no singular vectors.
-    """
-    return [w[0] for w in _solve_blocks(x, gram_eigenvalues_stack)]
-
-
-def spectral_norm(x: FiberElement) -> float:
-    """Largest singular value across the blocks of ``x``."""
-    return math.sqrt(max(float(w.max()) for w in gram_eigenvalues(x)))
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("abs_power", "gram_eigenvalues", "herm_eig", "HermEig", "polar",
+                "_singular_eig", "_solve_blocks", "spectral_norm", "spectral_projection"):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle import BundleSpec, Section, lane_section
+from .bundle import BundleSpec
 from .condexp import ConditionalExpectation, SubalgebraBasis, _project, validate_subalgebra
 from .errors import (
     InconsistencyError,
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedConfigurationError,
     UsageError,
 )
-from .tracelp import _exponent, lp_norms, section_stacks, shared_lp_norms
+from .tracelp import _exponent, shared_lp_norms
 
 MARTINGALE_TOL = 1e-9           # defining property of a martingale sequence
 
@@ -208,173 +208,11 @@ def _running_means(xs, w, extend_by: int = 0):
     return sigmas, ratios
 
 
-def _one_sequence(filtration: Filtration, elements, p: float = 2.0, **parts) -> MartingaleChecks:
-    """``martingale_checks`` of one sequence of sections, each a one-lane stack."""
-    if any(x.bundle is not filtration.bundle and x.bundle != filtration.bundle for x in elements):
-        raise ShapeMismatchError("section lives on a different bundle")
-    return martingale_checks(filtration, [section_stacks([x]) for x in elements], p, **parts)
-
-
-def martingale_defect(elements, filtration: Filtration) -> float:
-    """Worst defect of the martingale property over the whole sequence.
-
-    The defect at step n is the pointwise max over atoms of the L1 center
-    norm of ``E(x_{n+1} | M_n) - x_n``: the one-sequence ``martingale_checks``.
-    """
-    elements = list(elements)
-    return float(_one_sequence(filtration, elements).defect[0]) if elements else 0.0
-
-
-class MartingaleSeq:
-    """An adapted sequence; its martingale defect is measured once, as ``defect``, and with
-    ``check`` a defect above ``MARTINGALE_TOL`` is refused.  This is where a sequence enters the
-    library: the later calls measure and report, and never check it again."""
-
-    __slots__ = ("filtration", "elements", "p", "defect")
-
-    def __init__(self, filtration: Filtration, elements, p: float = 2.0, check: bool = True):
-        self.filtration = filtration
-        self.elements = tuple(elements)
-        self.p = float(p)
-        if not self.elements:
-            raise UsageError("a martingale needs at least one element")
-        self.defect = martingale_defect(self.elements, filtration)
-        if check and self.defect > MARTINGALE_TOL:
-            raise UsageError("sequence violates the martingale property beyond tolerance")
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def martingale_from_target(x: Section, filtration: Filtration, p: float = 2.0) -> MartingaleSeq:
-    """The canonical martingale: project one target through every tower level.  It is a
-    martingale by the tower's nesting, so it is not checked; ``seq.defect`` still reports its
-    rounding."""
-    elements = [E(x) for E in filtration.cond_exps]
-    return MartingaleSeq(filtration, elements, p=p, check=False)
-
-
-class MartingaleLimit:
-    """Terminal element of a full tower together with its consistency data."""
-
-    def __init__(self, limit: Section, reconstruction_residual: float, residual_trace: list):
-        self.limit, self.reconstruction_residual = limit, reconstruction_residual
-        self.residual_trace = residual_trace  # max over atoms of ||x_n - limit||_p, per level
-
-
-def martingale_limit(seq: MartingaleSeq) -> MartingaleLimit:
-    """Recover the generating element of a martingale on a full finite tower.
-
-    On a tower whose top level is the whole algebra the terminal element is the limit;
-    projecting it down every level reproduces the sequence, and the worst residual of that is
-    reported as ``reconstruction_residual``: the one-sequence ``martingale_checks`` at ``seq.p``.
-    """
-    return _limit(seq, _one_sequence(seq.filtration, seq.elements, seq.p, limit=True))
-
-
-def _limit(seq: MartingaleSeq, checks: MartingaleChecks) -> MartingaleLimit:
-    return MartingaleLimit(limit=seq.elements[-1], reconstruction_residual=float(checks.recon[0]),
-                           residual_trace=checks.xa[0].max(axis=1).tolist())
-
-
-class DoubleSequenceReport:
-    """Grid diagnostics for projecting a convergent sequence through a tower."""
-
-    def __init__(self, grid: list, sequence_residuals: list, tower_residuals: list,
-                 corner: float, triangle_violation: float):
-        self.grid = grid                              # grid[n][m] = max_w ||E(x_n | M_m) - x||_p
-        self.sequence_residuals = sequence_residuals  # max_w ||x_n - x||_p
-        self.tower_residuals = tower_residuals        # max_w ||E(x | M_m) - x||_p
-        self.corner = corner                          # grid[-1][-1]
-        self.triangle_violation = triangle_violation  # max of grid - (seq + tower) bound
-
-
-def double_sequence_check(xs, x: Section, filtration: Filtration, p: float) -> DoubleSequenceReport:
-    """Measure how projections of a convergent sequence approach its limit.
-
-    For every sequence index n and tower level m the residual
-    ``||E(x_n | M_m) - x||_p`` is bounded by the triangle estimate
-    ``||x_n - x||_p + ||E(x | M_m) - x||_p``; the report holds the grid of residuals, both
-    sides of the estimate and its worst excess, and leaves the verdict to the caller.
-    """
-    if not filtration.terminal_is_full:
-        raise UnsupportedConfigurationError(
-            "the double-sequence diagnostic needs a full terminal level"
-        )
-    xs = list(xs)
-    if not xs:
-        raise UsageError("empty sequence")
-    levels = filtration.cond_exps
-    k, m = len(xs), len(levels)
-    residuals = lp_norms([x_n - x for x_n in xs] + [E(x) - x for E in levels]
-                         + [E(x_n) - x for x_n in xs for E in levels], p).max(axis=1).tolist()
-    seq_res, tower_res = residuals[:k], residuals[k:k + m]
-    grid = [residuals[k + m * (n + 1):k + m * (n + 2)] for n in range(k)]
-    violation = max(r - (seq_res[n] + tower_res[j])
-                    for n, row in enumerate(grid) for j, r in enumerate(row))
-    return DoubleSequenceReport(grid=grid, sequence_residuals=seq_res, tower_residuals=tower_res,
-                                corner=grid[-1][-1], triangle_violation=float(violation))
-
-
-def weighted_averages(seq: MartingaleSeq, w) -> list:
-    """Normalized weighted running means ``(1/W_n) sum_{k<=n} w_k x_k``."""
-    sigmas, _ = _running_means([section_stacks([x]) for x in seq.elements], w)
-    return [lane_section(seq.filtration.bundle, s, 0) for s in sigmas]
-
-
-def sup_norm_comparison(seq: MartingaleSeq, w, p: float, extend_by: int = 0):
-    """Pointwise sup of element norms against sup of averaged norms.
-
-    Returns ``(sup_x, sup_sigma, gap)``, one float per atom each, with
-    ``gap = sup_x - sup_sigma``.  Convexity forces ``sup_sigma <= sup_x`` up
-    to roundoff on any finite range; the two sups meet only asymptotically,
-    which the ``extend_by`` holding scheme emulates.  The held means lie on one
-    segment, so by convexity only its far end sigma_N joins the sup.  The
-    one-sequence ``martingale_checks`` with weights.
-    """
-    return _sup(_one_sequence(seq.filtration, seq.elements, p, w=w, extend_by=extend_by))
-
-
-def _sup(checks: MartingaleChecks):
-    sup_x, sup_sigma = checks.sup_x[0], checks.sup_sigma[0]
-    return sup_x, sup_sigma, sup_x - sup_sigma
-
-
-class CesaroReport:
-    """Joint convergence verdict for a martingale and its weighted averages."""
-
-    def __init__(self, p: float, tol: float, verdict: str, element_trace: list,
-                 average_trace: list, element_trace_per_atom: np.ndarray = None,
-                 average_trace_per_atom: np.ndarray = None, limit: MartingaleLimit = None,
-                 sup_comparison: tuple = None):
-        self.p, self.tol = p, tol
-        self.verdict = verdict                # "both" | "neither" | "exactly-one"
-        self.element_trace = element_trace    # max over atoms of ||x_n - y||_p
-        self.average_trace = average_trace    # max over atoms of ||sigma_n - y||_p
-        self.element_trace_per_atom = element_trace_per_atom  # (steps, atoms)
-        self.average_trace_per_atom = average_trace_per_atom  # (steps, atoms)
-        self.limit = limit                    # martingale_limit of the sequence
-        self.sup_comparison = sup_comparison  # sup_norm_comparison, same weights and extension
-
-
-def cesaro_equivalence(seq: MartingaleSeq, w, p: float, tol: float,
-                       extend_by: int = 0) -> CesaroReport:
-    """Either both the martingale and its averages converge, or neither does.
-
-    The run is extended by holding the terminal element for ``extend_by``
-    additional steps, which sends the cumulative weight to infinity (the
-    hypothesis behind the averaging equivalence) while keeping the limit
-    exact; per atom a held step has ``||sigma_n - y||_p = (W_K/W_n)||sigma_K - y||_p``.
-    The report also holds the limit with its reconstruction residual and its residual trace
-    at ``p``, and ``sup_norm_comparison(seq, w, p, extend_by)``: all one ``martingale_checks``
-    of the one sequence.  The sequence was checked where it entered (``MartingaleSeq``);
-    its defect is ``seq.defect``.
-    """
-    checks = _one_sequence(seq.filtration, seq.elements, p, limit=True, w=w, extend_by=extend_by)
-    xa, sa = (a[0] for a in step_residuals(checks.xa, checks.sa, checks.held))
-    xt, st = xa.max(axis=1).tolist(), sa.max(axis=1).tolist()
-    x_conv, s_conv = xt[-1] <= tol, st[-1] <= tol
-    verdict = "both" if x_conv and s_conv else "exactly-one" if x_conv or s_conv else "neither"
-    return CesaroReport(p=float(p), tol=float(tol), verdict=verdict, element_trace=xt,
-                        average_trace=st, element_trace_per_atom=xa, average_trace_per_atom=sa,
-                        limit=_limit(seq, checks), sup_comparison=_sup(checks))
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("cesaro_equivalence", "CesaroReport", "double_sequence_check",
+                "DoubleSequenceReport", "_limit", "martingale_defect", "martingale_from_target",
+                "martingale_limit", "MartingaleLimit", "MartingaleSeq", "_one_sequence", "_sup",
+                "sup_norm_comparison", "weighted_averages"):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .bundle import block_records, gaussian_stacks, seeded_stacks, section_from_records
+from .bundle import block_records, gaussian_stacks, seeded_stacks
 from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
@@ -194,24 +194,6 @@ def write_section_csv(path: str, records):
             fh.write(f"{label},{k},{i},{j},{re!r},{im!r}\n")
 
 
-def read_section_csv(path: str, bundle):
-    """Rebuild a section from a golden file written by ``write_section_csv``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != "omega,block,row,col,re,im":
-            raise UsageError(f"not a section file: unexpected header {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                label, k, i, j, re, im = line.rstrip("\n").split(",")
-                rows.append((label, int(k), int(i), int(j), float(re), float(im)))
-            except ValueError:
-                raise UsageError(
-                    f"{path}, line {lineno}: malformed section record {line.rstrip()!r}"
-                ) from None
-    return section_from_records(bundle, rows)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
     """Run the configured experiment parts and write summary/trace artifacts.
 
@@ -263,3 +245,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, parts=ALL_PARTS):
             if os.path.exists(path + ".tmp"):
                 os.remove(path + ".tmp")
     return summary, all(c.passed for c in checks)
+
+
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("read_section_csv",):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .bundle import BundleSpec, Section, gaussian_stacks, lane_section
+from .bundle import BundleSpec, gaussian_stacks
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
@@ -43,11 +43,6 @@ def derive_seed(master: int, *parts) -> int:
     """
     blob = repr((int(master),) + tuple(parts)).encode()
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "little")
-
-
-def center_trace(x: Section) -> np.ndarray:
-    """The center-valued trace: weighted block traces per atom, one ``stacked_traces`` row."""
-    return stacked_traces(section_stacks([x]), x.bundle)[0]
 
 
 def _exponent(p) -> float:
@@ -71,19 +66,9 @@ def packed_chunks(cases: int, count: int) -> list[list[tuple[int, int]]]:
     return groups
 
 
-def _target(x: Section) -> tuple:
-    """Section ``x`` as a target ``(bundle, blocks)``, one one-lane stack per block slot."""
-    return x.bundle, [b[None] for f in x.fibers for b in f.blocks]
-
-
 def _target_stacks(targets) -> list[np.ndarray]:
     """The blocks of S targets of one bundle, one ``(S, n, n)`` stack per block slot."""
     return [np.concatenate(slot) for slot in zip(*[blocks for _, blocks in targets])]
-
-
-def section_stacks(sections) -> list[np.ndarray]:
-    """The blocks of S sections of one bundle, one ``(S, n, n)`` stack per block slot."""
-    return _target_stacks([_target(x) for x in sections])
 
 
 def stacked_traces(ys, bundle) -> np.ndarray:
@@ -168,45 +153,8 @@ def shared_lp_norms(cases) -> list[np.ndarray]:
             for ys, bundle, p in cases]
 
 
-def lp_norms(sections, p: float) -> np.ndarray:
-    """``(S, atoms)`` center-valued Lp norms ``(trace(|x|**p))**(1/p)`` of S sections of one bundle.
-
-    The sections' blocks are stacked per block slot (``section_stacks``), their spectra
-    come from one stacked solve per block size (none at p = 2), and the norms are those of
-    ``stacked_lp_norms``.  p must be finite and at least 1, else UsageError; a norm that is
-    not finite raises ContractViolationError.
-    """
-    p = _exponent(p)
-    if not sections:
-        raise UsageError("need at least one section")
-    for x in sections[1:]:
-        x._require_same_bundle(sections[0])
-    return shared_lp_norms([(section_stacks(sections), sections[0].bundle, p)])[0]
-
-
-def lp_norm(x: Section, p: float) -> np.ndarray:
-    """Center-valued Lp norm: ``(trace(|x|**p))**(1/p)`` per atom, the one-section ``lp_norms``."""
-    return lp_norms([x], p)[0]
-
-
-def dual_extremal(x: Section, p: float) -> Section:
-    """Witness attaining the dual characterization of the Lp norm.
-
-    With ``x* x = V diag(w) V*`` from one eigendecomposition per block, the
-    witness is ``norm_p**(1-p) V diag(w**(p/2-1)) V* x*`` on the support
-    ``w > PINV_CUTOFF**2 * top``, ``top`` the atom's largest ``w`` (a cut that scales with
-    the fiber): ``norm_p**(1-p) |x|**(p-1) u*`` for ``x = u |x|``,
-    hence ``u*`` at p = 1 and, for p > 1, a point of the Lq unit sphere
-    (``1/p + 1/q = 1``) where the Hoelder inequality is an equality.  It is
-    formed as ``(w / top)**(p/2-1) * S**(1/p-1) / sqrt(top)`` from the norm's top-scaled
-    sum S (``top_scaled_sums``), so no rounded norm is raised to a power.  Only a zero
-    fiber gets the zero witness, so the witness of ``2**k x`` is that of ``x``, bit for bit.
-    """
-    return lane_section(x.bundle, _witnesses([(_target(x), _exponent(p))])[0][1], 0)
-
-
 def _witnesses(cases) -> list:
-    """``(norm_p, v, trace(x v))`` for ``(x, p)`` cases, ``x`` a target (``_target``), v the
+    """``(norm_p, v, trace(x v))`` for ``(x, p)`` cases, ``x`` a target (``views._target``), v the
     witness ``dual_extremal(x, p)`` as one-lane block stacks.
 
     The cases of equal bundles and exponent form a batch, held as in ``stacked_traces``.  Every
@@ -254,24 +202,6 @@ class DualityReport:
 
     def to_dict(self) -> dict:
         return dict(vars(self), per_fiber=[dict(row) for row in self.per_fiber])
-
-
-def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityReport:
-    """Sample the dual unit ball and verify nothing beats the Lp norm.
-
-    Every sampled ``y`` is rescaled per fiber onto the dual-ball boundary; the
-    violation is ``|trace(x y)| - norm_p(x)`` pointwise (positive means the
-    duality bound failed).  The extremal witness must attain the norm, which
-    the attainment residual measures.  Sample ``i`` is lane ``i`` of
-    ``gaussian_stacks`` on one generator seeded from ``derive_seed(seed,
-    "duality-samples")``.  The samples go through in chunks of DUALITY_CHUNK,
-    stacked per block: the dual norm is ``stacked_lp_norms`` at q = p / (p - 1)
-    (q = inf when p = 1) and ``trace(x y)`` one contraction per block.  A sample's
-    dual norm is solved only at the atoms where it can set the worst violation (see
-    ``duality_checks``).  Every step treats each sample on its own, so neither the
-    chunking nor the samples left unsolved show.
-    """
-    return duality_checks([(x, p, seed)], samples)[0]
 
 
 def dual_norm_bracket(ys, bundle, q) -> tuple[np.ndarray, np.ndarray]:
@@ -407,15 +337,9 @@ def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
     return worst
 
 
-def duality_checks(cases, samples: int) -> list[DualityReport]:
-    """``duality_check(x, p, samples, seed)`` for every ``(x, p, seed)`` case, in order: the
-    ``target_duality_checks`` of the sections' blocks."""
-    return target_duality_checks([(_target(x), p, seed) for x, p, seed in cases], samples)
-
-
 def target_duality_checks(cases, samples: int) -> list[DualityReport]:
     """The duality reports of ``(x, p, seed)`` cases whose ``x`` is a target ``(bundle,
-    blocks)``, one one-lane stack per block slot (``_target``), in order.
+    blocks)``, one one-lane stack per block slot (``views._target``), in order.
 
     The cases' chunks are drawn in groups (``packed_chunks``); the chunks of a group whose
     cases share a bundle and q are a batch, with one pairing contraction per block.  At
@@ -461,3 +385,11 @@ def target_duality_checks(cases, samples: int) -> list[DualityReport]:
             per_fiber=per_fiber,
         ))
     return reports
+
+
+def __getattr__(name):  # the names that moved to ``views``, which loads on first use
+    if name in ("center_trace", "dual_extremal", "duality_check", "duality_checks", "lp_norm",
+                "lp_norms", "section_stacks", "_target"):
+        from . import views
+        return getattr(views, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

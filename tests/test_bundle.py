@@ -20,7 +20,7 @@ from tracebundle import (
     uniform_norm,
     validate_subalgebra,
 )
-from tracebundle import bundle, fiber
+from tracebundle import views
 from tracebundle.bundle import gaussian_stacks
 from tracebundle.towers import level_generators
 
@@ -263,10 +263,9 @@ def test_random_projection_sections(hetero_bundle):
 def test_random_projection_solves_once_per_fiber(hetero_bundle, monkeypatch):
     # the median cut and the projection come from the same spectral data
     solved = []
-    real = fiber.herm_eig
+    real = views.herm_eig
     counting = lambda a: solved.append(a.dims) or real(a)
-    monkeypatch.setattr(fiber, "herm_eig", counting)
-    monkeypatch.setattr(bundle, "herm_eig", counting)
+    monkeypatch.setattr(views, "herm_eig", counting)
     random_section(hetero_bundle, 3, "projection")
     assert solved == list(hetero_bundle.fiber_shapes)
 

@@ -16,7 +16,7 @@ from tracebundle.cli import (
     EXIT_USAGE,
     main,
 )
-from tracebundle import cli, condexp, runner, tracelp
+from tracebundle import cli, condexp, runner, tracelp, views
 from tracebundle.bundle import section_to_records
 from tracebundle.errors import ContractViolationError, ShapeMismatchError, UsageError
 from tracebundle.config import parse_config
@@ -352,7 +352,7 @@ def test_faithfulness_fails_on_a_trace_that_drops_a_block(tmp_path, monkeypatch)
         cfg = fixture_config("hetero4_tower")
         excess = runner.run_trace_checks(cfg, cfg.build_bundle())[2].worst_residual
         # the per-trial loop, its center_trace patched alike, finds the same excess
-        patched.setattr(tracelp, "stacked_traces", without_block_slot(3))
+        patched.setattr(views, "stacked_traces", without_block_slot(3))
         reference = trace_phase_reference(cfg, cfg.build_bundle())["trace/faithfulness"]
     assert bits(excess) == bits(reference)
     assert excess > cfg.tolerances["faithfulness_norm"]
@@ -433,16 +433,26 @@ def python_with_the_package(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def test_a_check_command_loads_no_argparse_dataclasses_copy_or_fixtures(config_path, tmp_path):
-    argv = ["check-duality", "--config", config_path, "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize("command", ["run", "check-axioms", "check-duality", "run-martingale"])
+def test_a_check_command_loads_no_argparse_dataclasses_copy_or_fixtures(command, config_path,
+                                                                         tmp_path):
+    # nor the library views: a CLI call never compiles views.py
+    argv = [command, "--config", config_path, "--out", str(tmp_path / "out")]
     script = ("import sys\n"
               "from tracebundle import cli\n"
               f"code = cli.main({argv!r})\n"
-              "print(code, sorted({'argparse', 'copy', 'dataclasses', 'tracebundle.fixtures'}"
-              " & set(sys.modules)))")
+              "print(code, sorted({'argparse', 'copy', 'dataclasses', 'tracebundle.fixtures',"
+              " 'tracebundle.views'} & set(sys.modules)))")
     done = python_with_the_package("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    script = "import sys, tracebundle\nprint(sorted(m for m in sys.modules if 'tracebundle.' in m))"
+    done = python_with_the_package("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_the_module_entry_point_reads_its_command_line(config_path, tmp_path):

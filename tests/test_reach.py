@@ -6,11 +6,15 @@ under products, each other subcommand once, one usage error and one config error
 referee works on block stacks, so no call builds a ``Section``.  The
 functions that no call reaches are exactly ``UNREACHED``, each with the reason it stays:
 ``bench/child.py`` wraps or imports it, the README describes it, the acceptance suite calls
-it, or it is a view of the library.  A function that the CLI stops reaching, or a new
-function that it never reaches, fails ``test_the_unreached_functions_are_the_allowlist``
-until it is deleted, moved to ``tests/oracles.py`` or listed here.
+it, it is a view of the library, or it forwards a name (PEP 562).  A function that the CLI
+stops reaching, or a new function that it never reaches, fails
+``test_the_unreached_functions_are_the_allowlist`` until it is deleted, moved to
+``tests/oracles.py`` or listed here.  No CLI call imports ``views``, so a top-level function
+or class that no call reaches belongs there: outside it, only methods of a class that a call
+uses and the modules' ``__getattr__`` may go unreached.
 
-Run as a script, it prints the count of never-called functions and of their lines::
+Run as a script, it prints the count of never-called functions and of their lines, and of
+those that a CLI call compiles (the ones outside ``views.py``)::
 
     PYTHONPATH=src python tests/test_reach.py
 """
@@ -43,79 +47,87 @@ EXPLICIT = {
     "tower": ["scalars", {"explicit": {"a": [[[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]]}}, "full"],
 }
 
-NO_VIEW = ("bundle.Section.__init__", "bundle.Section._raw")
+NO_VIEW = ("views.Section.__init__", "views.Section._raw")
 
 CHILD, README, ACCEPTANCE, VIEW = "bench/child.py", "README", "acceptance", "library view"
+FORWARD = "PEP 562: the module's old names, now defined in views"
 UNREACHED = {
+    "__init__.__getattr__": "PEP 562: the package's names, each module loaded on first use",
     "bundle.BundleSpec.__eq__": f"{VIEW}: bundles compare by value",
     "bundle.BundleSpec.restrict": f"{ACCEPTANCE}: criterion 4 restricts to one atom",
     "bundle.BundleSpec.shape_at": f"{README}: section_from_records",
-    "bundle.Section.__add__": CHILD,
-    "bundle.Section.__init__": f"{README}: section_from_records checks its fibers",
-    "bundle.Section.__mul__": CHILD,
-    "bundle.Section.__rmul__": CHILD,
-    "bundle.Section.__sub__": CHILD,
-    "bundle.Section._raw": f"{VIEW}: every section the library returns",
-    "bundle.Section._require_same_bundle": f"{CHILD}: section arithmetic",
-    "bundle.Section.adjoint": f"{VIEW}: the involution",
-    "bundle.Section.fiber": f"{ACCEPTANCE}: criterion 4 evaluates at an atom",
-    "bundle.Section.max_abs": f"{VIEW}: the largest entry",
-    "bundle.Section.restrict": f"{ACCEPTANCE}: criterion 4 restricts to one atom",
-    "bundle.center_scale": f"{VIEW}: the module action of the center",
-    "bundle.identity_section": f"{VIEW}: the unit",
-    "bundle.lane_section": f"{VIEW}: one lane of block stacks as a section",
-    "bundle.random_section": f"{CHILD}; {README} example",
-    "bundle.section_from_records": f"{README}: a section file read back",
-    "bundle.section_to_records": f"{README}: the section record format",
-    "bundle.uniform_norm": f"{VIEW}: the C*-norm",
+    "bundle.__getattr__": FORWARD,
     "center.MeasureSpace.__eq__": f"{VIEW}: spaces compare by value",
     "center.MeasureSpace.index_of": f"{ACCEPTANCE}: Section.fiber and restrict",
     "condexp.AxiomReport.worst": f"{ACCEPTANCE}: criterion 3",
     "condexp.ConditionalExpectation.__call__": f"{CHILD}; {README} example",
     "condexp.ConditionalExpectation.apply_fiber": f"{VIEW}: E at one atom",
     "condexp.SubalgebraBasis.closure_residual": f"{README}: a level's closure residual",
-    "condexp.check_cond_exp_axioms": f"{CHILD}; {ACCEPTANCE}: criterion 3",
+    "condexp.__getattr__": FORWARD,
     "config.ExperimentConfig.__eq__": f"{VIEW}: configs compare by value",
     "fiber.FiberElement.__add__": f"{VIEW}: fiber arithmetic",
     "fiber.FiberElement.__rmul__": f"{VIEW}: fiber arithmetic",
     "fiber.FiberElement.__sub__": f"{VIEW}: fiber arithmetic",
-    "fiber.HermEig.__init__": f"{CHILD}: herm_eig",
-    "fiber.HermEig.apply": f"{README}: functional calculus",
-    "fiber.HermEig.projection": f"{README}: spectral_projection",
-    "fiber.HermEig.projection.<locals>.indicator": f"{README}: spectral_projection",
-    "fiber._singular_eig": f"{CHILD}: polar",
-    "fiber._solve_blocks": f"{CHILD}: herm_eig, gram_eigenvalues and polar",
-    "fiber.abs_power": README,
-    "fiber.gram_eigenvalues": f"{CHILD}; {README}",
-    "fiber.herm_eig": f"{CHILD}; {README}",
-    "fiber.polar": f"{CHILD}; {README}",
-    "fiber.spectral_norm": f"{ACCEPTANCE}: criterion 1",
-    "fiber.spectral_projection": README,
-    "martingale.CesaroReport.__init__": f"{CHILD}: cesaro_equivalence",
-    "martingale.DoubleSequenceReport.__init__": f"{ACCEPTANCE}: criterion 6",
+    "fiber.__getattr__": FORWARD,
     "martingale.Filtration.restrict": README,
-    "martingale.MartingaleLimit.__init__": f"{CHILD}: martingale_limit",
-    "martingale.MartingaleSeq.__init__": f"{README} example: martingale_from_target",
-    "martingale.MartingaleSeq.__len__": f"{VIEW}: the length of a martingale",
-    "martingale._limit": f"{CHILD}: martingale_limit and cesaro_equivalence",
-    "martingale._one_sequence": f"{CHILD}: the one-sequence martingale calls",
-    "martingale._sup": f"{CHILD}: sup_norm_comparison and cesaro_equivalence",
-    "martingale.cesaro_equivalence": CHILD,
-    "martingale.double_sequence_check": f"{ACCEPTANCE}: criterion 6",
-    "martingale.martingale_defect": CHILD,
-    "martingale.martingale_from_target": f"{README} example",
-    "martingale.martingale_limit": CHILD,
-    "martingale.sup_norm_comparison": CHILD,
-    "martingale.weighted_averages": f"{VIEW}: the running means of a martingale",
-    "runner.read_section_csv": f"{README}: a section file read back",
-    "tracelp._target": f"{VIEW}: a section as block stacks",
-    "tracelp.center_trace": CHILD,
-    "tracelp.dual_extremal": f"{ACCEPTANCE}: criterion 2",
-    "tracelp.duality_check": CHILD,
-    "tracelp.duality_checks": f"{ACCEPTANCE}: criterion 2",
-    "tracelp.lp_norm": CHILD,
-    "tracelp.lp_norms": f"{README} example",
-    "tracelp.section_stacks": f"{VIEW}: sections as block stacks",
+    "martingale.__getattr__": FORWARD,
+    "runner.__getattr__": FORWARD,
+    "tracelp.__getattr__": FORWARD,
+    "views.CesaroReport.__init__": f"{CHILD}: cesaro_equivalence",
+    "views.DoubleSequenceReport.__init__": f"{ACCEPTANCE}: criterion 6",
+    "views.HermEig.__init__": f"{CHILD}: herm_eig",
+    "views.HermEig.apply": f"{README}: functional calculus",
+    "views.HermEig.projection": f"{README}: spectral_projection",
+    "views.HermEig.projection.<locals>.indicator": f"{README}: spectral_projection",
+    "views.MartingaleLimit.__init__": f"{CHILD}: martingale_limit",
+    "views.MartingaleSeq.__init__": f"{README} example: martingale_from_target",
+    "views.MartingaleSeq.__len__": f"{VIEW}: the length of a martingale",
+    "views.Section.__add__": CHILD,
+    "views.Section.__init__": f"{README}: section_from_records checks its fibers",
+    "views.Section.__mul__": CHILD,
+    "views.Section.__rmul__": CHILD,
+    "views.Section.__sub__": CHILD,
+    "views.Section._raw": f"{VIEW}: every section the library returns",
+    "views.Section._require_same_bundle": f"{CHILD}: section arithmetic",
+    "views.Section.adjoint": f"{VIEW}: the involution",
+    "views.Section.fiber": f"{ACCEPTANCE}: criterion 4 evaluates at an atom",
+    "views.Section.max_abs": f"{VIEW}: the largest entry",
+    "views.Section.restrict": f"{ACCEPTANCE}: criterion 4 restricts to one atom",
+    "views._limit": f"{CHILD}: martingale_limit and cesaro_equivalence",
+    "views._one_sequence": f"{CHILD}: the one-sequence martingale calls",
+    "views._singular_eig": f"{CHILD}: polar",
+    "views._solve_blocks": f"{CHILD}: herm_eig, gram_eigenvalues and polar",
+    "views._sup": f"{CHILD}: sup_norm_comparison and cesaro_equivalence",
+    "views._target": f"{VIEW}: a section as block stacks",
+    "views.abs_power": README,
+    "views.center_scale": f"{VIEW}: the module action of the center",
+    "views.center_trace": CHILD,
+    "views.cesaro_equivalence": CHILD,
+    "views.check_cond_exp_axioms": f"{CHILD}; {ACCEPTANCE}: criterion 3",
+    "views.double_sequence_check": f"{ACCEPTANCE}: criterion 6",
+    "views.dual_extremal": f"{ACCEPTANCE}: criterion 2",
+    "views.duality_check": CHILD,
+    "views.duality_checks": f"{ACCEPTANCE}: criterion 2",
+    "views.gram_eigenvalues": f"{CHILD}; {README}",
+    "views.herm_eig": f"{CHILD}; {README}",
+    "views.identity_section": f"{VIEW}: the unit",
+    "views.lane_section": f"{VIEW}: one lane of block stacks as a section",
+    "views.lp_norm": CHILD,
+    "views.lp_norms": f"{README} example",
+    "views.martingale_defect": CHILD,
+    "views.martingale_from_target": f"{README} example",
+    "views.martingale_limit": CHILD,
+    "views.polar": f"{CHILD}; {README}",
+    "views.random_section": f"{CHILD}; {README} example",
+    "views.read_section_csv": f"{README}: a section file read back",
+    "views.section_from_records": f"{README}: a section file read back",
+    "views.section_stacks": f"{VIEW}: sections as block stacks",
+    "views.section_to_records": f"{README}: the section record format",
+    "views.spectral_norm": f"{ACCEPTANCE}: criterion 1",
+    "views.spectral_projection": README,
+    "views.sup_norm_comparison": CHILD,
+    "views.uniform_norm": f"{VIEW}: the C*-norm",
+    "views.weighted_averages": f"{VIEW}: the running means of a martingale",
 }
 
 
@@ -203,9 +215,25 @@ def test_the_unreached_functions_are_the_allowlist(never):
         f"never reached and not listed: {sorted(set(never) - set(UNREACHED))}")
 
 
+def compiled(never: dict) -> dict:
+    """The functions of ``never`` that a CLI call compiles: those outside ``views.py``."""
+    return {name: where for name, where in never.items() if not name.startswith("views.")}
+
+
+def test_what_no_cli_call_reaches_is_defined_in_views(never):
+    # a class that a call uses is one with a method that a call runs
+    used = {name.rsplit(".", 1)[0] for name in set(defined_functions()) - set(never)}
+    misplaced = [name for name in compiled(never) if "<locals>" not in name and (
+        name.rsplit(".", 1)[0] not in used if name.count(".") > 1
+        else not name.endswith(".__getattr__"))]
+    assert not misplaced, f"move to views.py: {misplaced}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         never = unreached(tmp)
-    lines = {(path, line) for path, first, last in never.values()
-             for line in range(first, last + 1)}
-    print(f"{len(never)} functions, {len(lines)} lines of {PACKAGE.name}/ never called by a CLI call")
+    for what, functions in (("never called by a CLI call", never),
+                            ("compiled but never called by a CLI call", compiled(never))):
+        lines = {(path, line) for path, first, last in functions.values()
+                 for line in range(first, last + 1)}
+        print(f"{len(functions)} functions, {len(lines)} lines of {PACKAGE.name}/ {what}")

@@ -28,7 +28,7 @@ from tracebundle import (
 )
 import oracles
 from tracebundle import bundle as bundle_module
-from tracebundle import fiber, tracelp
+from tracebundle import fiber, tracelp, views
 from tracebundle.fiber import gram_eigenvalues_stack
 from tracebundle.tracelp import (
     DUALITY_CHUNK,
@@ -616,9 +616,9 @@ def test_duality_checks_norms_and_attainment_match_the_references(hetero_bundle,
 
 def test_duality_checks_build_no_witness_section(hetero_bundle, monkeypatch):
     # the checks read only the witnesses' norms and attained traces
-    monkeypatch.setattr(tracelp, "lane_section", None)
     cases = [(random_section(hetero_bundle, 40 + k, "general"), p, k)
              for k, p in enumerate((1.0, 1.5, 2.0, 3.0))]
+    monkeypatch.setattr(views, "lane_section", None)
     assert len(duality_checks(cases, 3)) == 4
 
 
