@@ -16,18 +16,14 @@ Each name loads its module on first use: ``import tracebundle`` imports no submo
 import importlib
 
 _HOMES = {
-    "bundle": "BundleSpec",
-    "center": "MeasureSpace",
+    "bundle": "BundleSpec", "center": "MeasureSpace", "runner": "run_experiment",
+    "fiber": "FiberElement identity_fiber", "martingale": "Filtration build_filtration",
+    "towers": "fiber_level_generators level_generators", "tracelp": "DualityReport derive_seed",
     "condexp": "AxiomReport ConditionalExpectation SubalgebraBasis cond_exp_axiom_checks "
                "validate_subalgebra",
     "config": "ExperimentConfig config_hash parse_config serialize_config",
     "errors": "ConfigError ContractViolationError InconsistencyError ShapeMismatchError "
               "TraceBundleError UnsupportedConfigurationError UsageError",
-    "fiber": "FiberElement identity_fiber",
-    "martingale": "Filtration build_filtration",
-    "runner": "run_experiment",
-    "towers": "fiber_level_generators level_generators",
-    "tracelp": "DualityReport derive_seed",
     "views": "Section center_scale identity_section random_section section_from_records "
              "section_to_records uniform_norm check_cond_exp_axioms HermEig abs_power herm_eig "
              "polar spectral_norm spectral_projection CesaroReport DoubleSequenceReport "

@@ -348,15 +348,19 @@ class _AxiomTally:
         self.bump("idempotence", _gap(_project(projectors, ex), ex))
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
         # relative to |a| |x| |b| per trial and atom, Frobenius norms over the atom's blocks:
-        # it bounds every entry of a x b, so the round-off of either side is eps times it
-        scale = np.prod([np.sqrt(np.add.reduceat([np.sum(np.abs(z) ** 2, axis=(1, 2)) for z in f],
-                                                self.first_blocks)) for f in (a, x, b)], axis=0)
+        # it bounds every entry of a x b, so the round-off of either side is eps times it.  The
+        # squares and moduli are formed from real parts, as numpy's complex abs loops round
+        # differently on each SIMD target
+        sq = [[np.sum(z.real * z.real + z.imag * z.imag, axis=(1, 2)) for z in f] for f in (a, x, b)]
+        scale = np.prod([np.sqrt(np.add.reduceat(s, self.first_blocks)) for s in sq], axis=0)
         self.bump("module_property", [g / scale[i] for g, i in zip(
             _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]), self.block_atoms)])
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
-        self.bump("trace_preservation", np.abs(tr_ex - tr_x).T, per_atom=True)
+        d = tr_ex - tr_x
+        self.bump("trace_preservation", np.hypot(d.real, d.imag).T, per_atom=True)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
-        self.bump("bimodule_pairing", np.abs(pair_ex - pair_x).T, per_atom=True)
+        d = pair_ex - pair_x
+        self.bump("bimodule_pairing", np.hypot(d.real, d.imag).T, per_atom=True)
         nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
         d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
         self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))
