@@ -243,7 +243,7 @@ class ConditionalExpectation:
         return self.target.bundle
 
     def __call__(self, x):
-        from .views import Section  # E of a section, fiber by fiber: a view of ``_project``
+        from .views import Section  # a view: no CLI call applies E to a section
         if x.bundle is not self.bundle and x.bundle != self.bundle:
             raise ShapeMismatchError("section lives on a different bundle")
         return Section._raw(self.bundle, [self.apply_fiber(label, f) for label, f
