@@ -10,6 +10,9 @@ construction (same arithmetic path, bit for bit).
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .center import MeasureSpace
@@ -85,26 +88,197 @@ def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
-def gaussian_stacks(bundle: BundleSpec, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """``count`` standard complex Gaussian sections, one ``(S, n, n)`` stack per block.
+# the SplitMix64 increment and finalizer multipliers (Steele, Lea and Flood, OOPSLA 2014)
+_GAMMA, _M1, _M2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                           0x94D049BB133111EB))
+ZIGGURAT_ATTEMPTS = 16  # candidates per value; P(a value needs more) is below 1e-18
+# s DELTA mod 2**64 for the sub-streams s of every attempt, DELTA odd: sub-stream s > 0 of key
+# k is keyed finalizer(k + s DELTA)
+_STEPS = np.array([s * 0xD1B54A32D192ED03 % 2**64 for s in range(3 * ZIGGURAT_ATTEMPTS)],
+                  dtype=np.uint64)[:, None]
 
-    Lane s is the next ``2 * total`` values of ``rng``, real then imaginary parts; chunks concatenate.
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of a uint64 array, in place, wrapping mod 2**64."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _words(keys, counters) -> np.ndarray:
+    """Value ``counters`` of ``keys`` (uint64 arrays, broadcast, ``keys`` at least 1-d): the
+    finalizer of ``key + (counter + 1) GAMMA``."""
+    return _mix(counters * _GAMMA + (keys + _GAMMA))
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as a float in [0, 1), converted exactly."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+# The right edges e_0 > ... > e_256 = 0 of the ziggurat of 256 equal areas V under f(x) =
+# exp(-x**2 / 2) (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000), and the heights f(e),
+# computed with math at import.  Layer i > 0 is the box of width e_i between heights f(e_i)
+# and f(e_{i+1}); layer 0 is the strip below f(R) with the tail beyond e_1 = R folded in, so
+# e_0 = V / f(R).  At this R the top box closes at f(0) = 1 to 4e-15.
+_TAIL = 3.6541528853610088  # R
+_AREA = (_TAIL * math.exp(-0.5 * _TAIL * _TAIL)
+         + math.sqrt(0.5 * math.pi) * math.erfc(_TAIL / math.sqrt(2.0)))
+_EDGE = [_AREA / math.exp(-0.5 * _TAIL * _TAIL), _TAIL]
+while len(_EDGE) < 256:
+    _EDGE.append(math.sqrt(-2.0 * math.log(math.exp(-0.5 * _EDGE[-1] * _EDGE[-1])
+                                           + _AREA / _EDGE[-1])))
+_EDGE = np.array(_EDGE + [0.0])
+_HEIGHT = np.array([math.exp(-0.5 * e * e) for e in _EDGE.tolist()])
+# by a word's bits 0-8, j: layer j % 256, negative when j >= 256.  Its 53-bit magnitude m
+# (bits 11-63) times _SCALE[j] is its point, under the curve at once when m < _INSIDE[j]
+_SCALE = np.concatenate([_EDGE[:256], -_EDGE[:256]]) * 2.0**-53
+_INSIDE = np.tile(_EDGE[1:] / _EDGE[:256] * 2.0**53, 2)
+
+
+def _candidates(words: np.ndarray):
+    """Each word's ``j`` (bits 0-8), signed point, and whether the point is under the curve."""
+    m, j = words >> np.uint64(11), (words & np.uint64(511)).view(np.int64)
+    return j, m * _SCALE[j], m < _INSIDE[j]
+
+
+def _normals(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Standard normals, value ``counters`` (1-d) of each of ``keys`` (0-d or 1-d), key by key.
+    About 98.5 % of the points are under the curve at once; ``_retry`` finishes the others."""
+    j, x, inside = _candidates(_words(keys.reshape(-1, 1), counters).ravel())
+    out = np.flatnonzero(~inside)
+    if len(out):
+        x[out] = _retry(keys.reshape(-1)[out // len(counters)], counters[out % len(counters)],
+                        j[out], x[out])
+    return x
+
+
+def _retry(keys, counters, j, x):
+    """Finish the values whose first point is not under the curve at once, in at most
+    ZIGGURAT_ATTEMPTS attempts.
+
+    Attempt a reads sub-streams ``3a`` to ``3a + 2`` of each value's key at the value's own
+    counter (sub-stream 0 is the key itself, sub-stream s > 0 the key ``finalizer(key + s
+    DELTA)``).  From ``3a`` (a > 0) a value whose wedge point was rejected takes a new
+    candidate.  A point in the wedge of layer i is kept when its height, read from ``3a + 1``
+    between ``f(e_i)`` and ``f(e_{i+1})``, is below ``f(x)``.  A draw in the tail takes
+    Marsaglia's ``t = -log1p(-u) / R`` and keeps ``R + t``, signed, when ``-2 log1p(-u') >
+    t**2``, ``u`` and ``u'`` read from ``3a + 1`` and ``3a + 2``; a rejected tail draw stays
+    in the tail, so the tail keeps its mass.
+    """
+    todo, tail = np.arange(len(x)), j % 256 == 0
+    for attempt in range(ZIGGURAT_ATTEMPTS):
+        subs = slice(3 * attempt + (attempt == 0), 3 * attempt + 3)  # attempt 0 has its candidate
+        words = _words(_mix(keys[todo] + _STEPS[subs]), counters[todo])
+        wait, deep = np.ones(len(todo), dtype=bool), tail[todo]
+        if attempt:
+            fresh = np.flatnonzero(~deep)
+            lanes = todo[fresh]
+            j[lanes], x[lanes], inside = _candidates(words[0, fresh])
+            words = words[1:]
+            deep[fresh] = tail[lanes] = j[lanes] % 256 == 0
+            wait[fresh] = ~inside
+        u = _unit(words)
+        wedge = np.flatnonzero(wait & ~deep)
+        if len(wedge):
+            i = j[todo[wedge]] % 256
+            y = _HEIGHT[i] + u[0, wedge] * (_HEIGHT[i + 1] - _HEIGHT[i])
+            wait[wedge] = y >= [math.exp(-0.5 * v * v) for v in x[todo[wedge]].tolist()]
+        deep = np.flatnonzero(wait & deep)
+        if len(deep):
+            t = np.array([-math.log1p(-v) / _TAIL for v in u[0, deep].tolist()])
+            kept = np.array([-2.0 * math.log1p(-v) for v in u[1, deep].tolist()]) > t * t
+            lanes = todo[deep[kept]]
+            x[lanes] = np.where(j[lanes] < 256, _TAIL + t[kept], -(_TAIL + t[kept]))
+            wait[deep] = ~kept
+        todo = todo[wait]
+        if not len(todo):
+            return x
+    raise ContractViolationError(f"a normal draw took more than {ZIGGURAT_ATTEMPTS} attempts")
+
+
+class Stream:
+    """Counter-based draws: value i of key k is the SplitMix64 finalizer of ``k + (i + 1)
+    GAMMA``, made a standard normal by a 256-layer ziggurat or a uniform by its top 53 bits.
+
+    ``keys`` is one key or a 1-d array of keys.  A draw of ``shape`` reads the next
+    ``prod(shape)`` counters of every key in C order and returns ``keys.shape + shape``
+    values, so draws in chunks give the values of one draw.  Every operation is on integers,
+    exact conversions or IEEE ``*``, ``+``, ``<`` (the 1.5 % of normals that leave their box
+    also call ``math.exp`` or ``math.log1p``), so no numpy SIMD loop sets a bit.
+    """
+
+    __slots__ = ("keys", "position")
+
+    def __init__(self, keys):
+        self.keys, self.position = np.asarray(keys, dtype=np.uint64), 0
+
+    def _next(self, shape):
+        """The next ``prod(shape)`` counters, and the shape of the draw."""
+        shape = tuple(shape) if np.iterable(shape) else (int(shape),)
+        start, self.position = self.position, self.position + math.prod(shape)
+        return np.arange(start, self.position, dtype=np.uint64), self.keys.shape + shape
+
+    def standard_normal(self, shape) -> np.ndarray:
+        counters, shape = self._next(shape)
+        return _normals(self.keys, counters).reshape(shape)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        counters, shape = self._next(size)
+        return low + (high - low) * _unit(_words(self.keys.reshape(-1, 1), counters)).reshape(shape)
+
+
+def seeded_stream(seeds, code: int) -> Stream:
+    """The stream with one key per seed: value ``code`` of the key ``seed mod 2**64``."""
+    seeds = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    return Stream(_words(seeds, np.array([code], dtype=np.uint64)))
+
+
+def from_planes(re, im) -> np.ndarray:
+    """The complex array ``re + i im``, assembled from its planes with no complex arithmetic."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def gaussian_stacks(bundle: BundleSpec, stream: Stream, count: int) -> list[np.ndarray]:
+    """``count`` standard complex Gaussian sections per key of ``stream``, key by key, one
+    ``(S, n, n)`` stack per block.
+
+    A lane is its key's next ``2 * total`` normals, real then imaginary parts, each times
+    ``sqrt(1/2)``; chunks concatenate.
     """
     dims = [n for shape in bundle.fiber_shapes for n in shape]
     total = sum(n * n for n in dims)
-    draw = rng.standard_normal((count, 2 * total))
-    return split_blocks((draw[:, :total] + 1j * draw[:, total:]) / np.sqrt(2.0), dims)
+    draw = stream.standard_normal((count, 2, total)).reshape(-1, 2, total) * math.sqrt(0.5)
+    return split_blocks(from_planes(draw[:, 0], draw[:, 1]), dims)
+
+
+def joint_gaussian_stacks(bundle: BundleSpec, draws) -> list[np.ndarray]:
+    """The ``gaussian_stacks(bundle, stream, count)`` of every ``(stream, count)`` of ``draws``,
+    one key per stream, lanes concatenated in order.  A run of draws that share a position and
+    a count is one draw of their keys, which gives each the values of its own draw."""
+    out = []
+    for (position, count), run in itertools.groupby(draws, lambda d: (d[0].position, d[1])):
+        run = [stream for stream, _ in run]
+        joint = Stream([stream.keys for stream in run])
+        joint.position = position
+        out.append(gaussian_stacks(bundle, joint, count))
+        for stream in run:
+            stream.position = joint.position
+    return [np.concatenate(slot) for slot in zip(*out)]
 
 
 def seeded_stacks(bundle: BundleSpec, seeds, kind: str = "general") -> list[np.ndarray]:
     """The Gaussian draws of ``random_section(bundle, seed, kind)`` for every seed, lane s that
-    of ``seeds[s]``, one ``(S, n, n)`` stack per block: one ``gaussian_stacks`` lane each from
-    the generator seeded ``[kind code, seed]``.  A ``general`` section is its draw."""
+    of ``seeds[s]``, one ``(S, n, n)`` stack per block: one ``gaussian_stacks`` lane per key of
+    ``seeded_stream(seeds, kind code)``, all drawn at once.  A ``general`` section is its draw."""
     if kind not in _KIND_CODE:
         raise UsageError(f"unknown section kind {kind!r}; choose from {SECTION_KINDS}")
-    draws = [gaussian_stacks(bundle, np.random.default_rng(
-        [_KIND_CODE[kind], int(seed) & 0xFFFFFFFFFFFFFFFF]), 1) for seed in seeds]
-    return [np.concatenate(slot) for slot in zip(*draws)]
+    return gaussian_stacks(bundle, seeded_stream(seeds, _KIND_CODE[kind]), 1)
 
 
 def block_records(bundle: BundleSpec, blocks):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import tracelp
-from .bundle import BundleSpec, gaussian_stacks, split_blocks
+from .bundle import BundleSpec, Stream, from_planes, gaussian_stacks, split_blocks
 from .errors import ContractViolationError, InconsistencyError, ShapeMismatchError, UsageError
 from .fiber import (FiberElement, _jacobi_eigenvalues_stack, gram_eigenvalues_stack, identity_fiber,
                     solve_by_block_size)
@@ -127,13 +127,15 @@ class SubalgebraBasis:
     def is_full(self) -> bool:
         return self.dims == self.bundle.algebra_dims()
 
-    def random_stacks(self, rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        """``count`` elements as ``(S, n, n)`` stacks; lane s is the next ``2 * sum(dims)`` draws."""
-        draws = rng.standard_normal((count, 2 * sum(self.dims)))
+    def random_stacks(self, stream: Stream, count: int) -> list[np.ndarray]:
+        """``count`` elements per key of ``stream`` as ``(S, n, n)`` stacks; lane s is its key's
+        next ``2 * sum(dims)`` normals, per projector ``rank`` real then ``rank`` imaginary."""
+        width = 2 * sum(self.dims)
+        draws = stream.standard_normal((count, width)).reshape(-1, width)
         stacks, start = [], 0
         for p in self.projectors:  # plain slicing: np.split costs ~40 us per call at these sizes
             re, im = draws[:, start:start + p.rank], draws[:, start + p.rank:start + 2 * p.rank]
-            stacks.extend(p.stack_from_basis((re + 1j * im)[:, None]))
+            stacks.extend(p.stack_from_basis(from_planes(re, im)[:, None]))
             start += 2 * p.rank
         return stacks
 
@@ -318,8 +320,10 @@ class _AxiomTally:
         self.first_blocks = np.cumsum([0, *map(len, bundle.fiber_shapes[:-1])])
         k = np.arange(bundle.space.size) % 1024  # the z of fiberwise_agreement, per block
         self.z = (2.0 ** (k - min(bundle.space.size, 1024) // 2))[self.block_atoms]
-        self.rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
-                     for tag in ("x", "pos", "a", "b", "y", "nu")}
+        # one key per tag; the tags that draw alike share a stream, which draws them at once
+        self.streams = [Stream([derive_seed(seed, f"axiom-{tag}") for tag in tags])
+                        for tags in (("x", "pos"), ("a", "b", "y"))]
+        self.streams.append(Stream(derive_seed(seed, "axiom-nu")))
 
     def bump(self, name, values, per_atom=False):
         """Fold ``(S,)`` values, one per block (or per atom), in with NumPy, where a NaN propagates."""
@@ -337,10 +341,12 @@ class _AxiomTally:
         ones it checks for positivity and then the Gram matrices of ``both``; and ``both``,
         ``E(x)`` (rows < size) stacked on ``x``, whose Lp norms ``finish`` compares.
         """
-        E, rngs = self.E, self.rngs
+        E, (sections, elements, weights) = self.E, self.streams
         bundle, projectors = E.bundle, E.target.projectors
-        x, g = (gaussian_stacks(bundle, rngs[tag], size) for tag in ("x", "pos"))
-        a, b, y = (E.target.random_stacks(rngs[tag], size) for tag in "aby")
+        xg, aby = gaussian_stacks(bundle, sections, size), E.target.random_stacks(elements, size)
+        lanes = [slice(k * size, (k + 1) * size) for k in range(3)]  # key k's lanes
+        x, g = ([s[k] for s in xg] for k in lanes[:2])
+        a, b, y = ([s[k] for s in aby] for k in lanes)
         images = _project(projectors, [
             np.concatenate([xi, gi.conj().transpose(0, 2, 1) @ gi, ai @ xi @ bi, zi * xi])
             for zi, xi, gi, ai, bi in zip(self.z, x, g, a, b)])
@@ -349,20 +355,20 @@ class _AxiomTally:
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
         # relative to |a| |x| |b| per trial and atom, Frobenius norms over the atom's blocks:
         # it bounds every entry of a x b, so the round-off of either side is eps times it.  The
-        # squares and moduli are formed from real parts, as numpy's complex abs loops round
-        # differently on each SIMD target
+        # squares, like every modulus here (``_modulus``), are formed from real parts
         sq = [[np.sum(z.real * z.real + z.imag * z.imag, axis=(1, 2)) for z in f] for f in (a, x, b)]
         scale = np.prod([np.sqrt(np.add.reduceat(s, self.first_blocks)) for s in sq], axis=0)
         self.bump("module_property", [g / scale[i] for g, i in zip(
             _gap(axb, [u @ v @ w for u, v, w in zip(a, ex, b)]), self.block_atoms)])
         tr_x, tr_ex = stacked_traces(x, bundle), stacked_traces(ex, bundle)
         d = tr_ex - tr_x
-        self.bump("trace_preservation", np.hypot(d.real, d.imag).T, per_atom=True)
+        self.bump("trace_preservation", _modulus(d.real, d.imag).T, per_atom=True)
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
         d = pair_ex - pair_x
-        self.bump("bimodule_pairing", np.hypot(d.real, d.imag).T, per_atom=True)
-        nu = rngs["nu"].uniform(0.1, 2.0, size=(size, bundle.space.size))
-        d = np.abs(np.sum(nu * tr_ex, axis=1) - np.sum(nu * tr_x, axis=1))
+        self.bump("bimodule_pairing", _modulus(d.real, d.imag).T, per_atom=True)
+        nu = weights.uniform(0.1, 2.0, (size, bundle.space.size))
+        sums = [np.sum(nu * part, axis=1) for t in (tr_ex, tr_x) for part in (t.real, t.imag)]
+        d = _modulus(sums[0] - sums[2], sums[1] - sums[3])
         self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))
         self.bump("fiberwise_agreement", _gap([e / zi for zi, e in zip(self.z, ezx)], ex))
         both = [np.concatenate(pair) for pair in zip(ex, x)]
@@ -385,7 +391,17 @@ class _AxiomTally:
 
 
 def _gap(us, vs):
-    return [np.abs(u - v).max(axis=(1, 2)) for u, v in zip(us, vs)]
+    return [_modulus(d.real, d.imag).max(axis=(1, 2)) for d in (u - v for u, v in zip(us, vs))]
+
+
+def _modulus(re, im):
+    """``|re + i im|`` as ``big * sqrt(1 + (small / big)**2)``, with abs, maximum, minimum,
+    divide, multiply and sqrt only: numpy's complex abs and hypot loops round differently on
+    each SIMD target, these do not.  A NaN part gives NaN."""
+    a, b = np.abs(re), np.abs(im)
+    big, small = np.maximum(a, b), np.minimum(a, b)
+    ratio = np.divide(small, big, out=np.zeros_like(big), where=big > 0.0)
+    return big * np.sqrt(1.0 + ratio * ratio)
 
 
 def __getattr__(name):  # the names that moved to ``views``, which loads on first use

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .bundle import block_records, gaussian_stacks, seeded_stacks
+from .bundle import Stream, block_records, gaussian_stacks, seeded_stacks
 from .condexp import _project, cond_exp_axiom_checks
 from .config import ExperimentConfig, config_hash
 from .errors import ContractViolationError, NumericalFailureError, UsageError
@@ -53,18 +53,19 @@ def _flag(ok: bool) -> float:
 def run_trace_checks(cfg: ExperimentConfig, bundle) -> list[CheckResult]:
     """Traciality, positivity and faithfulness of the center-valued trace.
 
-    x and y come from one generator per tag, trial t their lane t, stacked per block in
+    x and y come from one stream key per tag, trial t their lane t, stacked per block in
     chunks of at most DUALITY_CHUNK trials.  Traciality and positivity are read off the
     ``stacked_traces`` of ``x y``, ``y x`` and ``x* x``.  Faithfulness is the per-atom bound
     ``min_j c_j ||x(w)||_inf**2 <= trace(x* x)(w)``, reported as its worst relative excess;
     the squared spectral norms come from one stacked solve per block size per chunk.
     """
     tol, trials = cfg.tolerances["trace_axioms"], cfg.trials["trace_sections"]
-    rngs = [np.random.default_rng(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y")]
+    stream = Stream([derive_seed(cfg.seed, tag) for tag in ("trace-x", "trace-y")])
     c_min = np.array([min(cs) for cs in bundle.trace_weights])
     traciality = positivity = faithfulness = 0.0
     for [(_, size)] in packed_chunks(1, trials):  # with one case, each group is one chunk
-        x, y = (gaussian_stacks(bundle, rng, size) for rng in rngs)
+        xy = gaussian_stacks(bundle, stream, size)  # x's lanes, then y's
+        x, y = ([s[k * size:(k + 1) * size] for s in xy] for k in range(2))
         xy, yx, gram = (stacked_traces([u @ v for u, v in zip(us, vs)], bundle) for us, vs in (
             (x, y), (y, x), ([u.conj().transpose(0, 2, 1) for u in x], x)))
         # folded with NumPy, where a NaN residual propagates (the builtin max may drop it)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .bundle import BundleSpec, gaussian_stacks
+from .bundle import BundleSpec, Stream, joint_gaussian_stacks
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
@@ -256,7 +256,7 @@ class _Drawn:
         self.keep, self.blocks, self.frobenius = keep, blocks, frobenius
 
 
-def _draw(cases, qs, rngs, group) -> list[_Drawn]:
+def _draw(cases, qs, streams, group) -> list[_Drawn]:
     """The lanes of one ``packed_chunks`` group, drawn and paired with their cases' sections;
     the chunks of cases that share a bundle and q form one ``_Drawn``."""
     batches = {}
@@ -264,8 +264,7 @@ def _draw(cases, qs, rngs, group) -> list[_Drawn]:
         batches.setdefault((cases[k][0][0], qs[k]), []).append((k, size))
     out = []
     for (bundle, q), members in batches.items():
-        ys = [np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
-                                                     for k, size in members])]
+        ys = joint_gaussian_stacks(bundle, [(streams[k], size) for k, size in members])
         sizes = [size for _, size in members]
         # each lane pairs with the blocks of its own case
         xs = _target_stacks([cases[k][0] for k, _ in members])
@@ -307,7 +306,7 @@ def _sampled_dual_norms(drawn) -> list[np.ndarray]:
     return out
 
 
-def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
+def _worst_excess(cases, qs, streams, witnessed, samples) -> list[np.ndarray]:
     """Per case, its worst sampled ``|trace(x y)| - norm_p(x)`` per atom.
 
     The lanes are drawn group by group (``packed_chunks``); ``|trace(x y)|`` comes first, for
@@ -320,7 +319,7 @@ def _worst_excess(cases, qs, rngs, witnessed, samples) -> list[np.ndarray]:
     room = DUALITY_CHUNK * max((len(blocks) for (_, blocks), _, _ in cases), default=0)
     groups, held = packed_chunks(len(cases), samples), []
     for g, group in enumerate(groups, 1):
-        held += _draw(cases, qs, rngs, group)
+        held += _draw(cases, qs, streams, group)
         size = max(sum(len(d.keep) for d in held), sum(len(b) for d in held for b in d.blocks))
         if g < len(groups) and size < room:
             continue
@@ -360,8 +359,8 @@ def target_duality_checks(cases, samples: int) -> list[DualityReport]:
     ps = [_exponent(p) for _, p, _ in cases]
     qs = [math.inf if p == 1.0 else p / (p - 1.0) for p in ps]
     witnessed = _witnesses([(x, p) for (x, _, _), p in zip(cases, ps)])
-    rngs = [np.random.default_rng(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
-    worst = _worst_excess(cases, qs, rngs, witnessed, samples)
+    streams = [Stream(derive_seed(seed, "duality-samples")) for _, _, seed in cases]
+    worst = _worst_excess(cases, qs, streams, witnessed, samples)
     reports = []
     for ((bundle, _), _, seed), p, (norm_p, _, attained), worst_k in zip(
             cases, ps, witnessed, worst):

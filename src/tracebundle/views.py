@@ -332,7 +332,7 @@ def duality_check(x: Section, p: float, samples: int, seed: int) -> DualityRepor
     violation is ``|trace(x y)| - norm_p(x)`` pointwise (positive means the
     duality bound failed).  The extremal witness must attain the norm, which
     the attainment residual measures.  Sample ``i`` is lane ``i`` of
-    ``gaussian_stacks`` on one generator seeded from ``derive_seed(seed,
+    ``gaussian_stacks`` on one ``Stream`` keyed ``derive_seed(seed,
     "duality-samples")``, and the samples go through as ``target_duality_checks`` says:
     the dual norm at q = p / (p - 1) (q = inf when p = 1) is solved only where a sample
     can set the worst violation, and neither that nor the chunking shows.
@@ -359,7 +359,7 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     power of two at any 1024 consecutive atoms: a map that acts fiber by fiber reads
     exactly 0.0, one that adds ``c x`` from atom v into atom w reads ``(z_v / z_w - 1) c x``.
     Never raises on a residual; the caller compares against tolerances.  Each tag (x, pos,
-    a, b, y, nu) draws from one generator seeded from ``derive_seed(seed, f"axiom-{tag}")``,
+    a, b, y, nu) draws from one ``Stream`` keyed ``derive_seed(seed, f"axiom-{tag}")``,
     trial ``t`` its lane ``t``.  The trials are stacked per block in chunks of
     DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
     """

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from tracebundle import BundleSpec, MeasureSpace
+from tracebundle.bundle import Stream
 
 
 @pytest.fixture(scope="session")
@@ -45,24 +45,23 @@ def mat2x64_bundle():
 
 
 @pytest.fixture
-def rng_log(monkeypatch):
-    """Every generator made through ``np.random.default_rng``, each with the count of values drawn."""
-    made, real = [], np.random.default_rng
+def stream_log(monkeypatch):
+    """Every ``bundle.Stream`` made; a stream's ``position`` counts the values drawn per key."""
+    made, real = [], Stream.__init__
 
-    class Logged:
-        def __init__(self, seed):
-            self.rng, self.drawn = real(seed), 0
-            made.append(self)
+    def logged(self, keys):
+        real(self, keys)
+        made.append(self)
 
-        def standard_normal(self, size):
-            out = self.rng.standard_normal(size)
-            self.drawn += out.size
-            return out
-
-        def uniform(self, low, high, size):
-            out = self.rng.uniform(low, high, size)
-            self.drawn += out.size
-            return out
-
-    monkeypatch.setattr(np.random, "default_rng", Logged)
+    monkeypatch.setattr(Stream, "__init__", logged)
     return made
+
+
+def values_drawn(streams) -> list:
+    """The count of values drawn from each key of ``streams``, in order of first use; a key that
+    several streams draw from (a joint draw) counts its furthest position."""
+    drawn = {}
+    for stream in streams:
+        for key in stream.keys.reshape(-1).tolist():
+            drawn[key] = max(drawn.get(key, 0), stream.position)
+    return list(drawn.values())

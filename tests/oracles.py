@@ -46,7 +46,7 @@ trial draws its sections and subalgebra elements, applies
 ``scalarize``.  Its locality check applies ``E`` once per atom, to ``x`` with
 every other atom's fiber taken from the trial's ``pos`` draw.
 
-Both draw as the checkers do, from one generator per check (duality) or per
+Both draw as the checkers do, from one ``Stream`` per check (duality) or per
 tag (axioms), but one lane at a time: a sample or trial section is one
 ``standard_normal(2 * total)`` call, a subalgebra element one pair of
 ``standard_normal(rank)`` calls per projector, and the center weights one
@@ -80,7 +80,7 @@ norms from ``lp_norms`` calls on sections.
 
 The trace-phase reference is the per-trial loop that ``runner.run_trace_checks`` ran
 before its trials were stacked, on the phase's lanes: one ``gaussian_section`` per
-trial from each of the ``trace-x`` and ``trace-y`` generators, products as ``Section``
+trial from each of the ``trace-x`` and ``trace-y`` streams, products as ``Section``
 arithmetic, traces through ``center_trace``, and each fiber's squared spectral norm from
 ``gram_eigenvalues_reference``.
 
@@ -115,7 +115,8 @@ from tracebundle import (
     random_section,
     validate_subalgebra,
 )
-from tracebundle.bundle import gaussian_stacks, lane_section, split_blocks
+from tracebundle.bundle import (Stream, from_planes, gaussian_stacks, lane_section, seeded_stream,
+                               split_blocks)
 from tracebundle.condexp import (CONTRACTION_EXPONENTS, ORTHO_PIVOT_TOL, _closure_residual,
                                  _FiberProjector)
 from tracebundle.fiber import JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, NEGLIGIBLE, PINV_CUTOFF
@@ -160,8 +161,7 @@ def membership_residual(basis, x: Section) -> float:
 
 def random_element(basis, seed: int) -> Section:
     """Seed-deterministic element of the subalgebra (Gaussian coefficients)."""
-    rng = np.random.default_rng([7, int(seed) & 0xFFFFFFFFFFFFFFFF])
-    return lane_section(basis.bundle, basis.random_stacks(rng, 1), 0)
+    return lane_section(basis.bundle, basis.random_stacks(seeded_stream([seed], 7), 1), 0)
 
 
 class QC:
@@ -507,20 +507,20 @@ def _rescale_to_dual_ball(y, p):
     return Section(y.bundle, fibers)
 
 
-def gaussian_section(bundle, rng):
-    """The next standard complex Gaussian section of ``rng``, from one ``2 * total`` draw."""
+def gaussian_section(bundle, stream):
+    """The next standard complex Gaussian section of ``stream``, from one ``2 * total`` draw."""
     dims = [n for shape in bundle.fiber_shapes for n in shape]
     total = sum(n * n for n in dims)
-    v = rng.standard_normal(2 * total)
-    blocks = iter(split_blocks((v[:total] + 1j * v[total:]) / np.sqrt(2.0), dims))
+    v = stream.standard_normal(2 * total) * math.sqrt(0.5)
+    blocks = iter(split_blocks(from_planes(v[:total], v[total:]), dims))
     return Section(bundle, [FiberElement([next(blocks) for _ in s]) for s in bundle.fiber_shapes])
 
 
-def subalgebra_element(basis, rng):
+def subalgebra_element(basis, stream):
     """The next random element of ``basis``: per projector, ``rank`` real then ``rank`` imaginary."""
     fibers = []
     for proj in basis.projectors:
-        coeff = rng.standard_normal(proj.rank) + 1j * rng.standard_normal(proj.rank)
+        coeff = from_planes(stream.standard_normal(proj.rank), stream.standard_normal(proj.rank))
         fibers.append(_from_coords(proj, proj.ortho @ coeff))
     return Section(basis.bundle, fibers)
 
@@ -561,22 +561,22 @@ def duality_worst_reference(x, p, samples, seed):
     p = float(p)
     norms = lp_norm_reference(x, p)
     worst = np.full(x.bundle.space.size, -np.inf)
-    rng = np.random.default_rng(derive_seed(seed, "duality-samples"))
+    stream = Stream(derive_seed(seed, "duality-samples"))
     for _ in range(samples):
-        y = gaussian_section(x.bundle, rng)
+        y = gaussian_section(x.bundle, stream)
         y = _rescale_to_dual_ball(y, p)
         pairing = np.abs(center_trace(x * y))
         worst = np.maximum(worst, pairing - norms)
     return worst
 
 
-def group_excess_reference(cases, qs, rngs, witnessed, group):
+def group_excess_reference(cases, qs, streams, witnessed, group):
     """``(case, row)`` per case of one ``packed_chunks`` group, ``row`` its worst sampled
     ``|trace(x y)| - norm_p(x)`` per atom, from the dual norms of every lane."""
     batches = {}
     for k, size in group:
         batches.setdefault((cases[k][0][0], qs[k]), []).append((k, size))
-    stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, rngs[k], size)
+    stacks = [[np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, streams[k], size)
                                                       for k, size in members])]
               for (bundle, _), members in batches.items()]
     duals = shared_lp_norms([(ys, bundle, q) for (bundle, q), ys in zip(batches, stacks)])
@@ -592,11 +592,11 @@ def group_excess_reference(cases, qs, rngs, witnessed, group):
         yield from zip((k for k, _ in members), np.maximum.reduceat(excess, np.cumsum(sizes) - sizes))
 
 
-def worst_excess_reference(cases, qs, rngs, witnessed, samples):
+def worst_excess_reference(cases, qs, streams, witnessed, samples):
     """``tracelp._worst_excess`` by ``group_excess_reference``, one group after another."""
     worst = [np.full(bundle.space.size, -np.inf) for (bundle, _), _, _ in cases]
     for group in packed_chunks(len(cases), samples):
-        for k, row in group_excess_reference(cases, qs, rngs, witnessed, group):
+        for k, row in group_excess_reference(cases, qs, streams, witnessed, group):
             worst[k] = np.maximum(worst[k], row)
     return worst
 
@@ -631,16 +631,16 @@ def axiom_report_reference(E, trials, seed):
 
     bump("unitality", _per_atom_max_abs(E(one) - one).max())
 
-    rngs = {tag: np.random.default_rng(derive_seed(seed, f"axiom-{tag}"))
-            for tag in ("x", "pos", "a", "b", "y", "nu")}
+    streams = {tag: Stream(derive_seed(seed, f"axiom-{tag}"))
+               for tag in ("x", "pos", "a", "b", "y", "nu")}
     for _ in range(trials):
-        x = gaussian_section(bundle, rngs["x"])
+        x = gaussian_section(bundle, streams["x"])
         ex = E(x)
 
         d = _per_atom_max_abs(E(ex) - ex)
         bump("idempotence", d.max(), d)
 
-        g = gaussian_section(bundle, rngs["pos"])
+        g = gaussian_section(bundle, streams["pos"])
         pos = g.adjoint() * g
         epos = E(pos)
         epos_h = 0.5 * (epos + epos.adjoint())
@@ -649,8 +649,8 @@ def axiom_report_reference(E, trials, seed):
             dips.append(max(0.0, -min(float(w[-1]) for w in herm_eigenvalues_reference(f))))
         bump("positivity", max(dips), dips)
 
-        a = subalgebra_element(E.target, rngs["a"])
-        b = subalgebra_element(E.target, rngs["b"])
+        a = subalgebra_element(E.target, streams["a"])
+        b = subalgebra_element(E.target, streams["b"])
         d = _per_atom_max_abs(E(a * x * b) - a * ex * b) / np.prod(
             [[np.sqrt(sum(np.sum(np.abs(z) ** 2) for z in f.blocks)) for f in s.fibers]
              for s in (a, x, b)], axis=0)
@@ -659,7 +659,7 @@ def axiom_report_reference(E, trials, seed):
         d = np.abs(center_trace(ex) - center_trace(x))
         bump("trace_preservation", d.max(), d)
 
-        y = subalgebra_element(E.target, rngs["y"])
+        y = subalgebra_element(E.target, streams["y"])
         d = np.abs(center_trace(ex * y) - center_trace(x * y))
         bump("bimodule_pairing", d.max(), d)
 
@@ -668,7 +668,7 @@ def axiom_report_reference(E, trials, seed):
             gap = np.maximum(gap, 0.0)
             bump(f"lp_contraction_p{int(p)}", gap.max(), gap)
 
-        nu = rngs["nu"].uniform(0.1, 2.0, size=bundle.space.size)
+        nu = streams["nu"].uniform(0.1, 2.0, size=bundle.space.size)
         bump("scalarized_trace", abs(scalarize(nu, ex) - scalarize(nu, x)))
 
         # locality: x kept at one atom, its other fibers redrawn as the pos draw g
@@ -859,7 +859,7 @@ def martingale_phase_reference(cfg, filtration):
 def trace_phase_reference(cfg, bundle):
     """``runner.run_trace_checks`` as a loop over its trials, one section pair at a time:
     the worst traciality, positivity and faithfulness excess by check name."""
-    rx, ry = (np.random.default_rng(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y"))
+    rx, ry = (Stream(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y"))
     traciality = positivity = faithfulness = 0.0
     for _ in range(cfg.trials["trace_sections"]):
         x, y = gaussian_section(bundle, rx), gaussian_section(bundle, ry)

@@ -1,4 +1,8 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +24,8 @@ from tracebundle import (
     uniform_norm,
     validate_subalgebra,
 )
-from tracebundle import views
-from tracebundle.bundle import gaussian_stacks
+from tracebundle import bundle, views
+from tracebundle.bundle import Stream, gaussian_stacks
 from tracebundle.towers import level_generators
 
 from oracles import random_element, zero_section
@@ -199,19 +203,20 @@ def test_seeded_draws_keep_their_bits(hetero_bundle):
     # digests recorded before the checkers moved to one generator per check:
     # random_section and random_element keep one generator per seed; "unitary" was
     # re-recorded when polar moved to the one-sided kernel (entries moved by <= 5.5e-16);
-    # "projection" when a Hermitian Jacobi step took its rows by Hermitian symmetry
+    # "projection" when a Hermitian Jacobi step took its rows by Hermitian symmetry; all of
+    # them when the draws moved to the counter-based Stream (one key per seed and kind)
     want = {
-        "general": "179de952a40b58c7ea66508d5abf17cbd8e6a2b7a1d2bc29c2bc703b4f1d1f57",
-        "hermitian": "9e3ae42d8205e07824535131e05c5086324447ea994ab8e0ed199a8ab89288fe",
-        "positive": "a6ee524dcc32db42daff05075e9c0914f17d9a57506b85104c078f7cfc8b0e7f",
-        "unitary": "81410e5732d837e408b169df3bffa4f2c7eb86c0c806d30204643681e2a54abd",
-        "projection": "0ee10233e90297de796d4def3451e190135e2b0d5bea68b96d48e0871289f34e",
+        "general": "6b2cc00d486a867e81f4321ea34c55e0aab20d290a840a8d83fd09347bd48ae5",
+        "hermitian": "70595a666e2ae6f4be02af77208dea15637d2fed5e15a441f82c16ef904fcb8b",
+        "positive": "6ff693825c9a52b9f96c7ba207236db02e4f753f5723d6a4c8c6e74690f82632",
+        "unitary": "c33e86163215060a7636de43aa462572c19c99925b4e857729dfd38912cea382",
+        "projection": "e41f8e51c056dea3c940df7f1e533111101313c70ce6fd8c2ed1800ca5ca6f1c",
     }
     for kind, digest in want.items():
         assert section_digest(random_section(hetero_bundle, 2718, kind)) == digest, kind
     basis = validate_subalgebra(hetero_bundle, level_generators(hetero_bundle, "diagonal"))
     assert section_digest(random_element(basis, 2718)) == (
-        "480594918648919068e6faab2ac934947cee744a0bc0c644e3848c5b68141ec2")
+        "968de27dbb573d75baae0efd0b072a7af035febe9a2e4c05b5ea026e76fe033f")
 
 
 def test_gaussian_stacks_are_standard_complex_gaussian(hetero_bundle):
@@ -219,13 +224,90 @@ def test_gaussian_stacks_are_standard_complex_gaussian(hetero_bundle):
     # and E z^2 each within 5 standard errors of 0 (sqrt(1/(2n)) for the mean,
     # 1/sqrt(n) for the others: |z|^2 is Exp(1), Re z^2 and Im z^2 have variance 1)
     n = 20000
-    stacks = gaussian_stacks(hetero_bundle, np.random.default_rng(8), n)
+    stacks = gaussian_stacks(hetero_bundle, Stream(8), n)
     z = np.concatenate([s.reshape(n, -1) for s in stacks], axis=1)
     assert z.shape == (n, 4 + 9 + 8 + 1)
     mean, second, square = z.mean(axis=0), (np.abs(z) ** 2).mean(axis=0), (z * z).mean(axis=0)
     assert np.abs([mean.real, mean.imag]).max() <= 5 * np.sqrt(0.5 / n)
     assert np.abs(second - 1.0).max() <= 5 / np.sqrt(n)
     assert np.abs([square.real, square.imag]).max() <= 5 / np.sqrt(n)
+
+
+def test_normals_follow_the_normal_law():
+    # Kolmogorov-Smirnov against Phi on 10**6 values of one key: sqrt(n) D below 1.95, its
+    # 0.001 quantile; and the mass beyond the ziggurat's tail edge R, erfc(R / sqrt 2) =
+    # 2.58e-4, within 5 standard deviations.  The 10**6 values reach every branch of _retry
+    n = 10**6
+    x = np.sort(Stream(2024).standard_normal(n))
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    d = max((np.arange(1, n + 1) / n - phi).max(), (phi - np.arange(n) / n).max())
+    assert math.sqrt(n) * d < 1.95
+    tail = n * math.erfc(bundle._TAIL / math.sqrt(2.0))
+    assert abs(np.count_nonzero(np.abs(x) > bundle._TAIL) - tail) <= 5 * math.sqrt(tail)
+
+
+def test_uniforms_follow_the_uniform_law():
+    n = 10**5
+    u = np.sort(Stream(2025).uniform(0.1, 2.0, n))
+    assert 0.1 <= u[0] and u[-1] < 2.0
+    cdf = (u - 0.1) / 1.9
+    d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert math.sqrt(n) * d < 1.95
+
+
+def test_a_stream_is_keyed_by_value_and_its_chunks_concatenate():
+    one = Stream(99).standard_normal((6, 50))
+    assert np.array_equal(Stream(99).standard_normal((6, 50)), one)
+    chunked = Stream(99)
+    parts = [chunked.standard_normal(n) for n in (1, 99, 200)]
+    assert np.array_equal(np.concatenate(parts), one.reshape(-1)) and chunked.position == 300
+    # keys drawn together give each the values of its own stream
+    keys = [99, 5, 2**64 - 1]
+    together = Stream(keys).standard_normal((6, 50))
+    assert together.shape == (3, 6, 50)
+    for key, values in zip(keys, together):
+        assert np.array_equal(values, Stream(key).standard_normal((6, 50)))
+    assert not np.array_equal(together[0], together[1])
+    # a uniform reads the counters after the normals; the values are those of their counters
+    chunked.uniform(0.0, 1.0, 4)
+    assert chunked.position == 304
+
+
+def test_a_value_that_needs_too_many_attempts_is_refused(monkeypatch):
+    # one attempt per value: the first wedge point that is rejected has no second
+    monkeypatch.setattr(bundle, "ZIGGURAT_ATTEMPTS", 1)
+    with pytest.raises(ContractViolationError, match="more than 1 attempts"):
+        Stream(7).standard_normal(10**5)
+
+
+# the draws of every kind of stream call, with the values that leave their box, as sha256
+STREAM_DIGEST = """import hashlib
+from tracebundle.bundle import Stream
+s = Stream([3, 2**63 + 5])
+draws = [s.standard_normal((2, 3 * 10**4)), s.uniform(0.1, 2.0, 1000),
+         Stream(11).standard_normal(77)]
+print(hashlib.sha256(b"".join(d.tobytes() for d in draws)).hexdigest())
+"""
+
+
+def test_draws_do_not_depend_on_the_simd_loops():
+    # one subprocess each with numpy's own loops, those without AVX-512 and those without AVX2
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    targets = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+    present = [t for t in targets if __cpu_features__.get(t)]
+    if not present:
+        pytest.skip("numpy takes none of these loops on this CPU")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bundle.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for disabled in ([], [t for t in present if t != "X86_V3"], present):
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+        done = subprocess.run([sys.executable, "-c", STREAM_DIGEST], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split()[-1])
+    assert len(set(digests)) == 1, digests
 
 
 def test_random_kinds_differ_per_seed_kind(hetero_bundle):

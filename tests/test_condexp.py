@@ -31,6 +31,7 @@ from tracebundle.fixtures import FIXTURES, fixture_text
 from tracebundle.towers import fiber_level_generators, level_generators
 from tracebundle.tracelp import DUALITY_CHUNK
 
+from conftest import values_drawn
 from oracles import (
     ExactFiberProjection,
     axiom_report_reference,
@@ -656,15 +657,15 @@ def test_axiom_checks_match_one_check_per_level(axiom_cases, monkeypatch, chunk,
 
 
 @pytest.mark.parametrize("trials", [20, 600])
-def test_axiom_trials_draw_from_six_generators(hetero_bundle, rng_log, trials):
-    # one generator per tag, whatever the trial count: x and pos draw 2 * 22
+def test_axiom_trials_draw_from_six_keys(hetero_bundle, stream_log, trials):
+    # one stream key per tag, whatever the trial count: x and pos draw 2 * 22
     # values per trial, a, b and y two per basis element, nu one per atom
     E = preset_expectation(hetero_bundle, "block(2,1)")
-    rng_log.clear()
+    stream_log.clear()
     check_cond_exp_axioms(E, trials, 34)
     rank = sum(E.target.dims)
     per_trial = [44, 44, 2 * rank, 2 * rank, 2 * rank, 4]
-    assert sorted(g.drawn for g in rng_log) == sorted(trials * w for w in per_trial)
+    assert values_drawn(stream_log) == [trials * w for w in per_trial]
 
 
 def test_axiom_report_reference_above_chunk_size(hetero_bundle):

@@ -27,6 +27,7 @@ from tracebundle import (
     spectral_norm,
 )
 import oracles
+from conftest import values_drawn
 from tracebundle import bundle as bundle_module
 from tracebundle import fiber, tracelp, views
 from tracebundle.fiber import gram_eigenvalues_stack
@@ -623,13 +624,14 @@ def test_duality_checks_build_no_witness_section(hetero_bundle, monkeypatch):
 
 
 # sha256 of dual_extremal(random_section(hetero_bundle, 31, "general"), p), recorded before
-# the witnesses became block stacks that only dual_extremal turns into a section
+# the witnesses became block stacks that only dual_extremal turns into a section, and again
+# when the draws moved to the counter-based bundle.Stream
 DUAL_EXTREMAL_DIGESTS = {
-    1: "d8740ce15c1b0ebe44dea56743ee36d63b2e0f3ca9854dc981e529adac0b6be7",
-    1.5: "5b275979f22e50582a613e2060dac2d38142a22003c8a651f4987a401b55baf5",
-    2: "a83390188326cace8ba40b9789a56d550508d3b76bed436962b784ff227e2fa7",
-    3: "5829be546932a615dd12d54716cb72230513e72ee32c052905b5bfe05cf1d0b4",
-    4: "141c55fb8a18eb569c8378db7fee5d240a27ac61ef5a923f19d70219391b4061",
+    1: "24d1ed997f96f9258a6e8605c18b9a72fe2348a34502f738336c5605dc9daefb",
+    1.5: "d37a58fe37f8a1b13ac2031f798b8c231e6d3b93b3e7ff0ad382b4c7b108e455",
+    2: "814fc63f7e53e4b21242f940686773c7ad3e8d2cd19ad8c0329d82f83abd8aed",
+    3: "5d601d61c829f191a78a26dc5357ba4d3589f6425b9f3b7ef54a71ec7d0f496a",
+    4: "ff503b3c30e5122cec52c372daf22d742969331f12c04d0580b39ab01bd8d03d",
 }
 
 
@@ -669,12 +671,12 @@ def test_duality_check_near_one_passes(hetero_bundle):
 
 
 @pytest.mark.parametrize("samples", [40, 600])
-def test_duality_check_draws_from_one_generator(hetero_bundle, rng_log, samples):
-    # one generator per check, every sample's 2 * 22 values drawn from it once
+def test_duality_check_draws_from_one_key(hetero_bundle, stream_log, samples):
+    # one stream key per check, every sample's 2 * 22 values drawn from it once
     x = random_section(hetero_bundle, 29, "general")
-    rng_log.clear()
+    stream_log.clear()
     duality_check(x, 3.0, samples, 30)
-    assert [g.drawn for g in rng_log] == [samples * 44]
+    assert values_drawn(stream_log) == [samples * 44]
 
 
 def test_duality_chunking_is_invisible(hetero_bundle, monkeypatch):
@@ -747,19 +749,20 @@ def test_zero_samples_and_fibers_keep_every_worst_lane(hetero_bundle, monkeypatc
     # block slot j of every lane divisible by j + 2 is zero, so some samples are zero at an
     # atom (dual norm 0) and lanes 0 and 60 are zero throughout; the sections have a zero
     # fiber, a fiber scaled by 1e-14, or are zero: no 0 / 0 may hide a worst lane
+    # (the lane index is the one within its key's draw, as a joint draw stacks several keys)
     real = bundle_module.gaussian_stacks
 
-    def zeroed(bundle, rng, count):
-        stacks = real(bundle, rng, count)
+    def zeroed(bundle, stream, count):
+        stacks = real(bundle, stream, count)
         for j, y in enumerate(stacks):
-            y[np.arange(count) % (j + 2) == 0] = 0.0
+            y[np.arange(len(y)) % count % (j + 2) == 0] = 0.0
         return stacks
 
-    monkeypatch.setattr(tracelp, "gaussian_stacks", zeroed)
-    monkeypatch.setattr(oracles, "gaussian_stacks", zeroed)
     x = random_section(hetero_bundle, 150, "general")
     tiny = Section(hetero_bundle, [1e-14 * f if i == 2 else f for i, f in enumerate(x.fibers)])
     sections = [x, with_zero_fiber(x, 1), tiny, zero_section(hetero_bundle)]
+    monkeypatch.setattr(bundle_module, "gaussian_stacks", zeroed)  # joint_gaussian_stacks' draw
+    monkeypatch.setattr(oracles, "gaussian_stacks", zeroed)
     pairs = itertools.product(sections, PRUNED_EXPONENTS)
     cases = [(y, p, 160 + k) for k, (y, p) in enumerate(pairs)]
     with warnings.catch_warnings():

@@ -3,10 +3,13 @@
 The element-at-a-time views live in ``tracebundle/views.py``, which no CLI call imports; the
 package and each module that held a view before answer its name lazily (PEP 562).  Through
 the package, through the old module and through ``views``, a name is one object, so a test
-or ``bench/child.py`` that wraps it sees every call.
+or ``bench/child.py`` that wraps it sees every call.  Patching such a name through the
+package or the old module only adds an attribute that no code reads, so no test does.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +104,72 @@ def test_a_name_the_bench_wraps_resolves_to_its_definition(dotted):
 def test_an_unknown_name_is_still_an_attribute_error(owner):
     with pytest.raises(AttributeError, match=f"module '{owner}' has no attribute 'bogus'"):
         getattr(importlib.import_module(owner), "bogus")
+
+
+# the names that the package and each old module only forward, by module
+FORWARDED = {f"tracebundle.{module}": set(names.split()) for module, names in MOVED.items()}
+FORWARDED["tracebundle"] = {name for _, name in pairs(EXPORTED)}
+
+
+def forwarded_patches(source: str) -> list:
+    """``(line, "module.name")`` of every ``<x>.setattr`` call in ``source`` that patches a name
+    of ``FORWARDED`` through its forwarding module, by the module names that ``source`` imports."""
+    tree = ast.parse(source)
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            local.update({a.asname or a.name.split(".")[0]: a.name if a.asname else
+                          a.name.split(".")[0] for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            local.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return local.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = dotted(node.value)
+            return owner and f"{owner}.{node.attr}"
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr" and node.args):
+            continue
+        target, *rest = node.args
+        if isinstance(target, ast.Constant) and isinstance(target.value, str):
+            module, _, name = target.value.rpartition(".")
+        elif rest and isinstance(rest[0], ast.Constant) and isinstance(rest[0].value, str):
+            module, name = dotted(target), rest[0].value
+        else:
+            continue
+        if name in FORWARDED.get(module, ()):
+            found.append((node.lineno, f"{module}.{name}"))
+    return found
+
+
+def test_a_patch_of_a_forwarded_name_is_found():
+    source = """import tracebundle
+from tracebundle import fiber as old
+
+
+def test_it(monkeypatch):
+    monkeypatch.setattr(tracebundle.fiber, "herm_eig", None)
+    monkeypatch.setattr(old, "polar", None)
+    monkeypatch.setattr("tracebundle.bundle.random_section", None)
+    monkeypatch.setattr(tracebundle, "lp_norm", None)
+    monkeypatch.setattr(old, "FiberElement", None)
+    monkeypatch.setattr(tracebundle.views, "herm_eig", None)
+"""
+    assert forwarded_patches(source) == [
+        (6, "tracebundle.fiber.herm_eig"), (7, "tracebundle.fiber.polar"),
+        (8, "tracebundle.bundle.random_section"), (9, "tracebundle.lp_norm")]
+
+
+def test_no_test_patches_a_forwarded_name():
+    # such a patch succeeds and changes nothing: patched through tracebundle.fiber, herm_eig
+    # was never called by random_section, which reads views.herm_eig
+    tests = Path(__file__).resolve().parent
+    found = [f"{path.name}:{line}: {name}" for path in sorted(tests.glob("*.py"))
+             for line, name in forwarded_patches(path.read_text(encoding="utf-8"))]
+    assert found == []
