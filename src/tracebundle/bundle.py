@@ -2,10 +2,10 @@
 
 A bundle spec fixes, per atom, the fiber shape (block dimensions) and strictly
 positive per-block trace weights; the referee holds elements as block stacks
-(``gaussian_stacks``, ``seeded_stacks``) and a section (``views.Section``)
-assigns a fiber element to every atom.  All arithmetic is fiberwise with no
-cross-fiber data flow, so evaluating at an atom commutes with every operation by
-construction (same arithmetic path, bit for bit).
+(``gaussian_stacks``, ``seeded_stacks``, drawn from the counter-based ``Stream``) and
+a section (``views.Section``) assigns a fiber element to every atom.  All arithmetic
+is fiberwise with no cross-fiber data flow, so evaluating at an atom commutes with
+every operation by construction (same arithmetic path, bit for bit).
 """
 
 from __future__ import annotations
@@ -92,26 +92,22 @@ def split_blocks(flat: np.ndarray, dims) -> list[np.ndarray]:
 _GAMMA, _M1, _M2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                            0x94D049BB133111EB))
 ZIGGURAT_ATTEMPTS = 16  # candidates per value; P(a value needs more) is below 1e-18
-# s DELTA mod 2**64 for the sub-streams s of every attempt, DELTA odd: sub-stream s > 0 of key
-# k is keyed finalizer(k + s DELTA)
+# s DELTA mod 2**64 for the sub-streams s of the attempts: sub-stream s of key k is the stream
+# of key k + s DELTA, at least 2**57 counters away from every other sub-stream of k
 _STEPS = np.array([s * 0xD1B54A32D192ED03 % 2**64 for s in range(3 * ZIGGURAT_ATTEMPTS)],
                   dtype=np.uint64)[:, None]
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer of a uint64 array, in place, wrapping mod 2**64."""
+def _words(keys, counters) -> np.ndarray:
+    """Value ``counters`` of ``keys`` (uint64 arrays, broadcast, ``keys`` at least 1-d): the
+    SplitMix64 finalizer of ``key + (counter + 1) GAMMA``, wrapping mod 2**64."""
+    z = counters * _GAMMA + (keys + _GAMMA)
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
     z *= _M2
     z ^= z >> np.uint64(31)
     return z
-
-
-def _words(keys, counters) -> np.ndarray:
-    """Value ``counters`` of ``keys`` (uint64 arrays, broadcast, ``keys`` at least 1-d): the
-    finalizer of ``key + (counter + 1) GAMMA``."""
-    return _mix(counters * _GAMMA + (keys + _GAMMA))
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -148,40 +144,36 @@ def _candidates(words: np.ndarray):
 def _normals(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Standard normals, value ``counters`` (1-d) of each of ``keys`` (0-d or 1-d), key by key.
     About 98.5 % of the points are under the curve at once; ``_retry`` finishes the others."""
-    j, x, inside = _candidates(_words(keys.reshape(-1, 1), counters).ravel())
+    _, x, inside = _candidates(_words(keys.reshape(-1, 1), counters).ravel())
     out = np.flatnonzero(~inside)
     if len(out):
-        x[out] = _retry(keys.reshape(-1)[out // len(counters)], counters[out % len(counters)],
-                        j[out], x[out])
+        x[out] = _retry(keys.reshape(-1)[out // len(counters)], counters[out % len(counters)])
     return x
 
 
-def _retry(keys, counters, j, x):
-    """Finish the values whose first point is not under the curve at once, in at most
-    ZIGGURAT_ATTEMPTS attempts.
+def _retry(keys, counters):
+    """The normals of the values at ``counters`` of ``keys`` whose first point is not under the
+    curve at once, in at most ZIGGURAT_ATTEMPTS attempts.
 
-    Attempt a reads sub-streams ``3a`` to ``3a + 2`` of each value's key at the value's own
-    counter (sub-stream 0 is the key itself, sub-stream s > 0 the key ``finalizer(key + s
-    DELTA)``).  From ``3a`` (a > 0) a value whose wedge point was rejected takes a new
-    candidate.  A point in the wedge of layer i is kept when its height, read from ``3a + 1``
-    between ``f(e_i)`` and ``f(e_{i+1})``, is below ``f(x)``.  A draw in the tail takes
-    Marsaglia's ``t = -log1p(-u) / R`` and keeps ``R + t``, signed, when ``-2 log1p(-u') >
-    t**2``, ``u`` and ``u'`` read from ``3a + 1`` and ``3a + 2``; a rejected tail draw stays
-    in the tail, so the tail keeps its mass.
+    Attempt a reads sub-streams ``3a`` to ``3a + 2`` at each value's own counter; sub-stream
+    0 is the key's own stream.  From ``3a`` a value takes its candidate, unless it is in the
+    tail.  A point in the wedge of layer i is kept when its height, read from ``3a + 1``
+    between ``f(e_i)`` and ``f(e_{i+1})``, is below ``f(x)``; else the next attempt takes a
+    new candidate.  A draw in the tail takes Marsaglia's ``t = -log1p(-u) / R`` and keeps
+    ``R + t``, signed, when ``-2 log1p(-u') > t**2``, ``u`` and ``u'`` read from ``3a + 1``
+    and ``3a + 2``; a rejected tail draw stays in the tail, so the tail keeps its mass.
     """
-    todo, tail = np.arange(len(x)), j % 256 == 0
+    x, j = np.zeros(len(keys)), np.zeros(len(keys), dtype=np.int64)
+    todo, tail = np.arange(len(keys)), np.zeros(len(keys), dtype=bool)
     for attempt in range(ZIGGURAT_ATTEMPTS):
-        subs = slice(3 * attempt + (attempt == 0), 3 * attempt + 3)  # attempt 0 has its candidate
-        words = _words(_mix(keys[todo] + _STEPS[subs]), counters[todo])
+        words = _words(keys[todo] + _STEPS[3 * attempt:3 * attempt + 3], counters[todo])
         wait, deep = np.ones(len(todo), dtype=bool), tail[todo]
-        if attempt:
-            fresh = np.flatnonzero(~deep)
-            lanes = todo[fresh]
-            j[lanes], x[lanes], inside = _candidates(words[0, fresh])
-            words = words[1:]
-            deep[fresh] = tail[lanes] = j[lanes] % 256 == 0
-            wait[fresh] = ~inside
-        u = _unit(words)
+        fresh = np.flatnonzero(~deep)
+        lanes = todo[fresh]
+        j[lanes], x[lanes], inside = _candidates(words[0, fresh])
+        deep[fresh] = tail[lanes] = j[lanes] % 256 == 0
+        wait[fresh] = ~inside
+        u = _unit(words[1:])
         wedge = np.flatnonzero(wait & ~deep)
         if len(wedge):
             i = j[todo[wedge]] % 256

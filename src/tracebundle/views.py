@@ -359,7 +359,7 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     power of two at any 1024 consecutive atoms: a map that acts fiber by fiber reads
     exactly 0.0, one that adds ``c x`` from atom v into atom w reads ``(z_v / z_w - 1) c x``.
     Never raises on a residual; the caller compares against tolerances.  Each tag (x, pos,
-    a, b, y, nu) draws from one ``Stream`` keyed ``derive_seed(seed, f"axiom-{tag}")``,
+    a, b, y, nu) draws from the ``Stream`` key ``derive_seed(seed, f"axiom-{tag}")``,
     trial ``t`` its lane ``t``.  The trials are stacked per block in chunks of
     DUALITY_CHUNK; no step mixes trials, so the chunking does not show.
     """

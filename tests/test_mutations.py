@@ -281,8 +281,8 @@ def failing_checks(tmp_path, part, mutate=None) -> set:
 # rows whose defect the check sees only on some draws, with what was measured
 MISSED_ON_THESE_DRAWS = {
     # the 15 trials of hetero4_tower find a non-positive image of g* g on about 4 seeds in 5:
-    # the overshoot passed positivity at 8 of the seeds 1-40 with numpy's generator and at 10
-    # with bundle.Stream, among them this fixture's seed 77001 (ROADMAP item 5: hard draws)
+    # the overshoot passed positivity at 8 of the seeds 1-40 with numpy's generator and at 9
+    # with bundle.Stream, which misses it at this fixture's seed 77001 too (ROADMAP item 5)
     "condexp/positivity": "positivity misses the overshoot at this fixture seed",
 }
 
