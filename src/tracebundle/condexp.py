@@ -321,9 +321,8 @@ class _AxiomTally:
         k = np.arange(bundle.space.size) % 1024  # the z of fiberwise_agreement, per block
         self.z = (2.0 ** (k - min(bundle.space.size, 1024) // 2))[self.block_atoms]
         # one key per tag; the tags that draw alike share a stream, which draws them at once
-        self.streams = [Stream([derive_seed(seed, f"axiom-{tag}") for tag in tags])
-                        for tags in (("x", "pos"), ("a", "b", "y"))]
-        self.streams.append(Stream(derive_seed(seed, "axiom-nu")))
+        keys = [derive_seed(seed, f"axiom-{tag}") for tag in ("x", "pos", "a", "b", "y", "nu")]
+        self.streams = Stream(keys[:2]), Stream(keys[2:5]), Stream(keys[5])
 
     def bump(self, name, values, per_atom=False):
         """Fold ``(S,)`` values, one per block (or per atom), in with NumPy, where a NaN propagates."""

@@ -64,8 +64,8 @@ def run_trace_checks(cfg: ExperimentConfig, bundle) -> list[CheckResult]:
     c_min = np.array([min(cs) for cs in bundle.trace_weights])
     traciality = positivity = faithfulness = 0.0
     for [(_, size)] in packed_chunks(1, trials):  # with one case, each group is one chunk
-        xy = gaussian_stacks(bundle, stream, size)  # x's lanes, then y's
-        x, y = ([s[k * size:(k + 1) * size] for s in xy] for k in range(2))
+        drawn = gaussian_stacks(bundle, stream, size)  # x's lanes, then y's
+        x, y = ([s[k * size:(k + 1) * size] for s in drawn] for k in range(2))
         xy, yx, gram = (stacked_traces([u @ v for u, v in zip(us, vs)], bundle) for us, vs in (
             (x, y), (y, x), ([u.conj().transpose(0, 2, 1) for u in x], x)))
         # folded with NumPy, where a NaN residual propagates (the builtin max may drop it)

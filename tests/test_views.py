@@ -145,7 +145,7 @@ def forwarded_patches(source: str) -> list:
             continue
         if name in FORWARDED.get(module, ()):
             found.append((node.lineno, f"{module}.{name}"))
-    return found
+    return sorted(found)
 
 
 def test_a_patch_of_a_forwarded_name_is_found():
