@@ -268,7 +268,7 @@ def test_a_stream_is_keyed_by_value_and_its_chunks_concatenate():
     for key, values in zip(keys, together):
         assert np.array_equal(values, Stream(key).standard_normal((6, 50)))
     assert not np.array_equal(together[0], together[1])
-    # a uniform reads the counters after the normals; the values are those of their counters
+    # a uniform reads the next counters as well
     chunked.uniform(0.0, 1.0, 4)
     assert chunked.position == 304
 
