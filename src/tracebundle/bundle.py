@@ -10,7 +10,6 @@ every operation by construction (same arithmetic path, bit for bit).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -247,21 +246,6 @@ def gaussian_stacks(bundle: BundleSpec, stream: Stream, count: int) -> list[np.n
     total = sum(n * n for n in dims)
     draw = stream.standard_normal((count, 2, total)).reshape(-1, 2, total) * math.sqrt(0.5)
     return split_blocks(from_planes(draw[:, 0], draw[:, 1]), dims)
-
-
-def joint_gaussian_stacks(bundle: BundleSpec, draws) -> list[np.ndarray]:
-    """The ``gaussian_stacks(bundle, stream, count)`` of every ``(stream, count)`` of ``draws``,
-    one key per stream, lanes concatenated in order.  A run of draws that share a position and
-    a count is one draw of their keys, which gives each the values of its own draw."""
-    out = []
-    for (position, count), run in itertools.groupby(draws, lambda d: (d[0].position, d[1])):
-        run = [stream for stream, _ in run]
-        joint = Stream([stream.keys for stream in run])
-        joint.position = position
-        out.append(gaussian_stacks(bundle, joint, count))
-        for stream in run:
-            stream.position = joint.position
-    return [np.concatenate(slot) for slot in zip(*out)]
 
 
 def seeded_stacks(bundle: BundleSpec, seeds, kind: str = "general") -> list[np.ndarray]:

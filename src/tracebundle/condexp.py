@@ -320,9 +320,12 @@ class _AxiomTally:
         self.first_blocks = np.cumsum([0, *map(len, bundle.fiber_shapes[:-1])])
         k = np.arange(bundle.space.size) % 1024  # the z of fiberwise_agreement, per block
         self.z = (2.0 ** (k - min(bundle.space.size, 1024) // 2))[self.block_atoms]
-        # one key per tag; the tags that draw alike share a stream, which draws them at once
-        keys = [derive_seed(seed, f"axiom-{tag}") for tag in ("x", "pos", "a", "b", "y", "nu")]
-        self.streams = Stream(keys[:2]), Stream(keys[2:5]), Stream(keys[5])
+        self.streams = {tag: Stream(derive_seed(seed, f"axiom-{tag}"))
+                        for tag in ("x", "pos", "a", "b", "y", "nu")}
+        # (index in its atom, blocks of its atom) per block: positivity takes v* v in block
+        # t mod m of an atom with m blocks at trial t, and zero in its other blocks
+        self.rays = [(k, len(shape)) for shape in bundle.fiber_shapes for k in range(len(shape))]
+        self.drawn = 0
 
     def bump(self, name, values, per_atom=False):
         """Fold ``(S,)`` values, one per block (or per atom), in with NumPy, where a NaN propagates."""
@@ -334,21 +337,25 @@ class _AxiomTally:
     def draw(self, size: int):
         """Draw ``size`` trials and fold in every residual that needs no eigenvalues.
 
-        One stacked ``_project`` call takes ``x``, ``g* g``, ``a x b`` and ``z x`` together,
+        One stacked ``_project`` call takes ``x``, ``v* v``, ``a x b`` and ``z x`` together,
         ``4 * size`` lanes per block; ``E(E(x))`` is the second, as it needs ``E(x)``.
         Returns the stacks whose eigenvalues ``finish`` needs, one per block the Hermitian
         ones it checks for positivity and then the Gram matrices of ``both``; and ``both``,
         ``E(x)`` (rows < size) stacked on ``x``, whose Lp norms ``finish`` compares.
         """
-        E, (sections, elements, weights) = self.E, self.streams
+        E, streams = self.E, self.streams
         bundle, projectors = E.bundle, E.target.projectors
-        xg, aby = gaussian_stacks(bundle, sections, size), E.target.random_stacks(elements, size)
-        lanes = [slice(k * size, (k + 1) * size) for k in range(3)]  # key k's lanes
-        x, g = ([s[k] for s in xg] for k in lanes[:2])
-        a, b, y = ([s[k] for s in aby] for k in lanes)
+        x, g = (gaussian_stacks(bundle, streams[tag], size) for tag in ("x", "pos"))
+        a, b, y = (E.target.random_stacks(streams[tag], size) for tag in "aby")
+        # positivity is tried on the extreme rays of the positive cone, v* v in one block
+        # of each atom, v the first row of the pos draw there: lambda_min(E(x)) is concave
+        # in x, so its least value over the positive x of unit trace is taken on a ray
+        trial = np.arange(self.drawn, self.drawn + size)[:, None, None]
+        self.drawn += size
+        v = [gi[:, :1] * (trial % m == k) for gi, (k, m) in zip(g, self.rays)]
         images = _project(projectors, [
-            np.concatenate([xi, gi.conj().transpose(0, 2, 1) @ gi, ai @ xi @ bi, zi * xi])
-            for zi, xi, gi, ai, bi in zip(self.z, x, g, a, b)])
+            np.concatenate([xi, vi.conj().transpose(0, 2, 1) @ vi, ai @ xi @ bi, zi * xi])
+            for zi, xi, vi, ai, bi in zip(self.z, x, v, a, b)])
         ex, epos, axb, ezx = ([e[k * size:(k + 1) * size] for e in images] for k in range(4))
         self.bump("idempotence", _gap(_project(projectors, ex), ex))
         hs = [0.5 * (e + e.conj().transpose(0, 2, 1)) for e in epos]
@@ -365,7 +372,7 @@ class _AxiomTally:
         pair_ex, pair_x = (stacked_traces([u @ v for u, v in zip(s, y)], bundle) for s in (ex, x))
         d = pair_ex - pair_x
         self.bump("bimodule_pairing", _modulus(d.real, d.imag).T, per_atom=True)
-        nu = weights.uniform(0.1, 2.0, (size, bundle.space.size))
+        nu = streams["nu"].uniform(0.1, 2.0, (size, bundle.space.size))
         sums = [np.sum(nu * part, axis=1) for t in (tr_ex, tr_x) for part in (t.real, t.imag)]
         d = _modulus(sums[0] - sums[2], sums[1] - sums[3])
         self.res["scalarized_trace"] = float(np.max(d, initial=self.res["scalarized_trace"]))

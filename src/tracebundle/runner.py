@@ -60,12 +60,11 @@ def run_trace_checks(cfg: ExperimentConfig, bundle) -> list[CheckResult]:
     the squared spectral norms come from one stacked solve per block size per chunk.
     """
     tol, trials = cfg.tolerances["trace_axioms"], cfg.trials["trace_sections"]
-    stream = Stream([derive_seed(cfg.seed, tag) for tag in ("trace-x", "trace-y")])
+    streams = [Stream(derive_seed(cfg.seed, tag)) for tag in ("trace-x", "trace-y")]
     c_min = np.array([min(cs) for cs in bundle.trace_weights])
     traciality = positivity = faithfulness = 0.0
     for [(_, size)] in packed_chunks(1, trials):  # with one case, each group is one chunk
-        drawn = gaussian_stacks(bundle, stream, size)  # x's lanes, then y's
-        x, y = ([s[k * size:(k + 1) * size] for s in drawn] for k in range(2))
+        x, y = (gaussian_stacks(bundle, stream, size) for stream in streams)
         xy, yx, gram = (stacked_traces([u @ v for u, v in zip(us, vs)], bundle) for us, vs in (
             (x, y), (y, x), ([u.conj().transpose(0, 2, 1) for u in x], x)))
         # folded with NumPy, where a NaN residual propagates (the builtin max may drop it)

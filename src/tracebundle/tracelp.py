@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .bundle import BundleSpec, Stream, joint_gaussian_stacks
+from .bundle import BundleSpec, Stream, gaussian_stacks
 from .errors import ContractViolationError, UsageError
 from .fiber import PINV_CUTOFF, gram_eigenvalues_stack, solve_by_block_size
 
@@ -264,7 +264,8 @@ def _draw(cases, qs, streams, group) -> list[_Drawn]:
         batches.setdefault((cases[k][0][0], qs[k]), []).append((k, size))
     out = []
     for (bundle, q), members in batches.items():
-        ys = joint_gaussian_stacks(bundle, [(streams[k], size) for k, size in members])
+        ys = [np.concatenate(slot) for slot in zip(*[gaussian_stacks(bundle, streams[k], size)
+                                                     for k, size in members])]
         sizes = [size for _, size in members]
         # each lane pairs with the blocks of its own case
         xs = _target_stacks([cases[k][0] for k, _ in members])

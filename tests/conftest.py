@@ -59,7 +59,7 @@ def stream_log(monkeypatch):
 
 def values_drawn(streams) -> list:
     """The count of values drawn from each key of ``streams``, in order of first use; a key that
-    several streams draw from (a joint draw) counts its furthest position."""
+    several streams draw from counts its furthest position."""
     drawn = {}
     for stream in streams:
         for key in stream.keys.reshape(-1).tolist():

@@ -633,15 +633,18 @@ def axiom_report_reference(E, trials, seed):
 
     streams = {tag: Stream(derive_seed(seed, f"axiom-{tag}"))
                for tag in ("x", "pos", "a", "b", "y", "nu")}
-    for _ in range(trials):
+    for t in range(trials):
         x = gaussian_section(bundle, streams["x"])
         ex = E(x)
 
         d = _per_atom_max_abs(E(ex) - ex)
         bump("idempotence", d.max(), d)
 
+        # v* v in block t mod m of each atom with m blocks, v the first row of g there
         g = gaussian_section(bundle, streams["pos"])
-        pos = g.adjoint() * g
+        pos = Section._raw(bundle, [FiberElement([
+            b[:1].conj().T @ b[:1] if k == t % len(f.blocks) else np.zeros_like(b)
+            for k, b in enumerate(f.blocks)]) for f in g.fibers])
         epos = E(pos)
         epos_h = 0.5 * (epos + epos.adjoint())
         dips = []

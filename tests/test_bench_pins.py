@@ -113,8 +113,7 @@ def test_duality_phase_makes_no_single_block_solve(tmp_path, capsys, monkeypatch
 def test_duality_phase_solves_only_the_samples_that_can_be_worst(tmp_path, capsys, monkeypatch):
     # sample blocks solved per block size, where solving every sample took 2000, 6000 and
     # 2000: the one 1x1 block (atom w4) gives every sample the same ratio
-    # |trace(x y)| / ||y||_q, so all of them stay.  The counts depend on the draws: 475 and
-    # 245 with numpy's generator, 425 and 215 with bundle.Stream
+    # |trace(x y)| / ||y||_q, so all of them stay.  The counts depend on the draws
     calls = count_calls(fiber.gram_eigenvalues_stack, monkeypatch)
     run_workload("duality", tmp_path, capsys)
     solved = {}
@@ -153,7 +152,7 @@ def test_axiom_phase_validates_each_tower_level_once(tmp_path, capsys, monkeypat
 
 
 def test_axiom_phase_projects_each_chunk_twice(tmp_path, capsys, monkeypatch, mat2x8_bundle):
-    # 4 levels of 30 trials, one chunk each: one projection of x, g* g, a x b and z x together
+    # 4 levels of 30 trials, one chunk each: one projection of x, v* v, a x b and z x together
     # (120 lanes), then one of E(x) (30 lanes); projecting those inputs one by one took 20
     # calls, and with one locality lane group per atom (x at the atom, the pos draw elsewhere)
     # the first took 180 lanes.  Each level's unitality projects the identity (1 lane)

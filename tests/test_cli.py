@@ -130,7 +130,8 @@ def test_martingale_artifacts_keep_their_bytes(name, tmp_path):
 # axioms.json rows were recorded again when that scale and the moduli of trace_preservation and
 # bimodule_pairing came to be formed from real parts, so that no SIMD loop sets their bits.
 # Every row here and in MARTINGALE_DIGESTS was recorded again when the draws moved to the
-# counter-based bundle.Stream and every condexp modulus to real planes
+# counter-based bundle.Stream and every condexp modulus to real planes, and the axiom rows
+# again when positivity came to be tried on rank-one elements
 REPORT_DIGESTS = {
     ("check-duality", "duality"): {
         "duality.json": "c73c26e4d892bb0bcb7b163466028b994c0c32f9b39feaa1f1a94d0213014d9c",
@@ -145,18 +146,18 @@ REPORT_DIGESTS = {
         "summary.json": "8b9aa89cd1b7ad3dff8dff3a035a042ff432bd499556924ef8c99846ee67d4b9",
     },
     ("check-axioms", "axioms-large-blocks"): {
-        "axioms.json": "6c54a9aebdce190abedd62dbc1d7af36c364f53c3721df86faee970f59d4dc61",
-        "summary.json": "20b9ec81a8210dc7c7244af3f934a41dde24ba389e6d8811f4e8fc49eed84d6c",
+        "axioms.json": "0169a5188c8436791ba99745e192a58d98d275a0e97e879006b60f4f2e72365a",
+        "summary.json": "a22a6bcf04117f439d179afec8c10d164afc805eebd6fc7b27f73357c73a64da",
     },
     ("run", "mat2_tower"): {
-        "axioms.json": "318a56cd957077dcab4c64c16db8c2bbb5c07a3c7eb6402f22a9c4e7a81b8d73",
+        "axioms.json": "f913049776d71ddaaca1c0fc294e3e2244e06cfb761a8ee987117b913774805f",
         "duality.json": "e5ac0bcebf9968de40414b30631e3afc184620089e971c9bd7f15899edcf9a90",
-        "summary.json": "4c6c07bdd012a4753f7bfac774c85929eef3aa1774fad45bb54770616c542877",
+        "summary.json": "f84b9ef2611d8b93dac5433a2c68ebb7f9dc8c5ee27ecf36cd509acc4547ef9e",
     },
     ("run", "hetero4_tower"): {
-        "axioms.json": "fd154c0f499a9bddae70e5c30c407d0d0063c90abd7ceb71eb84026c21530842",
+        "axioms.json": "02fe8df11e480469fb4c0ec221a759dc77fa179c30233b8354e51d3bb537d6be",
         "duality.json": "32b5e9c77c7073807836a303fdd9fa9fe51ace82ab3808756d3f2f38edc2a3cf",
-        "summary.json": "1016562f153e2a7ee5c5e6fe11ec0f300ea27393ff1788419b1fff20d6244bce",
+        "summary.json": "e3a141e191748b24f5b1a09846ed6b26e159078813d9f10f28415af3db71456f",
     },
 }
 

@@ -278,18 +278,7 @@ def failing_checks(tmp_path, part, mutate=None) -> set:
     return {c["name"] for c in summary["checks"] if not c["pass"]}
 
 
-# rows whose defect the check sees only on some draws, with what was measured
-MISSED_ON_THESE_DRAWS = {
-    # the 15 trials of hetero4_tower find a non-positive image of g* g on about 4 seeds in 5:
-    # the overshoot passed positivity at 8 of the seeds 1-40 with numpy's generator and at 9
-    # with bundle.Stream, which misses it at this fixture's seed 77001 too (ROADMAP item 5)
-    "condexp/positivity": "positivity misses the overshoot at this fixture seed",
-}
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=why))
-    if (why := MISSED_ON_THESE_DRAWS.get(name)) else name for name in sorted(ROWS)])
+@pytest.mark.parametrize("name", sorted(ROWS))
 def test_injected_defect_fails_its_check(name, tmp_path):
     mutate, others = ROWS[name]
     assert failing_checks(tmp_path, name.split("/")[0], mutate) == {name} | others

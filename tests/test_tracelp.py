@@ -749,20 +749,19 @@ def test_zero_samples_and_fibers_keep_every_worst_lane(hetero_bundle, monkeypatc
     # block slot j of every lane divisible by j + 2 is zero, so some samples are zero at an
     # atom (dual norm 0) and lanes 0 and 60 are zero throughout; the sections have a zero
     # fiber, a fiber scaled by 1e-14, or are zero: no 0 / 0 may hide a worst lane
-    # (the lane index is the one within its key's draw, as a joint draw stacks several keys)
     real = bundle_module.gaussian_stacks
 
     def zeroed(bundle, stream, count):
         stacks = real(bundle, stream, count)
         for j, y in enumerate(stacks):
-            y[np.arange(len(y)) % count % (j + 2) == 0] = 0.0
+            y[np.arange(count) % (j + 2) == 0] = 0.0
         return stacks
 
+    monkeypatch.setattr(tracelp, "gaussian_stacks", zeroed)
+    monkeypatch.setattr(oracles, "gaussian_stacks", zeroed)
     x = random_section(hetero_bundle, 150, "general")
     tiny = Section(hetero_bundle, [1e-14 * f if i == 2 else f for i, f in enumerate(x.fibers)])
     sections = [x, with_zero_fiber(x, 1), tiny, zero_section(hetero_bundle)]
-    monkeypatch.setattr(bundle_module, "gaussian_stacks", zeroed)  # joint_gaussian_stacks' draw
-    monkeypatch.setattr(oracles, "gaussian_stacks", zeroed)
     pairs = itertools.product(sections, PRUNED_EXPONENTS)
     cases = [(y, p, 160 + k) for k, (y, p) in enumerate(pairs)]
     with warnings.catch_warnings():
