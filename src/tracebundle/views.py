@@ -350,7 +350,8 @@ def check_cond_exp_axioms(E: ConditionalExpectation, trials: int, seed: int) -> 
     """Measure every defining property of the conditional expectation.
 
     Residuals reported: idempotence, unitality, positivity (most negative
-    eigenvalue of the image of a positive element), the bimodule property
+    eigenvalue of the image of a rank-one positive element in one block per atom,
+    an extreme ray of the positive cone), the bimodule property
     ``E(a x b) = a E(x) b`` for subalgebra a, b, trace preservation, the
     pairing identity ``trace(E(x) y) = trace(x y)`` for subalgebra y, the Lp
     contraction bound for p in {1, 2, 3, 4}, scalarized-trace preservation for
